@@ -4,9 +4,10 @@ The benchmarks regenerate the paper's tables and figures on a reduced
 configuration (the ``smoke`` scale by default) so that the full suite runs in
 a few minutes.  Set ``REPRO_BENCH_SCALE=fast`` or ``paper`` for larger runs,
 ``REPRO_BENCH_FAULTS`` to override the number of injected upsets per design,
-``REPRO_BENCH_BACKEND`` (``serial`` / ``batch`` / ``process`` / ``vector``)
-to pick the campaign execution backend, ``REPRO_BENCH_JOBS`` to place and
-route the suite designs in parallel worker processes, and
+``REPRO_BENCH_BACKEND`` (``serial`` — the default — / ``vector`` /
+``numpy`` / ``sharded``) to pick the campaign execution backend,
+``REPRO_BENCH_JOBS`` to place and route the suite designs in parallel
+worker processes, and
 ``REPRO_FLOW_CACHE`` to serve implementations from (and persist them to)
 the on-disk flow-artifact store, and ``REPRO_BENCH_OUT`` to redirect the
 measured BENCH_*.json files (default ``.bench-out/``; pass the pytest
@@ -43,7 +44,7 @@ BENCH_OUT = Path(os.environ.get("REPRO_BENCH_OUT")
 
 BENCH_SCALE = os.environ.get("REPRO_BENCH_SCALE", "smoke")
 BENCH_FAULTS = int(os.environ.get("REPRO_BENCH_FAULTS", "0")) or None
-BENCH_BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "batch")
+BENCH_BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "serial")
 #: parallel P&R workers for the shared implementations fixture
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 #: persistent flow-artifact directory (CI caches it across runs)

@@ -33,8 +33,8 @@ import os
 import time
 
 from repro.faults import (CampaignConfig, FaultListManager, NumpyBackend,
-                          ProcessPoolBackend, VectorBackend, clear_cache,
-                          default_stimulus, run_campaign)
+                          VectorBackend, clear_cache, default_stimulus,
+                          run_campaign)
 from repro.experiments import campaign_config_for
 from repro.sim import CompiledDesign, have_numpy
 
@@ -154,8 +154,6 @@ def test_campaign_engine_throughput(benchmark, design_suite,
         reference = None
         backends = {
             "serial": "serial",
-            "batch": "batch",
-            "process": ProcessPoolBackend(processes=2),
             "vector": VectorBackend(),
         }
         if have_numpy():

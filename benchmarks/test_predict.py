@@ -118,14 +118,14 @@ def test_predictive_prefilter(benchmark, design_suite, implementations,
             clear_cache()
             pre_result, seconds = _timed(
                 lambda: run_campaign(implementation, prefiltered_config,
-                                     backend="batch",
+                                     backend="serial",
                                      defeat_map=defeat_map))
             cold_pre = seconds if cold_pre is None \
                 else min(cold_pre, seconds)
             clear_cache()
             full_result, seconds = _timed(
                 lambda: run_campaign(implementation, config,
-                                     backend="batch"))
+                                     backend="serial"))
             cold_full = seconds if cold_full is None \
                 else min(cold_full, seconds)
 
@@ -136,13 +136,13 @@ def test_predictive_prefilter(benchmark, design_suite, implementations,
         for _ in range(2):
             warm_pre_result, seconds = _timed(
                 lambda: run_campaign(implementation, prefiltered_config,
-                                     backend="batch",
+                                     backend="serial",
                                      defeat_map=defeat_map))
             warm_pre = seconds if warm_pre is None \
                 else min(warm_pre, seconds)
             warm_full_result, seconds = _timed(
                 lambda: run_campaign(implementation, config,
-                                     backend="batch"))
+                                     backend="serial"))
             warm_full = seconds if warm_full is None \
                 else min(warm_full, seconds)
 

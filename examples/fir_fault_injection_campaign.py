@@ -9,8 +9,8 @@ stage/cache report.
 Run with ``python examples/fir_fault_injection_campaign.py [scale]
 [backend] [jobs]`` where *scale* is ``smoke`` (default, about a minute),
 ``fast`` or ``paper``, *backend* selects the campaign execution engine
-(``serial``, ``batch``, ``process``, or the bit-parallel ``vector`` — the
-default), and *jobs* implements the five filter versions in that many
+(``serial``, the bit-parallel ``vector`` — the default, the
+numpy-compiled ``numpy``, or the process-parallel ``sharded``), and *jobs* implements the five filter versions in that many
 parallel worker processes; every backend produces identical results.  Set
 the ``REPRO_FLOW_CACHE`` environment variable to a directory to persist
 the place-and-route artifacts — a second run then skips implementation

@@ -101,8 +101,9 @@ def campaign_tradeoff(implementations: Mapping[str, Implementation],
 
     One-call form of :func:`tradeoff_curve` for callers that have the
     implemented versions but no campaign results yet; *backend* selects the
-    campaign execution backend (``"serial"``, ``"batch"``, ``"process"``,
-    the bit-parallel ``"vector"`` or the numpy-compiled ``"numpy"``),
+    campaign execution backend (``"serial"``, the bit-parallel
+    ``"vector"``, the numpy-compiled ``"numpy"`` or the process-parallel
+    ``"sharded"``),
     and repeated calls reuse the
     golden-trace / fault-effect cache.
     """

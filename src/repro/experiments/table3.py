@@ -55,9 +55,9 @@ def run_table3(suite: Optional[DesignSuite] = None,
                prefilter: str = "none") -> Dict[str, CampaignResult]:
     """Run the Table 3 campaigns and return one result per design.
 
-    *backend* selects the campaign execution backend (``"serial"``,
-    ``"batch"``, ``"process"``, the bit-parallel ``"vector"`` or the
-    numpy-compiled ``"numpy"``); every
+    *backend* selects the campaign execution backend (``"serial"``, the
+    bit-parallel ``"vector"``, the numpy-compiled ``"numpy"`` or the
+    process-parallel ``"sharded"``); every
     backend yields identical results.  *upset_model* selects how many bits
     one injection flips (``"single"``, ``"mbu[:k]"``, ``"accumulate[:k]"``
     — see :mod:`repro.faults.upsets`).  *prefilter* (``"static"``) lets

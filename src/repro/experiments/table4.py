@@ -27,9 +27,9 @@ def run_table4(results: Optional[Dict[str, CampaignResult]] = None,
                backend: BackendLike = None) -> Dict[str, Dict[str, int]]:
     """Return the per-design effect breakdown of error-causing upsets.
 
-    *backend* selects the campaign execution backend (``"serial"``,
-    ``"batch"``, ``"process"``, the bit-parallel ``"vector"`` or the
-    numpy-compiled ``"numpy"``).
+    *backend* selects the campaign execution backend (``"serial"``, the
+    bit-parallel ``"vector"``, the numpy-compiled ``"numpy"`` or the
+    process-parallel ``"sharded"``).
     """
     if results is None:
         results = run_table3(suite=suite, implementations=implementations,

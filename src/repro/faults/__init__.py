@@ -8,10 +8,9 @@ from .campaign import (PREFILTER_CHOICES, CampaignConfig, CampaignResult,
                        CategoryCount, default_stimulus, run_campaign,
                        run_campaigns)
 from .engine import (BACKEND_CHOICES, BACKENDS, BackendUnavailableError,
-                     BatchBackend, CampaignContext, CampaignWorkerError,
-                     ExecutionBackend, FaultTask, FaultVerdict, NumpyBackend,
-                     ProcessPoolBackend, ProgressCallback, SerialBackend,
-                     ShardedBackend, VectorBackend, program_signature,
+                     CampaignContext, CampaignWorkerError, ExecutionBackend,
+                     FaultTask, FaultVerdict, NumpyBackend, ProgressCallback,
+                     SerialBackend, ShardedBackend, VectorBackend,
                      resolve_backend)
 from .fault_list import FAULT_LIST_MODES, FaultList, FaultListManager
 from .injector import FaultInjectionManager, FaultResult
@@ -32,10 +31,9 @@ __all__ = [
     "table3_report", "table4_report",
     # execution engine
     "BACKEND_CHOICES", "BACKENDS", "BackendUnavailableError",
-    "BatchBackend", "CampaignContext", "CampaignWorkerError",
-    "ExecutionBackend", "FaultTask", "FaultVerdict", "NumpyBackend",
-    "ProcessPoolBackend", "ProgressCallback", "SerialBackend",
-    "ShardedBackend", "VectorBackend", "derive_seed", "program_signature",
+    "CampaignContext", "CampaignWorkerError", "ExecutionBackend",
+    "FaultTask", "FaultVerdict", "NumpyBackend", "ProgressCallback",
+    "SerialBackend", "ShardedBackend", "VectorBackend", "derive_seed",
     "resolve_backend", "split_shards", "substream",
     # cache layer
     "CampaignCache", "CampaignCacheEntry", "cache_stats", "clear_cache",

@@ -8,12 +8,12 @@ error-causing upsets by effect category (Table 4).
 
 ``run_campaign`` keeps its historical signature; the ``backend=`` knob
 selects the execution strategy (``"serial"`` — the seed semantics and the
-default, ``"batch"`` — shared simulator programs per overlay signature,
-``"process"`` — sharded ``multiprocessing`` workers, ``"vector"`` — whole
-fault shards packed into big-int lanes and swept bit-parallel through
-:mod:`repro.sim.bitparallel`, ``"numpy"`` — the same lane sweep compiled
-to vectorized ``uint64`` array kernels with cross-cone packing through
-:mod:`repro.sim.npkernel`; needs the optional numpy dependency) and
+default, ``"vector"`` — whole fault shards packed into big-int lanes and
+swept bit-parallel through :mod:`repro.sim.bitparallel`, ``"numpy"`` —
+the same lane sweep compiled to vectorized ``uint64`` array kernels with
+cross-cone packing through :mod:`repro.sim.npkernel`; needs the optional
+numpy dependency, ``"sharded"`` — shards of the task list run through a
+vectorized backend in worker processes) and
 ``use_cache=`` controls the golden-trace
 / fault-effect cache (:mod:`repro.faults.cache`).  All backends produce
 bit-identical aggregates for the same seed.

@@ -11,17 +11,11 @@ picklable units and executes them behind interchangeable backends:
 * :class:`CampaignContext` — the shared immutable context (implementation,
   compiled design, stimulus, golden trace) plus memoized derived artefacts,
   optionally backed by the process-wide :mod:`repro.faults.cache`;
-* :class:`ExecutionBackend` — the strategy interface, with three
+* :class:`ExecutionBackend` — the strategy interface, with four
   implementations:
 
-  - :class:`SerialBackend` — one task at a time, the seed semantics;
-  - :class:`BatchBackend` — groups tasks whose overlays patch the simulator
-    program identically and reuses one prepared program per group (opens on
-    one net, and the large population of upsets that leave the gate program
-    untouched, all share programs);
-  - :class:`ProcessPoolBackend` — shards the task list across
-    ``multiprocessing`` workers; each worker holds the compiled design once
-    and streams verdicts back;
+  - :class:`SerialBackend` — one task at a time, the seed semantics and
+    the oracle every other backend is checked against;
   - :class:`VectorBackend` — packs whole fault shards into the bit lanes of
     Python big integers and simulates them in one PPSFP-style sweep
     through the :mod:`repro.sim.bitparallel` kernel;
@@ -119,17 +113,6 @@ class FaultVerdict:
             first_mismatch_cycle=self.first_mismatch_cycle,
             detail=self.detail,
         )
-
-
-def program_signature(effect: FaultEffect) -> Tuple:
-    """Identity of the simulator-program modifications of one overlay.
-
-    Two overlays with the same signature patch the identical program
-    entries, so their faults can share one prepared gate program.
-    """
-    overlay = effect.overlay
-    return (tuple(sorted(overlay.lut_init_overrides.items())),
-            tuple(sorted(overlay.gate_pin_overrides.items())))
 
 
 class CampaignContext:
@@ -323,8 +306,7 @@ class CampaignContext:
         return cone
 
     # ------------------------------------------------------------------
-    def evaluate(self, task: FaultTask,
-                 simulator: Optional[Simulator] = None) -> FaultVerdict:
+    def evaluate(self, task: FaultTask) -> FaultVerdict:
         """Evaluate one task against the golden reference."""
         effect = task.effect
         resource_kind = effect.resource[0]
@@ -340,9 +322,8 @@ class CampaignContext:
                 detail=effect.detail,
             )
         cone = self.cone_for(effect)
-        if simulator is None:
-            simulator = Simulator(self.compiled, effect.overlay,
-                                  base_program=self.base_program)
+        simulator = Simulator(self.compiled, effect.overlay,
+                              base_program=self.base_program)
         if cone is not None:
             trace = simulator.run(self.stimulus, golden=self.golden,
                                   cone=cone)
@@ -397,50 +378,6 @@ class SerialBackend(ExecutionBackend):
             verdicts.append(context.evaluate(task))
             self._tick(progress, done, total)
         return verdicts
-
-
-class BatchBackend(ExecutionBackend):
-    """Group faults by program signature, one prepared simulator per group.
-
-    The simulator program only depends on an overlay's LUT-INIT and
-    gate-pin overrides; faults sharing that signature (repeated opens on
-    one route, and the large population of flip-flop / net / output-level
-    upsets whose programs are untouched) reuse one prepared program instead
-    of re-deriving it per fault.
-    """
-
-    name = "batch"
-
-    def run(self, context: CampaignContext, tasks: Sequence[FaultTask],
-            progress: Optional[ProgressCallback] = None
-            ) -> List[FaultVerdict]:
-        context.prepare()
-        groups: Dict[Tuple, List[FaultTask]] = {}
-        for task in tasks:
-            groups.setdefault(program_signature(task.effect),
-                              []).append(task)
-
-        verdicts: List[Optional[FaultVerdict]] = [None] * len(tasks)
-        total = len(tasks)
-        done = 0
-        for group in groups.values():
-            shared_program = None
-            for task in group:
-                simulator = None
-                if task.effect.has_effect:
-                    if shared_program is None:
-                        simulator = Simulator(
-                            context.compiled, task.effect.overlay,
-                            base_program=context.base_program)
-                        shared_program = simulator.program
-                    else:
-                        simulator = Simulator(context.compiled,
-                                              task.effect.overlay,
-                                              program=shared_program)
-                verdicts[task.index] = context.evaluate(task, simulator)
-                done += 1
-                self._tick(progress, done, total)
-        return [verdict for verdict in verdicts if verdict is not None]
 
 
 class VectorBackend(ExecutionBackend):
@@ -711,112 +648,9 @@ class NumpyBackend(ExecutionBackend):
 
 
 # ----------------------------------------------------------------------
-# Process-pool backend.  Workers are primed through a fork-inherited (or,
-# under spawn, pickled) context; already-modelled tasks travel in shards
-# and verdicts stream back through the result queue.
-_WORKER_CONTEXT: Optional[CampaignContext] = None
-
-
-def _init_worker(context: CampaignContext) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = context
-    context.prepare()
-
-
-def _run_shard(shard: List[FaultTask]) -> List[FaultVerdict]:
-    context = _WORKER_CONTEXT
-    assert context is not None, "worker used before initialization"
-    return [context.evaluate(task) for task in shard]
-
-
-class ProcessPoolBackend(ExecutionBackend):
-    """Shard the sampled fault list across ``multiprocessing`` workers.
-
-    Each worker receives the campaign context once (inherited on fork,
-    pickled on spawn), holds the compiled design and golden reference,
-    then evaluates shards of already-modelled :class:`FaultTask`s and
-    streams verdicts back.  Verdict order — and therefore every campaign
-    aggregate — is independent of the scheduling, so results are
-    bit-identical to the serial backend.
-
-    Small campaigns fall back to the serial path: BENCH_campaign.json
-    shows the pool *losing* to serial at smoke scale (1.41x vs 2.33x at
-    400 faults) because pool spin-up and context pickling dominate, while
-    paper-scale campaigns (6000 faults) amortize them.  ``min_tasks``
-    (default 1000, between those two measured points) is the cut-over;
-    pass 0 to force the pool.
-    """
-
-    name = "process"
-
-    def __init__(self, processes: Optional[int] = None,
-                 shard_size: Optional[int] = None,
-                 min_tasks: int = 1000) -> None:
-        self.processes = processes
-        self.shard_size = shard_size
-        self.min_tasks = min_tasks
-
-    def _process_count(self, num_tasks: int) -> int:
-        if self.processes is not None:
-            return max(1, self.processes)
-        return max(1, min(os.cpu_count() or 1, num_tasks))
-
-    def run(self, context: CampaignContext, tasks: Sequence[FaultTask],
-            progress: Optional[ProgressCallback] = None
-            ) -> List[FaultVerdict]:
-        import multiprocessing
-
-        processes = self._process_count(len(tasks))
-        if not tasks or processes == 1 or len(tasks) < self.min_tasks:
-            if tasks and processes > 1:
-                LOGGER.info(
-                    "process backend: %d tasks is below the %d-task "
-                    "cut-over where pool spin-up stops paying for "
-                    "itself; evaluating serially",
-                    len(tasks), self.min_tasks)
-            # Degrading to the serial path must be visible in reports
-            # (benchmarks attribute faults/sec to the backend name).
-            self.name = "process:serial-fallback"
-            return SerialBackend().run(context, tasks, progress)
-        self.name = ProcessPoolBackend.name
-
-        try:
-            mp_context = multiprocessing.get_context("fork")
-        except ValueError:
-            mp_context = multiprocessing.get_context()
-
-        # Compute the golden reference before the workers start so they
-        # inherit it (fork) or receive it pickled (spawn) instead of each
-        # re-simulating it.  Under spawn the context must not carry the
-        # process-wide cache entry (weak references are unpicklable).
-        context.prepare()
-        worker_context = context
-        if mp_context.get_start_method() != "fork":
-            worker_context = context.detached()
-
-        shard_size = self.shard_size or max(
-            1, (len(tasks) + 4 * processes - 1) // (4 * processes))
-        task_list = list(tasks)
-        shards = [task_list[start:start + shard_size]
-                  for start in range(0, len(task_list), shard_size)]
-
-        verdicts: List[Optional[FaultVerdict]] = [None] * len(tasks)
-        total = len(tasks)
-        done = 0
-        with mp_context.Pool(processes=processes, initializer=_init_worker,
-                             initargs=(worker_context,)) as pool:
-            for shard_verdicts in pool.imap(_run_shard, shards):
-                for verdict in shard_verdicts:
-                    verdicts[verdict.index] = verdict
-                    done += 1
-                    self._tick(progress, done, total)
-        return [verdict for verdict in verdicts if verdict is not None]
-
-
-# ----------------------------------------------------------------------
-# Sharded backend: the campaign service's executor.  Unlike the plain
-# process pool (whose workers evaluate serially), each sharded worker
-# runs a *vectorized* inner backend over its slice of the task list, so
+# Sharded backend: the campaign service's executor.  Workers are primed
+# through a fork-inherited (or, under spawn, pickled) context; each runs
+# a *vectorized* inner backend over its slice of the task list, so
 # process parallelism and lane packing stack.
 class CampaignWorkerError(RuntimeError):
     """A sharded campaign worker process died mid-campaign.
@@ -828,6 +662,7 @@ class CampaignWorkerError(RuntimeError):
     """
 
 
+_WORKER_CONTEXT: Optional[CampaignContext] = None
 _SHARD_INNER: Optional[ExecutionBackend] = None
 
 
@@ -930,10 +765,12 @@ class ShardedBackend(ExecutionBackend):
     vectorized kernel, so saturated lane sweeps stack with process
     parallelism instead of replacing it.
 
-    Small campaigns (below ``min_tasks``) skip the pool entirely and run
-    the inner backend inline — same cut-over rationale as
-    :class:`ProcessPoolBackend`, visible in reports as
-    ``sharded:inline-fallback``.
+    Small campaigns (below ``min_tasks``, default 1000) skip the pool
+    entirely and run the inner backend inline, because pool spin-up and
+    context pickling dominate them; this is visible in reports as
+    ``sharded:inline-fallback``.  An unavailable inner backend (``numpy``
+    without numpy installed) is resolved once, in the parent, down the
+    degradation chain below, and the workers run the resolved backend.
 
     **Supervision and crash-safety.**  Shards are submitted as individual
     futures and supervised: a shard whose worker dies (the pool breaks)
@@ -1087,15 +924,13 @@ class ShardedBackend(ExecutionBackend):
 
         from .seeds import substream
 
-        inner_spec = self.inner_spec()
         workers = self._worker_count(len(tasks))
         degradations: List[Dict[str, object]] = []
+        inner = self._resolve_inner(self.inner_spec(), degradations)
         if not tasks or workers == 1 or len(tasks) < self.min_tasks:
             # Degrading must stay visible in reports (benchmarks attribute
-            # faults/sec to the backend name) — same contract as the
-            # process backend's serial fallback.
+            # faults/sec to the backend name).
             self.name = "sharded:inline-fallback"
-            inner = self._resolve_inner(inner_spec, degradations)
             stats: Dict[str, object] = {
                 "workers": 1, "shards": 1, "inner": inner.name,
                 "inline": True, "retries": 0,
@@ -1125,9 +960,10 @@ class ShardedBackend(ExecutionBackend):
         except ValueError:
             mp_context = multiprocessing.get_context()
 
-        # Same worker-priming strategy as ProcessPoolBackend: golden
-        # trace computed once before the pool starts, cache entry
-        # detached under spawn (weak references are unpicklable).
+        # Compute the golden reference before the pool starts so workers
+        # inherit it (fork) or receive it pickled (spawn) instead of each
+        # re-simulating it.  Under spawn the context must not carry the
+        # process-wide cache entry (weak references are unpicklable).
         context.prepare()
         worker_context = context
         if mp_context.get_start_method() != "fork":
@@ -1175,7 +1011,7 @@ class ShardedBackend(ExecutionBackend):
                     executor = ProcessPoolExecutor(
                         max_workers=workers, mp_context=mp_context,
                         initializer=_init_shard_worker,
-                        initargs=(worker_context, inner_spec))
+                        initargs=(worker_context, inner.name))
                 futures = {
                     executor.submit(_run_task_shard, index,
                                     task_list[start:stop]):
@@ -1207,7 +1043,7 @@ class ShardedBackend(ExecutionBackend):
                     else:
                         shard_verdicts = self._degrade_shard(
                             context, task_list[start:stop], index,
-                            inner_spec, degradations, exc)
+                            inner.name, degradations, exc)
                         place(shard_verdicts)
                         if checkpoints is not None:
                             checkpoints.store(index, start, stop,
@@ -1228,7 +1064,7 @@ class ShardedBackend(ExecutionBackend):
             "workers": workers,
             "shards": len(descriptors),
             "shard_sizes": [stop - start for start, stop in ranges],
-            "inner": inner_spec,
+            "inner": inner.name,
             "inline": False,
             "retries": retries,
             "checkpoint_hits": checkpoints.hits
@@ -1243,26 +1079,13 @@ class ShardedBackend(ExecutionBackend):
 #: Registry of backend names accepted by the ``backend=`` knob.
 BACKENDS = {
     SerialBackend.name: SerialBackend,
-    BatchBackend.name: BatchBackend,
-    ProcessPoolBackend.name: ProcessPoolBackend,
     VectorBackend.name: VectorBackend,
     NumpyBackend.name: NumpyBackend,
     ShardedBackend.name: ShardedBackend,
-    # convenience aliases
-    "processpool": ProcessPoolBackend,
-    "pool": ProcessPoolBackend,
-    "service": ShardedBackend,
-    "bitparallel": VectorBackend,
-    "ppsfp": VectorBackend,
-    "np": NumpyBackend,
-    "compiled": NumpyBackend,
 }
 
-#: The documented backend names, for CLI ``choices=`` (the registry also
-#: accepts aliases, but they are not part of the public surface).
-BACKEND_CHOICES = (SerialBackend.name, BatchBackend.name,
-                   ProcessPoolBackend.name, VectorBackend.name,
-                   NumpyBackend.name, ShardedBackend.name)
+#: The backend names, for CLI ``choices=``.
+BACKEND_CHOICES = tuple(BACKENDS)
 
 BackendLike = Union[None, str, ExecutionBackend]
 
@@ -1284,6 +1107,6 @@ def resolve_backend(backend: BackendLike = None) -> ExecutionBackend:
         if key in BACKENDS:
             return BACKENDS[key]()
         raise ValueError(f"unknown campaign backend {backend!r}; choose "
-                         f"from {sorted(set(BACKENDS))}")
+                         f"from {list(BACKEND_CHOICES)}")
     raise TypeError(f"backend must be None, a name or an ExecutionBackend, "
                     f"got {type(backend).__name__}")

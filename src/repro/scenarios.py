@@ -267,12 +267,12 @@ register_scenario(Scenario(
 register_scenario(Scenario(
     id="backend-matrix",
     title="Backend equivalence matrix",
-    description="The same campaign through the serial, batch and vector "
+    description="The same campaign through the serial, vector and sharded "
                 "engines; all variants must agree bit for bit.",
     scale="smoke",
     designs=("standard", "TMR_p2"),
     analyses=("table3",),
-    axes=(("backend", ("serial", "batch", "vector")),),
+    axes=(("backend", ("serial", "vector", "sharded")),),
 ))
 
 register_scenario(Scenario(

@@ -81,24 +81,18 @@ class Simulator:
     """Executes a compiled design, optionally under a fault overlay.
 
     Building the per-gate evaluation program is O(gates); fault-injection
-    campaigns construct one simulator per fault, so two reuse paths exist:
-
-    * *base_program* — the program of an overlay-free simulator on the same
-      design; only the entries touched by this overlay's LUT-INIT and
-      gate-pin overrides are rebuilt (O(overlay) instead of O(gates));
-    * *program* — a fully prepared program, shared verbatim between faults
-      whose overlays patch the identical set of gates (the batch backend
-      groups faults by that signature).
+    campaigns construct one simulator per fault, so they pass
+    *base_program* — the program of an overlay-free simulator on the same
+    design — and only the entries touched by this overlay's LUT-INIT and
+    gate-pin overrides are rebuilt (O(overlay) instead of O(gates)).
     """
 
     def __init__(self, design: CompiledDesign,
                  overlay: Optional[FaultOverlay] = None,
-                 base_program=None, program=None) -> None:
+                 base_program=None) -> None:
         self.design = design
         self.overlay = overlay if overlay is not None else FaultOverlay()
-        if program is not None:
-            self._gate_program = program
-        elif base_program is not None:
+        if base_program is not None:
             self._gate_program = self._patch_program(base_program)
         else:
             self._gate_program = self._build_program()

@@ -230,13 +230,13 @@ class TestTierReadThrough:
 
         clear_cache()
         first = run_campaign(tiny_fir_implementation, config,
-                             backend="batch")
+                             backend="serial")
         assert tier.stats.fault_list_stores == 1
         assert tier.stats.golden_stores == 1
 
         clear_cache()  # the restart: only the tier survives
         second = run_campaign(tiny_fir_implementation, config,
-                              backend="batch")
+                              backend="serial")
         assert tier.stats.fault_list_hits == 1
         assert tier.stats.golden_hits == 1
         assert second.wrong_answers == first.wrong_answers
@@ -247,7 +247,7 @@ class TestTierReadThrough:
         deactivate_tier()
         clear_cache()
         fresh = run_campaign(tiny_fir_implementation, config,
-                             backend="batch")
+                             backend="serial")
         assert fresh.wrong_answers == first.wrong_answers
         assert fresh.effect_table() == first.effect_table()
 
@@ -356,6 +356,31 @@ class TestShardedBackend:
         serial = run_campaign(tiny_fir_implementation, self.CONFIG,
                               backend="serial")
         assert result.effect_table() == serial.effect_table()
+        # The fallback name is per run: forcing the pool restores it.
+        backend.min_tasks = 0
+        run_campaign(tiny_fir_implementation, self.CONFIG, backend=backend)
+        assert backend.name == "sharded"
+
+    def test_unavailable_inner_resolved_once_for_the_pool(
+            self, tiny_fir_implementation, monkeypatch):
+        # Without numpy an explicit inner="numpy" degrades to vector once,
+        # in the parent; the workers run vector instead of each failing
+        # to initialize and breaking the pool.
+        from repro.sim import npkernel
+
+        monkeypatch.setattr(npkernel, "have_numpy", lambda: False)
+        backend = ShardedBackend(workers=2, min_tasks=0, inner="numpy")
+        sharded = run_campaign(tiny_fir_implementation, self.CONFIG,
+                               backend=backend)
+        stats = backend.last_run_stats
+        assert not stats["inline"]
+        assert stats["retries"] == 0
+        assert stats["inner"] == "vector"
+        assert [(entry["shard"], entry["to"])
+                for entry in stats["degradations"]] == [(None, "vector")]
+        serial = run_campaign(tiny_fir_implementation, self.CONFIG,
+                              backend="serial")
+        assert sharded.results == serial.results
 
     def test_killed_workers_self_heal_via_degradation(
             self, tiny_fir_implementation, monkeypatch):

@@ -10,13 +10,13 @@ import random
 
 import pytest
 
-from repro.faults import (BatchBackend, CampaignConfig, ExecutionBackend,
-                          FaultTask, FaultVerdict, NumpyBackend,
-                          ProcessPoolBackend, SerialBackend, VectorBackend,
-                          cache_stats, clear_cache, default_stimulus,
-                          get_cache, implementation_fingerprint,
-                          program_signature, resolve_backend, run_campaign,
-                          run_campaigns)
+from repro.faults import (BACKEND_CHOICES, BACKENDS, CampaignConfig,
+                          ExecutionBackend, FaultTask, FaultVerdict,
+                          NumpyBackend, SerialBackend, ShardedBackend,
+                          VectorBackend, cache_stats, clear_cache,
+                          default_stimulus, get_cache,
+                          implementation_fingerprint, resolve_backend,
+                          run_campaign, run_campaigns)
 from repro.sim import have_numpy
 
 CONFIG = CampaignConfig(num_faults=120, workload_cycles=6, seed=9)
@@ -24,16 +24,17 @@ CONFIG = CampaignConfig(num_faults=120, workload_cycles=6, seed=9)
 needs_numpy = pytest.mark.skipif(not have_numpy(),
                                  reason="numpy not installed")
 
-#: instances so the process backend actually forks even on a 1-CPU box
-#: (min_tasks=0 defeats its small-campaign serial fallback — the pool
+#: instances so the sharded backend actually forks even on a 1-CPU box
+#: (min_tasks=0 defeats its small-campaign inline fallback — the pool
 #: path itself is under test), and narrow vector/numpy backends so the
 #: lane packer must produce several shards per campaign
 BACKENDS_UNDER_TEST = [
     pytest.param(lambda: SerialBackend(), id="serial"),
-    pytest.param(lambda: BatchBackend(), id="batch"),
-    pytest.param(lambda: ProcessPoolBackend(processes=2, shard_size=16,
-                                            min_tasks=0),
-                 id="process"),
+    pytest.param(lambda: ShardedBackend(workers=2, min_tasks=0),
+                 id="sharded"),
+    pytest.param(lambda: ShardedBackend(workers=2, min_tasks=0,
+                                        inner="serial"),
+                 id="sharded-serial"),
     pytest.param(lambda: VectorBackend(), id="vector"),
     pytest.param(lambda: VectorBackend(lane_width=8), id="vector-narrow"),
     pytest.param(lambda: NumpyBackend(), id="numpy", marks=needs_numpy),
@@ -85,18 +86,17 @@ class TestBackendEquivalence:
     def test_explicit_fault_bits_honoured(self, implementation):
         bits = run_campaign(implementation, CONFIG).results
         subset = [r.bit for r in bits[:20]]
-        for backend in ("serial", "batch"):
-            result = run_campaign(implementation, CONFIG, fault_bits=subset,
-                                  backend=backend)
-            assert [r.bit for r in result.results] == subset
+        result = run_campaign(implementation, CONFIG, fault_bits=subset)
+        assert [r.bit for r in result.results] == subset
 
     def test_progress_cadence_matches_seed(self, implementation):
         fault_list_bits = [r.bit for r in
                            run_campaign(implementation, CONFIG).results]
         bits = (fault_list_bits * 3)[:250]
-        for backend in ("serial", "batch", "vector",
-                        ProcessPoolBackend(processes=2, shard_size=32,
-                                           min_tasks=0)):
+        for backend in ("serial", "vector",
+                        ShardedBackend(workers=2, min_tasks=0),
+                        ShardedBackend(workers=2, min_tasks=0,
+                                       inner="serial")):
             calls = []
             run_campaign(implementation, CONFIG, fault_bits=bits,
                          backend=backend,
@@ -141,24 +141,26 @@ class TestEngineApi:
     def test_resolve_backend_forms(self):
         assert isinstance(resolve_backend(None), SerialBackend)
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        assert isinstance(resolve_backend("batch"), BatchBackend)
-        assert isinstance(resolve_backend("process"), ProcessPoolBackend)
-        assert isinstance(resolve_backend("processpool"), ProcessPoolBackend)
         assert isinstance(resolve_backend("vector"), VectorBackend)
-        assert isinstance(resolve_backend("bitparallel"), VectorBackend)
-        assert isinstance(resolve_backend("ppsfp"), VectorBackend)
+        assert isinstance(resolve_backend("sharded"), ShardedBackend)
         if have_numpy():
             assert isinstance(resolve_backend("numpy"), NumpyBackend)
-            assert isinstance(resolve_backend("np"), NumpyBackend)
-            assert isinstance(resolve_backend("compiled"), NumpyBackend)
-        assert isinstance(resolve_backend(BatchBackend), BatchBackend)
-        instance = ProcessPoolBackend(processes=3)
+        assert isinstance(resolve_backend(VectorBackend), VectorBackend)
+        instance = ShardedBackend(workers=3)
         assert resolve_backend(instance) is instance
         with pytest.raises(ValueError):
             resolve_backend("gpu")
         with pytest.raises(TypeError):
             resolve_backend(42)
         assert issubclass(SerialBackend, ExecutionBackend)
+
+    def test_backend_registry_is_the_documented_four(self):
+        assert BACKEND_CHOICES == ("serial", "vector", "numpy", "sharded")
+        assert set(BACKENDS) == set(BACKEND_CHOICES)
+        for removed in ("batch", "process", "pool", "service", "np"):
+            with pytest.raises(ValueError) as excinfo:
+                resolve_backend(removed)
+            assert str(list(BACKEND_CHOICES)) in str(excinfo.value)
 
     def test_tasks_and_verdicts_picklable(self, implementation,
                                           serial_reference):
@@ -221,36 +223,16 @@ class TestEngineApi:
         assert get_cache().fingerprint_of(implementation) == \
             entry.fingerprint
 
-    def test_program_signature_groups_by_program_change(self, implementation,
-                                                        serial_reference):
-        from repro.faults import CampaignContext
-
-        context = CampaignContext(
-            implementation,
-            stimulus=default_stimulus(implementation, CONFIG))
-        effects = [context.effect_of_bit(r.bit)
-                   for r in serial_reference.results]
-        signatures = [program_signature(e) for e in effects]
-        # Effects without program-touching overrides share the empty
-        # signature (they all reuse the golden program verbatim).
-        empty = [s for e, s in zip(effects, signatures)
-                 if not e.overlay.lut_init_overrides
-                 and not e.overlay.gate_pin_overrides]
-        assert empty and all(s == ((), ()) for s in empty)
-        # A LUT INIT upset owns a non-empty signature.
-        lut = next(e for e in effects if e.overlay.lut_init_overrides)
-        assert program_signature(lut) != ((), ())
-
     def test_run_campaigns_backend_knob(self, implementation):
         results = run_campaigns({"only": implementation}, CONFIG,
-                                backend="batch")
-        assert results["only"].backend == "batch"
+                                backend="vector")
+        assert results["only"].backend == "vector"
 
     def test_campaign_tradeoff_runs_through_engine(self, implementation):
         from repro.analysis import campaign_tradeoff
 
         points = campaign_tradeoff({"standard": implementation}, CONFIG,
-                                   backend="batch")
+                                   backend="vector")
         assert len(points) == 1
         assert points[0].design == "standard"
         assert points[0].wrong_answer_percent > 0
@@ -343,35 +325,3 @@ class TestDefaultStimulus:
                 values.setdefault(name[:-4], set()).add(value)
             for domain_values in values.values():
                 assert len(domain_values) == 1
-
-
-class TestProcessPoolFallback:
-    def test_small_campaign_falls_back_to_serial(self, implementation,
-                                                 serial_reference, caplog):
-        import logging
-
-        backend = ProcessPoolBackend(processes=2)
-        assert CONFIG.num_faults < backend.min_tasks
-        with caplog.at_level(logging.INFO, logger="repro.faults.engine"):
-            result = run_campaign(implementation, CONFIG, backend=backend)
-        # The fallback is visible in the report and in the log, and the
-        # verdicts are the serial ones.
-        assert backend.name == "process:serial-fallback"
-        assert result.backend == "process:serial-fallback"
-        assert any("cut-over" in record.message for record in caplog.records)
-        assert result.wrong_answers == serial_reference.wrong_answers
-        assert result.effect_table() == serial_reference.effect_table()
-
-    def test_threshold_zero_forces_the_pool(self, implementation):
-        backend = ProcessPoolBackend(processes=2, min_tasks=0)
-        result = run_campaign(implementation, CONFIG, backend=backend)
-        assert backend.name == "process"
-        assert result.backend == "process"
-
-    def test_pool_name_restored_after_fallback(self, implementation):
-        backend = ProcessPoolBackend(processes=2, min_tasks=0)
-        small = ProcessPoolBackend(processes=2)
-        run_campaign(implementation, CONFIG, backend=small)
-        assert small.name == "process:serial-fallback"
-        run_campaign(implementation, CONFIG, backend=backend)
-        assert backend.name == "process"

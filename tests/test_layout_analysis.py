@@ -25,8 +25,8 @@ from repro.analysis.layout import (CORRECTABLE, DEFEAT, SILENT,
                                    prediction_vs_campaign)
 from repro.core import compute_voter_regions, estimate_robustness
 from repro.core.optimizer import _estimate_extra_levels
-from repro.faults import (CampaignConfig, FaultListManager,
-                          ProcessPoolBackend, run_campaign)
+from repro.faults import (CampaignConfig, FaultListManager, ShardedBackend,
+                          run_campaign)
 
 
 @pytest.fixture(scope="module")
@@ -258,8 +258,8 @@ class TestStaticPrefilter:
                             backend="serial")
 
     @pytest.mark.parametrize("backend", [
-        "serial", "batch", "vector",
-        pytest.param(ProcessPoolBackend(processes=2), id="process"),
+        "serial", "vector",
+        pytest.param(ShardedBackend(workers=2, min_tasks=0), id="sharded"),
     ])
     def test_verdict_identical_across_backends(self, backend, reference,
                                                tiny_tmr_implementation):

@@ -178,7 +178,7 @@ class TestMergedEffect:
 class TestCampaignIntegration:
     """End-to-end campaigns under every model, across engine backends."""
 
-    BACKENDS = ("serial", "batch", "vector")
+    BACKENDS = ("serial", "vector")
 
     def _results(self, implementation, model, backend, num_faults=50):
         config = CampaignConfig(num_faults=num_faults, workload_cycles=6,
@@ -209,11 +209,10 @@ class TestCampaignIntegration:
     def test_multi_bit_backends_agree(self, tiny_tmr_implementation, model):
         reference, reference_rows = self._results(tiny_tmr_implementation,
                                                   model, "serial")
-        for backend in ("batch", "vector"):
-            result, rows = self._results(tiny_tmr_implementation, model,
-                                         backend)
-            assert rows == reference_rows
-            assert result.wrong_answers == reference.wrong_answers
+        result, rows = self._results(tiny_tmr_implementation, model,
+                                     "vector")
+        assert rows == reference_rows
+        assert result.wrong_answers == reference.wrong_answers
 
     def test_multi_bit_deterministic_and_seed_stable(
             self, tiny_fir_implementation):
