@@ -14,9 +14,10 @@ normalized speedup regresses by more than the tolerance:
 * ``BENCH_flow.json`` (optional, via ``--flow-baseline/--flow-current``)
   — the implementation flow's total ``cold_speedup_vs_seed`` and
   ``warm_speedup_vs_seed``; when the report carries the
-  ``parallel_cold`` section, the thread-identity bit is a hard gate and
-  the threads=N speedup is held to ``--flow-parallel-min-speedup`` on
-  multi-core runners; when it carries ``defeat_map_build``, the
+  ``parallel_cold`` section (the cold suite at ``jobs=1`` vs ``jobs=N``
+  worker processes; its keys keep their historical ``threads`` names),
+  the cross-leg identity bit is a hard gate and the jobs=N speedup is
+  held to ``--flow-parallel-min-speedup`` on multi-core runners; when it carries ``defeat_map_build``, the
   vectorized build must equal the flood (hard gate), ratio-track the
   in-run flood speedup, and clear ``--flow-map-min-speedup`` over the
   committed flood baselines;
@@ -217,14 +218,14 @@ def check_flow(baseline: dict, current: dict, tolerance: float,
     if parallel is not None:
         if not parallel.get("identical_across_threads", False):
             problems.append("flow parallel_cold: results were not "
-                            "bit-identical across thread counts")
+                            "bit-identical across job counts")
         if parallel.get("gate_applied", False):
             speedup = parallel.get("speedup_threads_n_vs_1", 0.0)
             if speedup < parallel_min_speedup:
                 problems.append(
-                    f"flow parallel_cold: threads="
+                    f"flow parallel_cold: jobs="
                     f"{parallel.get('threads')} ran at {speedup:.2f}x "
-                    f"threads=1, below the {parallel_min_speedup:.1f}x "
+                    f"jobs=1, below the {parallel_min_speedup:.1f}x "
                     f"floor on a {parallel.get('cpu_count')}-core "
                     f"machine")
     defeat_map = current.get("defeat_map_build")
@@ -438,8 +439,8 @@ def main(argv=None) -> int:
                         help="freshly measured BENCH_flow.json")
     parser.add_argument("--flow-parallel-min-speedup", type=float,
                         default=2.5,
-                        help="floor for the cold suite flow at threads=N "
-                             "vs threads=1 (default 2.5; only applied "
+                        help="floor for the cold suite flow at jobs=N "
+                             "vs jobs=1 (default 2.5; only applied "
                              "when the report says the gate ran on a "
                              "multi-core machine)")
     parser.add_argument("--flow-map-min-speedup", type=float, default=5.0,
@@ -572,9 +573,9 @@ def main(argv=None) -> int:
                   f"current {shown}")
         parallel = flow_current.get("parallel_cold")
         if parallel is not None:
-            print(f"flow parallel_cold: threads={parallel.get('threads')} "
+            print(f"flow parallel_cold: jobs={parallel.get('threads')} "
                   f"at {parallel.get('speedup_threads_n_vs_1')}x vs "
-                  f"threads=1 on {parallel.get('cpu_count')} core(s), "
+                  f"jobs=1 on {parallel.get('cpu_count')} core(s), "
                   f"identical: {parallel.get('identical_across_threads')}")
         for design, row in sorted(flow_current.get(
                 "defeat_map_build", {}).get("designs", {}).items()):

@@ -146,8 +146,6 @@ def _run(arguments: argparse.Namespace) -> int:
         designs=arguments.designs,
         jobs=arguments.jobs,
         flow_cache=arguments.flow_cache,
-        anneal_partitions=arguments.partitions,
-        flow_threads=arguments.flow_threads,
         progress=arguments.progress,
         repeat=arguments.repeat,
     )

@@ -92,16 +92,6 @@ def add_flow_arguments(parser: argparse.ArgumentParser) -> None:
         "--jobs", type=int, default=1, metavar="N",
         help="implement the suite designs in N parallel worker processes "
              "(default: 1)")
-    parser.add_argument(
-        "--partitions", type=int, default=1, metavar="P",
-        help="annealer partition count (result-determining flow knob; "
-             "1 = the classic single-stream annealer, default)")
-    parser.add_argument(
-        "--flow-threads", type=int, default=None, metavar="N",
-        help="worker threads for the partitioned annealer's region sweeps "
-             "(execution-only; results are identical for any value; "
-             "default: the REPRO_FLOW_THREADS environment variable, "
-             "else 1)")
 
 
 def add_json_argument(parser: argparse.ArgumentParser) -> None:

@@ -229,9 +229,7 @@ def _suite_floorplan(device: Device, name: str,
 
 def _implement_suite_worker(scale: str, optimize: bool, name: str,
                             floorplan_domains: bool, seed: int,
-                            expected_fingerprint: str,
-                            partitions: int = 1,
-                            threads: Optional[int] = None,
+                            expected_fingerprint: str
                             ) -> Tuple[str, Optional[Implementation]]:
     """Implement one suite design in a worker process.
 
@@ -250,14 +248,12 @@ def _implement_suite_worker(scale: str, optimize: bool, name: str,
     floorplan = _suite_floorplan(device, name, floorplan_domains)
     fingerprint = flow_fingerprint(
         definition, device, seed=seed, floorplan=floorplan,
-        anneal_moves_per_slice=suite.scale.anneal_moves_per_slice,
-        partitions=partitions)
+        anneal_moves_per_slice=suite.scale.anneal_moves_per_slice)
     if fingerprint != expected_fingerprint:
         return name, None
     implementation = implement(
         definition, device, seed=seed, floorplan=floorplan,
-        anneal_moves_per_slice=suite.scale.anneal_moves_per_slice,
-        partitions=partitions, threads=threads)
+        anneal_moves_per_slice=suite.scale.anneal_moves_per_slice)
     return name, dataclasses.replace(implementation, design=None)
 
 
@@ -266,9 +262,7 @@ def implement_design_suite(suite: DesignSuite,
                            floorplan_domains: bool = False,
                            seed: int = 1,
                            jobs: int = 1,
-                           artifact_store: StoreLike = None,
-                           partitions: int = 1,
-                           threads: Optional[int] = None,
+                           artifact_store: StoreLike = None
                            ) -> Dict[str, Implementation]:
     """Place and route the selected design versions.
 
@@ -278,10 +272,7 @@ def implement_design_suite(suite: DesignSuite,
     any experiment CLI skips place-and-route entirely.  *jobs* implements
     cache-missing designs in that many parallel worker processes (the five
     suite designs are independent); results are bit-identical to the
-    serial flow in either case.  *partitions*/*threads* select and
-    schedule the partition-parallel annealer exactly as in
-    :func:`repro.pnr.flow.implement` (partitions is fingerprinted,
-    threads is not).
+    serial flow in either case.
     """
     names = list(designs) if designs is not None else list(DESIGN_ORDER)
     store = resolve_store(artifact_store)
@@ -295,8 +286,7 @@ def implement_design_suite(suite: DesignSuite,
         floorplan = _suite_floorplan(device, name, floorplan_domains)
         fingerprints[name] = flow_fingerprint(
             definition, device, seed=seed, floorplan=floorplan,
-            anneal_moves_per_slice=suite.scale.anneal_moves_per_slice,
-            partitions=partitions)
+            anneal_moves_per_slice=suite.scale.anneal_moves_per_slice)
         cached = store.load(fingerprints[name], definition) \
             if store is not None else None
         implementations[name] = cached
@@ -306,7 +296,7 @@ def implement_design_suite(suite: DesignSuite,
     if len(pending) > 1 and jobs > 1:
         implementations.update(
             _implement_parallel(suite, pending, floorplan_domains, seed,
-                                jobs, fingerprints, partitions, threads))
+                                jobs, fingerprints))
 
     for name in pending:
         if implementations[name] is not None:
@@ -316,8 +306,7 @@ def implement_design_suite(suite: DesignSuite,
         floorplan = _suite_floorplan(device, name, floorplan_domains)
         implementations[name] = implement(
             definition, device, seed=seed, floorplan=floorplan,
-            anneal_moves_per_slice=suite.scale.anneal_moves_per_slice,
-            partitions=partitions, threads=threads)
+            anneal_moves_per_slice=suite.scale.anneal_moves_per_slice)
 
     if store is not None:
         for name in pending:
@@ -329,9 +318,7 @@ def implement_design_suite(suite: DesignSuite,
 
 def _implement_parallel(suite: DesignSuite, pending: List[str],
                         floorplan_domains: bool, seed: int, jobs: int,
-                        fingerprints: Dict[str, str],
-                        partitions: int = 1,
-                        threads: Optional[int] = None,
+                        fingerprints: Dict[str, str]
                         ) -> Dict[str, Implementation]:
     """Fan the cache-missing designs out over worker processes.
 
@@ -356,7 +343,7 @@ def _implement_parallel(suite: DesignSuite, pending: List[str],
             futures = [
                 pool.submit(_implement_suite_worker, suite.scale.name,
                             suite.optimized, name, floorplan_domains, seed,
-                            fingerprints[name], partitions, threads)
+                            fingerprints[name])
                 for name in pending]
             for future in futures:
                 name, implementation = future.result()

@@ -23,9 +23,7 @@ from .designs import DESIGN_ORDER, DesignSuite
 def run_table2(suite: Optional[DesignSuite] = None,
                implementations: Optional[Dict[str, Implementation]] = None,
                scale: str = "fast", jobs: int = 1,
-               flow_cache: StoreLike = None,
-               partitions: int = 1,
-               flow_threads: Optional[int] = None
+               flow_cache: StoreLike = None
                ) -> Dict[str, Dict[str, object]]:
     """Compute the Table 2 analogue; returns one dict per design."""
     from ..pipeline import PipelineContext, pipeline_for, resources_analysis
@@ -36,8 +34,6 @@ def run_table2(suite: Optional[DesignSuite] = None,
         designs=DESIGN_ORDER,
         jobs=jobs,
         flow_cache=flow_cache,
-        anneal_partitions=partitions,
-        flow_threads=flow_threads,
     )
     ctx.suite = suite
     ctx.implementations = implementations
@@ -85,17 +81,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         report = run_scenario("table2-fir", scale=arguments.scale,
                               jobs=arguments.jobs,
-                              flow_cache=arguments.flow_cache,
-                              anneal_partitions=arguments.partitions,
-                              flow_threads=arguments.flow_threads)
+                              flow_cache=arguments.flow_cache)
         print(json.dumps(stable_report(report), indent=2, default=str,
                          sort_keys=True))
         return 0
 
     table = run_table2(scale=arguments.scale, jobs=arguments.jobs,
-                       flow_cache=arguments.flow_cache,
-                       partitions=arguments.partitions,
-                       flow_threads=arguments.flow_threads)
+                       flow_cache=arguments.flow_cache)
     print(format_report(table))
     return 0
 

@@ -90,8 +90,6 @@ class PipelineContext:
                  seed: int = 2005,
                  jobs: int = 1,
                  flow_cache: StoreLike = None,
-                 anneal_partitions: int = 1,
-                 flow_threads: Optional[int] = None,
                  floorplan_domains: bool = False,
                  partition_selector: str = "canonical",
                  shortlist_size: int = 3,
@@ -110,10 +108,6 @@ class PipelineContext:
         self.seed = seed
         self.jobs = jobs
         self.store = resolve_store(flow_cache)
-        #: annealer partition count (result-determining; fingerprinted)
-        self.anneal_partitions = anneal_partitions
-        #: region-sweep worker threads (execution-only; not fingerprinted)
-        self.flow_threads = flow_threads
         self.floorplan_domains = floorplan_domains
         self.partition_selector = partition_selector
         self.shortlist_size = shortlist_size
@@ -130,18 +124,12 @@ class PipelineContext:
 
     def identity(self) -> str:
         """The run-invariant part of every stage fingerprint."""
-        identity = (f"scenario={self.scenario_id}|scale={self.scale}"
-                    f"|designs={','.join(self.designs)}"
-                    f"|partitions={self.partition_selector}"
-                    f":{self.shortlist_size}"
-                    f"|floorplan={self.floorplan_domains}"
-                    f"|flow={TOOL_VERSION}")
-        # Appended (rather than inline) so every historical identity —
-        # and the stage fingerprints derived from it — is unchanged for
-        # the default single-partition annealer.
-        if self.anneal_partitions != 1:
-            identity += f"|anneal_partitions={self.anneal_partitions}"
-        return identity
+        return (f"scenario={self.scenario_id}|scale={self.scale}"
+                f"|designs={','.join(self.designs)}"
+                f"|partitions={self.partition_selector}"
+                f":{self.shortlist_size}"
+                f"|floorplan={self.floorplan_domains}"
+                f"|flow={TOOL_VERSION}")
 
 
 def _digest(*parts: str) -> str:
@@ -277,9 +265,7 @@ class ImplementStage(Stage):
             ctx.implementations = implement_design_suite(
                 ctx.suite, designs=list(ctx.designs),
                 floorplan_domains=ctx.floorplan_domains,
-                jobs=ctx.jobs, artifact_store=ctx.store,
-                partitions=ctx.anneal_partitions,
-                threads=ctx.flow_threads)
+                jobs=ctx.jobs, artifact_store=ctx.store)
         summary: Dict[str, object] = {}
         for name in ctx.designs:
             implementation = ctx.implementations.get(name)

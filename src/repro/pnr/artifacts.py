@@ -120,8 +120,7 @@ def flow_fingerprint(definition: Definition, device: Device,
                      anneal_moves_per_slice: int = 4,
                      router_iterations: int = 20,
                      allow_overuse: bool = False,
-                     target_utilization: float = 0.55,
-                     partitions: int = 1) -> str:
+                     target_utilization: float = 0.55) -> str:
     """Content key of one ``implement`` call: netlist + device + knobs."""
     digest = hashlib.sha256()
     digest.update(netlist_fingerprint(definition).encode())
@@ -140,13 +139,6 @@ def flow_fingerprint(definition: Definition, device: Device,
         f":iters={router_iterations}"
         f":overuse={allow_overuse}"
         f":util={target_utilization!r}".encode())
-    # The annealer partition count determines the placement, so it is part
-    # of the content key — but only when it deviates from the historical
-    # single-partition schedule, keeping every pre-existing fingerprint
-    # (and stored artifact) valid.  Thread count is deliberately absent:
-    # execution parallelism never changes results.
-    if partitions != 1:
-        digest.update(f"|partitions={partitions}".encode())
     return digest.hexdigest()
 
 

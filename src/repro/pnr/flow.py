@@ -64,9 +64,7 @@ def implement(definition: Definition, device: Optional[Device] = None,
               allow_overuse: bool = False,
               target_utilization: float = 0.55,
               layout: Optional[ConfigLayout] = None,
-              artifact_store: StoreLike = None,
-              partitions: int = 1,
-              threads: Optional[int] = None) -> Implementation:
+              artifact_store: StoreLike = None) -> Implementation:
     """Implement a flat netlist on a device.
 
     When *device* is omitted the smallest profile that fits the design at a
@@ -82,11 +80,6 @@ def implement(definition: Definition, device: Optional[Device] = None,
     stores the freshly computed one.  The flow is deterministic in its
     fingerprinted inputs, so cached and recomputed implementations are
     bit-identical.
-
-    *partitions* selects the partition-parallel annealer (fingerprinted —
-    it changes the placement); *threads* (default: the
-    ``REPRO_FLOW_THREADS`` environment knob) only schedules the region
-    sweeps and is deliberately not fingerprinted.
     """
     from .route import RoutingError
 
@@ -99,8 +92,7 @@ def implement(definition: Definition, device: Optional[Device] = None,
             anneal_moves_per_slice=anneal_moves_per_slice,
             router_iterations=router_iterations,
             allow_overuse=allow_overuse,
-            target_utilization=target_utilization,
-            partitions=partitions)
+            target_utilization=target_utilization)
 
     # With an explicit device the cache can answer before packing; the
     # auto-sized path needs the pack statistics to pick the device first.
@@ -129,14 +121,12 @@ def implement(definition: Definition, device: Optional[Device] = None,
         placement = place(definition, packed, device, seed=seed + attempt,
                           floorplan=floorplan,
                           anneal_moves_per_slice=anneal_moves_per_slice,
-                          target_utilization=utilization,
-                          partitions=partitions, threads=threads)
+                          target_utilization=utilization)
         try:
             routing = route_design(definition, packed, placement, device,
                                    max_iterations=router_iterations
                                    + 8 * attempt,
-                                   allow_overuse=allow_overuse,
-                                   threads=threads)
+                                   allow_overuse=allow_overuse)
             break
         except RoutingError:
             if attempt == attempts - 1 or floorplan is not None:

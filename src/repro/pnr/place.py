@@ -11,41 +11,12 @@ we evaluate as an ablation experiment.
 from __future__ import annotations
 
 import dataclasses
-import logging
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.ir import Definition, InstancePin
 from ..fpga.device import Device
 from .pack import PackResult
-
-logger = logging.getLogger(__name__)
-
-#: Environment knob: worker threads for the partition-parallel annealer
-#: (and the suite-level flow fan-out).  Execution-only — never part of the
-#: flow fingerprint, never allowed to change results.
-FLOW_THREADS_ENV = "REPRO_FLOW_THREADS"
-
-#: Pool-startup guard: below these floors the partitioned anneal runs its
-#: region sweeps serially (same results — the pool only schedules work).
-MIN_PARALLEL_SLICES_PER_REGION = 8
-MIN_PARALLEL_MOVES = 2048
-
-
-def resolve_flow_threads(threads: Optional[int] = None) -> int:
-    """Worker-thread count for the flow: explicit arg > env knob > 1."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(FLOW_THREADS_ENV, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            logger.warning("ignoring non-integer %s=%r",
-                           FLOW_THREADS_ENV, env)
-    return 1
 
 
 @dataclasses.dataclass
@@ -83,9 +54,6 @@ class Placement:
     cell_tiles: Dict[str, Tuple[int, int]]
     #: total half-perimeter wirelength after placement
     wirelength: int = 0
-    #: execution record of the annealing stage (mode, partitions, threads,
-    #: fallback reason) — provenance only, never result-determining.
-    anneal_info: Optional[Dict[str, object]] = None
 
     def tile_of_cell(self, cell_name: str) -> Tuple[int, int]:
         return self.cell_tiles[cell_name]
@@ -146,9 +114,7 @@ def _wirelength(endpoints: List[List[str]],
 def place(definition: Definition, pack_result: PackResult, device: Device,
           seed: int = 1, floorplan: Optional[Floorplan] = None,
           anneal_moves_per_slice: int = 0,
-          target_utilization: float = 0.55,
-          partitions: int = 1,
-          threads: Optional[int] = None) -> Placement:
+          target_utilization: float = 0.55) -> Placement:
     """Place packed slices onto the device.
 
     *anneal_moves_per_slice* controls the optional simulated-annealing
@@ -157,13 +123,6 @@ def place(definition: Definition, pack_result: PackResult, device: Device,
     design over a window larger than its slice count so the router has
     spare channel capacity — packing a region at 100% density is what makes
     island-style fabrics unroutable.
-
-    *partitions* splits the annealing into that many disjoint slice
-    regions swept independently per round (``1`` keeps the single-stream
-    annealer, bit-identical to previous releases).  The partition count is
-    a result-determining flow knob; *threads* only schedules the region
-    sweeps and never changes the outcome — the placement is identical for
-    any thread count at a fixed (seed, partitions).
     """
     num_slices = pack_result.num_slices
     if num_slices > device.spec.num_tiles:
@@ -227,18 +186,10 @@ def place(definition: Definition, pack_result: PackResult, device: Device,
     endpoints = _build_net_endpoints(definition, pack_result)
     wirelength = _wirelength(endpoints, cell_tiles)
 
-    anneal_info: Optional[Dict[str, object]] = None
     if anneal_moves_per_slice > 0 and num_slices > 2 and floorplan is None:
-        moves = anneal_moves_per_slice * num_slices
-        if partitions <= 1:
-            wirelength = _anneal(definition, pack_result, device,
-                                 slice_tiles, endpoints, rng, moves)
-            anneal_info = {"mode": "serial", "partitions": 1, "threads": 1}
-        else:
-            wirelength, anneal_info = _anneal_partitioned(
-                pack_result, slice_tiles, endpoints, seed=seed,
-                moves=moves, partitions=partitions,
-                threads=resolve_flow_threads(threads))
+        wirelength = _anneal(definition, pack_result, device, slice_tiles,
+                             endpoints, rng,
+                             anneal_moves_per_slice * num_slices)
         # The anneal moves slices, not cells: rebuild the derived map once
         # instead of patching it on every accepted swap.
         for slice_index, tile in enumerate(slice_tiles):
@@ -253,7 +204,6 @@ def place(definition: Definition, pack_result: PackResult, device: Device,
         port_pads=port_pads,
         cell_tiles=cell_tiles,
         wirelength=wirelength,
-        anneal_info=anneal_info,
     )
 
 
@@ -304,11 +254,6 @@ def _anneal(definition: Definition, pack_result: PackResult, device: Device,
     return current
 
 
-#: Synchronisation rounds of the partitioned anneal (one temperature step
-#: per round, mirroring the serial annealer's ten-step cooling schedule).
-_PARTITION_ROUNDS = 10
-
-
 def _net_tables(pack_result: PackResult, endpoints: List[List[str]]
                 ) -> Tuple[List[List[int]], Dict[int, List[int]]]:
     """Nets as slice-index lists plus the nets touching each slice."""
@@ -329,144 +274,6 @@ def _net_tables(pack_result: PackResult, endpoints: List[List[str]]
                 nets_of_slice.setdefault(slice_index, []).append(net_index)
         net_slices.append(slices_of_net)
     return net_slices, nets_of_slice
-
-
-def _region_sweep(region: List[int], positions: List[Tuple[int, int]],
-                  net_slices: List[List[int]],
-                  nets_of_slice: Dict[int, List[int]],
-                  lengths: List[int], rng: random.Random,
-                  temperature: float, moves: int
-                  ) -> List[Tuple[int, int]]:
-    """One region's move sweep against a frozen snapshot of the others.
-
-    *positions* and *lengths* are private copies: swaps touch only slices
-    of *region*, net bounding boxes are evaluated with every non-region
-    endpoint at its round-start position.  The sweep therefore depends
-    only on (snapshot, rng, temperature) — never on scheduling — which is
-    what makes the merged result thread-count independent.
-    """
-    span = len(region)
-    for _move in range(moves):
-        a = region[rng.randrange(span)]
-        b = region[rng.randrange(span)]
-        if a == b:
-            continue
-        affected = set(nets_of_slice.get(a, ())) \
-            | set(nets_of_slice.get(b, ()))
-        before = sum(lengths[i] for i in affected)
-        positions[a], positions[b] = positions[b], positions[a]
-        new_lengths = {}
-        after = 0
-        for net_index in affected:
-            xs = [positions[s][0] for s in net_slices[net_index]]
-            ys = [positions[s][1] for s in net_slices[net_index]]
-            length = (max(xs) - min(xs)) + (max(ys) - min(ys))
-            new_lengths[net_index] = length
-            after += length
-        delta = after - before
-        if delta <= 0 or rng.random() < pow(2.718281828,
-                                            -delta / temperature):
-            for net_index, length in new_lengths.items():
-                lengths[net_index] = length
-        else:
-            positions[a], positions[b] = positions[b], positions[a]
-    return [positions[s] for s in region]
-
-
-def _anneal_partitioned(pack_result: PackResult,
-                        slice_tiles: List[Tuple[int, int]],
-                        endpoints: List[List[str]], seed: int,
-                        moves: int, partitions: int, threads: int
-                        ) -> Tuple[int, Dict[str, object]]:
-    """Partition-parallel pairwise-swap annealing.
-
-    Slices are split into *partitions* disjoint regions by their
-    constructive location (column-major, so regions are spatially
-    coherent column bands).  Each synchronisation round sweeps every
-    region independently — seeded per (seed, partitions, region, round) —
-    against a shared snapshot, then merges the disjoint results in region
-    order and recomputes the net lengths.  The accepted-move sequence is
-    a pure function of (seed, partitions): thread count only changes which
-    worker executes a sweep, never its outcome.
-    """
-    num_slices = len(slice_tiles)
-    net_slices, nets_of_slice = _net_tables(pack_result, endpoints)
-
-    order = sorted(range(num_slices),
-                   key=lambda s: (slice_tiles[s], s))
-    regions: List[List[int]] = []
-    base, extra = divmod(num_slices, partitions)
-    cursor = 0
-    for index in range(partitions):
-        size = base + (1 if index < extra else 0)
-        regions.append(order[cursor:cursor + size])
-        cursor += size
-
-    def net_length(net_index: int) -> int:
-        xs = [slice_tiles[s][0] for s in net_slices[net_index]]
-        ys = [slice_tiles[s][1] for s in net_slices[net_index]]
-        return (max(xs) - min(xs)) + (max(ys) - min(ys))
-
-    lengths = [net_length(i) for i in range(len(endpoints))]
-    current = sum(lengths)
-    temperature = max(2.0, current / max(1, len(endpoints)) * 0.5)
-    round_moves = -(-moves // _PARTITION_ROUNDS)
-
-    use_pool = (threads > 1
-                and moves >= MIN_PARALLEL_MOVES
-                and num_slices >= partitions * MIN_PARALLEL_SLICES_PER_REGION)
-    fallback_reason = None
-    if threads > 1 and not use_pool:
-        fallback_reason = (
-            f"serial fallback: {moves} moves / {num_slices} slices below "
-            f"pool floor ({MIN_PARALLEL_MOVES} moves, "
-            f"{MIN_PARALLEL_SLICES_PER_REGION}/region)")
-        logger.info("%s", fallback_reason)
-
-    def sweep_args(region_index: int, round_index: int):
-        region = regions[region_index]
-        region_moves = -(-round_moves * len(region) // max(1, num_slices))
-        rng = random.Random(
-            f"{seed}:{partitions}:{region_index}:{round_index}")
-        return (region, list(slice_tiles), net_slices, nets_of_slice,
-                list(lengths), rng, temperature, region_moves)
-
-    pool = ThreadPoolExecutor(max_workers=threads) if use_pool else None
-    try:
-        for round_index in range(_PARTITION_ROUNDS):
-            if pool is not None:
-                futures = [
-                    pool.submit(_region_sweep,
-                                *sweep_args(region_index, round_index))
-                    for region_index in range(partitions)]
-                results = [future.result() for future in futures]
-            else:
-                results = [
-                    _region_sweep(*sweep_args(region_index, round_index))
-                    for region_index in range(partitions)]
-            # Fixed merge order: regions are disjoint, so merging is a
-            # plain scatter; doing it in region order keeps the accepted
-            # placement history reproducible in logs and debuggers.
-            for region, placed in zip(regions, results):
-                for slice_index, tile in zip(region, placed):
-                    slice_tiles[slice_index] = tile
-            lengths = [net_length(i) for i in range(len(endpoints))]
-            current = sum(lengths)
-            temperature = max(temperature * 0.7, 0.05)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    info: Dict[str, object] = {
-        "mode": "partitioned-pool" if use_pool else "partitioned-serial",
-        "partitions": partitions,
-        "threads": threads if use_pool else 1,
-        "region_sizes": [len(region) for region in regions],
-        "rounds": _PARTITION_ROUNDS,
-    }
-    if fallback_reason is not None:
-        info["fallback"] = fallback_reason
-    return current, info
 
 
 def _assign_pads(definition: Definition, device: Device

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cells.library import FF_CELLS, LUT_CELLS
@@ -339,8 +337,7 @@ class Router:
                  history_increment: float = 1.0,
                  allow_overuse: bool = False,
                  heuristic_weight: float = 1.3,
-                 bounding_box_margin: int = 3,
-                 threads: int = 1) -> None:
+                 bounding_box_margin: int = 3) -> None:
         self.device = device
         self.max_iterations = max_iterations
         self.present_factor = present_factor
@@ -352,10 +349,6 @@ class Router:
         #: exploration is confined to the net's bounding box plus this margin
         #: (the margin grows on later negotiation iterations)
         self.bounding_box_margin = bounding_box_margin
-        #: workers for routing independent nets of one rip-up wave
-        #: together (execution-only: the routed result is identical for
-        #: any value — see :meth:`_route_wave`)
-        self.threads = max(1, threads)
         self.graph: RoutingGraph = routing_graph(device)
         # Pay the whole adjacency table up front in one bulk pass: it is
         # several times cheaper than faulting it in node by node during
@@ -364,16 +357,9 @@ class Router:
         #: numpy per-id tables for vectorized candidate masks (None
         #: without numpy; the search then keeps its inline checks)
         self._tables = self.graph.np_tables()
-        self._search_local = threading.local()
+        #: reusable A* tables (epoch-stamped, never cleared)
+        self._search = _SearchState(len(self.graph))
         self._extra_margin = 0
-
-    def _search_state(self) -> "_SearchState":
-        """Per-thread reusable A* tables (epoch-stamped, never cleared)."""
-        state = getattr(self._search_local, "state", None)
-        if state is None:
-            state = _SearchState(len(self.graph))
-            self._search_local.state = state
-        return state
 
     # --------------------------------------------------------------
     def route(self, requests: Sequence[NetRequest]) -> Tuple[
@@ -433,32 +419,10 @@ class Router:
                     tree_ids: Dict[str, Set[int]],
                     occupancy: List[int], base_cost: List[float],
                     present_factor: float) -> None:
-        """Route one rip-up wave, batching independent nets.
-
-        The serial recipe releases and reroutes the wave's nets one at a
-        time.  A net's search only ever reads nodes inside its inflated
-        bounding box, so nets whose regions (box plus any pre-existing
-        tree extent) are pairwise disjoint cannot observe each other's
-        claims: expanding their frontiers concurrently and merging the
-        claims in wave order produces exactly the serial result.  Any net
-        that escalates to an unrestricted search (or fails) invalidates
-        that reasoning, so its group is rolled back to a snapshot and
-        replayed serially — correctness never rests on the grouping.
-        """
-        serial = self.threads <= 1 or len(to_route) < 2
-        index = 0
-        while index < len(to_route):
-            group = [to_route[index]] if serial else \
-                self._independent_group(to_route, index, tree_ids)
-            if len(group) < 2:
-                request = group[0]
-                self._reroute_serial(request, trees, tree_ids, occupancy,
-                                     base_cost, present_factor)
-                index += 1
-                continue
-            self._route_group(group, trees, tree_ids, occupancy,
-                              base_cost, present_factor)
-            index += len(group)
+        """Release and reroute the wave's nets one at a time, in order."""
+        for request in to_route:
+            self._reroute_serial(request, trees, tree_ids, occupancy,
+                                 base_cost, present_factor)
 
     def _reroute_serial(self, request: NetRequest,
                         trees: Dict[str, RouteTree],
@@ -469,103 +433,11 @@ class Router:
         if existing is not None:
             trees.pop(request.name)
             self._release(existing, occupancy)
-        tree, ids, _ = self._route_net(request, occupancy, base_cost,
-                                       present_factor)
+        tree, ids = self._route_net(request, occupancy, base_cost,
+                                    present_factor)
         trees[request.name] = tree
         tree_ids[request.name] = ids
         self._claim(ids, occupancy)
-
-    def _independent_group(self, to_route: List[NetRequest], start: int,
-                           tree_ids: Dict[str, Set[int]]
-                           ) -> List[NetRequest]:
-        """The longest prefix of mutually disjoint nets from *start*.
-
-        Disjointness is judged on conservative rectangles: the net's
-        inflated search box united with the tile extent of its existing
-        tree (whose release a concurrent peer must not be able to see).
-        """
-        graph = self.graph
-        tile_x = graph.tile_x
-        tile_y = graph.tile_y
-
-        def region(request: NetRequest) -> Tuple[int, int, int, int]:
-            min_x, min_y, max_x, max_y = self._net_bounding_box(request)
-            existing = tree_ids.get(request.name)
-            if existing:
-                for node_id in existing:
-                    x = tile_x[node_id]
-                    y = tile_y[node_id]
-                    min_x = x if x < min_x else min_x
-                    max_x = x if x > max_x else max_x
-                    min_y = y if y < min_y else min_y
-                    max_y = y if y > max_y else max_y
-            # Inflate by one tile: a search may touch pins of the tile
-            # just past a boundary wire.
-            return (min_x - 1, min_y - 1, max_x + 1, max_y + 1)
-
-        group = [to_route[start]]
-        regions = [region(to_route[start])]
-        limit = min(len(to_route), start + 4 * self.threads)
-        for request in to_route[start + 1:limit]:
-            candidate = region(request)
-            if any(not (candidate[2] < other[0] or other[2] < candidate[0]
-                        or candidate[3] < other[1]
-                        or other[3] < candidate[1])
-                   for other in regions):
-                break
-            group.append(request)
-            regions.append(candidate)
-        return group
-
-    def _route_group(self, group: List[NetRequest],
-                     trees: Dict[str, RouteTree],
-                     tree_ids: Dict[str, Set[int]],
-                     occupancy: List[int], base_cost: List[float],
-                     present_factor: float) -> None:
-        """Route a disjoint group concurrently, or replay it serially."""
-        snapshot = list(occupancy)
-        saved = {request.name: (tree_ids.get(request.name),
-                                trees.get(request.name))
-                 for request in group}
-        for request in group:
-            existing = tree_ids.pop(request.name, None)
-            if existing is not None:
-                trees.pop(request.name)
-                self._release(existing, occupancy)
-        results = None
-        try:
-            with ThreadPoolExecutor(max_workers=min(self.threads,
-                                                    len(group))) as pool:
-                futures = [pool.submit(self._route_net, request, occupancy,
-                                       base_cost, present_factor,
-                                       bounded_only=True)
-                           for request in group]
-                results = [future.result() for future in futures]
-        except RoutingError:
-            results = None
-        if results is not None and all(not escaped
-                                       for _, _, escaped in results):
-            # Fixed merge order (wave order) — claims are disjoint, so
-            # this matches the serial claim sequence exactly.
-            for request, (tree, ids, _) in zip(group, results):
-                trees[request.name] = tree
-                tree_ids[request.name] = ids
-                self._claim(ids, occupancy)
-            return
-        # A net needed the unrestricted fallback (or failed): restore the
-        # pre-group state and take the serial path, which reproduces the
-        # plain single-threaded semantics including error reporting.
-        occupancy[:] = snapshot
-        for request in group:
-            tree_ids.pop(request.name, None)
-            trees.pop(request.name, None)
-            existing_ids, existing_tree = saved[request.name]
-            if existing_ids is not None:
-                tree_ids[request.name] = existing_ids
-                trees[request.name] = existing_tree
-        for request in group:
-            self._reroute_serial(request, trees, tree_ids, occupancy,
-                                 base_cost, present_factor)
 
     # --------------------------------------------------------------
     def _claim(self, ids: Set[int], occupancy: List[int]) -> None:
@@ -578,16 +450,9 @@ class Router:
                 occupancy[node_id] -= 1
 
     def _route_net(self, request: NetRequest, occupancy: List[int],
-                   base_cost: List[float], present_factor: float,
-                   bounded_only: bool = False
-                   ) -> Tuple[RouteTree, Set[int], bool]:
-        """Route one net; returns (tree, claimed ids, escaped-box flag).
-
-        With *bounded_only* the unrestricted fallback search is reported
-        (``escaped=True`` on a bounded miss) instead of executed — the
-        group router uses this to detect when its disjointness argument
-        no longer holds.
-        """
+                   base_cost: List[float], present_factor: float
+                   ) -> Tuple[RouteTree, Set[int]]:
+        """Route one net; returns (tree, claimed ids)."""
         graph = self.graph
         id_of = graph.node_id
         nodes = graph.nodes
@@ -621,9 +486,6 @@ class Router:
                                    base_cost, present_factor,
                                    bounding_box, blocked)
             if path is None:
-                if bounded_only:
-                    return (RouteTree(request.name, request.source, parent,
-                                      sink_map), tree_ids, True)
                 # Retry once without the bounding-box restriction before
                 # declaring the sink unroutable.
                 path = self._find_path(
@@ -644,7 +506,7 @@ class Router:
             sink_map[spec.node] = spec
 
         return RouteTree(request.name, request.source, parent,
-                         sink_map), tree_ids, False
+                         sink_map), tree_ids
 
     def _blocked_mask(self, bounding_box: Tuple[int, int, int, int]
                       ) -> Optional[bytes]:
@@ -709,7 +571,7 @@ class Router:
         target_x = tile_x[target]
         target_y = tile_y[target]
 
-        state = self._search_state()
+        state = self._search
         state.epoch += 1
         epoch = state.epoch
         best = state.best
@@ -827,21 +689,12 @@ class Router:
 def route_design(definition: Definition, pack_result: PackResult,
                  placement: Placement, device: Device,
                  max_iterations: int = 12,
-                 allow_overuse: bool = False,
-                 threads: Optional[int] = None) -> RoutingResult:
-    """Extract the routing problem and run the negotiated-congestion router.
-
-    *threads* (default: the ``REPRO_FLOW_THREADS`` knob) routes
-    independent nets of one rip-up wave concurrently; the routed result
-    is bit-identical for any value.
-    """
-    from .place import resolve_flow_threads
-
+                 allow_overuse: bool = False) -> RoutingResult:
+    """Extract the routing problem and run the negotiated-congestion router."""
     requests, skipped, direct = extract_routing_problem(
         definition, pack_result, placement)
     router = Router(device, max_iterations=max_iterations,
-                    allow_overuse=allow_overuse,
-                    threads=resolve_flow_threads(threads))
+                    allow_overuse=allow_overuse)
     trees, iterations = router.route(requests)
 
     node_owner: Dict[Node, str] = {}

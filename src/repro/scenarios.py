@@ -81,8 +81,6 @@ class Scenario:
             yield variant_id, dataclasses.replace(self, axes=(), **overrides)
 
     def context(self, *, jobs: int = 1, flow_cache: StoreLike = None,
-                anneal_partitions: int = 1,
-                flow_threads: Optional[int] = None,
                 progress: bool = False,
                 progress_callback=None) -> PipelineContext:
         """A pipeline context carrying this scenario's resolved knobs."""
@@ -98,8 +96,6 @@ class Scenario:
             seed=self.seed,
             jobs=jobs,
             flow_cache=flow_cache,
-            anneal_partitions=anneal_partitions,
-            flow_threads=flow_threads,
             floorplan_domains=self.floorplan_domains,
             partition_selector=self.partition_selector,
             shortlist_size=self.shortlist_size,
@@ -333,8 +329,6 @@ def run_scenario(scenario: Union[str, Scenario], *,
                  designs: Optional[Sequence[str]] = None,
                  jobs: int = 1,
                  flow_cache: StoreLike = None,
-                 anneal_partitions: int = 1,
-                 flow_threads: Optional[int] = None,
                  progress: bool = False,
                  progress_callback=None,
                  repeat: int = 1) -> Dict[str, object]:
@@ -394,8 +388,6 @@ def run_scenario(scenario: Union[str, Scenario], *,
     keepalive: List[PipelineContext] = []
     for _ in range(repeat):
         report = _run_once(scenario, jobs=jobs, flow_cache=flow_cache,
-                           anneal_partitions=anneal_partitions,
-                           flow_threads=flow_threads,
                            progress=progress,
                            progress_callback=progress_callback,
                            keepalive=keepalive)
@@ -404,15 +396,11 @@ def run_scenario(scenario: Union[str, Scenario], *,
 
 
 def _run_once(scenario: Scenario, *, jobs: int, flow_cache: StoreLike,
-              anneal_partitions: int = 1,
-              flow_threads: Optional[int] = None,
               progress: bool, progress_callback=None,
               keepalive: Optional[List[PipelineContext]] = None
               ) -> Dict[str, object]:
     def execute(variant: Scenario) -> Dict[str, object]:
         ctx = variant.context(jobs=jobs, flow_cache=flow_cache,
-                              anneal_partitions=anneal_partitions,
-                              flow_threads=flow_threads,
                               progress=progress,
                               progress_callback=progress_callback)
         if keepalive is not None:

@@ -106,6 +106,21 @@ class TestFingerprint:
         assert base != flow_fingerprint(tiny_fir_flat, small_device, seed=1,
                                         floorplan=floorplan)
 
+    def test_keys_pinned_to_recorded_literals(self, tiny_fir_flat,
+                                              small_device):
+        # Recorded literals: flow artifacts and stage results written by
+        # earlier releases must keep hitting, so neither key may drift
+        # unless TOOL_VERSION is bumped on purpose.
+        from repro import SCENARIOS
+
+        assert flow_fingerprint(tiny_fir_flat, small_device) == (
+            "3cad3083af6b290cd208aba6334a9929"
+            "f61ae0465baf14f6837ef1b505bfc69c")
+        assert SCENARIOS["table3-fir"].context().identity() == (
+            "scenario=table3-fir|scale=fast"
+            "|designs=standard,TMR_p1,TMR_p2,TMR_p3,TMR_p3_nv"
+            "|partitions=canonical:3|floorplan=False|flow=flow-1")
+
     def test_tool_version_in_key(self, tiny_fir_flat, small_device,
                                  monkeypatch):
         from repro.pnr import artifacts

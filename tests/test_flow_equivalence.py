@@ -85,59 +85,6 @@ class TestPlacementEquivalence:
         assert fast.wirelength == seed.wirelength
 
 
-class TestPartitionedPlacement:
-    """Determinism contract of the partition-parallel annealer.
-
-    *partitions* is a result-determining flow knob; *threads* only
-    schedules the region sweeps.  ``partitions=1`` must stay
-    bit-identical to the single-stream annealer, and any thread count
-    must reproduce the same placement at a fixed (seed, partitions).
-    """
-
-    def _fingerprint(self, placement):
-        return (placement.slice_tiles, placement.port_pads,
-                placement.cell_tiles, placement.wirelength)
-
-    def test_partitions_one_matches_single_stream(self, tmr_flat):
-        device = device_by_name("XC2S50E")
-        packed = pack(tmr_flat)
-        base = place(tmr_flat, packed, device, seed=5,
-                     anneal_moves_per_slice=6)
-        for threads in (1, 4):
-            partitioned = place(tmr_flat, packed, device, seed=5,
-                                anneal_moves_per_slice=6, partitions=1,
-                                threads=threads)
-            assert self._fingerprint(partitioned) == \
-                self._fingerprint(base)
-
-    @pytest.mark.parametrize("seed", [1, 9])
-    @pytest.mark.parametrize("partitions", [2, 4])
-    def test_identical_across_thread_counts(self, tmr_flat, seed,
-                                            partitions):
-        device = device_by_name("XC2S50E")
-        packed = pack(tmr_flat)
-        fingerprints = []
-        for threads in (1, 2, 4):
-            placement = place(tmr_flat, packed, device, seed=seed,
-                              anneal_moves_per_slice=6,
-                              partitions=partitions, threads=threads)
-            fingerprints.append(self._fingerprint(placement))
-        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
-
-    def test_anneal_info_records_mode(self, tiny_fir_flat, small_device):
-        packed = pack(tiny_fir_flat)
-        placement = place(tiny_fir_flat, packed, small_device, seed=2,
-                          anneal_moves_per_slice=3)
-        assert placement.anneal_info.get("mode") == "serial"
-        partitioned = place(tiny_fir_flat, packed, small_device, seed=2,
-                            anneal_moves_per_slice=3, partitions=2,
-                            threads=2)
-        # The tiny design sits under the pool floor, so the guard must
-        # have routed it through the serial partition sweep.
-        assert partitioned.anneal_info.get("mode") == \
-            "partitioned-serial"
-
-
 class TestRoutingEquivalence:
     def _assert_same_routing(self, fast, seed):
         assert fast.routes.keys() == seed.routes.keys()
@@ -178,11 +125,10 @@ class TestRoutingEquivalence:
 
     @pytest.mark.parametrize("name", ["standard", "p1", "p2", "p3",
                                       "p3_nv"])
-    def test_batched_route_matches_reference_all_designs(self, suite_flats,
-                                                         name):
+    def test_route_matches_reference_all_designs(self, suite_flats, name):
         # Every design version of the suite — the unprotected filter and
         # all four TMR partitions — routes bit-identically through the
-        # batched wavefront router and the seed single-net router.
+        # indexed router and the seed single-net router.
         flat = suite_flats[name]
         device = device_by_name("XC2S50E")
         packed = pack(flat)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 
 import pytest
@@ -243,6 +244,49 @@ class TestCommandLine:
         payload = json.loads(capsys.readouterr().out)
         assert {entry["id"] for entry in payload} >= {"table3-fir",
                                                       "mbu-fir"}
+
+
+class _Parsed(Exception):
+    """Raised in place of running a driver once its arguments parse."""
+
+
+def _parse_only(monkeypatch, driver, argv):
+    """Parse *argv* with the parser *driver* builds, never running it."""
+    if driver == "run":
+        from repro.__main__ import _build_parser
+
+        _build_parser().parse_args(["run", "table3-fir", *argv])
+        raise _Parsed()
+    module = importlib.import_module(f"repro.experiments.{driver}")
+    build = module.experiment_parser
+
+    def stopping_parser(*args, **kwargs):
+        parser = build(*args, **kwargs)
+        parse = parser.parse_args
+
+        def parse_then_stop(args=None, namespace=None):
+            parse(args, namespace)
+            raise _Parsed()
+
+        parser.parse_args = parse_then_stop
+        return parser
+
+    monkeypatch.setattr(module, "experiment_parser", stopping_parser)
+    module.main(argv)
+
+
+@pytest.mark.parametrize("flag", ["--partitions", "--flow-threads"])
+@pytest.mark.parametrize("driver", ["table2", "table3", "table4", "figures",
+                                    "ablations", "run"])
+def test_cli_rejects_removed_flow_flags(monkeypatch, capsys, driver, flag):
+    # The flow has no annealer partitions or flow threads; a CLI that
+    # accepted these flags would silently ignore them.
+    with pytest.raises(_Parsed):
+        _parse_only(monkeypatch, driver, ["--jobs", "2"])
+    with pytest.raises(SystemExit) as excinfo:
+        _parse_only(monkeypatch, driver, [flag, "2"])
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 class TestCustomScenario:
