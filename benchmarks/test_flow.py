@@ -171,8 +171,8 @@ def test_flow_throughput(benchmark, design_suite, tmp_path_factory,
     for name in DESIGN_ORDER:
         cold_results[name], cold_seconds[name] = _timed(
             lambda name=name: _fast_implement(suite, name, store))
-    assert store.stats.misses == len(DESIGN_ORDER)
-    assert store.stats.stores == len(DESIGN_ORDER)
+    assert store.stats.flow_misses == len(DESIGN_ORDER)
+    assert store.stats.flow_stores == len(DESIGN_ORDER)
 
     # Warm: every design served from the on-disk store.  A collection
     # pause landing inside a millisecond-scale cache-hit measurement
@@ -184,8 +184,8 @@ def test_flow_throughput(benchmark, design_suite, tmp_path_factory,
     warm_results = {}
     warm_seconds = {}
     for name in DESIGN_ORDER:
-        hits_before = store.stats.hits
-        misses_before = store.stats.misses
+        hits_before = store.stats.flow_hits
+        misses_before = store.stats.flow_misses
         gc.collect()
         gc.disable()
         try:
@@ -193,11 +193,11 @@ def test_flow_throughput(benchmark, design_suite, tmp_path_factory,
                 lambda name=name: _fast_implement(suite, name, store))
         finally:
             gc.enable()
-        assert store.stats.hits == hits_before + 1, \
+        assert store.stats.flow_hits == hits_before + 1, \
             f"{name}: warm run missed the flow store"
-        assert store.stats.misses == misses_before, \
+        assert store.stats.flow_misses == misses_before, \
             f"{name}: warm run recorded a store miss"
-    assert store.stats.hits == len(DESIGN_ORDER)
+    assert store.stats.flow_hits == len(DESIGN_ORDER)
 
     # A warm (unpickling) run must never cost more than the cold flow
     # it replaces — for every design, not just in aggregate.

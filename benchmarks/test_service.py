@@ -152,15 +152,14 @@ def _run_wave(tier_root, seed_base: int):
 
 def _wave_row(wall, latencies, tier) -> dict:
     tier_stats = tier.stats.as_dict()
-    flow_stats = tier.flow_store.stats.as_dict()
     # Shard-checkpoint counters (shard_hits/shard_misses) are excluded:
     # they track crash-resume coverage, not warm-artifact reuse, and a
     # wave of fresh seeds would dilute the published hit rate with one
     # structural miss per campaign.
-    hits = flow_stats["hits"] + sum(
+    hits = sum(
         count for key, count in tier_stats.items()
         if key.endswith("_hits") and not key.startswith("shard_"))
-    lookups = hits + flow_stats["misses"] + sum(
+    lookups = hits + sum(
         count for key, count in tier_stats.items()
         if key.endswith("_misses") and not key.startswith("shard_"))
     return {
@@ -170,7 +169,9 @@ def _wave_row(wall, latencies, tier) -> dict:
         "latency_p99_seconds": round(_quantile(latencies, 0.99), 4),
         "tier_hit_rate": round(hits / lookups, 4) if lookups else None,
         "tier": tier_stats,
-        "flow": flow_stats,
+        "flow": {key[len("flow_"):]: count
+                 for key, count in tier_stats.items()
+                 if key.startswith("flow_")},
     }
 
 

@@ -117,14 +117,14 @@ register(Rule(
     "a plain open(..., 'w') under the tier/journal roots can be torn by "
     "a crash; durable artefacts must stage through temp-file + fsync + "
     "os.replace",
-    "use the atomic store helpers (PersistentStore.store / "
-    "FlowArtifactStore.store pattern), or waive citing the documented "
-    "durability contract"))
+    "use the one atomic store, PersistentStore.store, or waive citing "
+    "the documented durability contract"))
 register(Rule(
     "A302", "raw pickle.dump outside the atomic-write pattern",
     "pickling straight into a final path leaves a corrupt entry when "
     "interrupted; readers then depend on eviction heuristics",
-    "dump into a NamedTemporaryFile and os.replace into place"))
+    "store through PersistentStore.store, the one NamedTemporaryFile + "
+    "os.replace write"))
 register(Rule(
     "P401", "backend payload type is not a frozen/slots dataclass",
     "task/verdict payloads cross process boundaries; frozen+slots "

@@ -255,9 +255,9 @@ class ImplementStage(Stage):
     def cache_snapshot(self, ctx: PipelineContext) -> Dict[str, int]:
         if ctx.store is None:
             return {"hits": 0, "misses": 0, "stores": 0}
-        return {"hits": ctx.store.stats.hits,
-                "misses": ctx.store.stats.misses,
-                "stores": ctx.store.stats.stores}
+        stats = ctx.store.stats
+        return {"hits": stats.flow_hits, "misses": stats.flow_misses,
+                "stores": stats.flow_stores}
 
     def run(self, ctx: PipelineContext) -> Dict[str, object]:
         assert ctx.suite is not None, "build stage must run first"

@@ -1,28 +1,29 @@
-"""Persistent, content-addressed store for implementation artifacts.
+"""Persistent, content-addressed store of every pickled artifact.
 
 The paper's experiment drivers re-implement the same five filter versions
 for every table, ablation, scale and floorplan variant; place-and-route is
 a pure function of (flat netlist, device, floorplan, flow parameters, tool
 version), so its result can live on disk and be reused by every later run
-of any experiment CLI.
+of any experiment CLI.  The campaign service's cache tier
+(:mod:`repro.service.tier`) keeps golden traces, defeat maps, fault lists
+and shard checkpoints in the same store.
 
-* :func:`flow_fingerprint` canonically serializes those inputs into a
-  SHA-256 key.  The netlist part iterates ports/instances/pins in sorted
-  order, so the key is stable across processes, hash seeds and rebuilds
-  of the same design.
-* :class:`FlowArtifactStore` maps a key to a pickled
-  :class:`~repro.pnr.flow.Implementation` under
-  ``<root>/<key[:2]>/<key>.pkl``.  The netlist graph itself is *not*
-  pickled (it is deeply recursive and the caller necessarily holds an
-  equivalent definition — it hashed into the key); the design is detached
-  before writing and re-attached on load.  Writes are atomic
-  (temp file + ``os.replace``) and corrupted or stale entries are evicted
-  and treated as misses, so an interrupted run can never poison later
-  ones.
-
-The store is deliberately dumb: no locking beyond atomic replace, no
-eviction policy.  Artifacts are small (a few MB at paper scale) and a CI
-cache or ``rm -rf`` manages their lifetime.
+* :func:`flow_fingerprint` canonically serializes the flow's inputs into
+  a SHA-256 key.  The netlist part iterates ports/instances/pins in
+  sorted order, so the key is stable across processes, hash seeds and
+  rebuilds of the same design.  ``TOOL_VERSION`` is hashed in, so an
+  artifact of an older flow is never looked up again.
+* :class:`PersistentStore` maps a ``(namespace, key)`` pair to a pickled
+  payload under ``<root>/<namespace>/<key[:2]>/<key>.pkl``.  Writes are
+  atomic (temp file + ``os.replace``); corrupted, foreign or
+  version-stale entries are evicted and treated as misses, so an
+  interrupted run can never poison later ones; and every write is
+  followed by least-recently-used eviction down to a byte budget.
+* :class:`FlowArtifactStore` is the ``flow`` namespace's format adapter.
+  The netlist graph itself is *not* pickled (it is deeply recursive and
+  the caller necessarily holds an equivalent definition — it hashed into
+  the key); the design is detached before writing and re-attached on
+  load.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ import pickle
 import tempfile
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, \
+    Union
 
 from ..fpga.device import Device
 from ..netlist.ir import Definition
@@ -44,38 +46,229 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .flow import Implementation
 
 #: Bump on any change that alters flow outputs (router costs, placement
-#: schedule, bit accounting, pickle format): old artifacts then miss
-#: instead of resurrecting stale results.
+#: schedule, bit accounting): it is hashed into every flow fingerprint,
+#: so old artifacts then miss instead of resurrecting stale results.
 TOOL_VERSION = "flow-1"
 
-#: Pickle format stored inside each artifact file.
+#: Bump when the envelope or a persisted payload's layout changes; old
+#: entries then miss instead of resurrecting incompatible pickles.
+TIER_VERSION = "tier-1"
+
+#: Default eviction budget: generous for laptops, bounded for CI caches.
+DEFAULT_MAX_BYTES = 512 * 1024 * 1024
+
+#: Namespace (subdirectory) of the place-and-route implementations.
+FLOW_NAMESPACE = "flow"
+
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 
 @dataclasses.dataclass
-class StoreStats:
-    """Hit/miss/error counters of one :class:`FlowArtifactStore`."""
+class TierStats:
+    """Hit/miss/store counters of one :class:`PersistentStore`."""
 
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
+    golden_hits: int = 0
+    golden_misses: int = 0
+    golden_stores: int = 0
+    defeat_map_hits: int = 0
+    defeat_map_misses: int = 0
+    defeat_map_stores: int = 0
+    fault_list_hits: int = 0
+    fault_list_misses: int = 0
+    fault_list_stores: int = 0
+    flow_hits: int = 0
+    flow_misses: int = 0
+    flow_stores: int = 0
+    shard_hits: int = 0
+    shard_misses: int = 0
+    shard_stores: int = 0
     corrupt_evictions: int = 0
+    lru_evictions: int = 0
+    bytes_evicted: int = 0
     store_failures: int = 0
+    orphan_tmp_removed: int = 0
 
     def __post_init__(self) -> None:
-        # The campaign service implements designs from concurrent jobs;
-        # a bare ``+= 1`` is a read-modify-write that loses updates under
+        # Counters are bumped from concurrent service jobs; a bare
+        # ``+= 1`` is a read-modify-write that loses updates under
         # threads.  The lock is a plain attribute (not a field), so
         # ``dataclasses.asdict`` never tries to copy it.
         self.lock = threading.Lock()
 
-    def bump(self, counter: str) -> None:
+    def bump(self, counter: str, amount: int = 1) -> None:
         with self.lock:
-            setattr(self, counter, getattr(self, counter) + 1)
+            setattr(self, counter, getattr(self, counter) + amount)
 
     def as_dict(self) -> Dict[str, int]:
         with self.lock:
             return dataclasses.asdict(self)
+
+    def hit_rate(self) -> float:
+        """Aggregate campaign-artefact hit rate.
+
+        Flow counters are left out because the implement stage reports
+        them itself.  Shard-checkpoint counters are deliberately excluded:
+        checkpoints only hit when a campaign *resumes* after a crash, so
+        counting their routine cold misses would dilute the warm-cache
+        rate the service benchmarks gate on.
+        """
+        hits = self.golden_hits + self.defeat_map_hits \
+            + self.fault_list_hits
+        total = hits + self.golden_misses + self.defeat_map_misses \
+            + self.fault_list_misses
+        return hits / total if total else 0.0
+
+
+class PersistentStore:
+    """Namespaced on-disk pickle store with an LRU byte budget.
+
+    Payloads travel inside a ``{"version", "namespace", "key", "payload"}``
+    envelope; version or key mismatches (a foreign or renamed file) and
+    unpicklable garbage are evicted and treated as misses, so an
+    interrupted writer can never poison later readers.  Writes are atomic
+    (temp file in the target directory + ``os.replace``), and each one is
+    followed by eviction of the least-recently-*used* entries (reads
+    refresh mtimes) until every ``.pkl`` under the root fits ``max_bytes``.
+    Entries are content-addressed, so deletion is always safe: a later
+    reader simply recomputes.
+    """
+
+    def __init__(self, root: Union[str, Path],
+                 max_bytes: int = DEFAULT_MAX_BYTES) -> None:
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.max_bytes = max_bytes
+        self.stats = TierStats()
+        #: serializes eviction scans (reads/writes need no lock: atomic
+        #: replace + corrupt-entry eviction already tolerate races)
+        self._evict_lock = threading.Lock()
+        self._sweep_orphan_tmp()
+
+    def _sweep_orphan_tmp(self) -> int:
+        """Remove ``*.tmp`` files left behind by crashed writers.
+
+        Atomic stores stage through a temp file and ``os.replace``; a
+        writer killed between the two leaves the temp file orphaned
+        forever (it is never read — only ``.pkl`` entries are).  Startup
+        is the safe moment to sweep them: a *live* concurrent writer's
+        temp file exists only for the milliseconds between create and
+        replace, and losing that race merely costs the writer one
+        ``store_failures``-counted retry-less store — never the
+        computation, never a corrupt entry.
+        """
+        removed = 0
+        for path in sorted(self.root.glob("**/*.tmp")):
+            try:
+                path.unlink()
+            except OSError:
+                continue
+            removed += 1
+        if removed:
+            self.stats.bump("orphan_tmp_removed", removed)
+        return removed
+
+    def path_of(self, namespace: str, key: str) -> Path:
+        return self.root / namespace / key[:2] / f"{key}.pkl"
+
+    def load(self, namespace: str, key: str) -> Optional[object]:
+        path = self.path_of(namespace, key)
+        try:
+            with open(path, "rb") as handle:
+                envelope = pickle.load(handle)
+        except FileNotFoundError:
+            return None
+        except Exception:
+            self._evict(path)
+            return None
+        if not isinstance(envelope, dict) \
+                or envelope.get("version") != TIER_VERSION \
+                or envelope.get("namespace") != namespace \
+                or envelope.get("key") != key:
+            self._evict(path)
+            return None
+        try:
+            # Refresh recency so LRU eviction spares warm entries.
+            os.utime(path)
+        except OSError:
+            pass
+        return envelope["payload"]
+
+    def store(self, namespace: str, key: str, payload: object) -> bool:
+        # Imported at call time: the ``repro.service`` package imports
+        # the pipeline, which imports this module.
+        from ..service import chaos
+
+        path = self.path_of(namespace, key)
+        envelope = {
+            "version": TIER_VERSION,
+            "namespace": namespace,
+            "key": key,
+            "payload": payload,
+        }
+        try:
+            chaos.before_tier_write(namespace)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            handle = tempfile.NamedTemporaryFile(
+                dir=path.parent, prefix=f".{key[:8]}.", suffix=".tmp",
+                delete=False)
+            try:
+                with handle:
+                    pickle.dump(envelope, handle, protocol=_PICKLE_PROTOCOL)
+                os.replace(handle.name, path)
+            except BaseException:
+                os.unlink(handle.name)
+                raise
+        except Exception:
+            # A read-only or full disk must never fail the computation
+            # the artefact came from; it is merely not persisted.
+            self.stats.bump("store_failures")
+            return False
+        chaos.after_tier_write(namespace, path)
+        self.enforce_budget()
+        return True
+
+    def _evict(self, path: Path) -> None:
+        try:
+            path.unlink()
+            self.stats.bump("corrupt_evictions")
+        except OSError:
+            pass
+
+    def _entries(self) -> Iterable[Tuple[Path, os.stat_result]]:
+        for path in self.root.glob("**/*.pkl"):
+            try:
+                yield path, path.stat()
+            except OSError:
+                continue
+
+    def total_bytes(self) -> int:
+        return sum(stat.st_size for _path, stat in self._entries())
+
+    def enforce_budget(self) -> int:
+        """Evict least-recently-used entries down to ``max_bytes``.
+
+        Returns the number of evicted files.
+        """
+        with self._evict_lock:
+            entries: List[Tuple[float, int, Path]] = [
+                (stat.st_mtime, stat.st_size, path)
+                for path, stat in self._entries()]
+            total = sum(size for _mtime, size, _path in entries)
+            if total <= self.max_bytes:
+                return 0
+            evicted = 0
+            for _mtime, size, path in sorted(entries):
+                if total <= self.max_bytes:
+                    break
+                try:
+                    path.unlink()
+                except OSError:
+                    continue
+                total -= size
+                evicted += 1
+                self.stats.bump("lru_evictions")
+                self.stats.bump("bytes_evicted", size)
+            return evicted
 
 
 def netlist_fingerprint(definition: Definition) -> str:
@@ -143,24 +336,18 @@ def flow_fingerprint(definition: Definition, device: Device,
 
 
 class FlowArtifactStore:
-    """On-disk content-addressed store of implementations."""
+    """The ``flow`` namespace of a :class:`PersistentStore`.
 
-    def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = StoreStats()
+    *store* is the store to share (a cache tier's) or the root directory
+    of a standalone one.  Hits, misses and stores count into the store's
+    ``flow_*`` counters.
+    """
 
-    # ------------------------------------------------------------------
-    def path_of(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+    def __init__(self, store: Union[str, Path, PersistentStore]) -> None:
+        self.persistent = store if isinstance(store, PersistentStore) \
+            else PersistentStore(store)
+        self.stats = self.persistent.stats
 
-    def __contains__(self, key: str) -> bool:
-        return self.path_of(key).exists()
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.pkl"))
-
-    # ------------------------------------------------------------------
     def load(self, key: str, design: Definition) -> Optional["Implementation"]:
         """Load the implementation stored under *key*, or ``None``.
 
@@ -169,24 +356,9 @@ class FlowArtifactStore:
         graph, and the key already proves the caller's definition is the
         one that was implemented.
         """
-        path = self.path_of(key)
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except FileNotFoundError:
-            self.stats.bump("misses")
-            return None
-        except Exception:
-            # Truncated write, foreign file, unpicklable garbage: evict
-            # and fall back to a recompute.
-            self._evict(path)
-            self.stats.bump("misses")
-            return None
-        if not isinstance(payload, dict) \
-                or payload.get("tool_version") != TOOL_VERSION \
-                or payload.get("key") != key:
-            self._evict(path)
-            self.stats.bump("misses")
+        payload = self.persistent.load(FLOW_NAMESPACE, key)
+        if payload is None:
+            self.stats.bump("flow_misses")
             return None
         implementation = payload["implementation"]
         implementation.design = design
@@ -199,60 +371,19 @@ class FlowArtifactStore:
         if layout.total_bits == implementation.layout.total_bits:
             implementation.layout = layout
             implementation.bitstream.layout = layout
-        try:
-            # Refresh recency: when the store lives inside a shared cache
-            # tier, LRU eviction ranks entries by mtime, and a hit must
-            # spare a warm artifact before an idle one.
-            os.utime(path)
-        except OSError:
-            pass
-        self.stats.bump("hits")
+        self.stats.bump("flow_hits")
         return implementation
 
     def store(self, key: str, implementation: "Implementation") -> bool:
         """Persist *implementation* under *key*; returns success."""
-        path = self.path_of(key)
-        payload = {
-            "tool_version": TOOL_VERSION,
-            "key": key,
+        ok = self.persistent.store(FLOW_NAMESPACE, key, {
             "design_name": implementation.design.name,
-            "device": implementation.device.spec.name,
             "implementation": dataclasses.replace(implementation,
                                                   design=None),
-        }
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle = tempfile.NamedTemporaryFile(
-                dir=path.parent, prefix=f".{key[:8]}.", suffix=".tmp",
-                delete=False)
-            try:
-                with handle:
-                    pickle.dump(payload, handle, protocol=_PICKLE_PROTOCOL)
-                os.replace(handle.name, path)
-            except BaseException:
-                os.unlink(handle.name)
-                raise
-        except Exception:
-            # A read-only cache directory or a full disk must never fail
-            # the flow itself; the artifact is merely not persisted.
-            self.stats.bump("store_failures")
-            return False
-        self.stats.bump("stores")
-        return True
-
-    def _evict(self, path: Path) -> None:
-        try:
-            path.unlink()
-            self.stats.bump("corrupt_evictions")
-        except OSError:
-            pass
-
-    def clear(self) -> None:
-        for path in sorted(self.root.glob("*/*.pkl")):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        })
+        if ok:
+            self.stats.bump("flow_stores")
+        return ok
 
 
 #: Anything ``implement(..., artifact_store=...)`` accepts.
@@ -261,8 +392,6 @@ StoreLike = Union[None, str, Path, FlowArtifactStore]
 
 def resolve_store(store: StoreLike) -> Optional[FlowArtifactStore]:
     """Normalize the ``artifact_store=`` knob (``None`` stays ``None``)."""
-    if store is None:
-        return None
-    if isinstance(store, FlowArtifactStore):
+    if store is None or isinstance(store, FlowArtifactStore):
         return store
     return FlowArtifactStore(store)

@@ -9,20 +9,20 @@ them from scratch.  This module unifies all three under one directory:
 
 .. code-block:: text
 
-    <root>/flow/...                 place-and-route implementations
+    <root>/flow/<aa>/<key>.pkl      place-and-route implementations
     <root>/golden/<aa>/<key>.pkl    golden traces (+ overlay-free program)
     <root>/defeat-map/<aa>/<key>.pkl  static defeat maps
     <root>/fault-list/<aa>/<key>.pkl  enumerated injectable-bit lists
 
-* :class:`PersistentStore` — namespaced pickle store with atomic writes
-  (temp file + ``os.replace``), version-checked payloads, and corrupt
-  entries evicted as misses — the same durability contract as the flow
-  store.
+* :class:`~repro.pnr.artifacts.PersistentStore` — the namespaced pickle
+  store every namespace shares: atomic writes, version-checked payloads,
+  corrupt entries evicted as misses, and a size-bounded LRU budget over
+  the whole root (re-exported here with its :class:`TierStats`).
 * :class:`SharedCacheTier` — the facade the service (and, through the
   process-wide *active tier*, the campaign cache and the layout
-  analyzer) reads and writes.  Size-bounded LRU eviction runs over the
-  whole tier: every ``.pkl`` under the root counts against ``max_bytes``
-  and the least-recently-*used* files go first (reads refresh mtimes).
+  analyzer) reads and writes.  Every ``.pkl`` under the root, flow
+  artifacts included, counts against ``max_bytes`` and the
+  least-recently-*used* files go first (reads refresh mtimes).
 
 Artefact keys chain on the implementation fingerprint
 (:func:`repro.faults.cache.implementation_fingerprint`), so two
@@ -40,164 +40,20 @@ CLI runs.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
-import pickle
-import tempfile
-import threading
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
-from ..pnr.artifacts import FlowArtifactStore
-from . import chaos
-
-#: Bump when a persisted payload's layout changes; old entries then miss
-#: instead of resurrecting incompatible pickles.
-TIER_VERSION = "tier-1"
-
-#: Default eviction budget: generous for laptops, bounded for CI caches.
-DEFAULT_MAX_BYTES = 512 * 1024 * 1024
+from ..pnr.artifacts import (DEFAULT_MAX_BYTES, FlowArtifactStore,
+                             PersistentStore)
+from ..pnr.artifacts import TIER_VERSION, TierStats  # noqa: F401
 
 #: Namespaces managed by the tier (also the subdirectory names).
 GOLDEN_NAMESPACE = "golden"
 DEFEAT_MAP_NAMESPACE = "defeat-map"
 FAULT_LIST_NAMESPACE = "fault-list"
-FLOW_NAMESPACE = "flow"
 SHARD_NAMESPACE = "shard-verdicts"
-
-_PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
-
-
-@dataclasses.dataclass
-class TierStats:
-    """Hit/miss/store counters of one :class:`SharedCacheTier`."""
-
-    golden_hits: int = 0
-    golden_misses: int = 0
-    golden_stores: int = 0
-    defeat_map_hits: int = 0
-    defeat_map_misses: int = 0
-    defeat_map_stores: int = 0
-    fault_list_hits: int = 0
-    fault_list_misses: int = 0
-    fault_list_stores: int = 0
-    shard_hits: int = 0
-    shard_misses: int = 0
-    shard_stores: int = 0
-    corrupt_evictions: int = 0
-    lru_evictions: int = 0
-    bytes_evicted: int = 0
-    store_failures: int = 0
-    orphan_tmp_removed: int = 0
-
-    def __post_init__(self) -> None:
-        # Counters are bumped from concurrent service jobs; a bare
-        # ``+= 1`` is a read-modify-write that loses updates under
-        # threads.  The lock is a plain attribute (not a field), so
-        # ``dataclasses.asdict`` never tries to copy it.
-        self.lock = threading.Lock()
-
-    def bump(self, counter: str, amount: int = 1) -> None:
-        with self.lock:
-            setattr(self, counter, getattr(self, counter) + amount)
-
-    def as_dict(self) -> Dict[str, int]:
-        with self.lock:
-            return dataclasses.asdict(self)
-
-    def hit_rate(self) -> float:
-        """Aggregate artefact hit rate (flow-store hits tracked separately).
-
-        Shard-checkpoint counters are deliberately excluded: checkpoints
-        only hit when a campaign *resumes* after a crash, so counting
-        their routine cold misses would dilute the warm-cache rate the
-        service benchmarks gate on.
-        """
-        hits = self.golden_hits + self.defeat_map_hits \
-            + self.fault_list_hits
-        total = hits + self.golden_misses + self.defeat_map_misses \
-            + self.fault_list_misses
-        return hits / total if total else 0.0
-
-
-class PersistentStore:
-    """Namespaced on-disk pickle store with the flow store's durability.
-
-    Payloads travel inside a ``{"version", "namespace", "key", "payload"}``
-    envelope; version or key mismatches (a foreign or renamed file) and
-    unpicklable garbage are evicted and treated as misses, so an
-    interrupted writer can never poison later readers.  Writes are atomic
-    (temp file in the target directory + ``os.replace``).
-    """
-
-    def __init__(self, root: Union[str, Path],
-                 stats: Optional[TierStats] = None) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = stats if stats is not None else TierStats()
-
-    def path_of(self, namespace: str, key: str) -> Path:
-        return self.root / namespace / key[:2] / f"{key}.pkl"
-
-    def load(self, namespace: str, key: str) -> Optional[object]:
-        path = self.path_of(namespace, key)
-        try:
-            with open(path, "rb") as handle:
-                envelope = pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            self._evict(path)
-            return None
-        if not isinstance(envelope, dict) \
-                or envelope.get("version") != TIER_VERSION \
-                or envelope.get("namespace") != namespace \
-                or envelope.get("key") != key:
-            self._evict(path)
-            return None
-        try:
-            # Refresh recency so LRU eviction spares warm entries.
-            os.utime(path)
-        except OSError:
-            pass
-        return envelope["payload"]
-
-    def store(self, namespace: str, key: str, payload: object) -> bool:
-        path = self.path_of(namespace, key)
-        envelope = {
-            "version": TIER_VERSION,
-            "namespace": namespace,
-            "key": key,
-            "payload": payload,
-        }
-        try:
-            chaos.before_tier_write(namespace)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle = tempfile.NamedTemporaryFile(
-                dir=path.parent, prefix=f".{key[:8]}.", suffix=".tmp",
-                delete=False)
-            try:
-                with handle:
-                    pickle.dump(envelope, handle, protocol=_PICKLE_PROTOCOL)
-                os.replace(handle.name, path)
-            except BaseException:
-                os.unlink(handle.name)
-                raise
-        except Exception:
-            # A read-only or full disk must never fail the computation
-            # the artefact came from; it is merely not persisted.
-            self.stats.bump("store_failures")
-            return False
-        chaos.after_tier_write(namespace, path)
-        return True
-
-    def _evict(self, path: Path) -> None:
-        try:
-            path.unlink()
-            self.stats.bump("corrupt_evictions")
-        except OSError:
-            pass
 
 
 def _stimulus_digest(stimulus_key: Tuple) -> str:
@@ -214,47 +70,25 @@ class SharedCacheTier:
 
     def __init__(self, root: Union[str, Path],
                  max_bytes: int = DEFAULT_MAX_BYTES) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.max_bytes = max_bytes
-        self.stats = TierStats()
-        self._store = PersistentStore(self.root, stats=self.stats)
-        self._flow: Optional[FlowArtifactStore] = None
-        #: serializes eviction scans (reads/writes need no lock: atomic
-        #: replace + corrupt-entry eviction already tolerate races)
-        self._evict_lock = threading.Lock()
-        self._sweep_orphan_tmp()
+        self._store = PersistentStore(root, max_bytes)
+        self.root = self._store.root
+        self.stats = self._store.stats
+        #: place-and-route implementations, under this tier's budget
+        self.flow_store = FlowArtifactStore(self._store)
 
-    def _sweep_orphan_tmp(self) -> int:
-        """Remove ``*.tmp`` files left behind by crashed writers.
-
-        Atomic stores stage through a temp file and ``os.replace``; a
-        writer killed between the two leaves the temp file orphaned
-        forever (it is never read — only ``.pkl`` entries are).  Startup
-        is the safe moment to sweep them: a *live* concurrent writer's
-        temp file exists only for the milliseconds between create and
-        replace, and losing that race merely costs the writer one
-        ``store_failures``-counted retry-less store — never the
-        computation, never a corrupt entry.
-        """
-        removed = 0
-        for path in sorted(self.root.glob("**/*.tmp")):
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            removed += 1
-        if removed:
-            self.stats.bump("orphan_tmp_removed", removed)
-        return removed
-
-    # ------------------------------------------------------------------
     @property
-    def flow_store(self) -> FlowArtifactStore:
-        """The place-and-route artifact store living inside this tier."""
-        if self._flow is None:
-            self._flow = FlowArtifactStore(self.root / FLOW_NAMESPACE)
-        return self._flow
+    def max_bytes(self) -> int:
+        return self._store.max_bytes
+
+    @max_bytes.setter
+    def max_bytes(self, value: int) -> None:
+        self._store.max_bytes = value
+
+    def total_bytes(self) -> int:
+        return self._store.total_bytes()
+
+    def enforce_budget(self) -> int:
+        return self._store.enforce_budget()
 
     # ------------------------------------------------------------------
     def golden_key(self, fingerprint: str, stimulus_key: Tuple) -> str:
@@ -278,7 +112,6 @@ class SharedCacheTier:
             (trace, program))
         if ok:
             self.stats.bump("golden_stores")
-            self.enforce_budget()
         return ok
 
     # ------------------------------------------------------------------
@@ -301,7 +134,6 @@ class SharedCacheTier:
                                defeat_map)
         if ok:
             self.stats.bump("defeat_map_stores")
-            self.enforce_budget()
         return ok
 
     # ------------------------------------------------------------------
@@ -331,7 +163,6 @@ class SharedCacheTier:
                                fault_list)
         if ok:
             self.stats.bump("fault_list_stores")
-            self.enforce_budget()
         return ok
 
     # ------------------------------------------------------------------
@@ -353,54 +184,7 @@ class SharedCacheTier:
         ok = self._store.store(SHARD_NAMESPACE, key, payload)
         if ok:
             self.stats.bump("shard_stores")
-            self.enforce_budget()
         return ok
-
-    # ------------------------------------------------------------------
-    def _entries(self) -> Iterable[Tuple[Path, os.stat_result]]:
-        for path in self.root.glob("**/*.pkl"):
-            try:
-                yield path, path.stat()
-            except OSError:
-                continue
-
-    def total_bytes(self) -> int:
-        return sum(stat.st_size for _path, stat in self._entries())
-
-    def enforce_budget(self) -> int:
-        """Evict least-recently-used entries down to ``max_bytes``.
-
-        Covers every namespace including the flow store (its entries are
-        content-addressed, so deletion is always safe — a later reader
-        simply recomputes).  Returns the number of evicted files.
-        """
-        with self._evict_lock:
-            entries: List[Tuple[float, int, Path]] = [
-                (stat.st_mtime, stat.st_size, path)
-                for path, stat in self._entries()]
-            total = sum(size for _mtime, size, _path in entries)
-            if total <= self.max_bytes:
-                return 0
-            evicted = 0
-            for _mtime, size, path in sorted(entries):
-                if total <= self.max_bytes:
-                    break
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-                total -= size
-                evicted += 1
-                self.stats.bump("lru_evictions")
-                self.stats.bump("bytes_evicted", size)
-            return evicted
-
-    def clear(self) -> None:
-        for path, _stat in list(self._entries()):
-            try:
-                path.unlink()
-            except OSError:
-                pass
 
     def summary(self) -> Dict[str, object]:
         return {
@@ -409,7 +193,6 @@ class SharedCacheTier:
             "total_bytes": self.total_bytes(),
             "hit_rate": round(self.stats.hit_rate(), 4),
             "stats": self.stats.as_dict(),
-            "flow": self.flow_store.stats.as_dict(),
         }
 
 

@@ -153,7 +153,7 @@ class TestSharedCacheTier:
     def test_version_mismatch_evicted_as_miss(self, tmp_path, monkeypatch):
         store = PersistentStore(tmp_path)
         store.store("golden", "key", "payload")
-        monkeypatch.setattr("repro.service.tier.TIER_VERSION",
+        monkeypatch.setattr("repro.pnr.artifacts.TIER_VERSION",
                             TIER_VERSION + "-next")
         assert store.load("golden", "key") is None
         assert not store.path_of("golden", "key").exists()
@@ -184,6 +184,19 @@ class TestSharedCacheTier:
         assert tier.load_defeat_map("fp", "mode2") is not None
         assert tier.stats.lru_evictions >= 1
         assert tier.stats.bytes_evicted > 0
+
+    def test_flow_stores_respect_budget(self, tmp_path,
+                                       tiny_fir_implementation):
+        tier = SharedCacheTier(tmp_path)
+        # Keys sort in write order, so an mtime tie still evicts "aa...".
+        assert tier.flow_store.store("aa" * 32, tiny_fir_implementation)
+        tier.max_bytes = 3 * tier.total_bytes() // 2
+        assert tier.flow_store.store("bb" * 32, tiny_fir_implementation)
+        assert tier.total_bytes() <= tier.max_bytes
+        assert tier.stats.lru_evictions == 1
+        design = tiny_fir_implementation.design
+        assert tier.flow_store.load("aa" * 32, design) is None
+        assert tier.flow_store.load("bb" * 32, design) is not None
 
     def test_load_refreshes_recency(self, tmp_path):
         tier = SharedCacheTier(tmp_path)

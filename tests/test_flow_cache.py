@@ -7,11 +7,18 @@ import pytest
 from repro.fpga import device_by_name
 from repro.pnr import (FlowArtifactStore, Floorplan, TOOL_VERSION,
                        flow_fingerprint, implement)
+from repro.pnr.artifacts import FLOW_NAMESPACE
 
 
 @pytest.fixture()
 def store(tmp_path):
     return FlowArtifactStore(tmp_path / "flow-cache")
+
+
+def _artifact_path(store, definition, device):
+    """Where ``implement(..., anneal_moves_per_slice=2)`` stores its result."""
+    key = flow_fingerprint(definition, device, anneal_moves_per_slice=2)
+    return store.persistent.path_of(FLOW_NAMESPACE, key)
 
 
 def _same_implementation(a, b):
@@ -34,10 +41,10 @@ class TestStoreBasics:
                                          store):
         cold = implement(tiny_fir_flat, small_device,
                          anneal_moves_per_slice=2, artifact_store=store)
-        assert store.stats.misses == 1 and store.stats.stores == 1
+        assert store.stats.flow_misses == 1 and store.stats.flow_stores == 1
         warm = implement(tiny_fir_flat, small_device,
                          anneal_moves_per_slice=2, artifact_store=store)
-        assert store.stats.hits == 1
+        assert store.stats.flow_hits == 1
         _same_implementation(cold, warm)
         # The loaded artifact carries the caller's netlist, not a copy.
         assert warm.design is tiny_fir_flat
@@ -47,13 +54,15 @@ class TestStoreBasics:
         root = tmp_path / "by-path"
         implement(tiny_fir_flat, small_device, anneal_moves_per_slice=2,
                   artifact_store=str(root))
-        assert list(root.glob("*/*.pkl"))
+        key = flow_fingerprint(tiny_fir_flat, small_device,
+                               anneal_moves_per_slice=2)
+        assert (root / "flow" / key[:2] / f"{key}.pkl").exists()
 
     def test_corrupt_entry_recovered(self, tiny_fir_flat, small_device,
                                      store):
         implement(tiny_fir_flat, small_device, anneal_moves_per_slice=2,
                   artifact_store=store)
-        path = next(store.root.glob("*/*.pkl"))
+        path = _artifact_path(store, tiny_fir_flat, small_device)
         path.write_bytes(b"not a pickle at all")
         recovered = implement(tiny_fir_flat, small_device,
                               anneal_moves_per_slice=2,
@@ -61,31 +70,49 @@ class TestStoreBasics:
         assert store.stats.corrupt_evictions == 1
         assert recovered.routing.routes
         # The recompute rewrote a good artifact; the next run hits again.
-        hits_before = store.stats.hits
+        hits_before = store.stats.flow_hits
         implement(tiny_fir_flat, small_device, anneal_moves_per_slice=2,
                   artifact_store=store)
-        assert store.stats.hits == hits_before + 1
+        assert store.stats.flow_hits == hits_before + 1
 
-    def test_stale_tool_version_evicted(self, tiny_fir_flat, small_device,
-                                        store):
+    def test_foreign_envelope_version_evicted(self, tiny_fir_flat,
+                                              small_device, store):
         implement(tiny_fir_flat, small_device, anneal_moves_per_slice=2,
                   artifact_store=store)
-        path = next(store.root.glob("*/*.pkl"))
-        payload = pickle.loads(path.read_bytes())
-        payload["tool_version"] = "flow-0-obsolete"
-        path.write_bytes(pickle.dumps(payload))
-        misses_before = store.stats.misses
+        path = _artifact_path(store, tiny_fir_flat, small_device)
+        envelope = pickle.loads(path.read_bytes())
+        envelope["version"] = "tier-0-obsolete"
+        path.write_bytes(pickle.dumps(envelope))
+        misses_before = store.stats.flow_misses
         implement(tiny_fir_flat, small_device, anneal_moves_per_slice=2,
                   artifact_store=store)
-        assert store.stats.misses == misses_before + 1
+        assert store.stats.flow_misses == misses_before + 1
         assert store.stats.corrupt_evictions == 1
+
+    def test_tool_version_bump_never_serves_stale(self, tiny_fir_flat,
+                                                  small_device, store,
+                                                  monkeypatch):
+        from repro.pnr import artifacts
+
+        implement(tiny_fir_flat, small_device, anneal_moves_per_slice=2,
+                  artifact_store=store)
+        stale = _artifact_path(store, tiny_fir_flat, small_device)
+        monkeypatch.setattr(artifacts, "TOOL_VERSION",
+                            TOOL_VERSION + "-next")
+        assert _artifact_path(store, tiny_fir_flat, small_device) != stale
+        hits_before = store.stats.flow_hits
+        misses_before = store.stats.flow_misses
+        implement(tiny_fir_flat, small_device, anneal_moves_per_slice=2,
+                  artifact_store=store)
+        assert store.stats.flow_hits == hits_before
+        assert store.stats.flow_misses == misses_before + 1
 
     def test_stored_artifact_detaches_netlist(self, tiny_fir_flat,
                                               small_device, store):
         implement(tiny_fir_flat, small_device, anneal_moves_per_slice=2,
                   artifact_store=store)
-        path = next(store.root.glob("*/*.pkl"))
-        payload = pickle.loads(path.read_bytes())
+        path = _artifact_path(store, tiny_fir_flat, small_device)
+        payload = pickle.loads(path.read_bytes())["payload"]
         assert payload["implementation"].design is None
         assert payload["design_name"] == tiny_fir_flat.name
 
@@ -152,7 +179,7 @@ class TestSuiteIntegration:
                                       artifact_store=store)
         warm = implement_design_suite(smoke_suite, designs=designs,
                                       artifact_store=store)
-        assert store.stats.hits == len(designs)
+        assert store.stats.flow_hits == len(designs)
         for name in designs:
             _same_implementation(cold[name], warm[name])
 

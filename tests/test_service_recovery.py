@@ -27,6 +27,7 @@ from repro.faults import clear_cache, run_campaign, CampaignConfig, \
 from repro.fpga.config import clear_layout_cache
 from repro.fpga.routing import clear_routing_graph_cache
 from repro.pipeline import stable_report
+from repro.pnr import implement
 from repro.scenarios import run_scenario, scenario_by_name
 from repro.service import (CampaignService, ChaosConfig, ChaosCrash,
                            JobJournal, JobSpec, JobState, ServiceDraining,
@@ -183,6 +184,40 @@ class TestChaosHarness:
         monkeypatch.delenv(chaos.CHAOS_ENV_VAR)
         assert tier.store_defeat_map("fp", "design", [2])
         assert tier.load_defeat_map("fp", "design") == [2]
+
+    def test_corrupt_flow_artifact_is_evicted_and_recomputed(
+            self, tmp_path, monkeypatch, tiny_fir_flat, small_device):
+        def run():
+            return implement(tiny_fir_flat, small_device,
+                             anneal_moves_per_slice=2,
+                             artifact_store=tier.flow_store)
+
+        monkeypatch.setenv(chaos.CHAOS_ENV_VAR, "corrupt:flow")
+        tier = SharedCacheTier(tmp_path)
+        first = run()
+        assert tier.stats.flow_stores == 1
+        monkeypatch.delenv(chaos.CHAOS_ENV_VAR)
+        recomputed = run()
+        assert tier.stats.corrupt_evictions == 1
+        assert tier.stats.flow_hits == 0 and tier.stats.flow_misses == 2
+        warm = run()
+        assert tier.stats.flow_hits == 1
+        for again in (recomputed, warm):
+            assert bytes(again.bitstream.bits) == bytes(first.bitstream.bits)
+            assert again.routing.pip_owner == first.routing.pip_owner
+            assert again.placement.slice_tiles == first.placement.slice_tiles
+
+    def test_enospc_flow_degrades_store_not_implement(
+            self, tmp_path, monkeypatch, tiny_fir_flat, small_device):
+        monkeypatch.setenv(chaos.CHAOS_ENV_VAR, "enospc:flow")
+        tier = SharedCacheTier(tmp_path)
+        implementation = implement(tiny_fir_flat, small_device,
+                                   anneal_moves_per_slice=2,
+                                   artifact_store=tier.flow_store)
+        assert implementation.routing.routes
+        assert tier.stats.store_failures == 1
+        assert tier.stats.flow_stores == 0
+        assert tier.total_bytes() == 0
 
     def test_crash_after_shards_raises_chaoscrash(self, monkeypatch,
                                                   tmp_path):
