@@ -44,8 +44,12 @@ predicted silent can never produce an output mismatch.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, \
-    Set, Tuple
+from array import array
+from collections import Counter
+from collections.abc import Mapping
+from itertools import compress
+from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, \
+    Optional, Sequence, Set, Tuple
 
 try:
     import numpy as _np
@@ -96,29 +100,104 @@ class BitPrediction:
         return self.classification == DEFEAT
 
 
-@dataclasses.dataclass
-class DefeatMap:
-    """Per-design static defeat map: one prediction per fault-list bit."""
+class Verdict(NamedTuple):
+    """Everything a :class:`BitPrediction` says except its bit and detail."""
 
-    design: str
-    mode: str
-    predictions: Dict[int, BitPrediction]
+    resource_kind: str
+    category: str
+    classification: str
+    has_effect: bool
+    domains: Tuple[int, ...]
+    barriers: Tuple[str, ...]
+    reaches_output: bool
+
+
+class DefeatMap:
+    """Per-design static defeat map: one prediction per fault-list bit.
+
+    A map holds tens of thousands of bits but far fewer distinct verdicts,
+    so it is stored as columns: ``bits`` (fault-list order, each
+    bit once), ``rows`` (each bit's index into the interned ``verdicts``
+    table) and ``details`` (each bit's detail string).  Aggregates tally
+    ``rows``; :attr:`predictions` is a read-only mapping that builds a
+    :class:`BitPrediction` per lookup.
+    """
+
+    def __init__(self, design: str, mode: str) -> None:
+        self.design = design
+        self.mode = mode
+        self.bits = array("q")
+        self.rows = array("i")
+        self.details: List[str] = []
+        self.verdicts: List[Verdict] = []
+        self._ids: Dict[Verdict, int] = {}
+        # Lookup caches, rebuilt whenever the columns have grown.
+        self._index: Dict[int, int] = {}
+        self._tallied: Tuple[int, List[Tuple[Verdict, int]]] = (0, [])
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The interning dict and lookup caches are rebuilt, never pickled.
+        return {key: value for key, value in vars(self).items()
+                if not key.startswith("_")}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        vars(self).update(state)
+        self._ids = {verdict: row for row, verdict in enumerate(self.verdicts)}
+        self._index, self._tallied = {}, (0, [])
+
+    def verdict_id(self, verdict: Verdict) -> int:
+        """Row of *verdict* in the interned table (appended when new)."""
+        row = self._ids.get(verdict)
+        if row is None:
+            row = self._ids[verdict] = len(self.verdicts)
+            self.verdicts.append(verdict)
+        return row
+
+    def add(self, bit: int, row: int, detail: str) -> None:
+        self.bits.append(bit)
+        self.rows.append(row)
+        self.details.append(detail)
+
+    def add_prediction(self, prediction: BitPrediction) -> None:
+        self.add(prediction.bit, self.verdict_id(Verdict._make(
+            getattr(prediction, field) for field in Verdict._fields)),
+            prediction.detail)
+
+    @property
+    def predictions(self) -> Mapping[int, BitPrediction]:
+        return _PredictionView(self)
 
     def __len__(self) -> int:
-        return len(self.predictions)
+        return len(self.bits)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DefeatMap):
+            return NotImplemented
+        return (self.design, self.mode) == (other.design, other.mode) and \
+            self.predictions == other.predictions
+
+    def _position(self, bit: int) -> Optional[int]:
+        index = self._index
+        if len(index) != len(self.bits):
+            index = self._index = dict(zip(self.bits, range(len(self.bits))))
+        return index.get(bit)
 
     def classification_of(self, bit: int) -> Optional[str]:
-        prediction = self.predictions.get(bit)
-        return prediction.classification if prediction is not None else None
+        position = self._position(bit)
+        return None if position is None \
+            else self.verdicts[self.rows[position]].classification
 
     def is_silent(self, bit: int) -> bool:
         """True only for bits *proved* silent (unknown bits are not)."""
-        prediction = self.predictions.get(bit)
-        return prediction is not None and prediction.is_silent
+        return self.classification_of(bit) == SILENT
+
+    def _bits_where(self, wanted: Callable[[Verdict], bool]) -> List[int]:
+        flags = [wanted(verdict) for verdict in self.verdicts]
+        return sorted(compress(self.bits, map(flags.__getitem__, self.rows)))
 
     def bits_of_class(self, classification: str) -> List[int]:
-        return sorted(bit for bit, prediction in self.predictions.items()
-                      if prediction.classification == classification)
+        return self._bits_where(
+            lambda verdict: verdict.classification == classification)
 
     def silent_bits(self) -> FrozenSet[int]:
         return frozenset(self.bits_of_class(SILENT))
@@ -126,16 +205,23 @@ class DefeatMap:
     def defeat_capable_bits(self) -> FrozenSet[int]:
         return frozenset(self.bits_of_class(DEFEAT))
 
+    def _tally(self) -> List[Tuple[Verdict, int]]:
+        """``(verdict, bits)`` pairs, in order of each verdict's first bit."""
+        if self._tallied[0] != len(self.rows):
+            self._tallied = (len(self.rows), [
+                (self.verdicts[row], count)
+                for row, count in Counter(self.rows).items()])
+        return self._tallied[1]
+
     def counts(self) -> Dict[str, int]:
         counts = {classification: 0 for classification in CLASSIFICATIONS}
-        for prediction in self.predictions.values():
-            counts[prediction.classification] += 1
+        for verdict, count in self._tally():
+            counts[verdict.classification] += count
         return counts
 
     def cross_domain_bits(self) -> List[int]:
         """Bits whose effect can corrupt two or more redundant domains."""
-        return sorted(bit for bit, prediction in self.predictions.items()
-                      if len(prediction.domains) >= 2)
+        return self._bits_where(lambda verdict: len(verdict.domains) >= 2)
 
     def defeat_probability(self) -> float:
         """Fraction of domain-crossing upsets predicted to defeat the TMR.
@@ -146,54 +232,57 @@ class DefeatMap:
         redundant domains at once, the share whose corruptions meet at a
         common voter barrier (or escape voting entirely).
         """
-        crossing = self.cross_domain_bits()
-        if not crossing:
-            return 0.0
-        defeats = sum(
-            1 for bit in crossing
-            if self.predictions[bit].classification == DEFEAT)
-        return defeats / len(crossing)
+        crossing = defeats = 0
+        for verdict, count in self._tally():
+            if len(verdict.domains) >= 2:
+                crossing += count
+                if verdict.classification == DEFEAT:
+                    defeats += count
+        return defeats / crossing if crossing else 0.0
 
     def summary(self) -> Dict[str, object]:
         """JSON-serializable digest for reports and the analyze stage."""
         by_category: Dict[str, Dict[str, int]] = {}
-        for prediction in self.predictions.values():
+        for verdict, count in self._tally():
             bucket = by_category.setdefault(
-                prediction.category,
+                verdict.category,
                 {classification: 0 for classification in CLASSIFICATIONS})
-            bucket[prediction.classification] += 1
+            bucket[verdict.classification] += count
         return {
             "design": self.design,
             "fault_list_mode": self.mode,
-            "bits": len(self.predictions),
+            "bits": len(self),
             "classes": self.counts(),
             "by_category": by_category,
-            "cross_domain_bits": len(self.cross_domain_bits()),
+            "cross_domain_bits": sum(
+                count for verdict, count in self._tally()
+                if len(verdict.domains) >= 2),
             "layout_defeat_probability": round(self.defeat_probability(), 5),
         }
 
 
-def _fast_prediction(bit: int, resource_kind: str, category: str,
-                     classification: str, has_effect: bool, detail: str,
-                     domains: Tuple[int, ...] = (),
-                     barriers: Tuple[str, ...] = (),
-                     reaches_output: bool = False) -> BitPrediction:
-    """Construct a :class:`BitPrediction` without the frozen-dataclass
-    ``object.__setattr__``-per-field cost.
+class _PredictionView(Mapping):
+    """Read-only ``bit -> BitPrediction`` view of a :class:`DefeatMap`."""
 
-    The bulk classifier builds one prediction per fault-list bit — tens
-    of thousands per design — and the nine guarded field assignments of
-    the generated ``__init__`` dominate that loop.  Field-by-field this
-    is exactly the ordinary constructor (``__eq__``/pickle read the same
-    instance ``__dict__``).
-    """
-    prediction = object.__new__(BitPrediction)
-    prediction.__dict__.update(
-        bit=bit, resource_kind=resource_kind, category=category,
-        classification=classification, has_effect=has_effect,
-        detail=detail, domains=domains, barriers=barriers,
-        reaches_output=reaches_output)
-    return prediction
+    __slots__ = ("_map",)
+
+    def __init__(self, defeat_map: DefeatMap) -> None:
+        self._map = defeat_map
+
+    def __getitem__(self, bit: int) -> BitPrediction:
+        defeat_map = self._map
+        position = defeat_map._position(bit)
+        if position is None:
+            raise KeyError(bit)
+        return BitPrediction(
+            bit=bit, detail=defeat_map.details[position],
+            **defeat_map.verdicts[defeat_map.rows[position]]._asdict())
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._map.bits)
+
+    def __len__(self) -> int:
+        return len(self._map.bits)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -668,19 +757,20 @@ class LayoutAnalyzer:
         self._sink_sig_memo[key] = signature
         return signature
 
-    def _bulk_predictions(self, bits: Sequence[int]
-                          ) -> Dict[int, BitPrediction]:
+    def _bulk_predictions(self, bits: Sequence[int],
+                          defeat_map: DefeatMap) -> None:
         """Classify a fault list without materializing per-bit overlays.
 
         Mirrors the buckets of :class:`~repro.faults.models.FaultModeler`
         bit for bit — same categories, same detail strings, same
         silent/has-effect decisions — but resolves each bucket with
         dictionary lookups and the memoized sink signatures instead of
-        building a :class:`FaultEffect`.  Slice-configuration bits (a
-        small minority with the most intricate modeling) still go
-        through the reference per-bit path.  The equivalence suite
-        asserts prediction-for-prediction equality against that path on
-        every design.
+        building a :class:`FaultEffect`, and appends each bit's verdict
+        row and detail to *defeat_map* without building a prediction.
+        Slice-configuration bits (a small minority with the most
+        intricate modeling) still go through the reference per-bit path.
+        The equivalence suite asserts prediction-for-prediction equality
+        against that path on every design.
         """
         implementation = self.implementation
         resources = implementation.resources
@@ -691,7 +781,6 @@ class LayoutAnalyzer:
         gate_index_of = self.compiled.gate_index_by_name.get
         gates = self.compiled.gates
         lut_sites: Dict[Tuple[int, int, str], object] = {}
-        predictions: Dict[int, BitPrediction] = {}
         layout = implementation.layout
         resource_of = layout.resource_of
         resource_memo_get = layout._resource_by_bit.get
@@ -705,61 +794,33 @@ class LayoutAnalyzer:
         union_memo_get = self._union_memo.get
         lut_site_at = resources.lut_site_at
         slot_of_pin = _LUT_PIN_TO_SLOT.get
-        fast = _fast_prediction
-        new = object.__new__
-        cls = BitPrediction
+        add = defeat_map.add
         KIND_PIP_, KIND_LUT_BIT_ = KIND_PIP, KIND_LUT_BIT
         OPEN, CONFLICT, BRIDGE = categories.OPEN, categories.CONFLICT, \
             categories.BRIDGE
         ANTENNA, OTHERS, LUT = categories.INPUT_ANTENNA, categories.OTHERS, \
             categories.LUT
 
-        def template(category: str, detail: str = "",
-                     kind: str = KIND_PIP) -> Dict[str, object]:
-            # Prebuilt __dict__ of a constant silent prediction; per bit
-            # the loop copies it and patches the bit address (and, for
-            # the per-bit-detail buckets, the detail string) in.
-            return {"bit": -1, "resource_kind": kind,
-                    "category": category, "classification": SILENT,
-                    "has_effect": False, "detail": detail, "domains": (),
-                    "barriers": (), "reaches_output": False}
+        # Verdict rows per (kind, category, union verdict).  Union
+        # verdicts are interned in the union memo, so object identity is
+        # a valid (and hash-free) key; NO_EFFECT stands for the upsets
+        # that leave the design untouched.
+        NO_EFFECT = (SILENT, (), (), False)
+        row_ids: Dict[Tuple[str, str, int], int] = {}
 
-        silent_open = template(OPEN)
-        silent_conflict = template(CONFLICT)
-        silent_bridge = template(BRIDGE)
-        # Prebuilt __dict__ per distinct verdict, one table per bucket —
-        # upsets with the same verdict share everything except bit and
-        # detail.  Verdict tuples are interned in the union memo, so
-        # object identity is a valid (and hash-free) key.
-        open_tmpls: Dict[int, Dict[str, object]] = {}
-        conflict_tmpls: Dict[int, Dict[str, object]] = {}
-        bridge_tmpls: Dict[int, Dict[str, object]] = {}
-        antenna_tmpls: Dict[int, Dict[str, object]] = {}
-        lut_tmpls: Dict[int, Dict[str, object]] = {}
+        def row_of(kind: str, category: str,
+                   verdict: Tuple = NO_EFFECT) -> int:
+            key = (kind, category, id(verdict))
+            row = row_ids.get(key)
+            if row is None:
+                row = row_ids[key] = defeat_map.verdict_id(Verdict(
+                    kind, category, verdict[0], verdict is not NO_EFFECT,
+                    *verdict[1:]))
+            return row
 
-        def verdict_template(table: Dict[int, Dict[str, object]],
-                             kind: str, category: str,
-                             verdict: Tuple) -> Dict[str, object]:
-            prebuilt = {"bit": -1, "resource_kind": kind,
-                        "category": category,
-                        "classification": verdict[0],
-                        "has_effect": True, "detail": "",
-                        "domains": verdict[1], "barriers": verdict[2],
-                        "reaches_output": verdict[3]}
-            table[id(verdict)] = prebuilt
-            return prebuilt
-
-        floating_bridge = template(
-            BRIDGE,
-            "used signal bridged to floating wire (no logical effect)")
-        both_unused = template(OTHERS, "both ends unused")
-        stray_wire = template(ANTENNA, "stray drive of an unused wire")
-        stray_control = template(ANTENNA,
-                                 "stray drive of an unused control pin")
-        stray_input = template(ANTENNA, "stray drive of an unused LUT input")
         # Bridge bits into one destination node differ only in the
-        # intruding net's name: the verdict tail is shared.
-        bridge_tails: Dict[object, Tuple] = {}
+        # intruding net's name: the verdict row is shared.
+        bridge_tails: Dict[object, Tuple[int, int]] = {}
 
         for bit in bits:
             resource = resource_memo_get(bit) or resource_of(bit)
@@ -771,30 +832,16 @@ class LayoutAnalyzer:
                 if used_net is not None:
                     # Open: every sink through the destination floats.
                     if used_net not in routes:
-                        predictions[bit] = fast(
-                            bit, kind, OPEN, SILENT, False,
-                            "route tree missing")
+                        add(bit, row_of(kind, OPEN), "route tree missing")
                         continue
                     sig = sig_memo_get((used_net, destination)) or \
                         sink_signature(used_net, destination)
                     detail = f"{sig[1]} sink(s) of {used_net} float"
                     if not sig[2]:
-                        prediction = new(cls)
-                        contents = prediction.__dict__
-                        contents.update(silent_open)
-                        contents["bit"] = bit
-                        contents["detail"] = detail
-                        predictions[bit] = prediction
+                        add(bit, row_of(kind, OPEN), detail)
                         continue
                     verdict = union_memo_get(sig[0]) or union_verdict(sig[0])
-                    tmpl = open_tmpls.get(id(verdict)) or verdict_template(
-                        open_tmpls, kind, OPEN, verdict)
-                    prediction = new(cls)
-                    contents = prediction.__dict__
-                    contents.update(tmpl)
-                    contents["bit"] = bit
-                    contents["detail"] = detail
-                    predictions[bit] = prediction
+                    add(bit, row_of(kind, OPEN, verdict), detail)
                     continue
                 source_net = node_owner_get(source)
                 dest_net = node_owner_get(destination)
@@ -802,7 +849,6 @@ class LayoutAnalyzer:
                         source_net != dest_net:
                     if destination[0] == "wire":
                         # Conflict: both nets' downstream sinks see it.
-                        category = CONFLICT
                         dsig = None if dest_net not in routes else \
                             sink_signature(dest_net, destination)
                         ssig = None
@@ -820,20 +866,12 @@ class LayoutAnalyzer:
                         num_sinks = sig[1] if sig is not None else 0
                         detail = (f"{num_sinks} sink(s) see the short of "
                                   f"{source_net} and {dest_net}")
-                        prediction = new(cls)
-                        contents = prediction.__dict__
                         if sig is None or not sig[2]:
-                            contents.update(silent_conflict)
+                            add(bit, row_of(kind, CONFLICT), detail)
                         else:
                             verdict = union_memo_get(sig[0]) or \
                                 union_verdict(sig[0])
-                            contents.update(
-                                conflict_tmpls.get(id(verdict))
-                                or verdict_template(conflict_tmpls, kind,
-                                                    category, verdict))
-                        contents["bit"] = bit
-                        contents["detail"] = detail
-                        predictions[bit] = prediction
+                            add(bit, row_of(kind, CONFLICT, verdict), detail)
                         continue
                     # Bridge: only the invaded input's net suffers; the
                     # verdict tail is per destination, not per source.
@@ -842,58 +880,35 @@ class LayoutAnalyzer:
                         dsig = None if dest_net not in routes else \
                             sink_signature(dest_net, destination)
                         if dsig is None or not dsig[2]:
-                            tail = (False, dsig[1] if dsig else 0, None)
+                            tail = (dsig[1] if dsig else 0,
+                                    row_of(kind, BRIDGE))
                         else:
-                            tail = (True, dsig[1], union_memo_get(dsig[0])
-                                    or union_verdict(dsig[0]))
+                            tail = (dsig[1], row_of(
+                                kind, BRIDGE, union_memo_get(dsig[0])
+                                or union_verdict(dsig[0])))
                         bridge_tails[destination] = tail
-                    has_effect, num_sinks, verdict = tail
-                    detail = (f"{num_sinks} sink(s) of {dest_net} "
-                              f"shorted with {source_net}")
-                    prediction = new(cls)
-                    contents = prediction.__dict__
-                    if not has_effect:
-                        contents.update(silent_bridge)
-                    else:
-                        contents.update(
-                            bridge_tmpls.get(id(verdict))
-                            or verdict_template(bridge_tmpls, kind,
-                                                BRIDGE, verdict))
-                    contents["bit"] = bit
-                    contents["detail"] = detail
-                    predictions[bit] = prediction
+                    num_sinks, row = tail
+                    add(bit, row, f"{num_sinks} sink(s) of {dest_net} "
+                                  f"shorted with {source_net}")
                     continue
                 if dest_net is not None and source_net is None:
-                    prediction = new(cls)
-                    contents = prediction.__dict__
-                    contents.update(floating_bridge)
-                    contents["bit"] = bit
-                    predictions[bit] = prediction
+                    add(bit, row_of(kind, BRIDGE), "used signal bridged to "
+                        "floating wire (no logical effect)")
                     continue
                 if source_net is None or dest_net is not None:
                     # Both ends unused — or both owned by the same net.
-                    prediction = new(cls)
-                    contents = prediction.__dict__
-                    contents.update(both_unused)
-                    contents["bit"] = bit
-                    predictions[bit] = prediction
+                    add(bit, row_of(kind, OTHERS), "both ends unused")
                     continue
                 # Antenna: a driven signal onto an unused node.
                 if destination[0] != "ipin":
-                    prediction = new(cls)
-                    contents = prediction.__dict__
-                    contents.update(stray_wire)
-                    contents["bit"] = bit
-                    predictions[bit] = prediction
+                    add(bit, row_of(kind, ANTENNA),
+                        "stray drive of an unused wire")
                     continue
                 _, x, y, pin = destination
                 slot_info = slot_of_pin(pin)
                 if slot_info is None:
-                    prediction = new(cls)
-                    contents = prediction.__dict__
-                    contents.update(stray_control)
-                    contents["bit"] = bit
-                    predictions[bit] = prediction
+                    add(bit, row_of(kind, ANTENNA),
+                        "stray drive of an unused control pin")
                     continue
                 slot, position = slot_info
                 site_key = (x, y, slot)
@@ -901,30 +916,19 @@ class LayoutAnalyzer:
                     lut_sites[site_key] = lut_site_at(x, y, slot)
                 site = lut_sites[site_key]
                 if site is None or position < site.logical_inputs:
-                    prediction = new(cls)
-                    contents = prediction.__dict__
-                    contents.update(stray_input)
-                    contents["bit"] = bit
-                    predictions[bit] = prediction
+                    add(bit, row_of(kind, ANTENNA),
+                        "stray drive of an unused LUT input")
                     continue
                 gate_index = gate_index_of(site.cell)
                 if gate_index is None:
-                    predictions[bit] = fast(
-                        bit, kind, ANTENNA, SILENT, False,
+                    add(bit, row_of(kind, ANTENNA),
                         "cell not in compiled design")
                     continue
                 output_net = gates[gate_index].output_net
                 union = rows[output_net] if output_net >= 0 else 0
                 verdict = union_memo_get(union) or union_verdict(union)
-                prediction = new(cls)
-                contents = prediction.__dict__
-                contents.update(antenna_tmpls.get(id(verdict))
-                                or verdict_template(antenna_tmpls, kind,
-                                                    ANTENNA, verdict))
-                contents["bit"] = bit
-                contents["detail"] = \
-                    f"unused input of {site.cell} driven by {source_net}"
-                predictions[bit] = prediction
+                add(bit, row_of(kind, ANTENNA, verdict),
+                    f"unused input of {site.cell} driven by {source_net}")
                 continue
             if kind == KIND_LUT_BIT_:
                 _, x, y, slot, table_bit = resource
@@ -933,36 +937,24 @@ class LayoutAnalyzer:
                     lut_sites[site_key] = lut_site_at(x, y, slot)
                 site = lut_sites[site_key]
                 if site is None:
-                    predictions[bit] = fast(
-                        bit, kind, LUT, SILENT, False, "unused LUT site")
+                    add(bit, row_of(kind, LUT), "unused LUT site")
                     continue
                 if table_bit >= (1 << site.logical_inputs):
-                    predictions[bit] = fast(
-                        bit, kind, LUT, SILENT, False,
+                    add(bit, row_of(kind, LUT),
                         "upset in unused truth-table region")
                     continue
                 gate_index = gate_index_of(site.cell)
                 if gate_index is None:
-                    predictions[bit] = fast(
-                        bit, kind, LUT, SILENT, False,
-                        "cell not in compiled design")
+                    add(bit, row_of(kind, LUT), "cell not in compiled design")
                     continue
                 output_net = gates[gate_index].output_net
                 union = rows[output_net] if output_net >= 0 else 0
                 verdict = union_memo_get(union) or union_verdict(union)
-                prediction = new(cls)
-                contents = prediction.__dict__
-                contents.update(lut_tmpls.get(id(verdict))
-                                or verdict_template(lut_tmpls, kind,
-                                                    LUT, verdict))
-                contents["bit"] = bit
-                contents["detail"] = \
-                    f"minterm {table_bit} of {site.cell} flipped"
-                predictions[bit] = prediction
+                add(bit, row_of(kind, LUT, verdict),
+                    f"minterm {table_bit} of {site.cell} flipped")
                 continue
             # Slice configuration bits: reference per-bit path.
-            predictions[bit] = self.classify_bit(bit)
-        return predictions
+            defeat_map.add_prediction(self.classify_bit(bit))
 
     # ------------------------------------------------------------------
     def build_map(self, fault_list: Optional[FaultList] = None,
@@ -970,13 +962,14 @@ class LayoutAnalyzer:
         """Classify every bit of *fault_list* (built on demand)."""
         if fault_list is None:
             fault_list = FaultListManager(self.implementation).build(mode)
+        defeat_map = DefeatMap(self.implementation.design.name,
+                               fault_list.mode)
         if self._vectorized:
-            predictions = self._bulk_predictions(fault_list.bits)
+            self._bulk_predictions(fault_list.bits, defeat_map)
         else:
-            predictions = {bit: self.classify_bit(bit)
-                           for bit in fault_list.bits}
-        return DefeatMap(design=self.implementation.design.name,
-                         mode=fault_list.mode, predictions=predictions)
+            for bit in fault_list.bits:
+                defeat_map.add_prediction(self.classify_bit(bit))
+        return defeat_map
 
 
 def _barrier_key(instance) -> str:

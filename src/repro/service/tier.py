@@ -116,7 +116,9 @@ class SharedCacheTier:
 
     # ------------------------------------------------------------------
     def defeat_map_key(self, fingerprint: str, mode: str) -> str:
-        return f"{fingerprint}-{mode}"
+        # "cols1" names the columnar DefeatMap layout: maps pickled in an
+        # older layout sit under other keys and read as plain misses.
+        return f"{fingerprint}-{mode}-cols1"
 
     def load_defeat_map(self, fingerprint: str, mode: str):
         payload = self._store.load(DEFEAT_MAP_NAMESPACE,

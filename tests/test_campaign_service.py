@@ -12,15 +12,17 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import pickle
 import threading
 import time
 
 import pytest
 
 from repro import pipeline
+from repro.analysis.layout import DefeatMap, LayoutAnalyzer, defeat_map_for
 from repro.faults import (CampaignConfig, CampaignWorkerError,
                           ShardedBackend, clear_cache, derive_seed,
-                          run_campaign, split_shards, substream)
+                          get_cache, run_campaign, split_shards, substream)
 from repro.faults.fault_list import FaultList
 from repro.pipeline import stable_report
 from repro.scenarios import run_scenario, scenario_by_name
@@ -29,7 +31,8 @@ from repro.service import (CampaignService, JobQueue, JobSpec, JobState,
                            deactivate_tier, job_fingerprint)
 from repro.service.httpd import (fetch_job, fetch_report, fetch_stats,
                                  make_server, submit_job, wait_for_job)
-from repro.service.tier import TIER_VERSION, PersistentStore
+from repro.service.tier import (DEFEAT_MAP_NAMESPACE, TIER_VERSION,
+                                PersistentStore)
 
 
 @pytest.fixture(autouse=True)
@@ -263,6 +266,40 @@ class TestTierReadThrough:
                              backend="serial")
         assert fresh.wrong_answers == first.wrong_answers
         assert fresh.effect_table() == first.effect_table()
+
+    def test_defeat_map_round_trips(self, tmp_path, tiny_fir_implementation):
+        built = LayoutAnalyzer(tiny_fir_implementation).build_map()
+        tier = SharedCacheTier(tmp_path)
+        assert tier.store_defeat_map("fp", built.mode, built)
+        loaded = tier.load_defeat_map("fp", built.mode)
+        size = len(pickle.dumps(built, pickle.HIGHEST_PROTOCOL))
+        message = (f"{size} pickled bytes for {len(built)} bits "
+                   f"({size / len(built):.1f} bytes per bit)")
+        assert loaded is not built, message
+        assert loaded.predictions == built.predictions, message
+        assert loaded.summary() == built.summary(), message
+
+    def test_stale_defeat_map_entry_is_a_miss(self, tmp_path,
+                                             tiny_fir_implementation):
+        """A map pickled before the columnar layout (a dict of
+        predictions) must never be served: its key is a plain miss."""
+        fresh = LayoutAnalyzer(tiny_fir_implementation).build_map()
+        stale = object.__new__(DefeatMap)
+        vars(stale).update(design=fresh.design, mode=fresh.mode,
+                           predictions=dict(fresh.predictions))
+        tier = SharedCacheTier(tmp_path)
+        clear_cache()
+        fingerprint = get_cache().entry_for(
+            tiny_fir_implementation).fingerprint
+        assert tier._store.store(DEFEAT_MAP_NAMESPACE,
+                                 f"{fingerprint}-{fresh.mode}", stale)
+        activate_tier(tier)
+        served = defeat_map_for(tiny_fir_implementation, mode=fresh.mode)
+        assert tier.stats.defeat_map_misses == 1
+        assert tier.stats.defeat_map_hits == 0
+        assert len(served.bits) == len(fresh)
+        assert served == fresh
+        clear_cache()
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ Covers the PR's acceptance properties:
   and under the multi-bit upset models.
 """
 
+import gc
 import random
 
 import pytest
@@ -217,6 +218,54 @@ class TestVectorizedAnalyzer:
         assert vectorized.counts() == flood.counts()
         for cls in (SILENT, CORRECTABLE, DEFEAT):
             assert vectorized.counts()[cls] == flood.counts()[cls]
+        for defeat_map in (flood, vectorized):
+            self._assert_aggregates_match_predictions(defeat_map)
+
+    @staticmethod
+    def _assert_aggregates_match_predictions(defeat_map):
+        """The column tallies equal the per-prediction definitions."""
+        predictions = dict(defeat_map.predictions)
+        assert predictions == defeat_map.predictions == predictions
+        assert len(predictions) == len(defeat_map.predictions)
+        counts = {cls: 0 for cls in (SILENT, CORRECTABLE, DEFEAT)}
+        by_category = {}
+        for prediction in predictions.values():
+            counts[prediction.classification] += 1
+            bucket = by_category.setdefault(
+                prediction.category,
+                {cls: 0 for cls in (SILENT, CORRECTABLE, DEFEAT)})
+            bucket[prediction.classification] += 1
+        crossing = sorted(bit for bit, prediction in predictions.items()
+                          if len(prediction.domains) >= 2)
+        defeats = sum(1 for bit in crossing
+                      if predictions[bit].classification == DEFEAT)
+        probability = defeats / len(crossing) if crossing else 0.0
+        assert defeat_map.counts() == counts
+        assert defeat_map.cross_domain_bits() == crossing
+        assert defeat_map.defeat_probability() == probability
+        for cls in (SILENT, CORRECTABLE, DEFEAT):
+            assert defeat_map.bits_of_class(cls) == sorted(
+                bit for bit, prediction in predictions.items()
+                if prediction.classification == cls)
+        summary = defeat_map.summary()
+        assert summary == {
+            "design": defeat_map.design,
+            "fault_list_mode": defeat_map.mode,
+            "bits": len(predictions),
+            "classes": counts,
+            "by_category": by_category,
+            "cross_domain_bits": len(crossing),
+            "layout_defeat_probability": round(probability, 5),
+        }
+        # Report key order follows the first bit of each category.
+        assert list(summary["by_category"]) == list(by_category)
+        absent = max(predictions) + 1
+        assert defeat_map.is_silent(absent) is False
+        assert defeat_map.classification_of(absent) is None
+        for bit, prediction in list(predictions.items())[:500]:
+            assert defeat_map.is_silent(bit) == prediction.is_silent
+            assert defeat_map.classification_of(bit) == \
+                prediction.classification
 
     def test_tmr_map_matches_flood(self, tiny_tmr_implementation):
         self._assert_equivalent(tiny_tmr_implementation)
@@ -248,6 +297,37 @@ class TestVectorizedAnalyzer:
         # instead of failing, keeping the numpy-less environment green.
         forced = LayoutAnalyzer(tiny_tmr_implementation, vectorize=True)
         assert forced._vectorized == (_np is not None)
+
+
+class TestColumnarMap:
+    def test_build_keeps_no_per_bit_objects(self, tiny_tmr_implementation):
+        """Timing-free work counter: a map holds columns, not one
+        garbage-collected object per bit, so building one grows the
+        tracked heap by far fewer objects than it has bits."""
+        fault_list = FaultListManager(tiny_tmr_implementation).build()
+        # Warm the implementation's own lazily built layout tables.
+        LayoutAnalyzer(tiny_tmr_implementation).build_map(fault_list)
+        gc.collect()
+        before = len(gc.get_objects())
+        analyzer = LayoutAnalyzer(tiny_tmr_implementation)
+        defeat_map = analyzer.build_map(fault_list)
+        del analyzer
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        assert grown < 0.1 * len(defeat_map), \
+            f"{grown} tracked objects for {len(defeat_map)} bits"
+
+    def test_predictions_view_is_read_only(self, tmr_defeat_map):
+        from collections.abc import Mapping
+
+        predictions = tmr_defeat_map.predictions
+        assert isinstance(predictions, Mapping)
+        assert len(predictions) == len(tmr_defeat_map)
+        bit = next(iter(predictions))
+        assert bit in predictions and predictions[bit].bit == bit
+        assert max(predictions) + 1 not in predictions
+        with pytest.raises(TypeError):
+            predictions[bit] = predictions[bit]
 
 
 class TestStaticPrefilter:
