@@ -21,9 +21,7 @@ bit-identical aggregates for the same seed.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import gc
 import hashlib
 import time
 from typing import Dict, List, Optional, Sequence
@@ -238,30 +236,6 @@ def default_stimulus(implementation: Implementation,
     return stimulus_from_samples(samples, base_port)
 
 
-@contextlib.contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector for one campaign.
-
-    A saturating campaign allocates a task, a verdict and a result record
-    per injection (millions of them), all kept alive until it returns and
-    none of them cyclic.  With the collector running, every few hundred
-    allocations it re-traverses that growing population, plus every
-    live object of the host process; that cost roughly a third of a
-    10^6-injection numpy campaign.  Reference counting still frees all
-    acyclic garbage meanwhile.  The collector is re-enabled on exit only
-    if it was enabled on entry, so nested or concurrent campaigns leave
-    it as they found it.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-@_collector_paused()
 def run_campaign(implementation: Implementation,
                  config: Optional[CampaignConfig] = None,
                  compiled: Optional[CompiledDesign] = None,

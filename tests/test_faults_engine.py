@@ -5,7 +5,6 @@ bit-identical campaign aggregates (wrong-answer percentages, Table 4
 category counts, per-fault records) for the same sampled fault list.
 """
 
-import gc
 import pickle
 import random
 
@@ -228,32 +227,6 @@ class TestEngineApi:
         results = run_campaigns({"only": implementation}, CONFIG,
                                 backend="vector")
         assert results["only"].backend == "vector"
-
-    def test_campaign_restores_collector_state(self, implementation,
-                                               serial_reference):
-        seen = []
-
-        def progress(done, total):
-            seen.append(gc.isenabled())
-
-        assert gc.isenabled()
-        result = run_campaign(implementation, CONFIG, progress=progress)
-        assert seen and not any(seen)
-        assert gc.isenabled()
-        assert result.results == serial_reference.results
-
-        gc.disable()
-        try:
-            run_campaign(implementation, CONFIG)
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
-
-        # An exception out of the campaign still re-enables the collector.
-        with pytest.raises(ValueError):
-            run_campaign(implementation,
-                         CampaignConfig(num_faults=4, prefilter="bogus"))
-        assert gc.isenabled()
 
     def test_campaign_tradeoff_runs_through_engine(self, implementation):
         from repro.analysis import campaign_tradeoff
