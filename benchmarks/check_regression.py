@@ -5,9 +5,10 @@ committed at the repository root and fails (exit code 1) when a
 normalized speedup regresses by more than the tolerance:
 
 * ``BENCH_campaign.json`` — the best campaign backend's
-  ``speedup_vs_seed_serial`` per design, plus — when the numpy backend
-  was measured — its saturated-draw throughput speedup per design
-  (ratio-compared against the baseline) and two *absolute* floors: the
+  ``speedup_vs_seed_serial`` per design, plus the numpy backend's
+  saturated-draw throughput speedup per design (ratio-compared against
+  the baseline; every design must carry a ``numpy`` backend row and a
+  ``numpy_saturated`` row) and two *absolute* floors: the
   best design's saturated speedup must clear ``--numpy-min-speedup``
   (default 60x) and every numpy row's mean lane utilization must clear
   ``--numpy-utilization-floor`` (default 0.6);
@@ -79,9 +80,8 @@ def best_speedups(payload: dict) -> dict:
 def numpy_saturated_speedups(payload: dict) -> dict:
     """{design: numpy saturated-draw throughput speedup}.
 
-    Empty for reports written before the numpy backend existed (or
-    measured on a machine without numpy), which keeps the ratio
-    comparison a no-op against old baselines.
+    Empty for reports written before the numpy backend existed, which
+    keeps the ratio comparison a no-op against old baselines.
     """
     result = {}
     for design, row in payload.get("designs", {}).items():
@@ -172,9 +172,17 @@ def check(baseline: dict, current: dict, tolerance: float,
                   if base_draws.get(design) == cur_draws.get(design)}
     problems.extend(_compare("campaign numpy-saturated", comparable,
                              numpy_saturated_speedups(current), tolerance))
-    # Absolute floors on the current report (skipped entirely when the
-    # numpy backend was not measured, e.g. numpy-less environments).
+    # numpy is a required dependency, so a current report without its
+    # rows means the measurement was lost, not skipped.
     saturated = numpy_saturated_speedups(current)
+    for design, row in sorted(current.get("designs", {}).items()):
+        if "numpy" not in row.get("backends", {}):
+            problems.append(f"campaign numpy {design}: backend row "
+                            f"missing from the current report")
+        if design not in saturated:
+            problems.append(f"campaign numpy-saturated {design}: "
+                            f"missing from the current report")
+    # Absolute floors on the current report.
     if saturated and max(saturated.values()) < numpy_min_speedup:
         problems.append(
             f"campaign numpy-saturated: best throughput speedup "
@@ -194,12 +202,9 @@ def flow_map_in_run_speedups(payload: dict) -> dict:
 
     A same-machine ratio (both paths measured in the same session), so
     it ratio-compares portably across runners.  Empty for reports
-    predating the section or measured without numpy (both legs run the
-    flood there, the ratio would only measure noise).
+    predating the section.
     """
     section = payload.get("defeat_map_build", {})
-    if not section.get("vectorized_available", False):
-        return {}
     return {design: row["speedup_vs_flood_in_run"]
             for design, row in section.get("designs", {}).items()
             if "speedup_vs_flood_in_run" in row}
@@ -235,8 +240,7 @@ def check_flow(baseline: dict, current: dict, tolerance: float,
                 problems.append(f"flow defeat_map_build {design}: "
                                 f"vectorized map diverged from the flood")
             committed = row.get("speedup_vs_committed_flood")
-            if defeat_map.get("vectorized_available", False) and \
-                    committed is not None and committed < map_min_speedup:
+            if committed is not None and committed < map_min_speedup:
                 problems.append(
                     f"flow defeat_map_build {design}: {committed:.2f}x "
                     f"over the committed flood fell below the "
@@ -446,8 +450,7 @@ def main(argv=None) -> int:
     parser.add_argument("--flow-map-min-speedup", type=float, default=5.0,
                         help="absolute floor for the vectorized defeat-"
                              "map build's speedup over the committed "
-                             "python flood (default 5.0; skipped without "
-                             "numpy)")
+                             "python flood (default 5.0)")
     parser.add_argument("--predict-baseline", type=Path, default=None,
                         help="committed BENCH_predict.json")
     parser.add_argument("--predict-current", type=Path, default=None,

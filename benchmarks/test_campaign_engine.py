@@ -36,7 +36,7 @@ from repro.faults import (CampaignConfig, FaultListManager, NumpyBackend,
                           VectorBackend, clear_cache, default_stimulus,
                           run_campaign)
 from repro.experiments import campaign_config_for
-from repro.sim import CompiledDesign, have_numpy
+from repro.sim import CompiledDesign
 
 BENCH_FAULTS = int(os.environ.get("REPRO_BENCH_FAULTS", "0")) or None
 
@@ -155,9 +155,8 @@ def test_campaign_engine_throughput(benchmark, design_suite,
         backends = {
             "serial": "serial",
             "vector": VectorBackend(),
+            "numpy": NumpyBackend(),
         }
-        if have_numpy():
-            backends["numpy"] = NumpyBackend()
         for backend_name, backend in backends.items():
             # Two runs per backend: the first may fill the cache, the
             # second is the steady state repeated campaigns run at.
@@ -215,41 +214,39 @@ def test_campaign_engine_throughput(benchmark, design_suite,
                 "speedup_vs_seed_serial"],
         }
 
-        if have_numpy():
-            # Saturating-draw throughput row: one warm run (the smoke
-            # runs above already filled the program/golden caches, which
-            # is the steady state huge campaigns start from).  The
-            # speedup is a faults/sec ratio against the seed loop — its
-            # per-fault cost is flat in the draw size, so measuring the
-            # seed at the smoke sample and numpy at the saturating draw
-            # compares like with like without an hours-long baseline.
-            saturated_config = dataclasses.replace(
-                config, num_faults=NUMPY_SATURATED_FAULTS)
-            saturated_backend = NumpyBackend()
-            result, seconds = _timed(
-                lambda: run_campaign(implementation, saturated_config,
-                                     backend=saturated_backend))
-            stats = saturated_backend.last_run_stats
-            saturated_fps = result.injected / seconds
-            payload["designs"][name]["numpy_saturated"] = {
-                "num_faults": NUMPY_SATURATED_FAULTS,
-                "seconds": round(seconds, 4),
-                "faults_per_second": round(saturated_fps, 1),
-                "speedup_vs_seed_serial_throughput": round(
-                    saturated_fps / baseline_fps, 2),
-                "unique_faults": stats["unique_faults"],
-                "demuxed_faults": stats["demuxed_faults"],
-                "packed_faults": stats["packed_faults"],
-                "peak_lane_utilization": round(
-                    stats["peak_lane_utilization"], 4),
-                "mean_lane_utilization": round(
-                    stats["mean_lane_utilization"], 4),
-            }
+        # Saturating-draw throughput row: one warm run (the smoke
+        # runs above already filled the program/golden caches, which
+        # is the steady state huge campaigns start from).  The
+        # speedup is a faults/sec ratio against the seed loop — its
+        # per-fault cost is flat in the draw size, so measuring the
+        # seed at the smoke sample and numpy at the saturating draw
+        # compares like with like without an hours-long baseline.
+        saturated_config = dataclasses.replace(
+            config, num_faults=NUMPY_SATURATED_FAULTS)
+        saturated_backend = NumpyBackend()
+        result, seconds = _timed(
+            lambda: run_campaign(implementation, saturated_config,
+                                 backend=saturated_backend))
+        stats = saturated_backend.last_run_stats
+        saturated_fps = result.injected / seconds
+        payload["designs"][name]["numpy_saturated"] = {
+            "num_faults": NUMPY_SATURATED_FAULTS,
+            "seconds": round(seconds, 4),
+            "faults_per_second": round(saturated_fps, 1),
+            "speedup_vs_seed_serial_throughput": round(
+                saturated_fps / baseline_fps, 2),
+            "unique_faults": stats["unique_faults"],
+            "demuxed_faults": stats["demuxed_faults"],
+            "packed_faults": stats["packed_faults"],
+            "peak_lane_utilization": round(
+                stats["peak_lane_utilization"], 4),
+            "mean_lane_utilization": round(
+                stats["mean_lane_utilization"], 4),
+        }
 
-    if have_numpy():
-        payload["numpy_best_saturated_speedup"] = max(
-            row["numpy_saturated"]["speedup_vs_seed_serial_throughput"]
-            for row in payload["designs"].values())
+    payload["numpy_best_saturated_speedup"] = max(
+        row["numpy_saturated"]["speedup_vs_seed_serial_throughput"]
+        for row in payload["designs"].values())
 
     (bench_out_dir / BENCH_NAME).write_text(
         json.dumps(payload, indent=2) + "\n")
@@ -269,11 +266,10 @@ def test_campaign_engine_throughput(benchmark, design_suite,
     # 60% full on every measured campaign, and at the saturating draw the
     # best design clears the 60x throughput bar over the seed loop (the
     # same floors ``check_regression.py`` holds the committed report to).
-    if have_numpy():
-        for name, row in payload["designs"].items():
-            assert row["backends"]["numpy"]["mean_lane_utilization"] >= \
-                NUMPY_UTILIZATION_FLOOR, (name, row)
-            assert row["numpy_saturated"]["mean_lane_utilization"] >= \
-                NUMPY_UTILIZATION_FLOOR, (name, row)
-        assert payload["numpy_best_saturated_speedup"] >= \
-            NUMPY_MIN_SPEEDUP, payload["numpy_best_saturated_speedup"]
+    for name, row in payload["designs"].items():
+        assert row["backends"]["numpy"]["mean_lane_utilization"] >= \
+            NUMPY_UTILIZATION_FLOOR, (name, row)
+        assert row["numpy_saturated"]["mean_lane_utilization"] >= \
+            NUMPY_UTILIZATION_FLOOR, (name, row)
+    assert payload["numpy_best_saturated_speedup"] >= \
+        NUMPY_MIN_SPEEDUP, payload["numpy_best_saturated_speedup"]

@@ -43,7 +43,6 @@ import os
 import time
 
 from repro.analysis.layout import LayoutAnalyzer
-from repro.analysis.layout import _np as _layout_numpy
 from repro.experiments import DESIGN_ORDER, device_for
 from repro.experiments.designs import implement_design_suite
 from repro.fpga.bitgen import generate_bitstream
@@ -331,13 +330,9 @@ def test_defeat_map_build(benchmark, design_suite, implementations,
     committed flood baselines (the pre-vectorization
     ``defeat_map_seconds`` of BENCH_predict.json, measured on the same
     reference container).  The in-run flood next to it keeps a
-    machine-portable ratio in the report.  Without numpy both legs run
-    the flood, the identity assertions still hold and the speedup gates
-    are skipped.
+    machine-portable ratio in the report.
     """
-    vectorized_available = _layout_numpy is not None
     section = {
-        "vectorized_available": vectorized_available,
         "min_speedup_vs_committed_flood": MIN_MAP_SPEEDUP,
         # Both legs run with the process-shared tile/PIP caches warm
         # (the service steady state).  The committed flood could never
@@ -384,8 +379,7 @@ def test_defeat_map_build(benchmark, design_suite, implementations,
     benchmark.extra_info["defeat_map_build"] = section
     benchmark.pedantic(lambda: section, rounds=1, iterations=1)
 
-    if vectorized_available:
-        for name, row in section["designs"].items():
-            speedup = row["speedup_vs_committed_flood"]
-            if speedup is not None:
-                assert speedup >= MIN_MAP_SPEEDUP, (name, row)
+    for name, row in section["designs"].items():
+        speedup = row["speedup_vs_committed_flood"]
+        if speedup is not None:
+            assert speedup >= MIN_MAP_SPEEDUP, (name, row)

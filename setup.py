@@ -6,23 +6,6 @@ package can also be installed in environments without network access or the
 --no-use-pep517 --no-build-isolation``).
 """
 
-from setuptools import find_packages, setup
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.1.0",
-    description=("Reproduction of 'On the Optimal Design of Triple Modular "
-                 "Redundancy Logic for SRAM-based FPGAs' (DATE 2005)"),
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.10",
-    install_requires=["networkx"],
-    # numpy is optional: it only powers the vectorized fault-simulation
-    # backend (--backend numpy).  Every other backend is pure python.
-    extras_require={"fast": ["numpy"]},
-    entry_points={
-        "console_scripts": [
-            "repro = repro.__main__:main",
-        ],
-    },
-)
+setup()

@@ -51,10 +51,7 @@ from itertools import compress
 from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, \
     Optional, Sequence, Set, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the numpy-less CI leg
-    _np = None
+import numpy as _np
 
 from ..core.analysis import RobustnessEstimate, compute_voter_regions, \
     domain_of_net
@@ -316,7 +313,7 @@ class LayoutAnalyzer:
                  compiled: Optional[CompiledDesign] = None,
                  modeler: Optional[FaultModeler] = None,
                  effect_lookup: Optional[Callable[[int], FaultEffect]] = None,
-                 vectorize: Optional[bool] = None) -> None:
+                 vectorize: bool = True) -> None:
         self.implementation = implementation
         self.compiled = compiled if compiled is not None else \
             CompiledDesign(implementation.design)
@@ -326,13 +323,11 @@ class LayoutAnalyzer:
             else self.modeler.effect_of_bit
         self._build_structure()
         self._taint_memo: Dict[int, _TaintSummary] = {}
-        # Vectorized taint propagation (default wherever numpy imports):
-        # per-net closure bitsets swept over the whole net graph at once.
-        # The per-seed python flood below stays as the numpy-less fallback
-        # and the equivalence reference.
-        if vectorize is None:
-            vectorize = _np is not None
-        self._vectorized = bool(vectorize) and _np is not None
+        # Vectorized taint propagation (the default): per-net closure
+        # bitsets swept over the whole net graph at once.  The per-seed
+        # python flood (``vectorize=False``) stays as the equivalence
+        # reference.
+        self._vectorized = vectorize
         self._closure = None
         self._rows: Optional[List[int]] = None
         self._union_memo: Dict[int, Tuple] = {}

@@ -7,9 +7,9 @@ from .cache import (CampaignCache, CampaignCacheEntry, cache_stats,
 from .campaign import (PREFILTER_CHOICES, CampaignConfig, CampaignResult,
                        CategoryCount, default_stimulus, run_campaign,
                        run_campaigns)
-from .engine import (BACKEND_CHOICES, BACKENDS, BackendUnavailableError,
-                     CampaignContext, CampaignWorkerError, ExecutionBackend,
-                     FaultTask, FaultVerdict, NumpyBackend, ProgressCallback,
+from .engine import (BACKEND_CHOICES, BACKENDS, CampaignContext,
+                     CampaignWorkerError, ExecutionBackend, FaultTask,
+                     FaultVerdict, NumpyBackend, ProgressCallback,
                      SerialBackend, ShardedBackend, VectorBackend,
                      resolve_backend)
 from .fault_list import FAULT_LIST_MODES, FaultList, FaultListManager
@@ -30,11 +30,10 @@ __all__ = [
     "FaultEffect", "FaultModeler", "campaign_details", "format_table",
     "table3_report", "table4_report",
     # execution engine
-    "BACKEND_CHOICES", "BACKENDS", "BackendUnavailableError",
-    "CampaignContext", "CampaignWorkerError", "ExecutionBackend",
-    "FaultTask", "FaultVerdict", "NumpyBackend", "ProgressCallback",
-    "SerialBackend", "ShardedBackend", "VectorBackend", "derive_seed",
-    "resolve_backend", "split_shards", "substream",
+    "BACKEND_CHOICES", "BACKENDS", "CampaignContext", "CampaignWorkerError",
+    "ExecutionBackend", "FaultTask", "FaultVerdict", "NumpyBackend",
+    "ProgressCallback", "SerialBackend", "ShardedBackend", "VectorBackend",
+    "derive_seed", "resolve_backend", "split_shards", "substream",
     # cache layer
     "CampaignCache", "CampaignCacheEntry", "cache_stats", "clear_cache",
     "configure_cache", "get_cache", "implementation_fingerprint",

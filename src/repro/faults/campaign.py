@@ -11,11 +11,10 @@ selects the execution strategy (``"serial"`` — the seed semantics and the
 default, ``"vector"`` — whole fault shards packed into big-int lanes and
 swept bit-parallel through :mod:`repro.sim.bitparallel`, ``"numpy"`` —
 the same lane sweep compiled to vectorized ``uint64`` array kernels with
-cross-cone packing through :mod:`repro.sim.npkernel`; needs the optional
-numpy dependency, ``"sharded"`` — shards of the task list run through a
-vectorized backend in worker processes) and
-``use_cache=`` controls the golden-trace
-/ fault-effect cache (:mod:`repro.faults.cache`).  All backends produce
+cross-cone packing through :mod:`repro.sim.npkernel`, ``"sharded"`` —
+shards of the task list run through a vectorized backend in worker
+processes) and ``use_cache=`` controls the golden-trace / fault-effect
+cache (:mod:`repro.faults.cache`).  All backends produce
 bit-identical aggregates for the same seed.
 """
 

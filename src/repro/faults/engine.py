@@ -22,7 +22,7 @@ picklable units and executes them behind interchangeable backends:
   - :class:`NumpyBackend` — compiles the lane program into vectorized
     numpy sweeps (:mod:`repro.sim.npkernel`) and packs lanes *across*
     cones under one union cone, so shards run near-full instead of
-    fragmenting per fault group (requires the optional numpy dependency);
+    fragmenting per fault group;
   - :class:`ShardedBackend` — the campaign service's executor: splits the
     task list into the deterministic :func:`~repro.faults.seeds.split_shards`
     schedule and runs each shard through a *vectorized* backend inside a
@@ -61,15 +61,6 @@ ProgressCallback = Callable[[int, int], None]
 PROGRESS_INTERVAL = 250
 
 LOGGER = logging.getLogger(__name__)
-
-
-class BackendUnavailableError(RuntimeError):
-    """A requested execution backend cannot run in this environment.
-
-    Raised with an install hint when an optional dependency (numpy for
-    ``--backend numpy``) is missing, so callers can distinguish "not
-    installed here" from "no such backend".
-    """
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -510,8 +501,7 @@ class NumpyBackend(ExecutionBackend):
       so packing trades no accuracy for near-full lanes.
 
     Verdicts are bit-identical to :class:`SerialBackend` (enforced by the
-    test suite).  Requires the optional numpy dependency; constructing
-    the backend without it raises :class:`BackendUnavailableError`.
+    test suite).
 
     ``last_run_stats`` reports shard sizes and lane utilization (lanes
     over word-quantized capacity, i.e. ``ceil(lanes/64)*64``) of the most
@@ -521,11 +511,6 @@ class NumpyBackend(ExecutionBackend):
     name = "numpy"
 
     def __init__(self, lane_width: int = 1024) -> None:
-        if not npkernel.have_numpy():
-            raise BackendUnavailableError(
-                "the numpy campaign backend needs the optional numpy "
-                f"dependency ({npkernel.NUMPY_INSTALL_HINT}); "
-                "or pick --backend vector")
         if lane_width < 1:
             raise ValueError("lane_width must be at least 1")
         self.lane_width = lane_width
@@ -759,18 +744,15 @@ class ShardedBackend(ExecutionBackend):
     aggregate) bit-identical to the serial backend regardless of which
     worker finishes first.
 
-    ``inner`` names the per-worker backend (default: ``numpy`` when the
-    optional dependency is importable, else ``vector``) — each worker
-    holds the compiled design once and sweeps its whole shard through the
-    vectorized kernel, so saturated lane sweeps stack with process
-    parallelism instead of replacing it.
+    ``inner`` names the per-worker backend (default: ``numpy``) — each
+    worker holds the compiled design once and sweeps its whole shard
+    through the vectorized kernel, so saturated lane sweeps stack with
+    process parallelism instead of replacing it.
 
     Small campaigns (below ``min_tasks``, default 1000) skip the pool
     entirely and run the inner backend inline, because pool spin-up and
     context pickling dominate them; this is visible in reports as
-    ``sharded:inline-fallback``.  An unavailable inner backend (``numpy``
-    without numpy installed) is resolved once, in the parent, down the
-    degradation chain below, and the workers run the resolved backend.
+    ``sharded:inline-fallback``.
 
     **Supervision and crash-safety.**  Shards are submitted as individual
     futures and supervised: a shard whose worker dies (the pool breaks)
@@ -823,9 +805,7 @@ class ShardedBackend(ExecutionBackend):
         self.last_run_stats: Dict[str, object] = {}
 
     def inner_spec(self) -> str:
-        if self.inner is not None:
-            return self.inner
-        return "numpy" if npkernel.have_numpy() else "vector"
+        return self.inner if self.inner is not None else "numpy"
 
     def _worker_count(self, num_tasks: int) -> int:
         if self.workers is not None:
@@ -839,32 +819,6 @@ class ShardedBackend(ExecutionBackend):
             if fallback not in chain:
                 chain.append(fallback)
         return chain
-
-    def _resolve_inner(self, inner_spec: str,
-                       degradations: List[Dict[str, object]]
-                       ) -> ExecutionBackend:
-        """Resolve the inner backend, degrading when it is unavailable.
-
-        Catches :class:`BackendUnavailableError` only — an explicitly
-        requested ``inner="numpy"`` without numpy installed degrades to
-        ``vector`` (recorded in provenance) instead of failing the
-        campaign, matching the tentpole's "graceful when numpy is
-        unavailable" contract.
-        """
-        last: Optional[Exception] = None
-        for candidate in self._degradation_chain(inner_spec):
-            try:
-                backend = resolve_backend(candidate)
-            except BackendUnavailableError as exc:
-                last = exc
-                continue
-            if candidate != inner_spec:
-                degradations.append({
-                    "shard": None, "from": inner_spec, "to": candidate,
-                    "reason": str(last)})
-            return backend
-        raise BackendUnavailableError(
-            f"no usable inner backend for {inner_spec!r}") from last
 
     def _checkpoints_for(self, context: CampaignContext, num_tasks: int,
                          num_shards: int) -> Optional[_ShardCheckpoints]:
@@ -926,7 +880,7 @@ class ShardedBackend(ExecutionBackend):
 
         workers = self._worker_count(len(tasks))
         degradations: List[Dict[str, object]] = []
-        inner = self._resolve_inner(self.inner_spec(), degradations)
+        inner = resolve_backend(self.inner_spec())
         if not tasks or workers == 1 or len(tasks) < self.min_tasks:
             # Degrading must stay visible in reports (benchmarks attribute
             # faults/sec to the backend name).

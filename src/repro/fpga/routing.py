@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy
+
 from .device import (DIRECTIONS, OPPOSITE, SLICE_INPUT_PINS, SLICE_OUTPUT_PINS, Device)
 
 Node = Tuple
@@ -409,17 +411,13 @@ class RoutingGraph:
             adjacency[node_id] = result
         self._adjacency_complete = True
 
-    def np_tables(self) -> Optional[Dict[str, object]]:
-        """Numpy copies of the per-id tables (None without numpy).
+    def np_tables(self) -> Dict[str, object]:
+        """Numpy copies of the per-id tables.
 
         Used by the router to compute per-net candidate masks in one
         vectorized pass; the list tables stay authoritative.
         """
         if self._np_tables is None:
-            try:
-                import numpy
-            except ImportError:
-                return None
             self._np_tables = {
                 "tile_x": numpy.asarray(self.tile_x, dtype=numpy.int32),
                 "tile_y": numpy.asarray(self.tile_y, dtype=numpy.int32),

@@ -354,8 +354,7 @@ class Router:
         # several times cheaper than faulting it in node by node during
         # the first nets' searches.
         self.graph.build_adjacency()
-        #: numpy per-id tables for vectorized candidate masks (None
-        #: without numpy; the search then keeps its inline checks)
+        #: numpy per-id tables for vectorized candidate masks
         self._tables = self.graph.np_tables()
         #: reusable A* tables (epoch-stamped, never cleared)
         self._search = _SearchState(len(self.graph))
@@ -474,8 +473,8 @@ class Router:
             + abs(tile_y[id_of[spec.node]] - source_y))
 
         bounding_box = self._net_bounding_box(request)
-        # Vectorized candidate mask of the box (None without numpy): one
-        # byte per node, nonzero when the node may not be expanded.
+        # Vectorized candidate mask of the box: one byte per node, nonzero
+        # when the node may not be expanded.
         blocked = self._blocked_mask(bounding_box)
         for spec in ordered_sinks:
             target_id = id_of[spec.node]
@@ -483,15 +482,13 @@ class Router:
                 sink_map[spec.node] = spec
                 continue
             path = self._find_path(tree_ids, target_id, occupancy,
-                                   base_cost, present_factor,
-                                   bounding_box, blocked)
+                                   base_cost, present_factor, blocked)
             if path is None:
                 # Retry once without the bounding-box restriction before
                 # declaring the sink unroutable.
                 path = self._find_path(
                     tree_ids, target_id, occupancy, base_cost,
-                    present_factor, None,
-                    self._tables["sink_blocked"] if self._tables else None)
+                    present_factor, self._tables["sink_blocked"])
             if path is None:
                 raise RoutingError(
                     f"no path from {request.source} to {spec.node} "
@@ -509,17 +506,15 @@ class Router:
                          sink_map), tree_ids
 
     def _blocked_mask(self, bounding_box: Tuple[int, int, int, int]
-                      ) -> Optional[bytes]:
+                      ) -> bytes:
         """Per-node expansion blocks of one net, as a flat byte mask.
 
         A node is blocked when it is a sink (the search special-cases its
         own target) or a wire outside the net's box.  Computing this once
         per net with numpy replaces two predicate checks per visited edge
-        in the hot loop; without numpy the loop keeps its inline checks.
+        in the hot loop.
         """
         tables = self._tables
-        if tables is None:
-            return None
         min_x, min_y, max_x, max_y = bounding_box
         tile_x = tables["tile_x"]
         tile_y = tables["tile_y"]
@@ -551,15 +546,14 @@ class Router:
     def _find_path(self, tree_ids: Set[int], target: int,
                    occupancy: List[int], base_cost: List[float],
                    present_factor: float,
-                   bounding_box: Optional[Tuple[int, int, int, int]],
-                   blocked: Optional[bytes]) -> Optional[List[int]]:
+                   blocked: bytes) -> Optional[List[int]]:
         """A* from the existing tree to *target*.
 
         The cost arithmetic, push order and tie-breaks are exactly the
         seed recipe's (``base_cost[n]`` is the precomputed ``1.0 +
-        history``), so the returned path is bit-identical whether the
-        candidate test runs on the vectorized *blocked* mask or on the
-        inline predicate fallback below.
+        history``), so the returned path is bit-identical to the
+        reference router's; *blocked* (see :meth:`_blocked_mask`) stands
+        in for its inline sink and bounding-box predicates.
         """
         graph = self.graph
         tile_x = graph.tile_x
@@ -597,51 +591,6 @@ class Router:
         heappush = heapq.heappush
         heappop = heapq.heappop
 
-        if blocked is not None:
-            while frontier:
-                _, cost_so_far, _, node_id = heappop(frontier)
-                if cost_so_far > best[node_id]:
-                    continue
-                if node_id == target:
-                    path = [node_id]
-                    current = node_id
-                    while came[current] >= 0:
-                        current = came[current]
-                        path.append(current)
-                    path.reverse()
-                    return path
-                for neighbor in adjacency[node_id]:
-                    if blocked[neighbor] and neighbor != target:
-                        continue
-                    step = base_cost[neighbor]
-                    usage = occupancy[neighbor]
-                    if usage:
-                        if is_wire[neighbor]:
-                            step += present_factor * usage
-                        else:
-                            step += 1000.0
-                    new_cost = cost_so_far + step
-                    if mark[neighbor] != epoch or new_cost < best[neighbor]:
-                        mark[neighbor] = epoch
-                        best[neighbor] = new_cost
-                        came[neighbor] = node_id
-                        counter += 1
-                        if is_pad_in[neighbor]:
-                            estimate = 0.0
-                        else:
-                            estimate = weight * (
-                                abs(tile_x[neighbor] - target_x)
-                                + abs(tile_y[neighbor] - target_y))
-                        heappush(frontier, (new_cost + estimate, new_cost,
-                                            counter, neighbor))
-            return None
-
-        # Pure-python fallback (no numpy): identical search with the two
-        # candidate predicates evaluated inline.
-        is_sink = graph.is_sink
-        if bounding_box is not None:
-            box_min_x, box_min_y, box_max_x, box_max_y = bounding_box
-
         while frontier:
             _, cost_so_far, _, node_id = heappop(frontier)
             if cost_so_far > best[node_id]:
@@ -655,13 +604,8 @@ class Router:
                 path.reverse()
                 return path
             for neighbor in adjacency[node_id]:
-                if is_sink[neighbor] and neighbor != target:
-                    continue  # foreign sinks are not through-routing resources
-                if bounding_box is not None and is_wire[neighbor]:
-                    if not (box_min_x <= tile_x[neighbor] <= box_max_x
-                            and box_min_y <= tile_y[neighbor]
-                            <= box_max_y):
-                        continue
+                if blocked[neighbor] and neighbor != target:
+                    continue
                 step = base_cost[neighbor]
                 usage = occupancy[neighbor]
                 if usage:
@@ -678,9 +622,9 @@ class Router:
                     if is_pad_in[neighbor]:
                         estimate = 0.0
                     else:
-                        estimate = weight * (abs(tile_x[neighbor] - target_x)
-                                             + abs(tile_y[neighbor]
-                                                   - target_y))
+                        estimate = weight * (
+                            abs(tile_x[neighbor] - target_x)
+                            + abs(tile_y[neighbor] - target_y))
                     heappush(frontier, (new_cost + estimate, new_cost,
                                         counter, neighbor))
         return None

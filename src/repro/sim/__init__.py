@@ -6,7 +6,7 @@ from .bitparallel import (LaneOutcome, VectorProgram, VectorResult,
 from .compile import CompiledDesign, FaultCone, FlipFlop, Gate, PortBinding
 from .npkernel import (NumpyProgram, broadcast_inputs_numpy,
                        broadcast_trace_numpy, compile_numpy_program,
-                       have_numpy, simulate_lanes_numpy)
+                       simulate_lanes_numpy)
 from .golden import (ComparisonResult, compare_traces, outputs_as_ints,
                      trace_matches_reference)
 from .overlay import (BLEND_AND_NOT, BLEND_SHORT, BLEND_UNKNOWN,
@@ -21,7 +21,7 @@ __all__ = [
     "LaneOutcome", "VectorProgram", "VectorResult", "broadcast_inputs",
     "broadcast_trace", "compile_vector_program", "simulate_lanes",
     "NumpyProgram", "broadcast_inputs_numpy", "broadcast_trace_numpy",
-    "compile_numpy_program", "have_numpy", "simulate_lanes_numpy",
+    "compile_numpy_program", "simulate_lanes_numpy",
     "CompiledDesign", "FaultCone", "FlipFlop", "Gate", "PortBinding",
     "ComparisonResult", "compare_traces", "outputs_as_ints",
     "trace_matches_reference", "BLEND_AND_NOT", "BLEND_SHORT",

@@ -36,8 +36,8 @@ Results are bit-identical to :func:`.bitparallel.simulate_lanes` (and
 therefore to the scalar :class:`~repro.sim.simulator.Simulator`) — the
 equivalence is enforced lane by lane in ``tests/test_npkernel.py``.
 
-numpy is an optional dependency (``pip install repro[fast]``); import of
-this module always succeeds and :func:`have_numpy` reports availability.
+numpy is a required dependency of the package, so this kernel backs the
+``numpy`` campaign backend unconditionally.
 """
 
 from __future__ import annotations
@@ -46,10 +46,7 @@ import dataclasses
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via have_numpy() on both paths
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from ..cells import logic
 from .bitparallel import (LaneOutcome, VectorProgram, VectorResult,
@@ -65,22 +62,8 @@ from .overlay import (BLEND_AND_NOT, BLEND_SHORT, BLEND_WIRED_AND,
                       FaultOverlay, SourceOverride)
 from .simulator import SimulationTrace
 
-_U64_MAX = _np.uint64(0xFFFFFFFFFFFFFFFF) if _np is not None else None
-_U64_0 = _np.uint64(0) if _np is not None else None
-
-#: pip hint surfaced by the engine's BackendUnavailableError
-NUMPY_INSTALL_HINT = "pip install numpy  (or: pip install repro[fast])"
-
-
-def have_numpy() -> bool:
-    """True when the optional numpy dependency is importable."""
-    return _np is not None
-
-
-def _require_numpy() -> None:
-    if _np is None:
-        raise RuntimeError(
-            f"repro.sim.npkernel needs numpy ({NUMPY_INSTALL_HINT})")
+_U64_MAX = _np.uint64(0xFFFFFFFFFFFFFFFF)
+_U64_0 = _np.uint64(0)
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +89,6 @@ def broadcast_trace_numpy(golden: SimulationTrace):
     that the cone-mode sweep broadcasts across the shard's lane words —
     the array twin of :func:`.bitparallel.broadcast_trace`.
     """
-    _require_numpy()
     if golden.net_values is None:
         raise ValueError("cone-mode lane simulation requires a golden "
                          "trace recorded with record_nets=True")
@@ -123,7 +105,6 @@ def broadcast_inputs_numpy(design: CompiledDesign, stimulus):
     handling stays in exactly one place, then broadcasts each applied bit
     to a full uint64 word.
     """
-    _require_numpy()
     per_cycle = []
     for triples in broadcast_inputs(design, stimulus, 1):
         idx = _np.array([net for net, _v, _k in triples], dtype=_np.intp)
@@ -1180,7 +1161,6 @@ class NumpyProgram:
     MAX_AUX = 8
 
     def __init__(self, program: VectorProgram) -> None:
-        _require_numpy()
         self.program = program
         self.design = program.design
         self._plans: "OrderedDict[Tuple, Tuple]" = OrderedDict()
@@ -1280,7 +1260,6 @@ def simulate_lanes_numpy(program: VectorProgram,
     are the array forms built by :func:`broadcast_trace_numpy` /
     :func:`broadcast_inputs_numpy`.
     """
-    _require_numpy()
     if isinstance(program, NumpyProgram):
         program = program.program
     if passes is None:

@@ -411,27 +411,6 @@ class TestShardedBackend:
         run_campaign(tiny_fir_implementation, self.CONFIG, backend=backend)
         assert backend.name == "sharded"
 
-    def test_unavailable_inner_resolved_once_for_the_pool(
-            self, tiny_fir_implementation, monkeypatch):
-        # Without numpy an explicit inner="numpy" degrades to vector once,
-        # in the parent; the workers run vector instead of each failing
-        # to initialize and breaking the pool.
-        from repro.sim import npkernel
-
-        monkeypatch.setattr(npkernel, "have_numpy", lambda: False)
-        backend = ShardedBackend(workers=2, min_tasks=0, inner="numpy")
-        sharded = run_campaign(tiny_fir_implementation, self.CONFIG,
-                               backend=backend)
-        stats = backend.last_run_stats
-        assert not stats["inline"]
-        assert stats["retries"] == 0
-        assert stats["inner"] == "vector"
-        assert [(entry["shard"], entry["to"])
-                for entry in stats["degradations"]] == [(None, "vector")]
-        serial = run_campaign(tiny_fir_implementation, self.CONFIG,
-                              backend="serial")
-        assert sharded.results == serial.results
-
     def test_killed_workers_self_heal_via_degradation(
             self, tiny_fir_implementation, monkeypatch):
         # Every worker dies hard on every shard; supervision must retry,

@@ -17,12 +17,8 @@ from repro.faults import (BACKEND_CHOICES, BACKENDS, CampaignConfig,
                           default_stimulus, get_cache,
                           implementation_fingerprint, resolve_backend,
                           run_campaign, run_campaigns)
-from repro.sim import have_numpy
 
 CONFIG = CampaignConfig(num_faults=120, workload_cycles=6, seed=9)
-
-needs_numpy = pytest.mark.skipif(not have_numpy(),
-                                 reason="numpy not installed")
 
 #: instances so the sharded backend actually forks even on a 1-CPU box
 #: (min_tasks=0 defeats its small-campaign inline fallback — the pool
@@ -37,9 +33,8 @@ BACKENDS_UNDER_TEST = [
                  id="sharded-serial"),
     pytest.param(lambda: VectorBackend(), id="vector"),
     pytest.param(lambda: VectorBackend(lane_width=8), id="vector-narrow"),
-    pytest.param(lambda: NumpyBackend(), id="numpy", marks=needs_numpy),
-    pytest.param(lambda: NumpyBackend(lane_width=8), id="numpy-narrow",
-                 marks=needs_numpy),
+    pytest.param(lambda: NumpyBackend(), id="numpy"),
+    pytest.param(lambda: NumpyBackend(lane_width=8), id="numpy-narrow"),
 ]
 
 
@@ -143,8 +138,7 @@ class TestEngineApi:
         assert isinstance(resolve_backend("serial"), SerialBackend)
         assert isinstance(resolve_backend("vector"), VectorBackend)
         assert isinstance(resolve_backend("sharded"), ShardedBackend)
-        if have_numpy():
-            assert isinstance(resolve_backend("numpy"), NumpyBackend)
+        assert isinstance(resolve_backend("numpy"), NumpyBackend)
         assert isinstance(resolve_backend(VectorBackend), VectorBackend)
         instance = ShardedBackend(workers=3)
         assert resolve_backend(instance) is instance

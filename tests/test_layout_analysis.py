@@ -287,17 +287,6 @@ class TestVectorizedAnalyzer:
                                    anneal_moves_per_slice=2)
         self._assert_equivalent(implementation)
 
-    def test_default_tracks_numpy_availability(self,
-                                               tiny_tmr_implementation):
-        from repro.analysis.layout import _np
-
-        analyzer = LayoutAnalyzer(tiny_tmr_implementation)
-        assert analyzer._vectorized == (_np is not None)
-        # Requesting vectorization without numpy degrades to the flood
-        # instead of failing, keeping the numpy-less environment green.
-        forced = LayoutAnalyzer(tiny_tmr_implementation, vectorize=True)
-        assert forced._vectorized == (_np is not None)
-
 
 class TestColumnarMap:
     def test_build_keeps_no_per_bit_objects(self, tiny_tmr_implementation):

@@ -7,9 +7,6 @@ INIT sweeps must agree for every truth table, and the campaign-level
 :class:`NumpyBackend` must be a bit-identical drop-in for SerialBackend —
 including ``first_mismatch_cycle`` — under every upset model, while its
 cross-cone scheduler keeps the packed lanes nearly full.
-
-Everything here needs the optional numpy dependency and is skipped
-without it (the suite stays green numpy-less).
 """
 
 import random
@@ -20,11 +17,8 @@ from repro.cells import logic
 from repro.faults import (CampaignConfig, NumpyBackend, clear_cache,
                           run_campaign)
 from repro.sim import (FaultOverlay, Simulator, SourceOverride,
-                       compile_vector_program, have_numpy, simulate_lanes,
+                       compile_vector_program, simulate_lanes,
                        simulate_lanes_numpy)
-
-pytestmark = pytest.mark.skipif(not have_numpy(),
-                                reason="numpy not installed")
 
 
 def _unpack_lane(v, k, lane):
@@ -355,15 +349,3 @@ class TestProgramCache:
         assert second["numpy_program_misses"] == \
             first["numpy_program_misses"]
 
-
-class TestOptionalDependency:
-    def test_backend_unavailable_without_numpy(self, monkeypatch):
-        from repro.faults import BackendUnavailableError
-        from repro.sim import npkernel
-
-        monkeypatch.setattr(npkernel, "_np", None)
-        assert not have_numpy()
-        with pytest.raises(BackendUnavailableError) as excinfo:
-            NumpyBackend()
-        assert "pip install" in str(excinfo.value)
-        assert "vector" in str(excinfo.value)

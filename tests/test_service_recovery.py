@@ -420,8 +420,6 @@ class TestCrashRestartResume:
         backend once backend provenance is set aside (the aggregate
         bit-identity contract of the engine suite, extended to the
         crash/resume path)."""
-        import repro.sim.npkernel as npkernel
-
         spec = tiny_spec()
 
         _simulate_restart()
@@ -439,11 +437,8 @@ class TestCrashRestartResume:
             resumed = recovered.queue.jobs()[0]
             assert resumed.state == JobState.DONE
 
-        backends = ["serial", "vector"]
-        if npkernel.have_numpy():
-            backends.append("numpy")
         resumed_scrubbed = self._strip_backend(stable_report(resumed.report))
-        for backend in backends:
+        for backend in ("serial", "vector", "numpy"):
             _simulate_restart()
             direct = run_scenario("table3-fir", scale="tiny", num_faults=30,
                                   designs=("standard",), backend=backend)
