@@ -12,9 +12,9 @@ worker processes, and
 the on-disk flow-artifact store, and ``REPRO_BENCH_OUT`` to redirect the
 measured BENCH_*.json files (default ``.bench-out/``; pass the pytest
 flag ``--update-baselines`` to overwrite the committed baselines at the
-repository root instead); the experiment CLIs
-(``python -m repro.experiments.table3 --scale paper --backend vector
---jobs 4 --flow-cache .flow-cache``) expose the same knobs outside pytest.
+repository root instead); the scenario CLI
+(``python -m repro run table3-fir --scale paper --backend vector
+--jobs 4 --flow-cache .flow-cache``) exposes the same knobs outside pytest.
 
 All heavy artefacts (the five implemented filter versions and their
 fault-injection campaigns) are built once per session and shared by every

@@ -20,11 +20,13 @@ The package provides, bottom-up:
 * :mod:`repro.faults` — bitstream fault injection, effect classification and
   campaign management;
 * :mod:`repro.analysis` — resource/robustness reports (paper Tables 2-4);
-* :mod:`repro.experiments` — drivers that regenerate every table and figure;
+* :mod:`repro.experiments` — library functions behind every table and
+  figure;
 * :mod:`repro.pipeline` — the declarative experiment pipeline engine
   (fingerprint-keyed stages over flow/campaign caches);
 * :mod:`repro.scenarios` — the scenario registry and ``run_scenario``
-  (the ``python -m repro run <scenario>`` surface).
+  (the ``python -m repro run <scenario>`` surface, the one command line
+  for every table and figure).
 
 The pipeline/scenario surface is re-exported lazily at the package level::
 

@@ -23,15 +23,61 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from .experiments.cli import (add_backend_argument, add_faults_argument,
-                              add_flow_arguments, add_json_argument,
-                              add_prefilter_argument, add_scale_argument,
-                              add_upset_model_argument)
+from .experiments.designs import SCALES
+from .faults import (BACKEND_CHOICES, FAULT_LIST_MODES, PREFILTER_CHOICES,
+                     resolve_upset_model)
 from .pipeline import render_markdown
 from .scenarios import list_scenarios, run_scenario
+
+#: The per-run overrides ``run`` and ``submit`` share, as the keyword
+#: names of :func:`run_scenario` (and fields of the service's job spec).
+_OVERRIDES = ("scale", "backend", "upset_model", "prefilter", "num_faults",
+             "seed", "designs")
+
+
+def _upset_model_spec(value: str) -> str:
+    """Validate an upset-model spec at parse time (fail before any P&R)."""
+    try:
+        resolve_upset_model(value)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return value
+
+
+def _add_override_arguments(parser: argparse.ArgumentParser) -> None:
+    """The :data:`_OVERRIDES` flags; each defaults to the scenario's own."""
+    parser.add_argument("--scale", choices=tuple(SCALES),
+                        help="experiment scale (default: the scenario's)")
+    parser.add_argument("--backend", choices=BACKEND_CHOICES,
+                        help="campaign execution backend (default: the "
+                             "scenario's)")
+    parser.add_argument("--upset-model", metavar="MODEL",
+                        type=_upset_model_spec,
+                        help="upset model: 'single', 'mbu[:cluster]' or "
+                             "'accumulate[:interval]' (default: the "
+                             "scenario's)")
+    parser.add_argument("--prefilter", choices=PREFILTER_CHOICES,
+                        help="campaign prefilter: 'static' skips bits the "
+                             "layout analyzer proves silent (verdicts stay "
+                             "bit-identical) (default: the scenario's)")
+    parser.add_argument("--faults", type=int, dest="num_faults",
+                        metavar="FAULTS",
+                        help="upsets to inject per design (default: scale "
+                             "dependent)")
+    parser.add_argument("--seed", type=int,
+                        help="fault-sampling seed (default: the scenario's)")
+    parser.add_argument("--design", action="append", dest="designs",
+                        metavar="NAME",
+                        help="restrict to one design version (repeatable)")
+
+
+def _json_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--json", action="store_true",
+                        help="emit machine-readable JSON instead of text")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,31 +91,34 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run one scenario; every omitted knob uses the "
                     "scenario's default.")
     runner.add_argument("scenario", help="scenario id (see 'repro list')")
-    add_scale_argument(runner, default=None)
-    add_backend_argument(runner, default=None)
-    add_upset_model_argument(runner, default=None)
-    add_prefilter_argument(runner, default=None)
-    add_faults_argument(runner)
-    runner.add_argument("--seed", type=int, default=None,
-                        help="fault-sampling seed (default: the "
+    _add_override_arguments(runner)
+    runner.add_argument("--fault-list", choices=FAULT_LIST_MODES,
+                        dest="fault_list_mode",
+                        help="fault-list selection mode (default: the "
                              "scenario's)")
-    runner.add_argument("--design", action="append", dest="designs",
-                        metavar="NAME", default=None,
-                        help="restrict to one design version (repeatable)")
     runner.add_argument("--repeat", type=int, default=1, metavar="N",
                         help="run the scenario N times in-process and "
                              "report the last (warm-cache) run "
                              "(default: 1)")
-    add_flow_arguments(runner)
+    runner.add_argument(
+        "--flow-cache", metavar="DIR",
+        default=os.environ.get("REPRO_FLOW_CACHE"),
+        help="persistent flow-artifact directory; place-and-route results "
+             "are stored there and reused by later runs (default: the "
+             "REPRO_FLOW_CACHE environment variable, else disabled)")
+    runner.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="implement the suite designs in N parallel worker processes "
+             "(default: 1)")
     runner.add_argument("--progress", action="store_true",
                         help="print per-design campaign progress to stderr")
-    add_json_argument(runner)
+    _json_argument(runner)
     runner.add_argument("--output", metavar="FILE", default=None,
                         help="also write the JSON report to FILE")
 
     lister = commands.add_parser(
         "list", help="list the registered scenarios")
-    add_json_argument(lister)
+    _json_argument(lister)
 
     server = commands.add_parser(
         "serve", help="start the campaign service (HTTP job runner)",
@@ -91,6 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     server.add_argument("--max-parallel", type=int, default=2, metavar="N",
                         help="concurrently executing jobs (default: 2)")
     server.add_argument("--backend", default="sharded",
+                        choices=BACKEND_CHOICES,
                         help="default campaign backend for submissions "
                              "that do not pin one (default: sharded)")
     server.add_argument("--verbose", action="store_true",
@@ -104,18 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     submitter.add_argument("--url", default="http://127.0.0.1:8750",
                            help="service base URL "
                                 "(default: http://127.0.0.1:8750)")
-    add_scale_argument(submitter, default=None)
-    add_backend_argument(submitter, default=None)
-    add_upset_model_argument(submitter, default=None)
-    add_prefilter_argument(submitter, default=None)
-    add_faults_argument(submitter)
-    submitter.add_argument("--seed", type=int, default=None,
-                           help="fault-sampling seed (default: the "
-                                "scenario's)")
-    submitter.add_argument("--design", action="append", dest="designs",
-                           metavar="NAME", default=None,
-                           help="restrict to one design version "
-                                "(repeatable)")
+    _add_override_arguments(submitter)
     submitter.add_argument("--no-wait", action="store_true",
                            help="return the job id immediately instead of "
                                 "waiting for the report")
@@ -134,30 +173,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_report(report: Dict[str, object], output: Optional[str]) -> str:
+    """The report as JSON text, also written to *output* when given."""
+    payload = json.dumps(report, indent=2, default=str, sort_keys=True)
+    if output:
+        with open(output, "w") as handle:
+            handle.write(payload + "\n")
+        print(f"report written to {output}", file=sys.stderr)
+    return payload
+
+
+def _overrides(arguments: argparse.Namespace) -> Dict[str, object]:
+    """The :data:`_OVERRIDES` given on the command line."""
+    return {field: getattr(arguments, field) for field in _OVERRIDES
+            if getattr(arguments, field) is not None}
+
+
 def _run(arguments: argparse.Namespace) -> int:
     report = run_scenario(
         arguments.scenario,
-        scale=arguments.scale,
-        backend=arguments.backend,
-        upset_model=arguments.upset_model,
-        num_faults=arguments.faults,
-        prefilter=arguments.prefilter,
-        seed=arguments.seed,
-        designs=arguments.designs,
+        **_overrides(arguments),
+        fault_list_mode=arguments.fault_list_mode,
         jobs=arguments.jobs,
         flow_cache=arguments.flow_cache,
         progress=arguments.progress,
         repeat=arguments.repeat,
     )
-    payload = json.dumps(report, indent=2, default=str, sort_keys=True)
-    if arguments.output:
-        with open(arguments.output, "w") as handle:
-            handle.write(payload + "\n")
-        print(f"report written to {arguments.output}", file=sys.stderr)
-    if arguments.json:
-        print(payload)
-    else:
-        print(render_markdown(report))
+    payload = _write_report(report, arguments.output)
+    print(payload if arguments.json else render_markdown(report))
     return 0
 
 
@@ -250,14 +293,7 @@ def _serve(arguments: argparse.Namespace) -> int:
 def _submit(arguments: argparse.Namespace) -> int:
     from .service.httpd import fetch_report, submit_job, wait_for_job
 
-    spec = {"scenario": arguments.scenario}
-    for field in ("scale", "backend", "upset_model", "prefilter",
-                  "seed", "designs"):
-        value = getattr(arguments, field)
-        if value is not None:
-            spec[field] = value
-    if arguments.faults is not None:
-        spec["num_faults"] = arguments.faults
+    spec = {"scenario": arguments.scenario, **_overrides(arguments)}
     if arguments.timeout_s is not None:
         spec["timeout_s"] = arguments.timeout_s
 
@@ -276,12 +312,7 @@ def _submit(arguments: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     report = fetch_report(arguments.url, snapshot["id"])
-    payload = json.dumps(report, indent=2, default=str, sort_keys=True)
-    if arguments.output:
-        with open(arguments.output, "w") as handle:
-            handle.write(payload + "\n")
-        print(f"report written to {arguments.output}", file=sys.stderr)
-    print(payload)
+    print(_write_report(report, arguments.output))
     return 0
 
 

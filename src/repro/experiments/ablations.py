@@ -1,30 +1,29 @@
 """Ablation experiments beyond the paper's tables.
 
-Two studies the paper motivates but does not quantify:
+Three studies the paper motivates but does not quantify:
 
-* **Partition-granularity sweep** — the optimizer's analytical sweep over
-  voter granularities, reported next to measured campaign numbers for the
-  three canonical partitions.  This is the design-space picture behind the
-  paper's "there is an optimal partition" conclusion.
+* **Partition-granularity sweep** (:func:`partition_sweep`) — the
+  optimizer's analytical sweep over voter granularities, the design-space
+  picture behind the paper's "there is an optimal partition" conclusion
+  (``python -m repro run ablation-sweep``).
+* **Fault-list selection** (:func:`fault_list_mode_study`) — how counting
+  only programmed bits instead of every design-related bit changes the
+  measured percentages (``python -m repro run table3-fir --fault-list
+  programmed`` for the full suite).
 * **Floorplanning** — the paper's future-work item: confine each TMR domain
   to its own column band and measure how much of the remaining vulnerability
-  disappears (at the cost of longer voter nets).
-
-``python -m repro run ablation-sweep`` and ``python -m repro run
-floorplan-fir`` are the equivalent pipeline surfaces.
+  disappears, at the cost of longer voter nets (``python -m repro run
+  floorplan-fir`` runs both placements).
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Optional, Sequence
 
 from ..core import EveryKth, sweep_partitions
-from ..faults import CampaignResult, run_campaign
+from ..faults import run_campaign
 from ..faults.engine import BackendLike, resolve_backend
 from ..pnr import Implementation
-from ..pnr.artifacts import StoreLike
-from .cli import experiment_parser
 from .designs import DesignSuite, build_design_suite
 from .table3 import campaign_config_for
 
@@ -44,46 +43,6 @@ def partition_sweep(suite: Optional[DesignSuite] = None, scale: str = "fast",
     }
 
 
-def floorplan_study(suite: Optional[DesignSuite] = None, scale: str = "smoke",
-                    design: str = "TMR_p3", num_faults: Optional[int] = None,
-                    backend: BackendLike = None,
-                    jobs: int = 1,
-                    flow_cache: StoreLike = None) -> Dict[str, object]:
-    """Compare interleaved placement against per-domain floorplanning.
-
-    Both variants run through the pipeline's implement stage, so the
-    persistent flow store caches each placement flavour under its own
-    fingerprint (the floorplan hashes into the key).
-    """
-    from ..pipeline import PipelineContext, pipeline_for
-
-    campaigns: Dict[str, CampaignResult] = {}
-    for label, floorplan_domains in (("interleaved", False),
-                                     ("floorplanned", True)):
-        ctx = PipelineContext(
-            scenario_id="floorplan-fir",
-            scale=scale,
-            designs=(design,),
-            backend=backend if backend is not None else "serial",
-            num_faults=num_faults,
-            jobs=jobs,
-            flow_cache=flow_cache,
-            floorplan_domains=floorplan_domains,
-        )
-        ctx.suite = suite
-        pipeline_for(("build", "implement", "campaign")).run(ctx)
-        suite = ctx.suite  # share one built suite across both variants
-        campaigns[label] = ctx.campaigns[design]
-
-    return {
-        "design": design,
-        "interleaved": campaigns["interleaved"].summary_row(),
-        "floorplanned": campaigns["floorplanned"].summary_row(),
-        "floorplanning_helps": campaigns["floorplanned"].wrong_answer_percent
-        <= campaigns["interleaved"].wrong_answer_percent,
-    }
-
-
 def fault_list_mode_study(implementation: Implementation,
                           suite: DesignSuite,
                           num_faults: Optional[int] = None,
@@ -96,27 +55,3 @@ def fault_list_mode_study(implementation: Implementation,
         result = run_campaign(implementation, config, backend=engine)
         out[mode] = result.summary_row()
     return out
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    # Output is always JSON, so no --json toggle is offered.
-    parser = experiment_parser(__doc__, scale_default="smoke",
-                               json_flag=False)
-    parser.add_argument("--study", default="sweep",
-                        choices=("sweep", "floorplan"))
-    arguments = parser.parse_args(argv)
-
-    if arguments.study == "sweep":
-        print(json.dumps(partition_sweep(scale=arguments.scale), indent=2,
-                         default=str))
-    else:
-        print(json.dumps(floorplan_study(scale=arguments.scale,
-                                         backend=arguments.backend,
-                                         jobs=arguments.jobs,
-                                         flow_cache=arguments.flow_cache),
-                         indent=2, default=str))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -4,9 +4,9 @@
 and the four TMR versions (maximum / medium / minimum partition and minimum
 partition without voted registers), optimizes and flattens them, and
 ``implement_design_suite`` places and routes each one on an appropriate
-device profile.  Every experiment driver (Tables 2-4, figures, ablations)
-starts from these two functions so that all results refer to the same
-implementations.
+device profile.  Every table, figure and ablation (through the pipeline's
+build and implement stages) starts from these two functions so that all
+results refer to the same implementations.
 """
 
 from __future__ import annotations

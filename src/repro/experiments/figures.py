@@ -13,23 +13,20 @@ their reproducible content is the *structure* of the generated netlists:
 
 ``run_figures`` verifies each of those structural properties on generated
 netlists and returns a machine-checkable summary; the ASCII renderings give a
-quick visual of the partition structure.
+quick visual of the partition structure.  ``python -m repro run figures-fir``
+reports the summary, and ``python -m repro run figure1-upsets`` measures
+Figure 1's two example routing upsets with a campaign on TMR_p3.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
-from ..cells import logic
 from ..core import (NUM_DOMAINS, build_voted_register, check_domain_isolation,
                     compute_voter_regions, voter_instances)
-from ..faults import CampaignConfig, categories, run_campaign
-from ..faults.engine import BackendLike
+from ..faults import CampaignResult, categories
 from ..netlist import Netlist, flatten
-from ..pnr import Implementation
 from ..sim import CompiledDesign, Simulator
-from .cli import experiment_parser
 from .designs import DesignSuite, build_design_suite
 
 
@@ -120,20 +117,16 @@ def figure4_summary(suite: DesignSuite) -> Dict[str, object]:
     return summary
 
 
-def figure1_upset_demo(implementation: Implementation,
-                       num_faults: int = 400, seed: int = 2005,
-                       backend: BackendLike = "vector") -> Dict[str, object]:
+def figure1_upset_demo(result: CampaignResult) -> Dict[str, object]:
     """Measured counterparts of Figure 1's two example routing upsets.
 
     Figure 1 annotates the plain TMR scheme with upset "a" (a routing fault
     confined to one redundant domain, masked by the voters) and upset "b" (a
     routing fault coupling two domains, able to defeat the TMR).  This demo
-    runs one engine-backed campaign on an implemented TMR version and
-    returns a concrete example of each, alongside the masked/error counts of
-    the routing categories.
+    reads one campaign on an implemented TMR version and returns a concrete
+    example of each, alongside the masked/error counts of the routing
+    categories.
     """
-    config = CampaignConfig(num_faults=num_faults, seed=seed)
-    result = run_campaign(implementation, config, backend=backend)
     routing = [r for r in result.results
                if r.category in categories.ROUTING_CATEGORIES
                and r.has_effect]
@@ -151,8 +144,6 @@ def figure1_upset_demo(implementation: Implementation,
         }
 
     return {
-        "design": result.design,
-        "backend": result.backend,
         "routing_upsets_with_effect": len(routing),
         "routing_upsets_masked": sum(1 for r in routing
                                      if not r.wrong_answer),
@@ -202,37 +193,3 @@ def run_figures(suite: Optional[DesignSuite] = None, scale: str = "fast"
         "figure3": figure3_summary(suite),
         "figure4": figure4_summary(suite),
     }
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = experiment_parser(__doc__, backend_default="vector")
-    parser.add_argument("--upsets", action="store_true",
-                        help="also implement TMR_p3 and measure Figure 1's "
-                             "example routing upsets via a campaign")
-    arguments = parser.parse_args(argv)
-
-    suite = build_design_suite(arguments.scale)
-    summary = run_figures(suite)
-    if arguments.upsets:
-        from .designs import implement_design_suite
-
-        implementation = implement_design_suite(
-            suite, designs=["TMR_p3"], jobs=arguments.jobs,
-            artifact_store=arguments.flow_cache)["TMR_p3"]
-        summary["figure1_upsets"] = figure1_upset_demo(
-            implementation, backend=arguments.backend)
-    if arguments.json:
-        print(json.dumps(summary, indent=2, default=str))
-    else:
-        for figure, data in summary.items():
-            print(f"== {figure} ==")
-            print(json.dumps(data, indent=2, default=str))
-        print("\n== Figure 4 structure ==")
-        for name in suite.tmr:
-            print(ascii_partition_diagram(suite, name))
-            print()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,23 +1,19 @@
-"""Experiment driver for Table 2: area, bitstream composition, performance.
+"""Table 2: area, bitstream composition, performance.
 
-Running ``python -m repro.experiments.table2 --scale fast`` builds the five
-filter versions, implements each on its device profile and prints the
-Table 2 analogue next to the paper's reference numbers.  The driver is a
-thin wrapper over the ``table2-fir`` scenario of the pipeline engine
-(``python -m repro run table2-fir`` is the equivalent surface).
+:func:`run_table2` builds the five filter versions, implements each on its
+device profile and returns the Table 2 analogue next to the paper's
+reference numbers.  It is a library wrapper over the ``table2-fir``
+scenario of the pipeline engine; ``python -m repro run table2-fir`` is the
+command line.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from ..pnr import Implementation
 from ..pnr.artifacts import StoreLike
-from .cli import experiment_parser
 from .designs import DESIGN_ORDER, DesignSuite
-
-# Re-exported for backward compatibility (historically defined here).
 
 
 def run_table2(suite: Optional[DesignSuite] = None,
@@ -45,52 +41,3 @@ def run_table2(suite: Optional[DesignSuite] = None,
     else:
         pipeline_for(("build", "implement")).run(ctx)
     return resources_analysis(ctx)
-
-
-def format_report(table: Dict[str, Dict[str, object]]) -> str:
-    from ..faults.report import format_table
-
-    rows = []
-    for name in DESIGN_ORDER:
-        if name not in table:
-            continue
-        entry = table[name]
-        rows.append([
-            name, entry["slices"], entry["routing_bits"], entry["lut_bits"],
-            entry["ff_bits"], f"{entry['routing_fraction'] * 100:.1f}%",
-            f"{entry['fmax_mhz']:.0f}",
-            f"x{entry['area_overhead_vs_standard']:.2f}",
-            entry["paper_slices"] if entry["paper_slices"] else "-",
-            f"{entry['paper_fmax_mhz']:.0f}" if entry["paper_fmax_mhz"]
-            else "-",
-        ])
-    return format_table(
-        ["Design", "Slices", "Routing bits", "LUT bits", "FF bits",
-         "Routing share", "Fmax (MHz)", "Area vs std",
-         "Paper slices", "Paper Fmax"],
-        rows, "Table 2 — resources and performance (measured vs paper)")
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = experiment_parser(__doc__, backend_default=None)
-    arguments = parser.parse_args(argv)
-
-    if arguments.json:
-        from ..pipeline import stable_report
-        from ..scenarios import run_scenario
-
-        report = run_scenario("table2-fir", scale=arguments.scale,
-                              jobs=arguments.jobs,
-                              flow_cache=arguments.flow_cache)
-        print(json.dumps(stable_report(report), indent=2, default=str,
-                         sort_keys=True))
-        return 0
-
-    table = run_table2(scale=arguments.scale, jobs=arguments.jobs,
-                       flow_cache=arguments.flow_cache)
-    print(format_report(table))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -27,7 +27,7 @@ Every stage records its input fingerprint, wall time and cache hit/miss
 deltas into the run report, which :func:`build_report` assembles into one
 uniform schema (:data:`REPORT_SCHEMA`) — scenario id, seed, backend,
 upset model and tool versions included — consumed by ``python -m repro``,
-the CI gate and the experiment drivers alike.
+the campaign service and the CI gate alike.
 
 Scenario *definitions* (which designs, which axes, which analyses) live in
 :mod:`repro.scenarios`; this module only knows how to execute one resolved
@@ -75,8 +75,8 @@ class PipelineContext:
     Holds the resolved knobs of one scenario variant plus the artefacts
     the stages produce (suite, implementations, campaign results, derived
     analyses).  Callers may pre-seed ``suite`` / ``implementations`` to
-    skip the corresponding stages' work — the experiment drivers use this
-    to keep their historical signatures.
+    skip the corresponding stages' work — ``run_table2``/``run_table3``
+    use this to keep their historical signatures.
     """
 
     def __init__(self, scenario_id: str = "custom",
@@ -416,6 +416,14 @@ def _analyze_figures(ctx: PipelineContext) -> Dict[str, object]:
     return run_figures(suite=ctx.suite)
 
 
+def _analyze_figure1_upsets(ctx: PipelineContext) -> Dict[str, object]:
+    """Figure 1's example routing upsets, measured per campaigned design."""
+    from .experiments.figures import figure1_upset_demo
+
+    return {name: figure1_upset_demo(result)
+            for name, result in ctx.campaigns.items()}
+
+
 def _analyze_sweep(ctx: PipelineContext) -> Dict[str, object]:
     from .experiments.ablations import partition_sweep
 
@@ -478,6 +486,7 @@ ANALYSES = {
     "table3": _analyze_table3,
     "table4": _analyze_table4,
     "figures": _analyze_figures,
+    "figure1_upsets": _analyze_figure1_upsets,
     "sweep": _analyze_sweep,
     "defeat_map": _analyze_defeat_map,
     "prediction_vs_campaign": _analyze_prediction,

@@ -1,10 +1,10 @@
 """Persistent, content-addressed store of every pickled artifact.
 
-The paper's experiment drivers re-implement the same five filter versions
-for every table, ablation, scale and floorplan variant; place-and-route is
-a pure function of (flat netlist, device, floorplan, flow parameters, tool
+The paper's experiments re-implement the same five filter versions for
+every table, ablation, scale and floorplan variant; place-and-route is a
+pure function of (flat netlist, device, floorplan, flow parameters, tool
 version), so its result can live on disk and be reused by every later run
-of any experiment CLI.  The campaign service's cache tier
+of any scenario.  The campaign service's cache tier
 (:mod:`repro.service.tier`) keeps golden traces, defeat maps, fault lists
 and shard checkpoints in the same store.
 

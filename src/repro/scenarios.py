@@ -26,7 +26,9 @@ import dataclasses
 import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .experiments.designs import DESIGN_ORDER
+from .experiments.designs import DESIGN_ORDER, scale_by_name
+from .faults import (FAULT_LIST_MODES, PREFILTER_CHOICES, resolve_backend,
+                     resolve_upset_model)
 from .pipeline import PipelineContext, StoreLike, pipeline_for
 
 #: One matrix axis: a PipelineContext field name and its candidate values.
@@ -202,6 +204,19 @@ register_scenario(Scenario(
 ))
 
 register_scenario(Scenario(
+    id="figure1-upsets",
+    title="Figure 1 — example routing upsets",
+    description="One campaign on the plain (minimum-partition) TMR "
+                "version: a routing upset confined to one domain (upset "
+                "'a', masked by the voters) and one coupling two domains "
+                "(upset 'b', defeating the TMR), with the masked and "
+                "defeating counts of the routing categories.",
+    designs=("TMR_p3",),
+    backend="vector",
+    analyses=("figure1_upsets",),
+))
+
+register_scenario(Scenario(
     id="ablation-sweep",
     title="Analytical voter-granularity sweep",
     description="The optimizer's analytical design-space sweep behind "
@@ -318,6 +333,29 @@ register_scenario(Scenario(
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
+def validate_scenario(scenario: Scenario) -> None:
+    """Reject a scenario whose knobs cannot run, before any work starts.
+
+    Checks the backend, upset model, prefilter, scale and fault-list mode
+    of every matrix variant and raises :class:`ValueError` (or
+    :class:`KeyError` for an unknown scale).  :func:`run_scenario` calls
+    it before the expensive build/implement stages, and the campaign
+    service before it queues or journals a submission.
+    """
+    for _, variant in scenario.variants():
+        resolve_backend(variant.backend)
+        resolve_upset_model(variant.upset_model)
+        scale_by_name(variant.scale)
+        if variant.prefilter not in PREFILTER_CHOICES:
+            raise ValueError(f"unknown campaign prefilter "
+                             f"{variant.prefilter!r}; choose from "
+                             f"{PREFILTER_CHOICES}")
+        if variant.fault_list_mode not in FAULT_LIST_MODES:
+            raise ValueError(f"unknown fault-list mode "
+                             f"{variant.fault_list_mode!r}; choose from "
+                             f"{FAULT_LIST_MODES}")
+
+
 def run_scenario(scenario: Union[str, Scenario], *,
                  scale: Optional[str] = None,
                  backend: Optional[str] = None,
@@ -365,19 +403,7 @@ def run_scenario(scenario: Union[str, Scenario], *,
                           if axis[0] not in overrides)
         scenario = dataclasses.replace(scenario, axes=collapsed, **overrides)
 
-    # Fail fast on an invalid backend or upset-model spec (including ones
-    # hidden in matrix axes) before any expensive build/implement work.
-    from .faults import PREFILTER_CHOICES, resolve_backend, \
-        resolve_upset_model
-
-    for _, variant in scenario.variants():
-        resolve_backend(variant.backend)
-        resolve_upset_model(variant.upset_model)
-        if variant.prefilter not in PREFILTER_CHOICES:
-            raise ValueError(f"unknown campaign prefilter "
-                             f"{variant.prefilter!r}; choose from "
-                             f"{PREFILTER_CHOICES}")
-
+    validate_scenario(scenario)
     if repeat < 1:
         raise ValueError("repeat must be at least 1")
     report: Dict[str, object] = {}

@@ -9,7 +9,8 @@ Method     Path                    Meaning
 =========  ======================  ==========================================
 POST       ``/jobs``               submit a job spec (JSON body); 202 with
                                    the job snapshot (+ ``coalesced`` flag);
-                                   503 + ``Retry-After`` while draining
+                                   400 for a spec that cannot run; 503 +
+                                   ``Retry-After`` while draining
 GET        ``/jobs``               all job snapshots
 GET        ``/jobs/<id>``          one snapshot; ``?wait=<seconds>`` blocks
                                    until the job settles or the wait expires
@@ -127,7 +128,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             job, coalesced = self.service.submit_detailed(spec)
         except ServiceDraining as exc:
             return self._unavailable(str(exc))
-        except KeyError as exc:  # unknown scenario
+        except (ValueError, KeyError, TypeError) as exc:  # cannot run
             return self._error(400, str(exc).strip('"'))
         snapshot = job.snapshot()
         snapshot["coalesced"] = coalesced

@@ -44,7 +44,7 @@ import time
 import traceback
 from typing import Dict, List, Optional, Tuple
 
-from ..scenarios import run_scenario
+from ..scenarios import run_scenario, validate_scenario
 from .chaos import ChaosCrash
 from .jobs import Job, JobQueue, JobSpec, JobState
 from .journal import JobJournal
@@ -232,7 +232,10 @@ class CampaignService:
 
         The flag comes straight from the queue's atomic submit — callers
         (the HTTP handler) must not infer it from shared counters, which
-        race under concurrent submissions.
+        race under concurrent submissions.  A spec whose scenario,
+        backend, upset model, prefilter, scale or fault-list mode cannot
+        run raises :class:`KeyError`/:class:`ValueError` here, before it
+        is queued or journaled.
         """
         with self._lock:
             loop = self._loop
@@ -244,6 +247,7 @@ class CampaignService:
                                   "restart")
         if spec.backend is None and self.default_backend is not None:
             spec = dataclasses.replace(spec, backend=self.default_backend)
+        validate_scenario(spec.resolve())
         job, created = self.queue.submit(spec)
         if created:
             # WAL discipline: the submission is durable *before* the

@@ -18,7 +18,6 @@ import time
 
 import pytest
 
-from repro import pipeline
 from repro.analysis.layout import DefeatMap, LayoutAnalyzer, defeat_map_for
 from repro.faults import (CampaignConfig, CampaignWorkerError,
                           ShardedBackend, clear_cache, derive_seed,
@@ -517,6 +516,13 @@ class TestCampaignService:
             assert job.state == JobState.FAILED
             assert "worker died" in job.error
 
+    def test_invalid_default_backend_rejected_at_submit(self, tmp_path):
+        with CampaignService(tier=tmp_path / "tier",
+                             default_backend="bogus") as service:
+            with pytest.raises(ValueError, match="unknown campaign backend"):
+                service.submit(tiny_spec())
+            assert service.queue.jobs() == []
+
     def test_submit_requires_started_service(self):
         service = CampaignService()
         with pytest.raises(Exception, match="not running"):
@@ -581,6 +587,22 @@ class TestHttpApi:
             submit_job(url, {"scenario": "table3-fir", "bogus": 1})
         with pytest.raises(RuntimeError, match="unknown scenario"):
             submit_job(url, {"scenario": "no-such-scenario"})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("backend", "bogus", "unknown campaign backend"),
+        ("backend", 5, "backend must be None, a name"),
+        ("upset_model", "mbu:zz", "must be an integer"),
+        ("prefilter", "nope", "unknown campaign prefilter"),
+        ("scale", "huge2", "unknown scale"),
+        ("fault_list_mode", "nope", "unknown fault-list mode"),
+    ])
+    def test_unrunnable_spec_is_400_and_never_journaled(
+            self, served, field, value, message):
+        service, url = served
+        with pytest.raises(RuntimeError, match=rf"\(400\).*{message}"):
+            submit_job(url, {"scenario": "table3-fir", field: value})
+        assert service.queue.jobs() == []
+        assert service.journal.replay().replayed == 0
 
     def test_unknown_job_is_404(self, served):
         _service, url = served

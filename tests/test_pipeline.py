@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import json
 
 import pytest
@@ -192,6 +191,25 @@ class TestPipelineRuns:
         assert "## Variant `upset_model=mbu:2`" in matrix
 
 
+class TestFigure1Upsets:
+    def test_scenario_reports_masked_and_defeating_upsets(self, flow_store):
+        report = run_scenario("figure1-upsets", scale="tiny", num_faults=40,
+                              flow_cache=flow_store)
+        assert list(report["designs"]) == ["TMR_p3"]
+        demo = report["derived"]["figure1_upsets"]["TMR_p3"]
+        assert demo["routing_upsets_with_effect"] > 0
+        assert demo["routing_upsets_masked"] + \
+            demo["routing_upsets_defeating"] == \
+            demo["routing_upsets_with_effect"]
+        for key, count, wrong in (
+                ("upset_a_masked_in_domain", "routing_upsets_masked", False),
+                ("upset_b_defeats_tmr", "routing_upsets_defeating", True)):
+            example = demo[key]
+            assert (example is None) == (demo[count] == 0)
+            if example is not None:
+                assert example["wrong_answer"] is wrong
+
+
 class TestDriverParity:
     def test_run_table3_equals_scenario(self, flow_store):
         from repro.experiments import DESIGN_ORDER, run_table3
@@ -236,6 +254,25 @@ class TestCommandLine:
         assert written["upset_model"] == "mbu:2"
         assert set(written["designs"]) == {"standard"}
 
+    def test_run_fault_list_reaches_run_scenario(self, monkeypatch, capsys):
+        import repro.__main__ as cli
+
+        calls = []
+
+        def fake_run_scenario(scenario, **kwargs):
+            calls.append((scenario, kwargs))
+            return {"scenario": scenario}
+
+        monkeypatch.setattr(cli, "run_scenario", fake_run_scenario)
+        assert cli_main(["run", "table3-fir", "--fault-list", "programmed",
+                         "--faults", "40", "--json"]) == 0
+        [(scenario, kwargs)] = calls
+        assert scenario == "table3-fir"
+        assert kwargs["fault_list_mode"] == "programmed"
+        assert kwargs["num_faults"] == 40
+        assert json.loads(capsys.readouterr().out) == {
+            "scenario": "table3-fir"}
+
     def test_list(self, capsys):
         assert cli_main(["list"]) == 0
         out = capsys.readouterr().out
@@ -246,45 +283,17 @@ class TestCommandLine:
                                                       "mbu-fir"}
 
 
-class _Parsed(Exception):
-    """Raised in place of running a driver once its arguments parse."""
-
-
-def _parse_only(monkeypatch, driver, argv):
-    """Parse *argv* with the parser *driver* builds, never running it."""
-    if driver == "run":
-        from repro.__main__ import _build_parser
-
-        _build_parser().parse_args(["run", "table3-fir", *argv])
-        raise _Parsed()
-    module = importlib.import_module(f"repro.experiments.{driver}")
-    build = module.experiment_parser
-
-    def stopping_parser(*args, **kwargs):
-        parser = build(*args, **kwargs)
-        parse = parser.parse_args
-
-        def parse_then_stop(args=None, namespace=None):
-            parse(args, namespace)
-            raise _Parsed()
-
-        parser.parse_args = parse_then_stop
-        return parser
-
-    monkeypatch.setattr(module, "experiment_parser", stopping_parser)
-    module.main(argv)
-
-
-@pytest.mark.parametrize("flag", ["--partitions", "--flow-threads"])
-@pytest.mark.parametrize("driver", ["table2", "table3", "table4", "figures",
-                                    "ablations", "run"])
-def test_cli_rejects_removed_flow_flags(monkeypatch, capsys, driver, flag):
+@pytest.mark.parametrize("flag", ["--partitions", "--flow-threads"],
+                         ids=lambda flag: f"run-{flag}")
+def test_cli_rejects_removed_flow_flags(capsys, flag):
     # The flow has no annealer partitions or flow threads; a CLI that
     # accepted these flags would silently ignore them.
-    with pytest.raises(_Parsed):
-        _parse_only(monkeypatch, driver, ["--jobs", "2"])
+    from repro.__main__ import _build_parser
+
+    parser = _build_parser()
+    parser.parse_args(["run", "table3-fir", "--jobs", "2"])
     with pytest.raises(SystemExit) as excinfo:
-        _parse_only(monkeypatch, driver, [flag, "2"])
+        parser.parse_args(["run", "table3-fir", flag, "2"])
     assert excinfo.value.code == 2
     assert flag in capsys.readouterr().err
 
