@@ -7,7 +7,6 @@
   mode (DESIGN.md design-choice: what counts as a "bit related to the DUT").
 """
 
-from repro.core import EveryKth, sweep_partitions
 from repro.experiments import campaign_config_for, fault_list_mode_study, \
     partition_sweep
 from repro.faults import run_campaign

@@ -11,7 +11,7 @@ Paper claims checked (shape, not absolute numbers):
   most.
 """
 
-from repro.analysis import area_overhead, resource_table
+from repro.analysis import resource_table
 from repro.experiments import DESIGN_ORDER, run_table2
 
 

@@ -1,9 +1,10 @@
 """P-series checkers: picklability and public-API integrity.
 
-* **P401** — backend payload types (``FaultTask``/``FaultVerdict``/
-  ``FaultResult``) cross process boundaries through the process and
-  sharded backends; they must be ``@dataclass(frozen=True, slots=True)``
-  so they stay picklable, immutable in flight and structurally stable.
+* **P401** — backend payload types cross process boundaries: a sharded
+  worker returns its shard's ``VerdictColumns``, which is also what a
+  shard checkpoint stores (the shard itself travels as a plain bit
+  array).  They must be ``@dataclass(frozen=True, slots=True)`` so they
+  stay picklable, immutable in flight and structurally stable.
 * **P402** — ``repro/__init__`` re-exports its public API lazily
   through ``_PUBLIC_API``; a stale ``(module, attribute)`` entry only
   explodes on first attribute access, so the analyzer resolves every

@@ -127,7 +127,7 @@ register(Rule(
     "os.replace write"))
 register(Rule(
     "P401", "backend payload type is not a frozen/slots dataclass",
-    "task/verdict payloads cross process boundaries; frozen+slots "
+    "verdict payloads cross process boundaries; frozen+slots "
     "guarantees picklability, immutability in flight and a stable "
     "attribute set",
     "declare the class @dataclasses.dataclass(frozen=True, slots=True)"))
@@ -164,10 +164,11 @@ class LintConfig:
         "repro/faults/cache.py",
     )
     #: path suffix -> class names that must be frozen+slots dataclasses
-    #: (the P401 scope: payloads pickled across process boundaries)
+    #: (the P401 scope: payloads pickled across process boundaries — a
+    #: sharded worker's verdict columns, which are also what a shard
+    #: checkpoint stores)
     payload_classes: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-        ("repro/faults/engine.py", ("FaultTask", "FaultVerdict")),
-        ("repro/faults/injector.py", ("FaultResult",)),
+        ("repro/faults/engine.py", ("VerdictColumns",)),
     )
     #: path suffix of the lazy-export module checked by P402
     public_api_module: str = "repro/__init__.py"

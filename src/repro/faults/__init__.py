@@ -8,13 +8,13 @@ from .campaign import (PREFILTER_CHOICES, CampaignConfig, CampaignResult,
                        CategoryCount, default_stimulus, run_campaign,
                        run_campaigns)
 from .engine import (BACKEND_CHOICES, BACKENDS, CampaignContext,
-                     CampaignWorkerError, ExecutionBackend, FaultTask,
-                     FaultVerdict, NumpyBackend, ProgressCallback,
-                     SerialBackend, ShardedBackend, VectorBackend,
+                     CampaignWorkerError, ExecutionBackend, Injections,
+                     NumpyBackend, ProgressCallback, SerialBackend,
+                     ShardedBackend, VectorBackend, VerdictColumns,
                      resolve_backend)
 from .fault_list import FAULT_LIST_MODES, FaultList, FaultListManager
-from .injector import FaultInjectionManager, FaultResult
-from .models import FaultEffect, FaultModeler
+from .injector import FaultInjectionManager, FaultRecords, FaultResult
+from .models import EffectColumns, FaultEffect, FaultModeler
 from .report import (campaign_details, format_table, table3_report,
                      table4_report)
 from .seeds import derive_seed, split_shards, substream
@@ -27,12 +27,13 @@ __all__ = [
     "CategoryCount",
     "default_stimulus", "run_campaign", "run_campaigns", "FAULT_LIST_MODES",
     "FaultList", "FaultListManager", "FaultInjectionManager", "FaultResult",
-    "FaultEffect", "FaultModeler", "campaign_details", "format_table",
+    "FaultRecords", "EffectColumns", "FaultEffect", "FaultModeler",
+    "campaign_details", "format_table",
     "table3_report", "table4_report",
     # execution engine
     "BACKEND_CHOICES", "BACKENDS", "CampaignContext", "CampaignWorkerError",
-    "ExecutionBackend", "FaultTask", "FaultVerdict", "NumpyBackend",
-    "ProgressCallback", "SerialBackend", "ShardedBackend", "VectorBackend",
+    "ExecutionBackend", "Injections", "NumpyBackend", "ProgressCallback",
+    "SerialBackend", "ShardedBackend", "VectorBackend", "VerdictColumns",
     "derive_seed", "resolve_backend", "split_shards", "substream",
     # cache layer
     "CampaignCache", "CampaignCacheEntry", "cache_stats", "clear_cache",

@@ -13,7 +13,8 @@ memoizes it behind an implementation *fingerprint*:
   (:class:`~repro.sim.bitparallel.VectorProgram`),
 * its numpy-compiled wrapper with accumulated shard plans
   (:class:`~repro.sim.npkernel.NumpyProgram`),
-* the modelled :class:`~repro.faults.models.FaultEffect` per bit,
+* the modelled effect per bit, stored as columns
+  (:class:`~repro.faults.models.EffectColumns`),
 * the fault cones per seed-net set.
 
 The fingerprint hashes the configuration-memory contents plus the design and
@@ -36,10 +37,10 @@ from ..pnr.flow import Implementation
 from ..sim.bitparallel import VectorProgram, compile_vector_program
 from ..sim.compile import CompiledDesign, FaultCone
 from ..sim.simulator import SimulationTrace, Simulator
+from .models import EffectColumns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .fault_list import FaultList
-    from .models import FaultEffect
 
 #: Default number of implementations kept in the global cache.
 DEFAULT_MAX_ENTRIES = 8
@@ -123,7 +124,9 @@ class CampaignCacheEntry:
         #: LRU-bounded, the traces dominate the cache's memory
         self._golden: "OrderedDict[Tuple, Tuple[SimulationTrace, object]]" \
             = OrderedDict()
-        self._effects: Dict[int, "FaultEffect"] = {}
+        #: modelled effects per bit (and per multi-bit cluster); campaign
+        #: contexts read and fill it (see ``CampaignContext.effect_slot``)
+        self.effects = EffectColumns()
         self._cones: Dict[Tuple[int, ...], FaultCone] = {}
         #: fault-list mode -> static defeat map (repro.analysis.layout)
         self._defeat_maps: Dict[str, object] = {}
@@ -143,7 +146,7 @@ class CampaignCacheEntry:
                     if self._compiled is not None:
                         self._golden.clear()
                         self._cones.clear()
-                        self._effects.clear()
+                        self.effects = EffectColumns()
                         self._defeat_maps.clear()
                         self._vector_program = None
                         self._numpy_program = None
@@ -256,26 +259,12 @@ class CampaignCacheEntry:
                 self._golden.popitem(last=False)
         return pair
 
-    def effect_of_bit(self, bit: int, modeler,
-                      stats: CacheStats) -> "FaultEffect":
-        # The modeler comes from the calling campaign context (it holds a
-        # strong reference to the implementation; keeping one here would
-        # defeat this entry's weakref design).
-        effect = self._effects.get(bit)
-        if effect is None:
-            stats.effect_misses += 1
-            effect = modeler.effect_of_bit(bit)
-            self._effects[bit] = effect
-        else:
-            stats.effect_hits += 1
-        return effect
-
     def defeat_map(self, mode: str, build, stats: CacheStats):
         """The memoized static defeat map (see :mod:`repro.analysis.layout`).
 
         *build* is a zero-argument factory, called once per fault-list
-        mode; like the modeler in :meth:`effect_of_bit` it comes from the
-        caller so this entry never holds the implementation strongly.
+        mode; like the modeler that fills :attr:`effects` it comes from
+        the caller so this entry never holds the implementation strongly.
         """
         defeat_map = self._defeat_maps.get(mode)
         if defeat_map is None:

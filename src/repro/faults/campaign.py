@@ -12,10 +12,12 @@ default, ``"vector"`` — whole fault shards packed into big-int lanes and
 swept bit-parallel through :mod:`repro.sim.bitparallel`, ``"numpy"`` —
 the same lane sweep compiled to vectorized ``uint64`` array kernels with
 cross-cone packing through :mod:`repro.sim.npkernel`, ``"sharded"`` —
-shards of the task list run through a vectorized backend in worker
+shards of the injections run through a vectorized backend in worker
 processes) and ``use_cache=`` controls the golden-trace / fault-effect
 cache (:mod:`repro.faults.cache`).  All backends produce
-bit-identical aggregates for the same seed.
+bit-identical aggregates for the same seed.  The per-injection records
+are columns; ``CampaignResult.results`` is a read-only view that builds
+each record on access (:class:`~repro.faults.injector.FaultRecords`).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import time
+from array import array
 from typing import Dict, List, Optional, Sequence
 
 from ..pnr.flow import Implementation
@@ -31,10 +34,11 @@ from ..sim.vectors import campaign_workload, stimulus_from_samples, \
     tmr_stimulus_from_samples
 from . import categories
 from .cache import get_cache
-from .engine import (BackendLike, CampaignContext, FaultTask, FaultVerdict,
-                     ProgressCallback, resolve_backend)
+from .engine import (BackendLike, CampaignContext, ProgressCallback,
+                     VerdictColumns, resolve_backend)
 from .fault_list import FaultListManager
-from .injector import FaultResult
+from .injector import FaultRecords, FaultResult
+from .models import EFFECT_ROW_INDEX, EFFECT_ROWS, EffectRow
 from .upsets import UpsetModelLike, resolve_upset_model
 
 #: Campaign prefilter modes: ``"none"`` evaluates every sampled injection;
@@ -89,7 +93,9 @@ class CampaignResult:
     fault_list_size: int
     injected: int
     wrong_answers: int
-    results: List[FaultResult]
+    #: per-injection records, a read-only lazy view over columns
+    #: (:class:`~repro.faults.injector.FaultRecords`)
+    results: Sequence[FaultResult]
     by_category: Dict[str, CategoryCount]
     duration_seconds: float
     #: name of the execution backend that evaluated the campaign
@@ -132,27 +138,6 @@ class CampaignResult:
             "wrong": self.wrong_answers,
             "wrong_percent": round(self.wrong_answer_percent, 2),
         }
-
-
-def _synthesized_silent_verdict(task: FaultTask) -> FaultVerdict:
-    """The verdict a provably-silent injection would simulate to.
-
-    Matches :meth:`~repro.faults.engine.CampaignContext.evaluate` exactly:
-    the category/resource/detail surface comes from the modelled effect,
-    and a fault whose taint never reaches an output can neither produce a
-    wrong answer nor a first mismatch cycle.
-    """
-    effect = task.effect
-    return FaultVerdict(
-        index=task.index,
-        bit=task.bit,
-        resource_kind=effect.resource[0],
-        category=effect.category,
-        has_effect=effect.has_effect,
-        wrong_answer=False,
-        first_mismatch_cycle=None,
-        detail=effect.detail,
-    )
 
 
 def _checkpoint_key(implementation: Implementation,
@@ -314,79 +299,89 @@ def run_campaign(implementation: Implementation,
                 implementation, mode=config.fault_list_mode,
                 compiled=context.compiled, modeler=context.modeler,
                 effect_lookup=context.effect_of_bit, use_cache=use_cache)
-        # Split the injections *before* modeling them into tasks: silent
-        # single-bit injections synthesize their verdicts straight from
-        # the map's predictions (which carry the effect's verdict
-        # surface), so the campaign never touches their fault models.
-        live_groups: List[tuple] = []      # (original index, bit tuple)
-        silent_groups: List[tuple] = []
+        # Split the injections *before* modeling them: silent single-bit
+        # injections take their verdicts straight from the map's
+        # predictions (which carry the effect's verdict surface), so the
+        # campaign never touches their fault models.  A multi-bit
+        # injection is skippable only when *every* bit of the cluster is
+        # proved silent: taint closures are unions, so the merged
+        # overlay's closure misses the outputs too.
+        is_silent = defeat_map.is_silent
+        live: List[int] = []
+        silent: List[int] = []
         for index, group in enumerate(groups):
-            bits = tuple(group)
-            # A multi-bit injection is skippable only when *every* bit of
-            # the cluster is proved silent: taint closures are unions, so
-            # the merged overlay's closure misses the outputs too.
-            if all(defeat_map.is_silent(bit) for bit in bits):
-                silent_groups.append((index, bits))
-            else:
-                live_groups.append((index, bits))
-        skipped_silent = len(silent_groups)
-        # Backends index scratch arrays by task.index, so the live subset
-        # is modeled with dense indices; verdicts are mapped back to the
-        # original injection indices before aggregation.
-        live_tasks = context.tasks_for_groups(
-            [bits for _index, bits in live_groups])
-        live_verdicts = engine.run(context, live_tasks, progress)
-        verdicts = [
-            dataclasses.replace(verdict, index=index)
-            for (index, _bits), verdict in zip(live_groups, live_verdicts)]
-        for index, bits in silent_groups:
-            if len(bits) == 1:
-                prediction = defeat_map.predictions[bits[0]]
-                verdicts.append(FaultVerdict(
-                    index=index, bit=bits[0],
-                    resource_kind=prediction.resource_kind,
-                    category=prediction.category,
-                    has_effect=prediction.has_effect,
-                    wrong_answer=False, first_mismatch_cycle=None,
-                    detail=prediction.detail))
+            (silent if all(is_silent(bit) for bit in group)
+             else live).append(index)
+        skipped_silent = len(silent)
+        # Backends see the live subset with dense positions; their
+        # verdicts land at the original injection positions below.
+        injections = context.tasks_for_groups([groups[index]
+                                               for index in live])
+        live_verdicts = engine.run(context, injections, progress)
+        verdicts = VerdictColumns.unsimulated(array("B", bytes(len(groups))))
+        details = [""] * len(groups)
+        live_details = injections.effects.details
+        for position, index in enumerate(live):
+            verdicts.rows[index] = live_verdicts.rows[position]
+            verdicts.wrong[index] = live_verdicts.wrong[position]
+            verdicts.first_mismatch[index] = \
+                live_verdicts.first_mismatch[position]
+            details[index] = live_details[injections.slots[position]]
+        for index in silent:
+            group = groups[index]
+            if len(group) == 1:
+                prediction = defeat_map.predictions[group[0]]
+                verdicts.rows[index] = EFFECT_ROW_INDEX[EffectRow(
+                    prediction.resource_kind, prediction.category,
+                    prediction.has_effect)]
+                details[index] = prediction.detail
             else:
                 # Multi-bit clusters need the merged effect's category /
                 # detail surface; per-bit effects are cache-backed.
-                task = context.tasks_for_groups([bits])[0]
-                verdicts.append(dataclasses.replace(
-                    _synthesized_silent_verdict(task), index=index))
-        verdicts.sort(key=lambda verdict: verdict.index)
+                merged = context.tasks_for_groups([group])
+                slot = merged.slots[0]
+                verdicts.rows[index] = merged.effects.rows[slot]
+                details[index] = merged.effects.details[slot]
+        bits = array("q", [group[0] for group in groups])
     else:
-        tasks = context.tasks_for_groups(groups)
-        verdicts = engine.run(context, tasks, progress)
+        injections = context.tasks_for_groups(groups)
+        verdicts = engine.run(context, injections, progress)
+        details = [injections.effects.details[slot]
+                   for slot in injections.slots]
+        bits = injections.bits
 
-    # Backends only tick the callback every PROGRESS_INTERVAL tasks, so a
-    # small campaign would otherwise finish without ever reporting; status
-    # consumers (the service's job progress) rely on the final 100% tick.
-    # Campaigns whose last backend tick already reported every verdict
-    # (task counts that are exact interval multiples) must not tick twice.
-    if progress is not None and reported[0] != len(verdicts):
-        progress(len(verdicts), len(verdicts))
+    records = FaultRecords(bits, verdicts.rows, details, verdicts.wrong,
+                           verdicts.first_mismatch)
+    # Backends only tick the callback every PROGRESS_INTERVAL injections,
+    # so a small campaign would otherwise finish without ever reporting;
+    # status consumers (the service's job progress) rely on the final
+    # 100% tick.  Campaigns whose last backend tick already reported
+    # every verdict (counts that are exact interval multiples) must not
+    # tick twice.
+    if progress is not None and reported[0] != len(records):
+        progress(len(records), len(records))
 
-    results: List[FaultResult] = []
+    injected_by_row = [0] * len(EFFECT_ROWS)
+    wrong_by_row = [0] * len(EFFECT_ROWS)
+    for row, wrong in zip(records.rows, records.wrong):
+        injected_by_row[row] += 1
+        wrong_by_row[row] += wrong
     by_category: Dict[str, CategoryCount] = {
         category: CategoryCount() for category in categories.TABLE4_ORDER}
-    wrong_answers = 0
-    for verdict in verdicts:
-        results.append(verdict.to_result())
-        bucket = by_category.setdefault(verdict.category, CategoryCount())
-        bucket.injected += 1
-        if verdict.wrong_answer:
-            bucket.wrong += 1
-            wrong_answers += 1
+    for row, injected in enumerate(injected_by_row):
+        if injected:
+            bucket = by_category.setdefault(EFFECT_ROWS[row].category,
+                                            CategoryCount())
+            bucket.injected += injected
+            bucket.wrong += wrong_by_row[row]
 
     return CampaignResult(
         design=implementation.design.name,
         mode=config.fault_list_mode,
         fault_list_size=len(fault_list),
-        injected=len(results),
-        wrong_answers=wrong_answers,
-        results=results,
+        injected=len(records),
+        wrong_answers=sum(wrong_by_row),
+        results=records,
         by_category=by_category,
         duration_seconds=time.time() - start,
         backend=engine.name,

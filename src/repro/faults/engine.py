@@ -1,21 +1,24 @@
-"""Campaign execution engine: pluggable backends over pure fault units.
+"""Campaign execution engine: pluggable backends over columnar records.
 
 A fault-injection campaign is a batch workload: an immutable golden
-reference (the fault-free device), a list of independent single-bit upsets,
-and one verdict per upset.  This module splits that workload into pure,
-picklable units and executes them behind interchangeable backends:
+reference (the fault-free device), a list of independent upsets, and one
+verdict per upset.  This module keeps both sides of that workload as
+columns, never as one object per upset:
 
-* :class:`FaultTask` — one sampled configuration bit together with its
-  modelled :class:`~repro.faults.models.FaultEffect`;
-* :class:`FaultVerdict` — the classified outcome of evaluating one task;
+* :class:`Injections` — the campaign's injections: per injection its slot
+  in the modelled-effect memo (:class:`~repro.faults.models.EffectColumns`),
+  its primary bit and, under a multi-bit upset model, its bit cluster;
+* :class:`VerdictColumns` — the outcome per injection: its effect row
+  (:data:`~repro.faults.models.EFFECT_ROWS`), a wrong-answer byte and the
+  first mismatching cycle (``-1`` for none);
 * :class:`CampaignContext` — the shared immutable context (implementation,
   compiled design, stimulus, golden trace) plus memoized derived artefacts,
   optionally backed by the process-wide :mod:`repro.faults.cache`;
 * :class:`ExecutionBackend` — the strategy interface, with four
   implementations:
 
-  - :class:`SerialBackend` — one task at a time, the seed semantics and
-    the oracle every other backend is checked against;
+  - :class:`SerialBackend` — one injection at a time, the seed semantics
+    and the oracle every other backend is checked against;
   - :class:`VectorBackend` — packs whole fault shards into the bit lanes of
     Python big integers and simulates them in one PPSFP-style sweep
     through the :mod:`repro.sim.bitparallel` kernel;
@@ -24,21 +27,24 @@ picklable units and executes them behind interchangeable backends:
     cones under one union cone, so shards run near-full instead of
     fragmenting per fault group;
   - :class:`ShardedBackend` — the campaign service's executor: splits the
-    task list into the deterministic :func:`~repro.faults.seeds.split_shards`
+    injections into the deterministic :func:`~repro.faults.seeds.split_shards`
     schedule and runs each shard through a *vectorized* backend inside a
     ``concurrent.futures`` worker process, so process-level sharding and
-    the numpy kernel stack multiplicatively.
+    the numpy kernel stack multiplicatively.  A shard travels to its
+    worker as its bit slice and comes back as verdict columns.
 
-Every backend must produce bit-identical campaign aggregates for the same
+Every backend must produce bit-identical verdict columns for the same
 sampled fault list — the equivalence is enforced by the test suite.
 """
 
 from __future__ import annotations
 
 import abc
+import collections
 import dataclasses
 import logging
 import os
+from array import array
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..pnr.flow import Implementation
@@ -48,10 +54,11 @@ from ..sim.bitparallel import (VectorProgram, broadcast_inputs,
                                simulate_lanes)
 from ..sim.compile import CompiledDesign, FaultCone
 from ..sim.golden import compare_traces
+from ..sim.overlay import FaultOverlay
 from ..sim.simulator import SimulationTrace, Simulator
 from .cache import CacheStats, CampaignCacheEntry
 from .injector import FaultResult
-from .models import FaultEffect, FaultModeler
+from .models import EFFECT_ROWS, EffectColumns, FaultEffect, FaultModeler
 from .seeds import split_shards
 
 #: ``progress(done, total)`` callback signature shared by the engine API.
@@ -60,50 +67,85 @@ ProgressCallback = Callable[[int, int], None]
 #: How often (in completed faults) the progress callback fires.
 PROGRESS_INTERVAL = 250
 
+#: ``EFFECTFUL[row]`` is 1 for the :data:`EFFECT_ROWS` that change the
+#: design (the injections a backend has to simulate).
+EFFECTFUL = bytes(row.has_effect for row in EFFECT_ROWS)
+
 LOGGER = logging.getLogger(__name__)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class FaultTask:
-    """One unit of campaign work: an injection and its modelled effect.
+@dataclasses.dataclass(frozen=True)
+class Injections:
+    """A campaign's injections as columns: what every backend evaluates.
 
-    ``bit`` is the primary sampled bit (the seed semantics); under a
-    multi-bit :mod:`~repro.faults.upsets` model ``bits`` carries the whole
-    cluster flipped by this injection and ``effect`` is their merged
-    overlay.  An empty ``bits`` means a classic single-bit task.
+    ``slots[i]`` is injection *i*'s slot in ``effects`` (the modelled
+    effect of its bit, or the merged effect of its cluster) and
+    ``bits[i]`` its primary bit.  Under a multi-bit upset model
+    ``clusters[i]`` is the whole bit tuple the injection flips; it is
+    ``None`` when every injection flips one bit.
     """
 
-    index: int
-    bit: int
-    effect: FaultEffect
-    #: full injection cluster (debugging/provenance; empty for single-bit)
-    bits: Tuple[int, ...] = ()
+    effects: EffectColumns
+    slots: array
+    bits: array
+    clusters: Optional[List[Tuple[int, ...]]] = None
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def slice(self, start: int, stop: int) -> "Injections":
+        return Injections(
+            self.effects, self.slots[start:stop], self.bits[start:stop],
+            self.clusters[start:stop] if self.clusters is not None
+            else None)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
-class FaultVerdict:
-    """The classified outcome of one evaluated fault task."""
+class VerdictColumns:
+    """Verdicts of a run of injections, one column entry per injection.
 
-    index: int
-    bit: int
-    resource_kind: str
-    category: str
-    has_effect: bool
-    wrong_answer: bool
-    first_mismatch_cycle: Optional[int]
-    detail: str = ""
+    ``rows`` holds :data:`~repro.faults.models.EFFECT_ROWS` indices,
+    ``wrong`` one byte per injection (1: a wrong answer) and
+    ``first_mismatch`` the first cycle an output differed (``-1``:
+    none).  This is what a sharded worker sends back and what a shard
+    checkpoint stores.
+    """
 
-    def to_result(self) -> FaultResult:
-        """The campaign-level record (backward-compatible surface)."""
-        return FaultResult(
-            bit=self.bit,
-            resource_kind=self.resource_kind,
-            category=self.category,
-            has_effect=self.has_effect,
-            wrong_answer=self.wrong_answer,
-            first_mismatch_cycle=self.first_mismatch_cycle,
-            detail=self.detail,
-        )
+    rows: array
+    wrong: bytearray
+    first_mismatch: array
+
+    @classmethod
+    def unsimulated(cls, rows: array) -> "VerdictColumns":
+        """Verdicts of injections that produced no wrong answer."""
+        return cls(rows, bytearray(len(rows)),
+                   array("i", [-1]) * len(rows))
+
+    @classmethod
+    def for_injections(cls, injections: Injections) -> "VerdictColumns":
+        """Blank verdicts (no wrong answer yet) for *injections*."""
+        effect_rows = injections.effects.rows
+        return cls.unsimulated(array("B", [effect_rows[slot]
+                                           for slot in injections.slots]))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def is_consistent(self) -> bool:
+        return len(self.wrong) == len(self.first_mismatch) == len(self.rows)
+
+    def record(self, index: int, first_mismatch: Optional[int]) -> None:
+        """Set injection *index*'s outcome from its first mismatch."""
+        if first_mismatch is not None:
+            self.wrong[index] = 1
+            self.first_mismatch[index] = first_mismatch
+
+    def paste(self, start: int, other: "VerdictColumns") -> None:
+        """Copy *other* into positions ``start .. start + len(other)``."""
+        stop = start + len(other)
+        self.rows[start:stop] = other.rows
+        self.wrong[start:stop] = other.wrong
+        self.first_mismatch[start:stop] = other.first_mismatch
 
 
 class CampaignContext:
@@ -125,7 +167,7 @@ class CampaignContext:
         self.implementation = implementation
         self.cache_entry = cache_entry
         self.stats = stats if stats is not None else CacheStats()
-        #: content digest of the exact task list this campaign hands to
+        #: content digest of the exact injections this campaign hands to
         #: its backend (set by ``run_campaign``); checkpoint-capable
         #: backends persist completed shards under it so an interrupted
         #: campaign resumes instead of recomputing.  ``None`` disables
@@ -139,6 +181,10 @@ class CampaignContext:
         elif cache_entry is not None:
             compiled = cache_entry.compiled_design(self.stats, compiled)
         self.compiled = compiled
+        #: the modelled-effect memo the injections index (taken after the
+        #: compiled design, whose adoption may replace the entry's memo)
+        self.effects = cache_entry.effects if cache_entry is not None \
+            else EffectColumns()
         self.stimulus = list(stimulus) if stimulus is not None else []
         self.skip_cycles = skip_cycles
         self.output_ports = list(output_ports) if output_ports else None
@@ -223,55 +269,73 @@ class CampaignContext:
         return self._numpy_program
 
     # ------------------------------------------------------------------
-    def effect_of_bit(self, bit: int) -> FaultEffect:
-        if self.cache_entry is not None:
-            return self.cache_entry.effect_of_bit(bit, self.modeler,
-                                                  self.stats)
-        return self.modeler.effect_of_bit(bit)
+    def effect_slot(self, bit: int) -> int:
+        """The :attr:`effects` slot of *bit*, modelling it on a miss."""
+        effects = self.effects
+        slot = effects.slot_of(bit)
+        if slot is None:
+            if self.cache_entry is not None:
+                self.stats.effect_misses += 1
+            slot = effects.add(bit, self.modeler.effect_of_bit(bit))
+        elif self.cache_entry is not None:
+            self.stats.effect_hits += 1
+        return slot
 
-    def tasks_for(self, fault_bits: Sequence[int]) -> List[FaultTask]:
-        """Model every sampled bit into an executable task list."""
-        return [FaultTask(index, bit, self.effect_of_bit(bit))
-                for index, bit in enumerate(fault_bits)]
+    def effect_of_bit(self, bit: int) -> FaultEffect:
+        """A :class:`FaultEffect` view of *bit*'s memoized effect."""
+        return self.effects.effect(self.effect_slot(bit))
 
     def tasks_for_groups(self, groups: Sequence[Sequence[int]]
-                         ) -> List[FaultTask]:
-        """Model a list of injections (one bit tuple each) into tasks.
+                         ) -> Injections:
+        """Model a list of injections (one bit tuple each) into columns.
 
-        Single-bit groups produce tasks equal to :meth:`tasks_for`'s
-        (same cached effects, same contents, empty ``bits``), so the
-        ``single`` upset model stays bit-identical to the seed campaign;
-        multi-bit groups carry their cluster in ``bits`` and merge the
-        per-bit effects through
-        :func:`repro.faults.upsets.merged_effect`.
+        Single-bit groups index the per-bit effects, so the ``single``
+        upset model stays bit-identical to the seed campaign; multi-bit
+        groups carry their cluster and index the merged effect of its
+        bits (:func:`repro.faults.upsets.merged_effect`).
         """
+        bits = array("q", [group[0] for group in groups])
+        clusters: Optional[List[Tuple[int, ...]]] = None
+        if any(len(group) != 1 for group in groups):
+            clusters = [tuple(group) for group in groups]
+        return self.injections_for(bits, clusters)
+
+    def injections_for(self, bits: Sequence[int],
+                       clusters: Optional[Sequence[Tuple[int, ...]]] = None
+                       ) -> Injections:
+        """Model injections given as columns (see :class:`Injections`)."""
         from .upsets import merged_effect
 
-        # Samples beyond the population size repeat bits; memoizing the
-        # effect lookup locally keeps huge-scale task modelling linear in
-        # the number of *distinct* bits.
-        effects: Dict[int, FaultEffect] = {}
+        effects = self.effects
+        # Samples beyond the population size repeat bits; resolving each
+        # distinct bit once keeps huge-scale modelling linear in the
+        # number of *distinct* bits.
+        seen: Dict[int, int] = {}
 
-        def effect_of(bit: int) -> FaultEffect:
-            effect = effects.get(bit)
-            if effect is None:
-                effect = effects[bit] = self.effect_of_bit(bit)
-            return effect
+        def slot_of(bit: int) -> int:
+            slot = seen.get(bit)
+            if slot is None:
+                slot = seen[bit] = self.effect_slot(bit)
+            return slot
 
-        tasks: List[FaultTask] = []
-        for index, group in enumerate(groups):
-            bits = tuple(group)
-            if len(bits) == 1:
-                tasks.append(FaultTask(index, bits[0], effect_of(bits[0])))
-            else:
-                effect = merged_effect(
-                    bits, [effect_of(bit) for bit in bits],
-                    self.compiled)
-                tasks.append(FaultTask(index, bits[0], effect, bits=bits))
-        return tasks
-
-    def cone_for(self, effect: FaultEffect) -> Optional[FaultCone]:
-        return self.cone_for_nets(effect.overlay.seed_nets)
+        cluster_list = list(clusters) if clusters is not None else None
+        if cluster_list is None:
+            slots = array("i", [slot_of(bit) for bit in bits])
+        else:
+            slots = array("i")
+            for cluster in cluster_list:
+                constituents = [slot_of(bit) for bit in cluster]
+                if len(cluster) == 1:
+                    slots.append(constituents[0])
+                    continue
+                slot = effects.slot_of(cluster)
+                if slot is None:
+                    slot = effects.add(cluster, merged_effect(
+                        cluster, [effects.effect(constituent)
+                                  for constituent in constituents],
+                        self.compiled))
+                slots.append(slot)
+        return Injections(effects, slots, array("q", bits), cluster_list)
 
     def cone_for_nets(self,
                       seed_nets: Sequence[int]) -> Optional[FaultCone]:
@@ -297,61 +361,61 @@ class CampaignContext:
         return cone
 
     # ------------------------------------------------------------------
-    def evaluate(self, task: FaultTask) -> FaultVerdict:
-        """Evaluate one task against the golden reference."""
-        effect = task.effect
-        resource_kind = effect.resource[0]
-        if not effect.has_effect:
-            return FaultVerdict(
-                index=task.index,
-                bit=task.bit,
-                resource_kind=resource_kind,
-                category=effect.category,
-                has_effect=False,
-                wrong_answer=False,
-                first_mismatch_cycle=None,
-                detail=effect.detail,
-            )
-        cone = self.cone_for(effect)
-        simulator = Simulator(self.compiled, effect.overlay,
+    def first_mismatch(self, overlay: FaultOverlay) -> Optional[int]:
+        """Simulate one overlay; the first cycle an output differs."""
+        cone = self.cone_for_nets(overlay.seed_nets)
+        simulator = Simulator(self.compiled, overlay,
                               base_program=self.base_program)
         if cone is not None:
             trace = simulator.run(self.stimulus, golden=self.golden,
                                   cone=cone)
         else:
             trace = simulator.run(self.stimulus)
-        comparison = compare_traces(trace, self.golden,
-                                    ports=self.output_ports,
-                                    skip_cycles=self.skip_cycles)
-        return FaultVerdict(
-            index=task.index,
-            bit=task.bit,
-            resource_kind=resource_kind,
+        return compare_traces(trace, self.golden, ports=self.output_ports,
+                              skip_cycles=self.skip_cycles
+                              ).first_mismatch_cycle
+
+    def evaluate(self, effect: FaultEffect) -> FaultResult:
+        """Evaluate one modelled effect against the golden reference."""
+        has_effect = effect.has_effect
+        first = self.first_mismatch(effect.overlay) if has_effect else None
+        return FaultResult(
+            bit=effect.bit,
+            resource_kind=effect.resource[0],
             category=effect.category,
-            has_effect=True,
-            wrong_answer=comparison.wrong_answer,
-            first_mismatch_cycle=comparison.first_mismatch_cycle,
+            has_effect=has_effect,
+            wrong_answer=first is not None,
+            first_mismatch_cycle=first,
             detail=effect.detail,
         )
 
 
 class ExecutionBackend(abc.ABC):
-    """Strategy interface: evaluate a task list within a campaign context."""
+    """Strategy interface: evaluate injections within a campaign context."""
 
     #: registry name, also used in reports
     name: str = "abstract"
 
     @abc.abstractmethod
-    def run(self, context: CampaignContext, tasks: Sequence[FaultTask],
+    def run(self, context: CampaignContext, injections: Injections,
             progress: Optional[ProgressCallback] = None
-            ) -> List[FaultVerdict]:
-        """Evaluate *tasks*, returning verdicts in task order."""
+            ) -> VerdictColumns:
+        """Evaluate *injections*, returning verdicts in injection order."""
 
     @staticmethod
-    def _tick(progress: Optional[ProgressCallback], done: int,
-              total: int) -> None:
-        if progress is not None and done % PROGRESS_INTERVAL == 0:
-            progress(done, total)
+    def _advance(progress: Optional[ProgressCallback], done: int,
+                 count: int, total: int) -> int:
+        """Account *count* more settled injections; the new done count.
+
+        Fires the callback at every multiple of ``PROGRESS_INTERVAL``
+        passed, exactly as a per-injection tick would.
+        """
+        settled = done + count
+        if progress is not None:
+            for tick in range(done // PROGRESS_INTERVAL + 1,
+                              settled // PROGRESS_INTERVAL + 1):
+                progress(tick * PROGRESS_INTERVAL, total)
+        return settled
 
 
 class SerialBackend(ExecutionBackend):
@@ -359,30 +423,33 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def run(self, context: CampaignContext, tasks: Sequence[FaultTask],
+    def run(self, context: CampaignContext, injections: Injections,
             progress: Optional[ProgressCallback] = None
-            ) -> List[FaultVerdict]:
+            ) -> VerdictColumns:
         context.prepare()
-        verdicts: List[FaultVerdict] = []
-        total = len(tasks)
-        for done, task in enumerate(tasks, start=1):
-            verdicts.append(context.evaluate(task))
-            self._tick(progress, done, total)
+        verdicts = VerdictColumns.for_injections(injections)
+        overlays = injections.effects.overlays
+        total = len(injections)
+        for index, slot in enumerate(injections.slots):
+            if EFFECTFUL[verdicts.rows[index]]:
+                verdicts.record(index,
+                                context.first_mismatch(overlays[slot]))
+            self._advance(progress, index, 1, total)
         return verdicts
 
 
 class VectorBackend(ExecutionBackend):
     """Bit-parallel (PPSFP-style) shard evaluation over integer lanes.
 
-    Effectful tasks are grouped by the two shard invariants that must be
-    homogeneous for bit-identical results — the number of combinational
-    settle passes and whether a fault cone exists — then packed
-    ``lane_width`` faults at a time into the big-int lanes of the
+    Effectful injections are grouped by the two shard invariants that
+    must be homogeneous for bit-identical results — the number of
+    combinational settle passes and whether a fault cone exists — then
+    packed ``lane_width`` faults at a time into the big-int lanes of the
     :mod:`repro.sim.bitparallel` kernel.  One sweep over the levelized
     lane program simulates the whole shard against the cached golden
-    trace; per-lane output divergence masks are demuxed back into
-    :class:`FaultVerdict`\\ s, and a lane-retirement mask stops the sweep
-    early once every lane of the shard has produced a wrong answer.
+    trace; per-lane first mismatches are written back into the verdict
+    columns, and a lane-retirement mask stops the sweep early once every
+    lane of the shard has produced a wrong answer.
 
     ``last_run_stats`` records shard sizes and lane utilization of the
     most recent :meth:`run`, so benchmarks can report how full the lanes
@@ -397,25 +464,25 @@ class VectorBackend(ExecutionBackend):
         self.lane_width = lane_width
         self.last_run_stats: Dict[str, object] = {}
 
-    def run(self, context: CampaignContext, tasks: Sequence[FaultTask],
+    def run(self, context: CampaignContext, injections: Injections,
             progress: Optional[ProgressCallback] = None
-            ) -> List[FaultVerdict]:
+            ) -> VerdictColumns:
         context.prepare()
         program = context.vector_program
-        total = len(tasks)
-        done = 0
-        verdicts: List[Optional[FaultVerdict]] = [None] * total
+        verdicts = VerdictColumns.for_injections(injections)
+        overlays = injections.effects.overlays
+        slots = injections.slots
+        total = len(injections)
 
-        groups: Dict[Tuple[int, bool], List[FaultTask]] = {}
-        for task in tasks:
-            overlay = task.effect.overlay
-            if not task.effect.has_effect:
-                verdicts[task.index] = context.evaluate(task)
-                done += 1
-                self._tick(progress, done, total)
+        groups: Dict[Tuple[int, bool], List[int]] = {}
+        for index, slot in enumerate(slots):
+            if not EFFECTFUL[verdicts.rows[index]]:
                 continue
+            overlay = overlays[slot]
             key = (overlay.required_passes(), bool(overlay.seed_nets))
-            groups.setdefault(key, []).append(task)
+            groups.setdefault(key, []).append(index)
+        done = self._advance(progress, 0,
+                             total - sum(map(len, groups.values())), total)
 
         width = self.lane_width
         reseed = None
@@ -429,34 +496,24 @@ class VectorBackend(ExecutionBackend):
         for (passes, coned), group in groups.items():
             for start in range(0, len(group), width):
                 shard = group[start:start + width]
-                overlays = [task.effect.overlay for task in shard]
+                shard_overlays = [overlays[slots[index]] for index in shard]
                 cone = None
                 if coned:
-                    seeds = sorted({net for overlay in overlays
+                    seeds = sorted({net for overlay in shard_overlays
                                     for net in overlay.seed_nets})
                     cone = context.cone_for_nets(seeds)
                     if reseed is None:
                         reseed = broadcast_trace(context.golden,
                                                  (1 << width) - 1)
                 result = simulate_lanes(
-                    program, overlays, context.stimulus, context.golden,
-                    passes=passes, skip_cycles=context.skip_cycles,
+                    program, shard_overlays, context.stimulus,
+                    context.golden, passes=passes,
+                    skip_cycles=context.skip_cycles,
                     ports=context.output_ports, cone=cone, width=width,
                     reseed=reseed if coned else None, inputs=inputs)
-                for task, outcome in zip(shard, result.outcomes):
-                    effect = task.effect
-                    verdicts[task.index] = FaultVerdict(
-                        index=task.index,
-                        bit=task.bit,
-                        resource_kind=effect.resource[0],
-                        category=effect.category,
-                        has_effect=True,
-                        wrong_answer=outcome.wrong_answer,
-                        first_mismatch_cycle=outcome.first_mismatch_cycle,
-                        detail=effect.detail,
-                    )
-                    done += 1
-                    self._tick(progress, done, total)
+                for index, first in zip(shard, result.first_mismatch):
+                    verdicts.record(index, first)
+                done = self._advance(progress, done, len(shard), total)
                 shard_stats.append({
                     "lanes": len(shard),
                     "passes": passes,
@@ -476,7 +533,7 @@ class VectorBackend(ExecutionBackend):
             "mean_lane_utilization": (used / (len(shard_stats) * width))
             if shard_stats else 0.0,
         }
-        return [verdict for verdict in verdicts if verdict is not None]
+        return verdicts
 
 
 class NumpyBackend(ExecutionBackend):
@@ -487,9 +544,9 @@ class NumpyBackend(ExecutionBackend):
     * shards evaluate through :mod:`repro.sim.npkernel` — the lane
       program compiled into fused array operations instead of a Python
       loop interpreting one entry per gate;
-    * identical injections are evaluated **once**: tasks are deduplicated
-      by their flipped-bit cluster, one representative lane simulates,
-      and every duplicate receives a re-indexed copy of its verdict (a
+    * identical injections are evaluated **once**: injections sharing an
+      effect slot flip the same bit cluster, one representative lane
+      simulates, and every duplicate receives its outcome (a
       10^6-injection campaign over a ~10^4-bit fault list collapses to
       the unique-bit population);
     * lanes pack **across** cones: effectful faults are only split by
@@ -500,8 +557,9 @@ class NumpyBackend(ExecutionBackend):
       its outcome — nets outside a lane's own cone carry golden values —
       so packing trades no accuracy for near-full lanes.
 
-    Verdicts are bit-identical to :class:`SerialBackend` (enforced by the
-    test suite).
+    The default of 4096 lanes per shard keeps the sweep count low; wider
+    shards stop paying off because their union cones grow.  Verdicts are
+    bit-identical to :class:`SerialBackend` (enforced by the test suite).
 
     ``last_run_stats`` reports shard sizes and lane utilization (lanes
     over word-quantized capacity, i.e. ``ceil(lanes/64)*64``) of the most
@@ -510,58 +568,42 @@ class NumpyBackend(ExecutionBackend):
 
     name = "numpy"
 
-    def __init__(self, lane_width: int = 1024) -> None:
+    def __init__(self, lane_width: int = 4096) -> None:
         if lane_width < 1:
             raise ValueError("lane_width must be at least 1")
         self.lane_width = lane_width
         self.last_run_stats: Dict[str, object] = {}
 
-    def run(self, context: CampaignContext, tasks: Sequence[FaultTask],
+    def run(self, context: CampaignContext, injections: Injections,
             progress: Optional[ProgressCallback] = None
-            ) -> List[FaultVerdict]:
+            ) -> VerdictColumns:
         context.prepare()
         program = context.numpy_program
-        total = len(tasks)
-        done = 0
-        verdicts: List[Optional[FaultVerdict]] = [None] * total
+        effects = injections.effects
+        verdicts = VerdictColumns.for_injections(injections)
+        total = len(injections)
 
-        # Injections flipping the same bit cluster are the same physical
-        # fault; evaluate one representative per cluster.
-        unique: Dict[Tuple[int, ...], List[FaultTask]] = {}
-        for task in tasks:
-            unique.setdefault(task.bits or (task.bit,), []).append(task)
-
-        def settle(rep_verdict: FaultVerdict,
-                   bucket: List[FaultTask]) -> None:
-            nonlocal done
-            r = rep_verdict
-            for task in bucket:
-                verdicts[task.index] = r if task.index == r.index \
-                    else FaultVerdict(
-                        index=task.index, bit=r.bit,
-                        resource_kind=r.resource_kind, category=r.category,
-                        has_effect=r.has_effect, wrong_answer=r.wrong_answer,
-                        first_mismatch_cycle=r.first_mismatch_cycle,
-                        detail=r.detail)
-                done += 1
-                self._tick(progress, done, total)
-
-        # Members are decorated (passes, seeds, key, rep) so the sort and
-        # the per-shard pass maximum reuse one required_passes() call per
-        # overlay; `key` is unique, so `rep` never gets compared.
+        # Injections sharing a slot are the same physical fault; simulate
+        # one lane per slot and count how many injections it settles.
+        multiplicity = collections.Counter(injections.slots)
+        # Members are decorated (passes, seeds, cluster, slot) so the sort
+        # and the per-shard pass maximum reuse one required_passes() call
+        # per overlay; the cluster is unique, so `slot` never decides.
         groups: Dict[bool, List[Tuple[int, Tuple[int, ...],
-                                      Tuple[int, ...], FaultTask]]] = {}
-        for key, bucket in unique.items():
-            rep = bucket[0]
-            if not rep.effect.has_effect:
-                settle(context.evaluate(rep), bucket)
+                                      Tuple[int, ...], int]]] = {}
+        silent = 0
+        for slot, count in multiplicity.items():
+            if not EFFECTFUL[effects.rows[slot]]:
+                silent += count
                 continue
-            overlay = rep.effect.overlay
-            coned = bool(overlay.seed_nets)
-            groups.setdefault(coned, []).append(
+            overlay = effects.overlays[slot]
+            key = effects.keys[slot]
+            groups.setdefault(bool(overlay.seed_nets), []).append(
                 (overlay.required_passes(), tuple(sorted(overlay.seed_nets)),
-                 key, rep))
+                 key if isinstance(key, tuple) else (key,), slot))
+        done = self._advance(progress, 0, silent, total)
 
+        outcome: Dict[int, int] = {}
         shard_stats: List[Dict[str, object]] = []
         packed = 0
         capacity_total = 0
@@ -575,8 +617,8 @@ class NumpyBackend(ExecutionBackend):
             members.sort()
             for start in range(0, len(members), self.lane_width):
                 shard = members[start:start + self.lane_width]
-                overlays = [rep.effect.overlay
-                            for _p, _s, _key, rep in shard]
+                overlays = [effects.overlays[slot]
+                            for _p, _s, _c, slot in shard]
                 passes = shard[-1][0]
                 cone = None
                 if coned:
@@ -584,25 +626,20 @@ class NumpyBackend(ExecutionBackend):
                                     for net in overlay.seed_nets})
                     cone = context.cone_for_nets(seeds)
                 plan_key = ((id(cone) if cone is not None else None,)
-                            + tuple(key for _p, _s, key, _rep in shard))
+                            + tuple(cluster for _p, _s, cluster, _slot
+                                    in shard))
                 result = program.simulate_shard(
                     overlays, context.stimulus, context.golden,
                     passes=passes, skip_cycles=context.skip_cycles,
                     ports=context.output_ports, cone=cone,
                     plan_key=plan_key)
-                for (_p, _s, key, rep), outcome in zip(shard,
-                                                       result.outcomes):
-                    effect = rep.effect
-                    settle(FaultVerdict(
-                        index=rep.index,
-                        bit=rep.bit,
-                        resource_kind=effect.resource[0],
-                        category=effect.category,
-                        has_effect=True,
-                        wrong_answer=outcome.wrong_answer,
-                        first_mismatch_cycle=outcome.first_mismatch_cycle,
-                        detail=effect.detail,
-                    ), unique[key])
+                settled = 0
+                for (_p, _s, _c, slot), first in zip(shard,
+                                                     result.first_mismatch):
+                    if first is not None:
+                        outcome[slot] = first
+                    settled += multiplicity[slot]
+                done = self._advance(progress, done, settled, total)
                 lanes = len(shard)
                 capacity = ((lanes + 63) // 64) * 64
                 packed += lanes
@@ -617,11 +654,15 @@ class NumpyBackend(ExecutionBackend):
                     else len(program.program.entries),
                     "cycles_simulated": result.cycles_simulated,
                 })
+        if outcome:
+            get = outcome.get
+            for index, slot in enumerate(injections.slots):
+                verdicts.record(index, get(slot))
         self.last_run_stats = {
             "lane_width": self.lane_width,
             "shards": shard_stats,
             "packed_faults": packed,
-            "unique_faults": len(unique),
+            "unique_faults": len(multiplicity),
             "demuxed_faults": total,
             "peak_lane_utilization": max(
                 (stat["lanes"] / stat["capacity"]
@@ -629,13 +670,13 @@ class NumpyBackend(ExecutionBackend):
             "mean_lane_utilization": (packed / capacity_total)
             if capacity_total else 0.0,
         }
-        return [verdict for verdict in verdicts if verdict is not None]
+        return verdicts
 
 
 # ----------------------------------------------------------------------
 # Sharded backend: the campaign service's executor.  Workers are primed
 # through a fork-inherited (or, under spawn, pickled) context; each runs
-# a *vectorized* inner backend over its slice of the task list, so
+# a *vectorized* inner backend over its slice of the injections, so
 # process parallelism and lane packing stack.
 class CampaignWorkerError(RuntimeError):
     """A sharded campaign worker process died mid-campaign.
@@ -659,41 +700,47 @@ def _init_shard_worker(context: CampaignContext, inner_spec: str) -> None:
 
 
 def _run_task_shard(shard_index: int,
-                    shard: List[FaultTask]) -> List[FaultVerdict]:
+                    shard: Tuple[array, Optional[List[Tuple[int, ...]]]]
+                    ) -> VerdictColumns:
+    """Evaluate one shard, given as its ``(bits, clusters)`` slice.
+
+    The worker models the bits itself: under ``fork`` it inherited the
+    parent's effect memo, so every lookup hits.
+    """
     context = _WORKER_CONTEXT
     assert context is not None and _SHARD_INNER is not None, \
         "sharded worker used before initialization"
     from ..service import chaos
 
     chaos.on_shard_start(shard_index)
-    return _evaluate_shard_locally(_SHARD_INNER, context, shard)
+    return _evaluate_shard_locally(_SHARD_INNER, context,
+                                   context.injections_for(*shard))
 
 
 def _evaluate_shard_locally(inner: ExecutionBackend,
                             context: CampaignContext,
-                            shard: Sequence[FaultTask]
-                            ) -> List[FaultVerdict]:
-    # Inner backends place verdicts by task index into a list sized to
-    # the tasks they were handed, so a shard must be locally re-indexed
-    # before the run and its verdicts restored to global indices after.
-    local = [dataclasses.replace(task, index=position)
-             for position, task in enumerate(shard)]
-    verdicts = inner.run(context, local)
-    return [dataclasses.replace(verdict, index=shard[verdict.index].index)
-            for verdict in verdicts]
+                            shard: Injections) -> VerdictColumns:
+    return inner.run(context, shard)
 
 
 class _ShardCheckpoints:
-    """Parent-side shard-checkpoint view of one campaign's task list.
+    """Parent-side shard-checkpoint view of one campaign's injections.
 
     Checkpoint identity chains three things: the campaign's content
     digest (``CampaignContext.checkpoint_key``, covering implementation,
-    sampling and workload), the shard *schedule* (task count and shard
-    count — a rerun with a different worker count simply misses), and
-    the shard's position.  Payloads additionally carry their own
+    sampling and workload), the shard *schedule* (injection count and
+    shard count — a rerun with a different worker count simply misses),
+    and the shard's position.  Payloads additionally carry their own
     ``[start, stop)`` range and are validated against the expected slice
     before reuse, so a checkpoint can never resume foreign work.
+
+    Keys end in ``KEY_SUFFIX``, which names the payload layout: a
+    checkpoint written in an earlier layout sits under another key and
+    is a plain miss.
     """
+
+    #: verdict columns (:class:`VerdictColumns`) per shard
+    KEY_SUFFIX = "columns"
 
     def __init__(self, tier: object, campaign_key: str, num_tasks: int,
                  num_shards: int) -> None:
@@ -703,29 +750,28 @@ class _ShardCheckpoints:
         self.stores = 0
 
     def _key(self, shard_index: int) -> str:
-        return f"{self.prefix}-{shard_index}"
+        return f"{self.prefix}-{shard_index}-{self.KEY_SUFFIX}"
 
     def load(self, shard_index: int, start: int,
-             stop: int) -> Optional[List[FaultVerdict]]:
+             stop: int) -> Optional[VerdictColumns]:
         payload = self.tier.load_shard_verdicts(self._key(shard_index))
         if not isinstance(payload, dict) \
                 or payload.get("start") != start \
                 or payload.get("stop") != stop:
             return None
         verdicts = payload.get("verdicts")
-        if not isinstance(verdicts, list) \
+        if not isinstance(verdicts, VerdictColumns) \
                 or len(verdicts) != stop - start \
-                or any(not isinstance(verdict, FaultVerdict)
-                       for verdict in verdicts):
+                or not verdicts.is_consistent():
             return None
         self.hits += 1
         return verdicts
 
     def store(self, shard_index: int, start: int, stop: int,
-              verdicts: Sequence[FaultVerdict]) -> None:
+              verdicts: VerdictColumns) -> None:
         ok = self.tier.store_shard_verdicts(
             self._key(shard_index),
-            {"start": start, "stop": stop, "verdicts": list(verdicts)})
+            {"start": start, "stop": stop, "verdicts": verdicts})
         if ok:
             self.stores += 1
             from ..service import chaos
@@ -734,13 +780,14 @@ class _ShardCheckpoints:
 
 
 class ShardedBackend(ExecutionBackend):
-    """Shard the task list across worker processes running a vector kernel.
+    """Shard the injections across worker processes running a vector kernel.
 
     The shard schedule is :func:`~repro.faults.seeds.split_shards` —
     contiguous, non-overlapping, covering — so any worker can re-derive
-    its slice from ``(len(tasks), shards, index)`` and the sharding is
-    reproducible independent of pool scheduling.  Verdicts are placed by
-    their task index, making the result order (and every campaign
+    its slice from ``(len(injections), shards, index)`` and the sharding
+    is reproducible independent of pool scheduling.  A shard travels as
+    its bit slice and returns :class:`VerdictColumns`, pasted at the
+    shard's offset, making the result order (and every campaign
     aggregate) bit-identical to the serial backend regardless of which
     worker finishes first.
 
@@ -833,10 +880,10 @@ class ShardedBackend(ExecutionBackend):
         return _ShardCheckpoints(tier, key, num_tasks, num_shards)
 
     def _degrade_shard(self, context: CampaignContext,
-                       shard: Sequence[FaultTask], shard_index: int,
+                       shard: Injections, shard_index: int,
                        inner_spec: str,
                        degradations: List[Dict[str, object]],
-                       cause: Exception) -> List[FaultVerdict]:
+                       cause: Exception) -> VerdictColumns:
         """Evaluate a repeatedly-failing shard inline, degrading backends.
 
         Runs in the parent process — whatever killed the workers (an OOM
@@ -868,9 +915,9 @@ class ShardedBackend(ExecutionBackend):
             f"last error: {type(last).__name__}: {last}") from last
 
     # ------------------------------------------------------------------
-    def run(self, context: CampaignContext, tasks: Sequence[FaultTask],
+    def run(self, context: CampaignContext, injections: Injections,
             progress: Optional[ProgressCallback] = None
-            ) -> List[FaultVerdict]:
+            ) -> VerdictColumns:
         import multiprocessing
         import time as _time
         from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -878,10 +925,11 @@ class ShardedBackend(ExecutionBackend):
 
         from .seeds import substream
 
-        workers = self._worker_count(len(tasks))
+        total = len(injections)
+        workers = self._worker_count(total)
         degradations: List[Dict[str, object]] = []
         inner = resolve_backend(self.inner_spec())
-        if not tasks or workers == 1 or len(tasks) < self.min_tasks:
+        if not total or workers == 1 or total < self.min_tasks:
             # Degrading must stay visible in reports (benchmarks attribute
             # faults/sec to the backend name).
             self.name = "sharded:inline-fallback"
@@ -894,16 +942,16 @@ class ShardedBackend(ExecutionBackend):
             # The inline path is one shard of the trivial one-shard
             # schedule, checkpointed like any other so even small service
             # campaigns resume instead of recomputing.
-            checkpoints = self._checkpoints_for(context, len(tasks), 1)
+            checkpoints = self._checkpoints_for(context, total, 1)
             if checkpoints is not None:
-                cached = checkpoints.load(0, 0, len(tasks))
+                cached = checkpoints.load(0, 0, total)
                 if cached is not None:
                     stats["checkpoint_hits"] = 1
                     self.last_run_stats = stats
-                    return list(cached)
-            verdicts = inner.run(context, tasks, progress)
-            if checkpoints is not None and len(verdicts) == len(tasks):
-                checkpoints.store(0, 0, len(tasks), verdicts)
+                    return cached
+            verdicts = inner.run(context, injections, progress)
+            if checkpoints is not None and len(verdicts) == total:
+                checkpoints.store(0, 0, total, verdicts)
                 stats["checkpoint_stores"] = checkpoints.stores
             self.last_run_stats = stats
             return verdicts
@@ -923,32 +971,28 @@ class ShardedBackend(ExecutionBackend):
         if mp_context.get_start_method() != "fork":
             worker_context = context.detached()
 
-        task_list = list(tasks)
-        ranges = split_shards(len(task_list),
-                              workers * self.shards_per_worker)
+        ranges = split_shards(total, workers * self.shards_per_worker)
         descriptors = [(index, start, stop)
                        for index, (start, stop) in enumerate(ranges)
                        if stop > start]
-        checkpoints = self._checkpoints_for(context, len(task_list),
-                                            len(ranges))
+        checkpoints = self._checkpoints_for(context, total, len(ranges))
 
-        verdicts: List[Optional[FaultVerdict]] = [None] * len(task_list)
-        total = len(task_list)
+        verdicts = VerdictColumns.for_injections(injections)
+        bits = injections.bits
+        clusters = injections.clusters
         done = 0
 
-        def place(shard_verdicts: Sequence[FaultVerdict]) -> None:
+        def place(start: int, shard_verdicts: VerdictColumns) -> None:
             nonlocal done
-            for verdict in shard_verdicts:
-                verdicts[verdict.index] = verdict
-                done += 1
-                self._tick(progress, done, total)
+            verdicts.paste(start, shard_verdicts)
+            done = self._advance(progress, done, len(shard_verdicts), total)
 
         pending: List[Tuple[int, int, int]] = []
         for index, start, stop in descriptors:
             cached = checkpoints.load(index, start, stop) \
                 if checkpoints is not None else None
             if cached is not None:
-                place(cached)
+                place(start, cached)
             else:
                 pending.append((index, start, stop))
 
@@ -957,7 +1001,7 @@ class ShardedBackend(ExecutionBackend):
         # Jitter decorrelates retry rounds without breaking determinism:
         # the stream is a labeled substream of the task count, so a rerun
         # sleeps the same schedule.
-        jitter = substream(len(task_list), "shard-retry-jitter")
+        jitter = substream(total, "shard-retry-jitter")
         executor: Optional[ProcessPoolExecutor] = None
         try:
             while pending:
@@ -967,8 +1011,9 @@ class ShardedBackend(ExecutionBackend):
                         initializer=_init_shard_worker,
                         initargs=(worker_context, inner.name))
                 futures = {
-                    executor.submit(_run_task_shard, index,
-                                    task_list[start:stop]):
+                    executor.submit(_run_task_shard, index, (
+                        bits[start:stop], clusters[start:stop]
+                        if clusters is not None else None)):
                     (index, start, stop)
                     for index, start, stop in pending}
                 pending = []
@@ -983,9 +1028,9 @@ class ShardedBackend(ExecutionBackend):
                         broken = broken or isinstance(exc,
                                                       BrokenProcessPool)
                         continue
-                    place(shard_verdicts)
+                    index, start, stop = descriptor
+                    place(start, shard_verdicts)
                     if checkpoints is not None:
-                        index, start, stop = descriptor
                         checkpoints.store(index, start, stop,
                                           shard_verdicts)
                 for (index, start, stop), exc in failed:
@@ -996,9 +1041,9 @@ class ShardedBackend(ExecutionBackend):
                         pending.append((index, start, stop))
                     else:
                         shard_verdicts = self._degrade_shard(
-                            context, task_list[start:stop], index,
+                            context, injections.slice(start, stop), index,
                             inner.name, degradations, exc)
-                        place(shard_verdicts)
+                        place(start, shard_verdicts)
                         if checkpoints is not None:
                             checkpoints.store(index, start, stop,
                                               shard_verdicts)
@@ -1027,7 +1072,7 @@ class ShardedBackend(ExecutionBackend):
             if checkpoints is not None else 0,
             "degradations": degradations,
         }
-        return [verdict for verdict in verdicts if verdict is not None]
+        return verdicts
 
 
 #: Registry of backend names accepted by the ``backend=`` knob.

@@ -32,14 +32,22 @@ independent pass-transistor-style bits in our fabric model):
   addresses).
 * anything else                                         -> **Others** /
   **Bridge** with no behavioural effect.
+
+Campaigns memoize modelled effects in :class:`EffectColumns`, which keeps
+per bit a row of :data:`EFFECT_ROWS` and the detail string, and an
+overlay only where the bit changes the design.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import threading
+from array import array
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from ..fpga.bitgen import UsedResources
-from ..fpga.config import KIND_LUT_BIT, KIND_SLICE_CFG, ConfigLayout, Resource
+from ..fpga.config import (KIND_LUT_BIT, KIND_PIP, KIND_SLICE_CFG,
+                           ConfigLayout, Resource)
 from ..fpga.device import FF_PAIRED_LUT, Device
 from ..fpga.routing import Pip
 from ..pnr.flow import Implementation
@@ -54,6 +62,14 @@ _LUT_PIN_TO_SLOT = {
     "F1": ("F", 0), "F2": ("F", 1), "F3": ("F", 2), "F4": ("F", 3),
     "G1": ("G", 0), "G2": ("G", 1), "G3": ("G", 2), "G4": ("G", 3),
 }
+
+#: Serializes :meth:`EffectColumns.add` (appends are short and rare
+#: next to the modelling that precedes them).
+_APPEND_LOCK = threading.Lock()
+
+#: The two constant overrides, shared by every overlay that uses one.
+_FLOATING = SourceOverride.floating()
+_STUCK_HIGH = SourceOverride.constant(1)
 
 
 @dataclasses.dataclass
@@ -71,6 +87,95 @@ class FaultEffect:
         return not self.overlay.is_empty()
 
 
+class EffectRow(NamedTuple):
+    """The verdict surface one modelled effect shares with many others."""
+
+    resource_kind: str
+    category: str
+    has_effect: bool
+
+
+#: Every verdict surface an effect can have, in a fixed order: a row index
+#: means the same in every process, so shard payloads and checkpoints
+#: carry small integers instead of strings.
+EFFECT_ROWS: Tuple[EffectRow, ...] = tuple(
+    EffectRow(kind, category, has_effect)
+    for kind in (KIND_LUT_BIT, KIND_SLICE_CFG, KIND_PIP)
+    for category in categories.TABLE4_ORDER
+    for has_effect in (False, True))
+
+#: :data:`EFFECT_ROWS` position of each row.
+EFFECT_ROW_INDEX: Dict[Tuple[str, str, bool], int] = {
+    row: index for index, row in enumerate(EFFECT_ROWS)}
+
+#: What an effect is memoized under: its bit, or a multi-bit cluster.
+EffectKey = Union[int, Tuple[int, ...]]
+
+
+class EffectColumns:
+    """Modelled effects stored as columns, one slot per distinct key.
+
+    A key is a bit (a single-bit effect) or a bit tuple (the merged
+    effect of one multi-bit injection).  Per slot the columns hold the
+    effect's :data:`EFFECT_ROWS` index, its primary bit, its resource
+    and its detail string; a :class:`FaultOverlay` is kept only for
+    effectful slots, so most bits that change nothing cost no objects.
+    :meth:`effect` rebuilds a :class:`FaultEffect` view on access.
+
+    Appends hold a lock (the service's worker threads share one memo
+    per implementation): the columns must stay aligned.  Two threads
+    modelling the same key both compute it; the first append wins.  The
+    lock is module-wide, so a memo pickles like plain data.
+    """
+
+    def __init__(self) -> None:
+        self._slot_of: Dict[EffectKey, int] = {}
+        #: slot -> key, bit and resource of the effect
+        self.keys: List[EffectKey] = []
+        self.bits = array("q")
+        self.resources: List[Resource] = []
+        #: slot -> EFFECT_ROWS index
+        self.rows = array("B")
+        self.details: List[str] = []
+        #: slot -> overlay, effectful (or seed-carrying) slots only
+        self.overlays: Dict[int, FaultOverlay] = {}
+
+    def slot_of(self, key: EffectKey) -> Optional[int]:
+        return self._slot_of.get(key)
+
+    def add(self, key: EffectKey, effect: FaultEffect) -> int:
+        """Store *effect* under *key*; the slot of the stored effect."""
+        overlay = effect.overlay
+        has_effect = not overlay.is_empty()
+        # EffectRow hashes as the plain tuple it is.
+        row = EFFECT_ROW_INDEX[(effect.resource[0], effect.category,
+                                has_effect)]
+        with _APPEND_LOCK:
+            slot = self._slot_of.get(key)
+            if slot is not None:
+                return slot
+            slot = len(self.keys)
+            self.keys.append(key)
+            self.bits.append(effect.bit)
+            self.resources.append(effect.resource)
+            self.rows.append(row)
+            self.details.append(effect.detail)
+            # An empty overlay may still name seed nets (an open with no
+            # sinks left); a multi-bit merge unions those, so keep it.
+            if has_effect or overlay.seed_nets:
+                self.overlays[slot] = overlay
+            self._slot_of[key] = slot
+        return slot
+
+    def effect(self, slot: int) -> FaultEffect:
+        """A :class:`FaultEffect` view of one slot (built per call)."""
+        overlay = self.overlays.get(slot)
+        return FaultEffect(self.bits[slot], self.resources[slot],
+                           EFFECT_ROWS[self.rows[slot]].category,
+                           overlay if overlay is not None
+                           else FaultOverlay(), self.details[slot])
+
+
 class FaultModeler:
     """Maps configuration bits of an implementation onto fault overlays."""
 
@@ -85,6 +190,11 @@ class FaultModeler:
         self._net_id = compiled.net_index
         self._gate_index = compiled.gate_index_by_name
         self._ff_index = compiled.ff_index_by_name
+        #: one instance per distinct net/blend override (they are frozen)
+        self._overrides: Dict[SourceOverride, SourceOverride] = {}
+
+    def _shared(self, override: SourceOverride) -> SourceOverride:
+        return self._overrides.setdefault(override, override)
 
     # ------------------------------------------------------------------
     def effect_of_bit(self, bit: int) -> FaultEffect:
@@ -116,7 +226,7 @@ class FaultModeler:
                                "cell not in compiled design")
         gate = self.compiled.gates[gate_index]
         overlay.lut_init_overrides[gate_index] = gate.init ^ (1 << table_bit)
-        overlay.seed_nets = [gate.output_net]
+        overlay.seed_nets = (gate.output_net,)
         return FaultEffect(bit, resource, categories.LUT, overlay,
                            f"minterm {table_bit} of {site.cell} flipped")
 
@@ -145,38 +255,35 @@ class FaultModeler:
 
         if name.endswith("_INIT"):
             overlay.ff_init_overrides[ff_index] = 1 - site.init_value
-            overlay.seed_nets = [flip_flop.q_net]
+            overlay.seed_nets = (flip_flop.q_net,)
             detail = f"power-up value of {site.cell} flipped"
         elif name.endswith("_DMUX"):
-            overlay.seed_nets = [flip_flop.q_net]
+            overlay.seed_nets = (flip_flop.q_net,)
             if site.data_from_lut:
                 # Data now comes from the unrouted bypass pin: floating.
-                overlay.ff_pin_overrides[(ff_index, "D")] = \
-                    SourceOverride.floating()
+                overlay.ff_pin_overrides[(ff_index, "D")] = _FLOATING
                 detail = f"{site.cell} data input detached from its LUT"
             else:
                 paired = self.resources.lut_site_at(x, y,
                                                     FF_PAIRED_LUT[suffix])
                 if paired is None:
-                    overlay.ff_pin_overrides[(ff_index, "D")] = \
-                        SourceOverride.floating()
+                    overlay.ff_pin_overrides[(ff_index, "D")] = _FLOATING
                     detail = f"{site.cell} data input switched to empty LUT"
                 else:
                     paired_gate = self.compiled.gates[
                         self._gate_index[paired.cell]]
                     overlay.ff_pin_overrides[(ff_index, "D")] = \
-                        SourceOverride.net(paired_gate.output_net)
+                        self._shared(SourceOverride.net(
+                            paired_gate.output_net))
                     detail = (f"{site.cell} data input switched to "
                               f"{paired.cell}")
         elif name.endswith("_CEMUX"):
-            overlay.seed_nets = [flip_flop.q_net]
+            overlay.seed_nets = (flip_flop.q_net,)
             if site.uses_clock_enable:
-                overlay.ff_pin_overrides[(ff_index, "CE")] = \
-                    SourceOverride.constant(1)
+                overlay.ff_pin_overrides[(ff_index, "CE")] = _STUCK_HIGH
                 detail = f"{site.cell} clock enable stuck active"
             else:
-                overlay.ff_pin_overrides[(ff_index, "CE")] = \
-                    SourceOverride.floating()
+                overlay.ff_pin_overrides[(ff_index, "CE")] = _FLOATING
                 detail = f"{site.cell} clock enable floating"
         else:  # _SRMODE
             detail = "set/reset mode bit (no functional model)"
@@ -202,9 +309,9 @@ class FaultModeler:
                                "route tree missing")
         affected = tree.sinks_through(pip[1])
         for spec in affected:
-            self._override_sink(overlay, spec, SourceOverride.floating())
+            self._override_sink(overlay, spec, _FLOATING)
         net_id = self._net_id.get(net_name, -1)
-        overlay.seed_nets = [net_id] if net_id >= 0 else []
+        overlay.seed_nets = (net_id,) if net_id >= 0 else ()
         return FaultEffect(bit, resource, categories.OPEN, overlay,
                            f"{len(affected)} sink(s) of {net_name} float")
 
@@ -240,7 +347,8 @@ class FaultModeler:
             description=f"conflict between {source_net} and {dest_net}")
         source_id = self._net_id.get(source_net, -1)
         dest_id = self._net_id.get(dest_net, -1)
-        blend = SourceOverride.blend_of(dest_id, source_id, BLEND_SHORT)
+        blend = self._shared(SourceOverride.blend_of(dest_id, source_id,
+                                                     BLEND_SHORT))
         affected = 0
         dest_tree = self.routing.routes.get(dest_net)
         if dest_tree is not None:
@@ -249,12 +357,12 @@ class FaultModeler:
                 affected += 1
         source_tree = self.routing.routes.get(source_net)
         if source_tree is not None and pip[0] in source_tree.nodes():
-            reverse_blend = SourceOverride.blend_of(source_id, dest_id,
-                                                    BLEND_SHORT)
+            reverse_blend = self._shared(SourceOverride.blend_of(
+                source_id, dest_id, BLEND_SHORT))
             for spec in source_tree.sinks_through(pip[0]):
                 self._override_sink(overlay, spec, reverse_blend)
                 affected += 1
-        overlay.seed_nets = [n for n in (source_id, dest_id) if n >= 0]
+        overlay.seed_nets = tuple(n for n in (source_id, dest_id) if n >= 0)
         overlay.comb_passes = 3
         return FaultEffect(bit, resource, categories.CONFLICT, overlay,
                            f"{affected} sink(s) see the short of "
@@ -267,14 +375,15 @@ class FaultModeler:
             f"{pip[1]}")
         source_id = self._net_id.get(source_net, -1)
         dest_id = self._net_id.get(dest_net, -1)
-        blend = SourceOverride.blend_of(dest_id, source_id, BLEND_SHORT)
+        blend = self._shared(SourceOverride.blend_of(dest_id, source_id,
+                                                     BLEND_SHORT))
         affected = 0
         dest_tree = self.routing.routes.get(dest_net)
         if dest_tree is not None:
             for spec in dest_tree.sinks_through(pip[1]):
                 self._override_sink(overlay, spec, blend)
                 affected += 1
-        overlay.seed_nets = [n for n in (source_id, dest_id) if n >= 0]
+        overlay.seed_nets = tuple(n for n in (source_id, dest_id) if n >= 0)
         overlay.comb_passes = 3
         return FaultEffect(bit, resource, categories.BRIDGE, overlay,
                            f"{affected} sink(s) of {dest_net} shorted with "
@@ -306,9 +415,10 @@ class FaultModeler:
                                overlay, "cell not in compiled design")
         gate = self.compiled.gates[gate_index]
         source_id = self._net_id.get(source_net, -1)
-        overlay.net_overrides[gate.output_net] = SourceOverride.blend_of(
-            gate.output_net, source_id, BLEND_AND_NOT)
-        overlay.seed_nets = [gate.output_net]
+        overlay.net_overrides[gate.output_net] = self._shared(
+            SourceOverride.blend_of(gate.output_net, source_id,
+                                    BLEND_AND_NOT))
+        overlay.seed_nets = (gate.output_net,)
         overlay.comb_passes = 3
         return FaultEffect(bit, resource, categories.INPUT_ANTENNA, overlay,
                            f"unused input of {site.cell} driven by "

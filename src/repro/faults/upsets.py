@@ -219,7 +219,7 @@ def merged_effect(bits: Sequence[int], effects: Sequence[FaultEffect],
         overlay.output_pin_overrides.update(source.output_pin_overrides)
         overlay.comb_passes = max(overlay.comb_passes, source.comb_passes)
         seed_nets.update(source.seed_nets)
-    overlay.seed_nets = sorted(seed_nets)
+    overlay.seed_nets = tuple(sorted(seed_nets))
 
     primary = next((effect for effect in effects if effect.has_effect),
                    effects[0])

@@ -356,6 +356,28 @@ def validate_scenario(scenario: Scenario) -> None:
                              f"{FAULT_LIST_MODES}")
 
 
+def resolve_scenario(scenario: Union[str, Scenario],
+                     **overrides: object) -> Scenario:
+    """The scenario that *scenario* with keyword *overrides* runs.
+
+    ``None`` keeps a field's default.  Overriding a field that is also a
+    matrix axis collapses that axis.  :func:`run_scenario` and the
+    service's ``JobSpec.resolve`` both go through here, so a job's
+    fingerprint describes exactly what executes.
+    """
+    if isinstance(scenario, str):
+        scenario = scenario_by_name(scenario)
+    given = {name: value for name, value in overrides.items()
+             if value is not None}
+    if "designs" in given:
+        given["designs"] = tuple(given["designs"])
+    if not given:
+        return scenario
+    collapsed = tuple(axis for axis in scenario.axes
+                      if axis[0] not in given)
+    return dataclasses.replace(scenario, axes=collapsed, **given)
+
+
 def run_scenario(scenario: Union[str, Scenario], *,
                  scale: Optional[str] = None,
                  backend: Optional[str] = None,
@@ -379,30 +401,10 @@ def run_scenario(scenario: Union[str, Scenario], *,
     the second run exercises every cache layer, which is what the CI gate
     measures.
     """
-    if isinstance(scenario, str):
-        scenario = scenario_by_name(scenario)
-    overrides: Dict[str, object] = {}
-    if scale is not None:
-        overrides["scale"] = scale
-    if backend is not None:
-        overrides["backend"] = backend
-    if upset_model is not None:
-        overrides["upset_model"] = upset_model
-    if num_faults is not None:
-        overrides["num_faults"] = num_faults
-    if prefilter is not None:
-        overrides["prefilter"] = prefilter
-    if seed is not None:
-        overrides["seed"] = seed
-    if fault_list_mode is not None:
-        overrides["fault_list_mode"] = fault_list_mode
-    if designs is not None:
-        overrides["designs"] = tuple(designs)
-    if overrides:
-        collapsed = tuple(axis for axis in scenario.axes
-                          if axis[0] not in overrides)
-        scenario = dataclasses.replace(scenario, axes=collapsed, **overrides)
-
+    scenario = resolve_scenario(
+        scenario, scale=scale, backend=backend, upset_model=upset_model,
+        num_faults=num_faults, prefilter=prefilter, seed=seed,
+        fault_list_mode=fault_list_mode, designs=designs)
     validate_scenario(scenario)
     if repeat < 1:
         raise ValueError("repeat must be at least 1")

@@ -28,7 +28,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..scenarios import Scenario, scenario_by_name
+from ..scenarios import Scenario, resolve_scenario
 
 
 class JobState:
@@ -96,16 +96,7 @@ class JobSpec:
         Raises :class:`KeyError` for an unknown scenario name — callers
         surface that at submission time, not inside a worker.
         """
-        scenario = scenario_by_name(self.scenario)
-        overrides = self.overrides()
-        if overrides:
-            # Overriding a field that is also a matrix axis collapses the
-            # axis — same rule as run_scenario, so fingerprints agree
-            # with what actually executes.
-            axes = tuple(axis for axis in scenario.axes
-                         if axis[0] not in overrides)
-            scenario = dataclasses.replace(scenario, axes=axes, **overrides)
-        return scenario
+        return resolve_scenario(self.scenario, **self.overrides())
 
     def as_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {"scenario": self.scenario}

@@ -662,10 +662,17 @@ class LaneOutcome:
 class VectorResult:
     """Result of one shard sweep."""
 
-    outcomes: List[LaneOutcome]
+    #: per lane, the first cycle an output differed (``None``: never)
+    first_mismatch: List[Optional[int]]
     cycles_simulated: int
     #: per cycle {port: [(v, k) per bit]} — only with record_lane_outputs
     lane_outputs: Optional[List[Dict[str, List[Tuple[int, int]]]]] = None
+
+    @property
+    def outcomes(self) -> List[LaneOutcome]:
+        """One :class:`LaneOutcome` per lane (built per access)."""
+        return [LaneOutcome(cycle is not None, cycle)
+                for cycle in self.first_mismatch]
 
 
 def broadcast_trace(golden: SimulationTrace,
@@ -863,6 +870,4 @@ def simulate_lanes(program: VectorProgram,
             # cannot change any verdict.
             break
 
-    outcomes = [LaneOutcome(first_mismatch[lane] is not None,
-                            first_mismatch[lane]) for lane in range(lanes)]
-    return VectorResult(outcomes, cycles_simulated, lane_outputs)
+    return VectorResult(first_mismatch, cycles_simulated, lane_outputs)

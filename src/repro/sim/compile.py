@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cells.evaluate import lut_init_of
 from ..cells.library import FF_CELLS, LUT_CELLS, lut_input_count
-from ..netlist.ir import Definition, Direction, Instance, InstancePin, Net, \
+from ..netlist.ir import Definition, Direction, Instance, InstancePin, \
     NetlistError
 from ..netlist.traversal import topological_levels
 

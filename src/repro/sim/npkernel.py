@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as _np
 
 from ..cells import logic
-from .bitparallel import (LaneOutcome, VectorProgram, VectorResult,
+from .bitparallel import (VectorProgram, VectorResult,
                           _build_flip_flops, _E_AND2, _E_CONST0, _E_CONST1,
                           _E_CONSTM, _E_COPY, _E_NOT, _E_OR2, _E_PINS,
                           _E_TREE, _E_X, _E_XNOR2, _E_XOR2, _OP_AND,
@@ -1136,10 +1136,7 @@ def _run_shard_plan(plan: _ShardPlan, golden: SimulationTrace,
         if not record_lane_outputs and not pending.any():
             break
 
-    outcomes = [LaneOutcome(first_mismatch[lane] is not None,
-                            first_mismatch[lane])
-                for lane in range(plan.lanes)]
-    return VectorResult(outcomes, cycles_simulated, lane_outputs)
+    return VectorResult(first_mismatch, cycles_simulated, lane_outputs)
 
 
 # ----------------------------------------------------------------------

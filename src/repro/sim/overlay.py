@@ -20,7 +20,7 @@ Supported effects:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..cells import logic
 
@@ -118,8 +118,9 @@ class FaultOverlay:
     #: number of combinational settle passes per cycle (shorts can create
     #: backward dependencies; extra passes let them converge)
     comb_passes: int = 1
-    #: nets where the fault first manifests (seed of the fault cone)
-    seed_nets: List[int] = dataclasses.field(default_factory=list)
+    #: nets where the fault first manifests (seed of the fault cone); the
+    #: fault models store a tuple, which the collector stops tracking
+    seed_nets: Sequence[int] = ()
 
     def is_empty(self) -> bool:
         """True when the upset provably cannot change any net value."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cells.library import build_cell_library, shared_cell_library
+from repro.cells.library import shared_cell_library
 from repro.core import (AllComponents, ByComponentType, NoPartition,
                         TMRConfig, apply_tmr)
 from repro.fpga import device_by_name

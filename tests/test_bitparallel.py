@@ -17,9 +17,8 @@ import random
 import pytest
 
 from repro.cells import logic
-from repro.sim import (CompiledDesign, FaultOverlay, Simulator,
-                       SourceOverride, compile_vector_program,
-                       simulate_lanes)
+from repro.sim import (FaultOverlay, Simulator, SourceOverride,
+                       compile_vector_program, simulate_lanes)
 from repro.sim import bitparallel as bp
 
 

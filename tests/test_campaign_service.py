@@ -336,6 +336,22 @@ class TestJobSpec:
         with pytest.raises(KeyError):
             job_fingerprint(JobSpec("no-such-scenario"))
 
+    def test_resolve_matches_what_run_scenario_executes(self, monkeypatch):
+        # One override rule: a spec overriding the backend axis and the
+        # designs resolves to the very scenario run_scenario expands.
+        import repro.scenarios as scenarios
+
+        executed = []
+        monkeypatch.setattr(
+            scenarios, "_run_once",
+            lambda scenario, **_kwargs: executed.append(scenario) or {})
+        spec = JobSpec("backend-matrix", scale="tiny", backend="vector",
+                       designs=("TMR_p2",))
+        run_scenario(spec.scenario, **spec.overrides())
+        assert executed == [spec.resolve()]
+        assert spec.resolve().axes == ()
+        assert spec.resolve().designs == ("TMR_p2",)
+
 
 class TestJobQueue:
     def test_lifecycle(self):

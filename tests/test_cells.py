@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cells import (CELL_INFO, INIT_AND2, INIT_BUF, INIT_INV, INIT_MAJ3,
+from repro.cells import (INIT_AND2, INIT_BUF, INIT_INV, INIT_MAJ3,
                          INIT_MUX2, INIT_VOTER, INIT_XOR2, INIT_XOR3,
                          build_cell_library, cell_info, combinational_output,
                          init_from_function, init_from_truth_table,

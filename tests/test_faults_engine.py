@@ -11,9 +11,9 @@ import random
 import pytest
 
 from repro.faults import (BACKEND_CHOICES, BACKENDS, CampaignConfig,
-                          ExecutionBackend, FaultTask, FaultVerdict,
-                          NumpyBackend, SerialBackend, ShardedBackend,
-                          VectorBackend, cache_stats, clear_cache,
+                          ExecutionBackend, NumpyBackend, SerialBackend,
+                          ShardedBackend, VectorBackend, VerdictColumns,
+                          cache_stats, clear_cache,
                           default_stimulus, get_cache,
                           implementation_fingerprint, resolve_backend,
                           run_campaign, run_campaigns)
@@ -164,15 +164,17 @@ class TestEngineApi:
             implementation,
             stimulus=default_stimulus(implementation, CONFIG))
         bits = [r.bit for r in serial_reference.results[:5]]
-        tasks = context.tasks_for(bits)
-        for task in tasks:
-            clone = pickle.loads(pickle.dumps(task))
-            assert isinstance(clone, FaultTask)
-            assert (clone.index, clone.bit) == (task.index, task.bit)
-            verdict = context.evaluate(task)
-            round_trip = pickle.loads(pickle.dumps(verdict))
-            assert isinstance(round_trip, FaultVerdict)
-            assert round_trip == verdict
+        # A shard crosses the process boundary as its bit slice and comes
+        # back as verdict columns.
+        injections = context.tasks_for_groups([(bit,) for bit in bits])
+        assert pickle.loads(pickle.dumps(injections.bits)) == \
+            injections.bits
+        verdicts = SerialBackend().run(context, injections)
+        round_trip = pickle.loads(pickle.dumps(verdicts))
+        assert isinstance(round_trip, VerdictColumns)
+        assert round_trip == verdicts
+        assert [bool(wrong) for wrong in round_trip.wrong] == \
+            [r.wrong_answer for r in serial_reference.results[:5]]
 
     def test_detached_context_picklable_for_spawn(self, implementation):
         from repro.faults import CampaignContext
@@ -203,9 +205,8 @@ class TestEngineApi:
         bits = [r.bit for r in
                 run_campaign(implementation, CONFIG).results[:3]]
         for bit in bits:
-            task_local = context.tasks_for([bit])[0]
-            task_clone = clone.tasks_for([bit])[0]
-            assert clone.evaluate(task_clone) == context.evaluate(task_local)
+            assert clone.evaluate(clone.effect_of_bit(bit)) == \
+                context.evaluate(context.effect_of_bit(bit))
 
     def test_mutated_bitstream_gets_fresh_cache_entry(self, implementation):
         entry = get_cache().entry_for(implementation)

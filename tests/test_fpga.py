@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fpga import (LUT_BITS, SLICE_CFG_BITS, ConfigLayout, ConfigMemory,
-                        Device, DeviceSpec, device_by_name, downhill,
+                        DeviceSpec, device_by_name, downhill,
                         incoming_wires, ipin, lut_bit, node_tile, opin,
                         pad_input, pad_output, pip_resource, pips_into_tile,
                         slice_cfg, smallest_device_for, wire)

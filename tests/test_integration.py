@@ -9,8 +9,7 @@ voter region, and partitioning the logic with voters blocks it.
 import pytest
 
 from repro.core import check_domain_isolation
-from repro.faults import CampaignConfig, FaultListManager, FaultModeler, \
-    categories, run_campaign
+from repro.faults import CampaignConfig, categories, run_campaign
 from repro.netlist import flatten
 from repro.rtl import fir_reference
 from repro.sim import (BLEND_SHORT, CompiledDesign, FaultOverlay,

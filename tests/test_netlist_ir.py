@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netlist.ir import (Definition, Direction, Library, Net, Netlist,
+from repro.netlist.ir import (Definition, Direction, Library, Netlist,
                               NetlistError, Port)
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cells import INIT_AND2, INIT_XOR2
-from repro.netlist import (Netlist, NetlistBuilder, NetlistError,
+from repro.netlist import (NetlistBuilder, NetlistError,
                            clone_definition, flatten, logic_depth,
                            topological_levels, topological_order, uniquify,
                            validate_definition)

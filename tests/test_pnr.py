@@ -5,8 +5,7 @@ import pytest
 from repro.fpga import device_by_name
 from repro.fpga.device import FF_PAIRED_LUT
 from repro.netlist import flatten
-from repro.pnr import (Floorplan, RoutingError, estimate_timing, implement,
-                       pack, place, route_design)
+from repro.pnr import Floorplan, estimate_timing, pack, place
 from repro.pnr.route import extract_routing_problem
 
 

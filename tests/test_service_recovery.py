@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import threading
-import time
 import urllib.error
 import urllib.request
 

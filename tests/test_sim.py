@@ -5,7 +5,7 @@ import pytest
 from repro.cells import INIT_AND2, INIT_XOR2, logic
 from repro.netlist import Netlist, NetlistBuilder
 from repro.sim import (BLEND_WIRED_AND, BLEND_WIRED_OR, CompiledDesign,
-                       ComparisonResult, FaultOverlay, SimulationTrace,
+                       FaultOverlay, SimulationTrace,
                        Simulator, SourceOverride, alternating,
                        campaign_workload, compare_traces, impulse,
                        random_samples, signed_range, step,

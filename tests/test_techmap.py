@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.cells import INIT_AND2, logic
+from repro.cells import INIT_AND2
 from repro.cells.evaluate import lut_init_of
-from repro.netlist import Netlist, NetlistBuilder, validate_definition
+from repro.netlist import NetlistBuilder, validate_definition
 from repro.sim import CompiledDesign, Simulator
 from repro.techmap import GateBuilder, lut_histogram, merge_luts, \
     remove_buffer_luts

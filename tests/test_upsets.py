@@ -15,7 +15,7 @@ from repro.faults import (AccumulatedUpset, CampaignConfig, FaultList,
                           MultiBitUpset, SingleUpset, UpsetModel,
                           merged_effect, resolve_upset_model, run_campaign)
 from repro.faults.engine import CampaignContext
-from repro.fpga.config import LUT_BITS, lut_bit
+from repro.fpga.config import lut_bit
 
 
 @pytest.fixture()
