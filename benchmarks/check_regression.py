@@ -22,11 +22,6 @@ normalized speedup regresses by more than the tolerance:
   vectorized build must equal the flood (hard gate), ratio-track the
   in-run flood speedup, and clear ``--flow-map-min-speedup`` over the
   committed flood baselines;
-* ``BENCH_predict.json`` (optional, via
-  ``--predict-baseline/--predict-current``) — the static prefilter's
-  per-design ``simulated_reduction`` (how many times fewer injections the
-  campaign backends evaluate), a count ratio and therefore fully portable
-  across machines;
 * ``BENCH_service.json`` (optional, via
   ``--service-baseline/--service-current``) — the campaign service's
   ``warm_vs_cold_speedup`` (ratio-compared against the baseline and held
@@ -115,24 +110,6 @@ def flow_speedups(payload: dict) -> dict:
         if metric in totals:
             result[metric] = totals[metric]
     return result
-
-
-def predict_reductions(payload: dict) -> dict:
-    """{design: simulated-fault reduction of the static prefilter}."""
-    return {design: row["simulated_reduction"]
-            for design, row in payload.get("designs", {}).items()
-            if "simulated_reduction" in row}
-
-
-def predict_map_speedups(payload: dict) -> dict:
-    """{design: cold speedup with the defeat-map build charged in}.
-
-    Empty for reports written before the amortized accounting existed,
-    so old baselines stay comparable.
-    """
-    return {design: row["speedup_with_map"]
-            for design, row in payload.get("designs", {}).items()
-            if "speedup_with_map" in row}
 
 
 def _compare(label: str, baseline: dict, current: dict,
@@ -245,16 +222,6 @@ def check_flow(baseline: dict, current: dict, tolerance: float,
                     f"flow defeat_map_build {design}: {committed:.2f}x "
                     f"over the committed flood fell below the "
                     f"{map_min_speedup:.1f}x acceptance floor")
-    return problems
-
-
-def check_predict(baseline: dict, current: dict, tolerance: float) -> list:
-    """Prefilter regression messages (empty when the run is acceptable)."""
-    problems = _compare("prefilter", predict_reductions(baseline),
-                        predict_reductions(current), tolerance)
-    problems.extend(_compare("prefilter with-map",
-                             predict_map_speedups(baseline),
-                             predict_map_speedups(current), tolerance))
     return problems
 
 
@@ -451,10 +418,6 @@ def main(argv=None) -> int:
                         help="absolute floor for the vectorized defeat-"
                              "map build's speedup over the committed "
                              "python flood (default 5.0)")
-    parser.add_argument("--predict-baseline", type=Path, default=None,
-                        help="committed BENCH_predict.json")
-    parser.add_argument("--predict-current", type=Path, default=None,
-                        help="freshly measured BENCH_predict.json")
     parser.add_argument("--service-baseline", type=Path, default=None,
                         help="committed BENCH_service.json")
     parser.add_argument("--service-current", type=Path, default=None,
@@ -512,13 +475,11 @@ def main(argv=None) -> int:
                              "lane utilization per design (default 0.6)")
     arguments = parser.parse_args(argv)
     if arguments.baseline is None and arguments.flow_baseline is None \
-            and arguments.predict_baseline is None \
             and arguments.service_baseline is None \
             and not arguments.pipeline_report \
             and arguments.lint_report is None:
         parser.error("nothing to check: pass --baseline/--current, "
                      "--flow-baseline/--flow-current, "
-                     "--predict-baseline/--predict-current, "
                      "--service-baseline/--service-current, "
                      "--pipeline-report and/or --lint-report")
     if (arguments.baseline is None) != (arguments.current is None):
@@ -526,10 +487,6 @@ def main(argv=None) -> int:
     if (arguments.flow_baseline is None) != (arguments.flow_current is None):
         parser.error("--flow-baseline and --flow-current must be given "
                      "together")
-    if (arguments.predict_baseline is None) != \
-            (arguments.predict_current is None):
-        parser.error("--predict-baseline and --predict-current must be "
-                     "given together")
     if (arguments.service_baseline is None) != \
             (arguments.service_current is None):
         parser.error("--service-baseline and --service-current must be "
@@ -588,19 +545,6 @@ def main(argv=None) -> int:
                   f"{row.get('speedup_vs_flood_in_run')}x in-run, "
                   f"{shown} vs committed flood, identical: "
                   f"{row.get('identical_to_flood')}")
-    if arguments.predict_baseline is not None and \
-            arguments.predict_current is not None:
-        predict_baseline = json.loads(arguments.predict_baseline.read_text())
-        predict_current = json.loads(arguments.predict_current.read_text())
-        problems.extend(check_predict(predict_baseline, predict_current,
-                                      arguments.tolerance))
-        measured_predict = predict_reductions(predict_current)
-        for design, reference in sorted(
-                predict_reductions(predict_baseline).items()):
-            measured = measured_predict.get(design)
-            shown = f"{measured:.2f}x" if measured is not None else "missing"
-            print(f"prefilter {design}: baseline {reference:.2f}x -> "
-                  f"current {shown}")
     if arguments.service_baseline is not None and \
             arguments.service_current is not None:
         service_baseline = json.loads(arguments.service_baseline.read_text())

@@ -74,16 +74,17 @@ MIN_PARALLEL_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_FLOW_PARALLEL_MIN_SPEEDUP", "2.5"))
 
 #: Required defeat-map build speedup over the *committed* python flood
-#: (the per-design ``defeat_map_seconds`` of BENCH_predict.json before
-#: the vectorized build landed, measured on the same reference
-#: container as every committed baseline).
+#: (the per-design ``defeat_map_seconds`` the retired prefilter
+#: benchmark recorded before the vectorized build landed, measured on
+#: the same reference container as every committed baseline).
 MIN_MAP_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_FLOW_MAP_MIN_SPEEDUP", "5.0"))
 
-#: The committed python-flood build seconds (BENCH_predict.json as of
-#: the PR that introduced the vectorized build).  Machine-specific like
-#: every committed baseline; the in-run flood-vs-vectorized ratio next
-#: to them stays portable.
+#: The committed python-flood build seconds, a historical record: the
+#: prefilter benchmark's ``BENCH_predict.json`` held them until the
+#: vectorized build landed, and that file is gone with the prefilter.
+#: Machine-specific like every committed baseline; the in-run
+#: flood-vs-vectorized ratio next to them stays portable.
 COMMITTED_FLOOD_SECONDS = {
     "standard": 0.2421,
     "TMR_p2": 1.7964,
@@ -328,8 +329,8 @@ def test_defeat_map_build(benchmark, design_suite, implementations,
     (hence identical per-class counts), records both build times, and
     holds the vectorized build to the ≥5x acceptance floor over the
     committed flood baselines (the pre-vectorization
-    ``defeat_map_seconds`` of BENCH_predict.json, measured on the same
-    reference container).  The in-run flood next to it keeps a
+    ``defeat_map_seconds`` the retired prefilter benchmark recorded on
+    the same reference container).  The in-run flood next to it keeps a
     machine-portable ratio in the report.
     """
     section = {

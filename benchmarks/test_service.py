@@ -9,14 +9,14 @@ earned by the persistent tier, not by lucky intra-wave sharing.
 Two waves run against the same on-disk tier:
 
 * the **cold** wave starts from an empty tier and empty in-process
-  caches — every job places and routes its design, builds its defeat
-  map and simulates its golden trace from scratch (persisting each into
+  caches — every job places and routes its design, builds its fault
+  list and simulates its golden trace from scratch (persisting each into
   the tier), and
 * the **warm** wave simulates a service restart (in-process caches and
   suite memo cleared, a fresh :class:`CampaignService` on the same tier
   directory) and re-submits the same campaigns under *different seeds* —
   so the campaigns themselves are new work and only the per-design
-  artifacts (flow, golden trace, defeat map) come from the tier.
+  artifacts (flow, golden trace, fault list) come from the tier.
 
 A coalescing segment then proves request dedup end to end: two identical
 submissions produce one computed job observed by both submitters, and a
@@ -60,7 +60,7 @@ SCALE = os.environ.get("REPRO_BENCH_SERVICE_SCALE", "smoke")
 SUBMITTER_DESIGNS = ("standard", "TMR_p1", "TMR_p2", "TMR_p3_nv")
 
 #: Injections per job — small enough that the per-design artifacts (flow,
-#: golden trace, defeat map), not the campaign loop, dominate a job; that
+#: golden trace, fault list), not the campaign loop, dominate a job; that
 #: is the regime the tier exists for, and the published hit rates and
 #: speedups describe it.
 SERVICE_FAULTS = int(os.environ.get("REPRO_BENCH_SERVICE_FAULTS", "100"))
@@ -112,8 +112,8 @@ def _quantile(samples, q):
 
 
 def _spec_for(design: str, seed: int) -> JobSpec:
-    return JobSpec(SCENARIO, scale=SCALE, prefilter="static",
-                   num_faults=SERVICE_FAULTS, seed=seed, designs=(design,))
+    return JobSpec(SCENARIO, scale=SCALE, num_faults=SERVICE_FAULTS,
+                   seed=seed, designs=(design,))
 
 
 def _run_wave(tier_root, seed_base: int):
@@ -179,9 +179,9 @@ def _recovery_spec(seed: int) -> JobSpec:
     # Backend pinned to sharded: shard checkpoints are what the recovery
     # segment measures, and a spec without a backend would also shard
     # (the service default) — pinning just makes the intent explicit.
-    return JobSpec(SCENARIO, scale=SCALE, prefilter="static",
-                   num_faults=SERVICE_FAULTS, seed=seed,
-                   designs=(SUBMITTER_DESIGNS[0],), backend="sharded")
+    return JobSpec(SCENARIO, scale=SCALE, num_faults=SERVICE_FAULTS,
+                   seed=seed, designs=(SUBMITTER_DESIGNS[0],),
+                   backend="sharded")
 
 
 def _campaign_execution(report) -> dict:

@@ -28,15 +28,14 @@ import sys
 from typing import Dict, Optional, Sequence
 
 from .experiments.designs import SCALES
-from .faults import (BACKEND_CHOICES, FAULT_LIST_MODES, PREFILTER_CHOICES,
-                     resolve_upset_model)
+from .faults import BACKEND_CHOICES, FAULT_LIST_MODES, resolve_upset_model
 from .pipeline import render_markdown
 from .scenarios import list_scenarios, run_scenario
 
 #: The per-run overrides ``run`` and ``submit`` share, as the keyword
 #: names of :func:`run_scenario` (and fields of the service's job spec).
-_OVERRIDES = ("scale", "backend", "upset_model", "prefilter", "num_faults",
-             "seed", "designs")
+_OVERRIDES = ("scale", "backend", "upset_model", "num_faults", "seed",
+              "designs")
 
 
 def _upset_model_spec(value: str) -> str:
@@ -60,10 +59,6 @@ def _add_override_arguments(parser: argparse.ArgumentParser) -> None:
                         help="upset model: 'single', 'mbu[:cluster]' or "
                              "'accumulate[:interval]' (default: the "
                              "scenario's)")
-    parser.add_argument("--prefilter", choices=PREFILTER_CHOICES,
-                        help="campaign prefilter: 'static' skips bits the "
-                             "layout analyzer proves silent (verdicts stay "
-                             "bit-identical) (default: the scenario's)")
     parser.add_argument("--faults", type=int, dest="num_faults",
                         metavar="FAULTS",
                         help="upsets to inject per design (default: scale "

@@ -21,10 +21,7 @@ three static verdicts per bit:
 
 * **silent** — the overlay is empty, or its taint dead-ends before any
   output port and before any voter (the fault cone provably contains no
-  observable net).  Campaigns may skip these bits outright: the
-  ``prefilter="static"`` knob of
-  :class:`~repro.faults.campaign.CampaignConfig` synthesizes their
-  verdicts instead of simulating them.
+  observable net).
 * **single-domain-correctable** — the taint reaches voter barriers, but
   every voter sees at most one corrupted input; the redundancy is
   predicted to out-vote the upset.
@@ -302,25 +299,13 @@ class LayoutAnalyzer:
     (the first nets that can carry a wrong value), pushes a taint through
     gates and flip-flops — voter LUTs absorb it, recording which inputs
     arrived corrupted — and classifies the bit by what the taint reached.
-
-    *effect_lookup* lets callers share a memoized
-    :meth:`~repro.faults.models.FaultModeler.effect_of_bit` (for example
-    the campaign cache's), so building the map also warms the per-bit
-    effect cache the campaign engine reads.
     """
 
     def __init__(self, implementation: Implementation,
-                 compiled: Optional[CompiledDesign] = None,
-                 modeler: Optional[FaultModeler] = None,
-                 effect_lookup: Optional[Callable[[int], FaultEffect]] = None,
                  vectorize: bool = True) -> None:
         self.implementation = implementation
-        self.compiled = compiled if compiled is not None else \
-            CompiledDesign(implementation.design)
-        self.modeler = modeler if modeler is not None else \
-            FaultModeler(implementation, self.compiled)
-        self._effect_of_bit = effect_lookup if effect_lookup is not None \
-            else self.modeler.effect_of_bit
+        self.compiled = CompiledDesign(implementation.design)
+        self.modeler = FaultModeler(implementation, self.compiled)
         self._build_structure()
         self._taint_memo: Dict[int, _TaintSummary] = {}
         # Vectorized taint propagation (the default): per-net closure
@@ -689,7 +674,7 @@ class LayoutAnalyzer:
             reaches_output=reaches_output)
 
     def classify_bit(self, bit: int) -> BitPrediction:
-        return self.classify_effect(self._effect_of_bit(bit))
+        return self.classify_effect(self.modeler.effect_of_bit(bit))
 
     # ------------------------------------------------------------------
     # Bulk classification
@@ -989,16 +974,12 @@ def _barrier_key(instance) -> str:
 # ----------------------------------------------------------------------
 def defeat_map_for(implementation: Implementation,
                    mode: str = "design",
-                   compiled: Optional[CompiledDesign] = None,
-                   modeler: Optional[FaultModeler] = None,
-                   effect_lookup: Optional[Callable[[int], FaultEffect]]
-                   = None,
                    use_cache: bool = True) -> DefeatMap:
     """The (memoized) static defeat map of one implemented design.
 
     With *use_cache* the map is stored in the process-wide campaign cache
-    next to the golden traces and fault effects, so repeated campaigns —
-    and the ``prefilter="static"`` knob — classify each design once.
+    next to the golden traces and fault effects, so repeated analyses
+    classify each design once.
     """
     if use_cache:
         from ..faults.cache import get_cache
@@ -1008,18 +989,16 @@ def defeat_map_for(implementation: Implementation,
         entry = cache.entry_for(implementation)
 
         def build() -> DefeatMap:
-            # Building the map dominates prefiltered campaigns, so an
-            # in-memory miss reads through the persistent tier first: a
-            # map built by any earlier process over a bit-identical
-            # implementation is exactly this one.
+            # Building the map is costly, so an in-memory miss reads
+            # through the persistent tier first: a map built by any
+            # earlier process over a bit-identical implementation is
+            # exactly this one.
             tier = active_tier()
             if tier is not None:
                 stored = tier.load_defeat_map(entry.fingerprint, mode)
                 if stored is not None:
                     return stored
-            analyzer = LayoutAnalyzer(implementation, compiled=compiled,
-                                      modeler=modeler,
-                                      effect_lookup=effect_lookup)
+            analyzer = LayoutAnalyzer(implementation)
             fault_list = entry.fault_list(mode, cache.stats)
             defeat_map = analyzer.build_map(fault_list)
             if tier is not None:
@@ -1027,9 +1006,7 @@ def defeat_map_for(implementation: Implementation,
             return defeat_map
 
         return entry.defeat_map(mode, build, cache.stats)
-    analyzer = LayoutAnalyzer(implementation, compiled=compiled,
-                              modeler=modeler, effect_lookup=effect_lookup)
-    return analyzer.build_map(mode=mode)
+    return LayoutAnalyzer(implementation).build_map(mode=mode)
 
 
 # ----------------------------------------------------------------------

@@ -22,8 +22,7 @@ def campaign_config_for(suite: DesignSuite,
                         num_faults: Optional[int] = None,
                         fault_list_mode: str = "design",
                         seed: int = 2005,
-                        upset_model: str = "single",
-                        prefilter: str = "none") -> CampaignConfig:
+                        upset_model: str = "single") -> CampaignConfig:
     return CampaignConfig(
         num_faults=num_faults if num_faults is not None
         else suite.scale.campaign_faults,
@@ -31,7 +30,6 @@ def campaign_config_for(suite: DesignSuite,
         fault_list_mode=fault_list_mode,
         seed=seed,
         upset_model=upset_model,
-        prefilter=prefilter,
     )
 
 
@@ -43,8 +41,7 @@ def run_table3(suite: Optional[DesignSuite] = None,
                backend: BackendLike = None,
                jobs: int = 1,
                flow_cache: StoreLike = None,
-               upset_model: str = "single",
-               prefilter: str = "none") -> Dict[str, CampaignResult]:
+               upset_model: str = "single") -> Dict[str, CampaignResult]:
     """Run the Table 3 campaigns and return one result per design.
 
     *backend* selects the campaign execution backend (``"serial"``, the
@@ -52,11 +49,9 @@ def run_table3(suite: Optional[DesignSuite] = None,
     process-parallel ``"sharded"``); every
     backend yields identical results.  *upset_model* selects how many bits
     one injection flips (``"single"``, ``"mbu[:k]"``, ``"accumulate[:k]"``
-    — see :mod:`repro.faults.upsets`).  *prefilter* (``"static"``) lets
-    the layout analyzer skip provably-silent bits; *jobs* and
-    *flow_cache* speed up the implementation step (parallel
-    place-and-route, persistent flow artifacts).  None of these knobs
-    changes any campaign number.
+    — see :mod:`repro.faults.upsets`).  *jobs* and *flow_cache* speed up
+    the implementation step (parallel place-and-route, persistent flow
+    artifacts).  None of these knobs changes any campaign number.
     """
     from ..pipeline import PipelineContext, pipeline_for
 
@@ -68,7 +63,6 @@ def run_table3(suite: Optional[DesignSuite] = None,
         upset_model=upset_model,
         fault_list_mode=fault_list_mode,
         num_faults=num_faults,
-        prefilter=prefilter,
         jobs=jobs,
         flow_cache=flow_cache,
         progress=progress,

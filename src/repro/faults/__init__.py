@@ -4,9 +4,8 @@ from . import categories
 from .cache import (CampaignCache, CampaignCacheEntry, cache_stats,
                     clear_cache, configure_cache, get_cache,
                     implementation_fingerprint)
-from .campaign import (PREFILTER_CHOICES, CampaignConfig, CampaignResult,
-                       CategoryCount, default_stimulus, run_campaign,
-                       run_campaigns)
+from .campaign import (CampaignConfig, CampaignResult, CategoryCount,
+                       default_stimulus, run_campaign, run_campaigns)
 from .engine import (BACKEND_CHOICES, BACKENDS, CampaignContext,
                      CampaignWorkerError, ExecutionBackend, Injections,
                      NumpyBackend, ProgressCallback, SerialBackend,
@@ -23,8 +22,7 @@ from .upsets import (UPSET_MODEL_CHOICES, UPSET_MODELS, AccumulatedUpset,
                      resolve_upset_model)
 
 __all__ = [
-    "categories", "PREFILTER_CHOICES", "CampaignConfig", "CampaignResult",
-    "CategoryCount",
+    "categories", "CampaignConfig", "CampaignResult", "CategoryCount",
     "default_stimulus", "run_campaign", "run_campaigns", "FAULT_LIST_MODES",
     "FaultList", "FaultListManager", "FaultInjectionManager", "FaultResult",
     "FaultRecords", "EffectColumns", "FaultEffect", "FaultModeler",

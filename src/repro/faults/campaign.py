@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import time
-from array import array
 from typing import Dict, List, Optional, Sequence
 
 from ..pnr.flow import Implementation
@@ -35,17 +34,11 @@ from ..sim.vectors import campaign_workload, stimulus_from_samples, \
 from . import categories
 from .cache import get_cache
 from .engine import (BackendLike, CampaignContext, ProgressCallback,
-                     VerdictColumns, resolve_backend)
+                     resolve_backend)
 from .fault_list import FaultListManager
 from .injector import FaultRecords, FaultResult
-from .models import EFFECT_ROW_INDEX, EFFECT_ROWS, EffectRow
+from .models import EFFECT_ROWS
 from .upsets import UpsetModelLike, resolve_upset_model
-
-#: Campaign prefilter modes: ``"none"`` evaluates every sampled injection;
-#: ``"static"`` synthesizes the verdicts of injections whose every bit the
-#: layout analyzer (:mod:`repro.analysis.layout`) proved silent, so the
-#: backends only simulate faults that can possibly change an output.
-PREFILTER_CHOICES = ("none", "static")
 
 
 @dataclasses.dataclass
@@ -71,9 +64,6 @@ class CampaignConfig:
     #: ``"single"`` (seed semantics), ``"mbu[:k]"`` (adjacent multi-bit
     #: clusters) or ``"accumulate[:k]"`` (upsets accrue between scrubs)
     upset_model: UpsetModelLike = "single"
-    #: ``"static"`` skips provably-silent bits via the layout analyzer's
-    #: defeat map; verdicts and aggregates stay bit-identical to ``"none"``
-    prefilter: str = "none"
 
 
 @dataclasses.dataclass
@@ -104,15 +94,6 @@ class CampaignResult:
     upset_model: str = "single"
     #: fault-sampling seed of the campaign (provenance for reports)
     seed: int = 2005
-    #: prefilter mode the campaign ran under (``"none"`` / ``"static"``)
-    prefilter: str = "none"
-    #: injections skipped as provably silent (verdicts synthesized)
-    skipped_silent: int = 0
-
-    @property
-    def simulated(self) -> int:
-        """Injections actually evaluated by the execution backend."""
-        return self.injected - self.skipped_silent
 
     @property
     def wrong_answer_percent(self) -> float:
@@ -150,8 +131,7 @@ def _checkpoint_key(implementation: Implementation,
     Two campaigns share shard checkpoints only when this digest matches —
     it must therefore cover everything that can change a verdict: the
     implemented bitstream, the upset model and its sampling seed, the
-    fault-list mode, the comparison window, the prefilter (which changes
-    the *task list* the backend sees) and any explicitly supplied
+    fault-list mode, the comparison window and any explicitly supplied
     stimulus or bit list.  Deliberately excluded: the backend (all
     backends are bit-identical) and delivery knobs like timeouts.
     """
@@ -168,7 +148,6 @@ def _checkpoint_key(implementation: Implementation,
         str(config.seed),
         config.fault_list_mode,
         str(config.skip_cycles),
-        config.prefilter,
         str(num_groups),
         str(config.workload_cycles),
         str(config.workload_seed),
@@ -227,15 +206,8 @@ def run_campaign(implementation: Implementation,
                  fault_bits: Optional[Sequence[int]] = None,
                  progress: Optional[ProgressCallback] = None,
                  backend: BackendLike = None,
-                 use_cache: bool = True,
-                 defeat_map=None) -> CampaignResult:
-    """Run one fault-injection campaign on an implemented design.
-
-    *defeat_map* optionally supplies a prebuilt static defeat map
-    (:class:`repro.analysis.layout.DefeatMap`) for the ``"static"``
-    prefilter; without one the map is built (or read from the campaign
-    cache) on first use.
-    """
+                 use_cache: bool = True) -> CampaignResult:
+    """Run one fault-injection campaign on an implemented design."""
     config = config if config is not None else CampaignConfig()
     engine = resolve_backend(backend)
     model = resolve_upset_model(config.upset_model)
@@ -280,78 +252,19 @@ def run_campaign(implementation: Implementation,
         # the historical one-bit-per-injection semantics.
         groups = [(bit,) for bit in fault_bits]
 
-    if config.prefilter not in PREFILTER_CHOICES:
-        raise ValueError(f"unknown campaign prefilter "
-                         f"{config.prefilter!r}; choose from "
-                         f"{PREFILTER_CHOICES}")
     # Arm shard-level checkpointing: sharding backends persist completed
     # shards under this key (when a cache tier is active) so interrupted
     # campaigns resume instead of recomputing.
     context.checkpoint_key = _checkpoint_key(
         implementation, config, context, model, len(groups),
         stimulus, fault_bits)
-    skipped_silent = 0
-    if config.prefilter == "static" and groups:
-        if defeat_map is None:
-            from ..analysis.layout import defeat_map_for
+    injections = context.tasks_for_groups(groups)
+    verdicts = engine.run(context, injections, progress)
+    details = [injections.effects.details[slot]
+               for slot in injections.slots]
 
-            defeat_map = defeat_map_for(
-                implementation, mode=config.fault_list_mode,
-                compiled=context.compiled, modeler=context.modeler,
-                effect_lookup=context.effect_of_bit, use_cache=use_cache)
-        # Split the injections *before* modeling them: silent single-bit
-        # injections take their verdicts straight from the map's
-        # predictions (which carry the effect's verdict surface), so the
-        # campaign never touches their fault models.  A multi-bit
-        # injection is skippable only when *every* bit of the cluster is
-        # proved silent: taint closures are unions, so the merged
-        # overlay's closure misses the outputs too.
-        is_silent = defeat_map.is_silent
-        live: List[int] = []
-        silent: List[int] = []
-        for index, group in enumerate(groups):
-            (silent if all(is_silent(bit) for bit in group)
-             else live).append(index)
-        skipped_silent = len(silent)
-        # Backends see the live subset with dense positions; their
-        # verdicts land at the original injection positions below.
-        injections = context.tasks_for_groups([groups[index]
-                                               for index in live])
-        live_verdicts = engine.run(context, injections, progress)
-        verdicts = VerdictColumns.unsimulated(array("B", bytes(len(groups))))
-        details = [""] * len(groups)
-        live_details = injections.effects.details
-        for position, index in enumerate(live):
-            verdicts.rows[index] = live_verdicts.rows[position]
-            verdicts.wrong[index] = live_verdicts.wrong[position]
-            verdicts.first_mismatch[index] = \
-                live_verdicts.first_mismatch[position]
-            details[index] = live_details[injections.slots[position]]
-        for index in silent:
-            group = groups[index]
-            if len(group) == 1:
-                prediction = defeat_map.predictions[group[0]]
-                verdicts.rows[index] = EFFECT_ROW_INDEX[EffectRow(
-                    prediction.resource_kind, prediction.category,
-                    prediction.has_effect)]
-                details[index] = prediction.detail
-            else:
-                # Multi-bit clusters need the merged effect's category /
-                # detail surface; per-bit effects are cache-backed.
-                merged = context.tasks_for_groups([group])
-                slot = merged.slots[0]
-                verdicts.rows[index] = merged.effects.rows[slot]
-                details[index] = merged.effects.details[slot]
-        bits = array("q", [group[0] for group in groups])
-    else:
-        injections = context.tasks_for_groups(groups)
-        verdicts = engine.run(context, injections, progress)
-        details = [injections.effects.details[slot]
-                   for slot in injections.slots]
-        bits = injections.bits
-
-    records = FaultRecords(bits, verdicts.rows, details, verdicts.wrong,
-                           verdicts.first_mismatch)
+    records = FaultRecords(injections.bits, verdicts.rows, details,
+                           verdicts.wrong, verdicts.first_mismatch)
     # Backends only tick the callback every PROGRESS_INTERVAL injections,
     # so a small campaign would otherwise finish without ever reporting;
     # status consumers (the service's job progress) rely on the final
@@ -387,8 +300,6 @@ def run_campaign(implementation: Implementation,
         backend=engine.name,
         upset_model=model.describe(),
         seed=config.seed,
-        prefilter=config.prefilter,
-        skipped_silent=skipped_silent,
     )
 
 

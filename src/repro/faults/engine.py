@@ -116,17 +116,13 @@ class VerdictColumns:
     first_mismatch: array
 
     @classmethod
-    def unsimulated(cls, rows: array) -> "VerdictColumns":
-        """Verdicts of injections that produced no wrong answer."""
-        return cls(rows, bytearray(len(rows)),
-                   array("i", [-1]) * len(rows))
-
-    @classmethod
     def for_injections(cls, injections: Injections) -> "VerdictColumns":
         """Blank verdicts (no wrong answer yet) for *injections*."""
         effect_rows = injections.effects.rows
-        return cls.unsimulated(array("B", [effect_rows[slot]
-                                           for slot in injections.slots]))
+        count = len(injections.slots)
+        return cls(array("B", [effect_rows[slot]
+                               for slot in injections.slots]),
+                   bytearray(count), array("i", [-1]) * count)
 
     def __len__(self) -> int:
         return len(self.rows)

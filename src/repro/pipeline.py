@@ -86,7 +86,6 @@ class PipelineContext:
                  upset_model: str = "single",
                  fault_list_mode: str = "design",
                  num_faults: Optional[int] = None,
-                 prefilter: str = "none",
                  seed: int = 2005,
                  jobs: int = 1,
                  flow_cache: StoreLike = None,
@@ -104,7 +103,6 @@ class PipelineContext:
         self.upset_model = upset_model
         self.fault_list_mode = fault_list_mode
         self.num_faults = num_faults
-        self.prefilter = prefilter
         self.seed = seed
         self.jobs = jobs
         self.store = resolve_store(flow_cache)
@@ -280,11 +278,9 @@ class CampaignStage(Stage):
     name = "campaign"
 
     def _inputs(self, ctx: PipelineContext) -> str:
-        # The backend and the prefilter are deliberately absent: every
-        # backend produces bit-identical campaign results and the static
-        # prefilter only synthesizes provably-identical verdicts, so
-        # neither changes the result identity (both are still recorded in
-        # the report).
+        # The backend is deliberately absent: every backend produces
+        # bit-identical campaign results, so it does not change the result
+        # identity (it is still recorded in the report).
         return (f"{ctx.identity()}|seed={ctx.seed}"
                 f"|faults={ctx.num_faults}"
                 f"|model={resolve_upset_model(ctx.upset_model).describe()}"
@@ -304,7 +300,6 @@ class CampaignStage(Stage):
             fault_list_mode=ctx.fault_list_mode,
             seed=ctx.seed,
             upset_model=ctx.upset_model,
-            prefilter=ctx.prefilter,
         )
         engine = resolve_backend(ctx.backend)
         execution: Dict[str, object] = {}
@@ -332,9 +327,6 @@ class CampaignStage(Stage):
                          for name, result in ctx.campaigns.items()},
             "backend": engine.name,
             "upset_model": resolve_upset_model(ctx.upset_model).describe(),
-            "prefilter": ctx.prefilter,
-            "skipped_silent": {name: result.skipped_silent
-                               for name, result in ctx.campaigns.items()},
             # Per-design execution provenance (shard counts, retries,
             # checkpoint hits, backend degradations).  Volatile by
             # definition — a resumed run reports checkpoint hits where a
@@ -471,8 +463,9 @@ def _analyze_prediction(ctx: PipelineContext) -> Dict[str, object]:
         if campaign is None:
             continue
         entry = prediction_vs_campaign(defeat_map, campaign.results)
-        entry["skipped_silent"] = campaign.skipped_silent
-        entry["simulated"] = campaign.simulated
+        # Constant keys kept so the pinned report digests do not move.
+        entry["skipped_silent"] = 0
+        entry["simulated"] = campaign.injected
         summary[name] = entry
     summary["all_supersets_hold"] = all(
         entry["superset_holds"] for entry in summary.values()
@@ -585,9 +578,10 @@ def _campaign_entry(result: CampaignResult) -> Dict[str, object]:
         "backend": result.backend,
         "upset_model": result.upset_model,
         "seed": result.seed,
-        "prefilter": result.prefilter,
-        "skipped_silent": result.skipped_silent,
-        "simulated": result.simulated,
+        # Constant keys kept so the pinned report digests do not move.
+        "prefilter": "none",
+        "skipped_silent": 0,
+        "simulated": result.injected,
         "effects": result.effect_table(),
         "faults_per_second": round(result.faults_per_second, 1),
     }

@@ -27,7 +27,7 @@ import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .experiments.designs import DESIGN_ORDER, scale_by_name
-from .faults import (FAULT_LIST_MODES, PREFILTER_CHOICES, resolve_backend,
+from .faults import (FAULT_LIST_MODES, resolve_backend,
                      resolve_upset_model)
 from .pipeline import PipelineContext, StoreLike, pipeline_for
 
@@ -54,9 +54,6 @@ class Scenario:
     fault_list_mode: str = "design"
     #: upsets per design (``None``: the scale's default)
     num_faults: Optional[int] = None
-    #: campaign prefilter: ``"none"`` or ``"static"`` (skip provably-silent
-    #: bits via the layout analyzer; verdicts stay bit-identical)
-    prefilter: str = "none"
     seed: int = 2005
     #: pipeline stages, in order (names from the stage library)
     stages: Tuple[str, ...] = ("build", "implement", "campaign", "analyze")
@@ -94,7 +91,6 @@ class Scenario:
             upset_model=self.upset_model,
             fault_list_mode=self.fault_list_mode,
             num_faults=self.num_faults,
-            prefilter=self.prefilter,
             seed=self.seed,
             jobs=jobs,
             flow_cache=flow_cache,
@@ -305,11 +301,9 @@ register_scenario(Scenario(
     description="Cross-validate the layout analyzer against injection: "
                 "the predicted defeat-capable set must cover every "
                 "measured wrong-answer bit and silent predictions must "
-                "never measure wrong.  The campaign deliberately runs "
-                "unprefiltered so the measurement is independent of the "
-                "prediction it validates (the prefilter's own "
-                "verdict-identity is covered by benchmarks/test_predict "
-                "and the engine equivalence tests).",
+                "never measure wrong.  The map stays an analysis: the "
+                "campaign injects every sampled upset, so the measurement "
+                "is independent of the prediction it validates.",
     scale="smoke",
     backend="vector",
     analyses=("table3", "prediction_vs_campaign"),
@@ -336,7 +330,7 @@ register_scenario(Scenario(
 def validate_scenario(scenario: Scenario) -> None:
     """Reject a scenario whose knobs cannot run, before any work starts.
 
-    Checks the backend, upset model, prefilter, scale and fault-list mode
+    Checks the backend, upset model, scale and fault-list mode
     of every matrix variant and raises :class:`ValueError` (or
     :class:`KeyError` for an unknown scale).  :func:`run_scenario` calls
     it before the expensive build/implement stages, and the campaign
@@ -346,10 +340,6 @@ def validate_scenario(scenario: Scenario) -> None:
         resolve_backend(variant.backend)
         resolve_upset_model(variant.upset_model)
         scale_by_name(variant.scale)
-        if variant.prefilter not in PREFILTER_CHOICES:
-            raise ValueError(f"unknown campaign prefilter "
-                             f"{variant.prefilter!r}; choose from "
-                             f"{PREFILTER_CHOICES}")
         if variant.fault_list_mode not in FAULT_LIST_MODES:
             raise ValueError(f"unknown fault-list mode "
                              f"{variant.fault_list_mode!r}; choose from "
@@ -383,7 +373,6 @@ def run_scenario(scenario: Union[str, Scenario], *,
                  backend: Optional[str] = None,
                  upset_model: Optional[str] = None,
                  num_faults: Optional[int] = None,
-                 prefilter: Optional[str] = None,
                  seed: Optional[int] = None,
                  fault_list_mode: Optional[str] = None,
                  designs: Optional[Sequence[str]] = None,
@@ -403,7 +392,7 @@ def run_scenario(scenario: Union[str, Scenario], *,
     """
     scenario = resolve_scenario(
         scenario, scale=scale, backend=backend, upset_model=upset_model,
-        num_faults=num_faults, prefilter=prefilter, seed=seed,
+        num_faults=num_faults, seed=seed,
         fault_list_mode=fault_list_mode, designs=designs)
     validate_scenario(scenario)
     if repeat < 1:

@@ -60,7 +60,6 @@ class JobSpec:
     backend: Optional[str] = None
     upset_model: Optional[str] = None
     num_faults: Optional[int] = None
-    prefilter: Optional[str] = None
     seed: Optional[int] = None
     fault_list_mode: Optional[str] = None
     designs: Optional[Tuple[str, ...]] = None

@@ -233,8 +233,8 @@ class CampaignService:
         The flag comes straight from the queue's atomic submit — callers
         (the HTTP handler) must not infer it from shared counters, which
         race under concurrent submissions.  A spec whose scenario,
-        backend, upset model, prefilter, scale or fault-list mode cannot
-        run raises :class:`KeyError`/:class:`ValueError` here, before it
+        backend, upset model, scale or fault-list mode cannot run
+        raises :class:`KeyError`/:class:`ValueError` here, before it
         is queued or journaled.
         """
         with self._lock:

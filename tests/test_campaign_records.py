@@ -48,9 +48,6 @@ BACKENDS = [
 RECORDED = {
     "single": (CampaignConfig(num_faults=200, workload_cycles=6, seed=9),
                "b0a6ad0cc5f0ba4e", 200, 57),
-    "static": (CampaignConfig(num_faults=200, workload_cycles=6, seed=9,
-                              prefilter="static"),
-               "b0a6ad0cc5f0ba4e", 200, 57),
     "mbu:2": (CampaignConfig(num_faults=100, workload_cycles=6, seed=9,
                              upset_model="mbu:2"),
               "245a79d65c12fb2d", 100, 49),

@@ -601,6 +601,9 @@ class TestHttpApi:
         _service, url = served
         with pytest.raises(RuntimeError, match="unknown job spec fields"):
             submit_job(url, {"scenario": "table3-fir", "bogus": 1})
+        # The retired campaign prefilter is a foreign field like any other.
+        with pytest.raises(RuntimeError, match="unknown job spec fields"):
+            submit_job(url, {"scenario": "table3-fir", "prefilter": "static"})
         with pytest.raises(RuntimeError, match="unknown scenario"):
             submit_job(url, {"scenario": "no-such-scenario"})
 
@@ -608,7 +611,6 @@ class TestHttpApi:
         ("backend", "bogus", "unknown campaign backend"),
         ("backend", 5, "backend must be None, a name"),
         ("upset_model", "mbu:zz", "must be an integer"),
-        ("prefilter", "nope", "unknown campaign prefilter"),
         ("scale", "huge2", "unknown scale"),
         ("fault_list_mode", "nope", "unknown fault-list mode"),
     ])

@@ -9,13 +9,12 @@ Covers the PR's acceptance properties:
 * critical-path voter depth monotonicity across the paper's partitions;
 * soundness of the static classification — every bit predicted silent
   measures ``wrong_answers == 0`` under the serial backend, and every
-  measured wrong-answer bit was predicted defeat-capable;
-* prefiltered campaigns are verdict-identical (including
-  ``first_mismatch_cycle``) to unfiltered ones across all four backends
-  and under the multi-bit upset models.
+  measured wrong-answer bit was predicted defeat-capable.
 """
 
 import gc
+import hashlib
+import json
 import random
 
 import pytest
@@ -26,8 +25,7 @@ from repro.analysis.layout import (CORRECTABLE, DEFEAT, SILENT,
                                    prediction_vs_campaign)
 from repro.core import compute_voter_regions, estimate_robustness
 from repro.core.optimizer import _estimate_extra_levels
-from repro.faults import (CampaignConfig, FaultListManager, ShardedBackend,
-                          run_campaign)
+from repro.faults import CampaignConfig, FaultListManager, run_campaign
 
 
 @pytest.fixture(scope="module")
@@ -124,9 +122,9 @@ class TestLayoutAnalyzer:
 
     def test_silent_bits_simulate_silent(self, tiny_tmr_implementation,
                                          tmr_defeat_map):
-        """Soundness of the prefilter: bits predicted silent must produce
-        wrong_answers == 0 under the serial backend.  Every effectful
-        silent bit (the ones that would actually be simulated) is
+        """Soundness of the map's silent class: bits predicted silent
+        must produce wrong_answers == 0 under the serial backend.  Every
+        effectful silent bit (the ones whose overlay is not empty) is
         checked, plus a deterministic sample of the no-effect ones."""
         silent = tmr_defeat_map.silent_bits()
         effectful = [bit for bit in sorted(silent)
@@ -205,8 +203,8 @@ class TestVectorizedAnalyzer:
     loop; these tests pin it to the original per-net flood propagation:
     the same prediction for every bit (classification, category,
     domains, barriers, reach, detail) and therefore the same per-class
-    counts — so the prefilter and every robustness number are unchanged
-    by the optimization.
+    counts — so every prediction and robustness number is unchanged by
+    the optimization.
     """
 
     def _assert_equivalent(self, implementation):
@@ -319,76 +317,45 @@ class TestColumnarMap:
             predictions[bit] = predictions[bit]
 
 
-class TestStaticPrefilter:
-    @pytest.fixture(scope="class")
-    def reference(self, tiny_tmr_implementation):
-        config = CampaignConfig(num_faults=220, workload_cycles=8)
-        return run_campaign(tiny_tmr_implementation, config,
-                            backend="serial")
+#: sha256 of the ``prediction-vs-campaign`` report at ``tiny`` scale: its
+#: stable ``designs`` and ``derived`` sections with every ``backend`` key
+#: removed, dumped with sorted keys.  Recorded with the vector and numpy
+#: backends before the campaign prefilter was deleted; the same recipe
+#: pins the benchmark's reference digests.
+PREDICTION_REPORT_DIGEST = \
+    "6325182a9a4ba1e5859306713570f0e85f5ce8528e5178193eadedebf2b0ba73"
 
-    @pytest.mark.parametrize("backend", [
-        "serial", "vector",
-        pytest.param(ShardedBackend(workers=2, min_tasks=0), id="sharded"),
-    ])
-    def test_verdict_identical_across_backends(self, backend, reference,
-                                               tiny_tmr_implementation):
-        config = CampaignConfig(num_faults=220, workload_cycles=8,
-                                prefilter="static")
-        result = run_campaign(tiny_tmr_implementation, config,
-                              backend=backend)
-        assert result.results == reference.results
-        assert result.wrong_answers == reference.wrong_answers
-        assert result.effect_table() == reference.effect_table()
-        assert {name: (count.injected, count.wrong)
-                for name, count in result.by_category.items()} == \
-            {name: (count.injected, count.wrong)
-             for name, count in reference.by_category.items()}
-        assert result.skipped_silent > 0
-        assert result.simulated == result.injected - result.skipped_silent
-        assert result.prefilter == "static"
 
-    @pytest.mark.parametrize("upset_model", ["mbu:2", "accumulate:3"])
-    def test_verdict_identical_under_multibit_models(
-            self, upset_model, tiny_tmr_implementation):
-        base = CampaignConfig(num_faults=150, workload_cycles=8,
-                              upset_model=upset_model)
-        filtered = CampaignConfig(num_faults=150, workload_cycles=8,
-                                  upset_model=upset_model,
-                                  prefilter="static")
-        reference = run_campaign(tiny_tmr_implementation, base,
-                                 backend="vector")
-        result = run_campaign(tiny_tmr_implementation, filtered,
-                              backend="vector")
-        assert result.results == reference.results
-        assert result.effect_table() == reference.effect_table()
-
-    def test_unknown_prefilter_rejected(self, tiny_tmr_implementation):
-        config = CampaignConfig(num_faults=5, prefilter="psychic")
-        with pytest.raises(ValueError, match="prefilter"):
-            run_campaign(tiny_tmr_implementation, config)
+def _without_backend(value):
+    if isinstance(value, dict):
+        return {key: _without_backend(item) for key, item in value.items()
+                if key != "backend"}
+    if isinstance(value, list):
+        return [_without_backend(item) for item in value]
+    return value
 
 
 class TestScenarioSurface:
+    @pytest.mark.parametrize("backend", ["vector", "numpy"])
+    def test_prediction_report_digest_is_pinned(self, backend):
+        from repro.pipeline import stable_report
+        from repro.scenarios import run_scenario
+
+        stable = stable_report(run_scenario(
+            "prediction-vs-campaign", scale="tiny", backend=backend))
+        body = _without_backend({"designs": stable["designs"],
+                                 "derived": stable["derived"]})
+        text = json.dumps(body, sort_keys=True, default=str)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            PREDICTION_REPORT_DIGEST
+
     def test_new_scenarios_registered(self):
         from repro.scenarios import SCENARIOS
 
         assert "defeat-map-fir" in SCENARIOS
         assert "prediction-vs-campaign" in SCENARIOS
         scenario = SCENARIOS["prediction-vs-campaign"]
-        # The validation campaign must be independent of the prediction
-        # it validates, so it runs unprefiltered.
-        assert scenario.prefilter == "none"
         assert "prediction_vs_campaign" in scenario.analyses
-
-    def test_bad_prefilter_fails_fast(self):
-        import dataclasses
-
-        from repro.scenarios import SCENARIOS, run_scenario
-
-        broken = dataclasses.replace(SCENARIOS["table3-fir"],
-                                     prefilter="psychic")
-        with pytest.raises(ValueError, match="prefilter"):
-            run_scenario(broken)
 
     def test_analyses_registered(self):
         from repro.pipeline import ANALYSES

@@ -283,11 +283,13 @@ class TestCommandLine:
                                                       "mbu-fir"}
 
 
-@pytest.mark.parametrize("flag", ["--partitions", "--flow-threads"],
+@pytest.mark.parametrize("flag", ["--partitions", "--flow-threads",
+                                  "--prefilter"],
                          ids=lambda flag: f"run-{flag}")
 def test_cli_rejects_removed_flow_flags(capsys, flag):
-    # The flow has no annealer partitions or flow threads; a CLI that
-    # accepted these flags would silently ignore them.
+    # The flow has no annealer partitions or flow threads, and campaigns
+    # have no prefilter; a CLI that accepted these flags would silently
+    # ignore them.
     from repro.__main__ import _build_parser
 
     parser = _build_parser()

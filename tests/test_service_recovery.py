@@ -464,6 +464,20 @@ class TestCrashRestartResume:
             assert reopened.last_recovery["recovered_jobs"] == 0
             assert not reopened.queue.jobs()
 
+    def test_unparseable_unsettled_spec_is_dropped(self, tmp_path):
+        """An unsettled job journaled by an older release, whose spec
+        carries a field this release no longer knows (the retired
+        campaign prefilter), is counted and dropped: the service still
+        starts and queues nothing."""
+        JobJournal(tmp_path / "tier" / "journal").record(
+            "submitted", job_id="job-0001", fingerprint="f",
+            spec={"scenario": "table3-fir", "prefilter": "static"})
+        _simulate_restart()
+        with CampaignService(tier=tmp_path / "tier") as service:
+            assert service.last_recovery["invalid_specs"] == 1
+            assert service.last_recovery["recovered_jobs"] == 0
+            assert service.queue.jobs() == []
+
 
 # ----------------------------------------------------------------------
 # Deadlines, cancellation, draining
