@@ -16,9 +16,9 @@ normalized speedup regresses by more than the tolerance:
   — the implementation flow's total ``cold_speedup_vs_seed`` and
   ``warm_speedup_vs_seed``; when the report carries the
   ``parallel_cold`` section (the cold suite at ``jobs=1`` vs ``jobs=N``
-  worker processes; its keys keep their historical ``threads`` names),
-  the cross-leg identity bit is a hard gate and the jobs=N speedup is
-  held to ``--flow-parallel-min-speedup`` on multi-core runners; when it carries ``defeat_map_build``, the
+  worker processes), the cross-leg identity bit is a hard gate and the
+  jobs=N speedup is held to ``--flow-parallel-min-speedup`` on
+  multi-core runners; when it carries ``defeat_map_build``, the
   vectorized build must equal the flood (hard gate), ratio-track the
   in-run flood speedup, and clear ``--flow-map-min-speedup`` over the
   committed flood baselines;
@@ -198,15 +198,15 @@ def check_flow(baseline: dict, current: dict, tolerance: float,
                              flow_map_in_run_speedups(current), tolerance))
     parallel = current.get("parallel_cold")
     if parallel is not None:
-        if not parallel.get("identical_across_threads", False):
+        if not parallel.get("identical_across_jobs", False):
             problems.append("flow parallel_cold: results were not "
                             "bit-identical across job counts")
         if parallel.get("gate_applied", False):
-            speedup = parallel.get("speedup_threads_n_vs_1", 0.0)
+            speedup = parallel.get("speedup_jobs_n_vs_1", 0.0)
             if speedup < parallel_min_speedup:
                 problems.append(
                     f"flow parallel_cold: jobs="
-                    f"{parallel.get('threads')} ran at {speedup:.2f}x "
+                    f"{parallel.get('jobs')} ran at {speedup:.2f}x "
                     f"jobs=1, below the {parallel_min_speedup:.1f}x "
                     f"floor on a {parallel.get('cpu_count')}-core "
                     f"machine")
@@ -533,10 +533,10 @@ def main(argv=None) -> int:
                   f"current {shown}")
         parallel = flow_current.get("parallel_cold")
         if parallel is not None:
-            print(f"flow parallel_cold: jobs={parallel.get('threads')} "
-                  f"at {parallel.get('speedup_threads_n_vs_1')}x vs "
+            print(f"flow parallel_cold: jobs={parallel.get('jobs')} "
+                  f"at {parallel.get('speedup_jobs_n_vs_1')}x vs "
                   f"jobs=1 on {parallel.get('cpu_count')} core(s), "
-                  f"identical: {parallel.get('identical_across_threads')}")
+                  f"identical: {parallel.get('identical_across_jobs')}")
         for design, row in sorted(flow_current.get(
                 "defeat_map_build", {}).get("designs", {}).items()):
             committed = row.get("speedup_vs_committed_flood")

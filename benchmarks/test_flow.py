@@ -33,7 +33,7 @@ Knobs: ``REPRO_BENCH_SCALE`` selects the suite scale (see conftest);
 ``REPRO_BENCH_FLOW_MIN_SPEEDUP`` / ``REPRO_BENCH_FLOW_WARM_MIN_SPEEDUP``
 / ``REPRO_BENCH_FLOW_PARALLEL_MIN_SPEEDUP`` /
 ``REPRO_BENCH_FLOW_MAP_MIN_SPEEDUP`` relax the local acceptance bars on
-noisy shared runners; ``REPRO_BENCH_FLOW_THREADS`` sets the parallel
+noisy shared runners; ``REPRO_BENCH_FLOW_JOBS`` sets the parallel
 leg's worker-process count (``jobs``).
 """
 
@@ -65,7 +65,7 @@ MIN_WARM_SPEEDUP = float(
 
 #: Worker processes (``jobs``) for the parallel cold leg, one design per
 #: worker.
-FLOW_THREADS = int(os.environ.get("REPRO_BENCH_FLOW_THREADS", "4"))
+FLOW_JOBS = int(os.environ.get("REPRO_BENCH_FLOW_JOBS", "4"))
 
 #: Required cold-suite speedup of jobs=N over jobs=1 — applied
 #: only on machines with at least two cores (a single-core container
@@ -270,15 +270,13 @@ def test_parallel_cold_flow(benchmark, design_suite, bench_out_dir):
     ``jobs`` implements the suite's designs in that many worker
     processes; each design still runs the serial annealer and router,
     so the two legs must produce byte-identical bitstreams — the
-    speedup gate only applies where parallel hardware exists.  The JSON
-    keys keep their historical ``threads`` names, which
-    ``check_regression.py`` reads.
+    speedup gate only applies where parallel hardware exists.
     """
     suite = design_suite
     cpu_count = os.cpu_count() or 1
     timings = {}
     results = {}
-    for jobs in (1, FLOW_THREADS):
+    for jobs in (1, FLOW_JOBS):
         clear_routing_graph_cache()
         clear_layout_cache()
         gc.collect()
@@ -287,7 +285,7 @@ def test_parallel_cold_flow(benchmark, design_suite, bench_out_dir):
         timings[jobs] = time.perf_counter() - start
 
     base = results[1]
-    parallel = results[FLOW_THREADS]
+    parallel = results[FLOW_JOBS]
     for name in DESIGN_ORDER:
         serial_run, parallel_run = base[name], parallel[name]
         assert serial_run.placement.slice_tiles == \
@@ -303,15 +301,15 @@ def test_parallel_cold_flow(benchmark, design_suite, bench_out_dir):
         assert bytes(serial_run.bitstream.bits) == \
             bytes(parallel_run.bitstream.bits), name
 
-    speedup = round(timings[1] / timings[FLOW_THREADS], 2)
+    speedup = round(timings[1] / timings[FLOW_JOBS], 2)
     section = {
         "cpu_count": cpu_count,
-        "threads": FLOW_THREADS,
-        "threads_1_seconds": round(timings[1], 4),
-        "threads_n_seconds": round(timings[FLOW_THREADS], 4),
-        "speedup_threads_n_vs_1": speedup,
-        "identical_across_threads": True,
-        "gate_applied": cpu_count >= 2 and FLOW_THREADS > 1,
+        "jobs": FLOW_JOBS,
+        "jobs_1_seconds": round(timings[1], 4),
+        "jobs_n_seconds": round(timings[FLOW_JOBS], 4),
+        "speedup_jobs_n_vs_1": speedup,
+        "identical_across_jobs": True,
+        "gate_applied": cpu_count >= 2 and FLOW_JOBS > 1,
     }
     _merge_sections(bench_out_dir, {"parallel_cold": section})
     benchmark.extra_info["parallel_cold"] = section

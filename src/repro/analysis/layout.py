@@ -973,40 +973,36 @@ def _barrier_key(instance) -> str:
 # Map construction with campaign-cache memoization
 # ----------------------------------------------------------------------
 def defeat_map_for(implementation: Implementation,
-                   mode: str = "design",
-                   use_cache: bool = True) -> DefeatMap:
+                   mode: str = "design") -> DefeatMap:
     """The (memoized) static defeat map of one implemented design.
 
-    With *use_cache* the map is stored in the process-wide campaign cache
-    next to the golden traces and fault effects, so repeated analyses
-    classify each design once.
+    The map is stored in the process-wide campaign cache next to the
+    golden traces and fault effects, so repeated analyses classify each
+    design once.
     """
-    if use_cache:
-        from ..faults.cache import get_cache
-        from ..service.tier import active_tier
+    from ..faults.cache import get_cache
+    from ..service.tier import active_tier
 
-        cache = get_cache()
-        entry = cache.entry_for(implementation)
+    cache = get_cache()
+    entry = cache.entry_for(implementation)
 
-        def build() -> DefeatMap:
-            # Building the map is costly, so an in-memory miss reads
-            # through the persistent tier first: a map built by any
-            # earlier process over a bit-identical implementation is
-            # exactly this one.
-            tier = active_tier()
-            if tier is not None:
-                stored = tier.load_defeat_map(entry.fingerprint, mode)
-                if stored is not None:
-                    return stored
-            analyzer = LayoutAnalyzer(implementation)
-            fault_list = entry.fault_list(mode, cache.stats)
-            defeat_map = analyzer.build_map(fault_list)
-            if tier is not None:
-                tier.store_defeat_map(entry.fingerprint, mode, defeat_map)
-            return defeat_map
+    def build() -> DefeatMap:
+        # Building the map is costly, so an in-memory miss reads through
+        # the persistent tier first: a map built by any earlier process
+        # over a bit-identical implementation is exactly this one.
+        tier = active_tier()
+        if tier is not None:
+            stored = tier.load_defeat_map(entry.fingerprint, mode)
+            if stored is not None:
+                return stored
+        analyzer = LayoutAnalyzer(implementation)
+        fault_list = entry.fault_list(mode, cache.stats)
+        defeat_map = analyzer.build_map(fault_list)
+        if tier is not None:
+            tier.store_defeat_map(entry.fingerprint, mode, defeat_map)
+        return defeat_map
 
-        return entry.defeat_map(mode, build, cache.stats)
-    return LayoutAnalyzer(implementation).build_map(mode=mode)
+    return entry.defeat_map(mode, build, cache.stats)
 
 
 # ----------------------------------------------------------------------
@@ -1014,8 +1010,8 @@ def defeat_map_for(implementation: Implementation,
 # ----------------------------------------------------------------------
 def layout_robustness(implementation: Implementation,
                       domain: int = 0,
-                      defeat_map: Optional[DefeatMap] = None,
-                      use_cache: bool = True) -> RobustnessEstimate:
+                      defeat_map: Optional[DefeatMap] = None
+                      ) -> RobustnessEstimate:
     """A :class:`~repro.core.analysis.RobustnessEstimate` from the layout.
 
     Replaces the uniform-net collision proxy with the measured share of
@@ -1024,7 +1020,7 @@ def layout_robustness(implementation: Implementation,
     the implemented flat netlist instead of the component-level one.
     """
     if defeat_map is None:
-        defeat_map = defeat_map_for(implementation, use_cache=use_cache)
+        defeat_map = defeat_map_for(implementation)
     definition = implementation.design
     regions = compute_voter_regions(definition, domain)
     voter_count = sum(1 for instance in definition.instances.values()

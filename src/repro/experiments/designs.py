@@ -12,6 +12,7 @@ results refer to the same implementations.
 from __future__ import annotations
 
 import dataclasses
+import os
 from typing import Dict, List, Optional, Tuple
 
 from ..core import (AllComponents, ByComponentType, NoPartition, TMRConfig,
@@ -156,7 +157,7 @@ class DesignSuite:
     #: design name -> TMR transformation record (absent for "standard")
     tmr: Dict[str, TMRResult]
     #: whether :func:`build_design_suite` ran the netlist optimizer
-    #: (recorded so parallel P&R workers can rebuild the same suite)
+    #: (recorded so designs added later are optimized the same way)
     optimized: bool = True
 
 
@@ -227,32 +228,30 @@ def _suite_floorplan(device: Device, name: str,
     return None
 
 
-def _implement_suite_worker(scale: str, optimize: bool, name: str,
-                            floorplan_domains: bool, seed: int,
-                            expected_fingerprint: str
-                            ) -> Tuple[str, Optional[Implementation]]:
-    """Implement one suite design in a worker process.
+#: The suite a forked flow worker implements from (set by its
+#: pool initializer, inherited from the parent).
+_WORKER_SUITE: Optional[DesignSuite] = None
 
-    The flat netlist graph is deeply recursive and does not pickle, so the
-    worker rebuilds the suite from its (scale, optimize) recipe instead of
-    receiving the definition.  The rebuilt netlist must fingerprint to the
-    value the parent computed — a mismatch (a nondeterministic build, or a
-    caller-constructed suite the recipe cannot reproduce) returns ``None``
-    and the parent falls back to implementing that design in-process.  The
-    returned implementation travels without its netlist; the parent
+
+def _init_suite_worker(suite: DesignSuite) -> None:
+    global _WORKER_SUITE
+    _WORKER_SUITE = suite
+
+
+def _implement_suite_worker(name: str, floorplan_domains: bool, seed: int
+                            ) -> Tuple[str, Implementation]:
+    """Implement one design of the inherited suite in a worker process.
+
+    The returned implementation travels without its netlist (the flat
+    netlist graph is deeply recursive and does not pickle); the parent
     re-attaches its own definition.
     """
-    suite = build_design_suite(scale, optimize=optimize)
-    definition = suite.flat[name]
+    suite = _WORKER_SUITE
+    assert suite is not None, "flow worker used before initialization"
     device = device_for(suite, name)
-    floorplan = _suite_floorplan(device, name, floorplan_domains)
-    fingerprint = flow_fingerprint(
-        definition, device, seed=seed, floorplan=floorplan,
-        anneal_moves_per_slice=suite.scale.anneal_moves_per_slice)
-    if fingerprint != expected_fingerprint:
-        return name, None
     implementation = implement(
-        definition, device, seed=seed, floorplan=floorplan,
+        suite.flat[name], device, seed=seed,
+        floorplan=_suite_floorplan(device, name, floorplan_domains),
         anneal_moves_per_slice=suite.scale.anneal_moves_per_slice)
     return name, dataclasses.replace(implementation, design=None)
 
@@ -270,8 +269,9 @@ def implement_design_suite(suite: DesignSuite,
     :class:`~repro.pnr.FlowArtifactStore`) consults the persistent flow
     cache first and stores fresh implementations back, so a second run of
     any experiment CLI skips place-and-route entirely.  *jobs* implements
-    cache-missing designs in that many parallel worker processes (the five
-    suite designs are independent); results are bit-identical to the
+    cache-missing designs in up to that many forked worker processes (the
+    five suite designs are independent; where ``fork`` is unavailable the
+    designs are implemented serially); results are bit-identical to the
     serial flow in either case.
     """
     names = list(designs) if designs is not None else list(DESIGN_ORDER)
@@ -296,7 +296,7 @@ def implement_design_suite(suite: DesignSuite,
     if len(pending) > 1 and jobs > 1:
         implementations.update(
             _implement_parallel(suite, pending, floorplan_domains, seed,
-                                jobs, fingerprints))
+                                jobs))
 
     for name in pending:
         if implementations[name] is not None:
@@ -317,39 +317,36 @@ def implement_design_suite(suite: DesignSuite,
 
 
 def _implement_parallel(suite: DesignSuite, pending: List[str],
-                        floorplan_domains: bool, seed: int, jobs: int,
-                        fingerprints: Dict[str, str]
+                        floorplan_domains: bool, seed: int, jobs: int
                         ) -> Dict[str, Implementation]:
-    """Fan the cache-missing designs out over worker processes.
+    """Fan the cache-missing designs out over forked worker processes.
 
-    Any worker failure (pickling quirks on an exotic start method, a
-    fingerprint mismatch, a crashed interpreter) leaves the affected
-    design unimplemented; the caller's serial pass picks it up, so
+    Workers inherit *suite* through the fork, so each task carries only
+    a design name.  Without the ``fork`` start method nothing runs here,
+    and a crashed worker leaves its design unimplemented; the caller's
+    serial pass picks up every design missing from the result, so
     parallelism is purely an accelerator and never a correctness risk.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    try:
-        mp_context = multiprocessing.get_context("fork")
-    except ValueError:
-        mp_context = multiprocessing.get_context()
-
     results: Dict[str, Implementation] = {}
-    max_workers = max(1, min(jobs, len(pending)))
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return results
+    workers = max(1, min(jobs, len(pending), os.cpu_count() or 1))
     try:
-        with ProcessPoolExecutor(max_workers=max_workers,
-                                 mp_context=mp_context) as pool:
-            futures = [
-                pool.submit(_implement_suite_worker, suite.scale.name,
-                            suite.optimized, name, floorplan_domains, seed,
-                            fingerprints[name])
-                for name in pending]
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_suite_worker,
+                initargs=(suite,)) as pool:
+            futures = [pool.submit(_implement_suite_worker, name,
+                                   floorplan_domains, seed)
+                       for name in pending]
             for future in futures:
                 name, implementation = future.result()
-                if implementation is not None:
-                    implementation.design = suite.flat[name]
-                    results[name] = implementation
+                implementation.design = suite.flat[name]
+                results[name] = implementation
     except Exception:
         # Fall back to the serial path for everything not yet produced.
         pass

@@ -12,7 +12,7 @@ from .engine import (BACKEND_CHOICES, BACKENDS, CampaignContext,
                      ShardedBackend, VectorBackend, VerdictColumns,
                      resolve_backend)
 from .fault_list import FAULT_LIST_MODES, FaultList, FaultListManager
-from .injector import FaultInjectionManager, FaultRecords, FaultResult
+from .injector import FaultRecords, FaultResult
 from .models import EffectColumns, FaultEffect, FaultModeler
 from .report import (campaign_details, format_table, table3_report,
                      table4_report)
@@ -24,7 +24,7 @@ from .upsets import (UPSET_MODEL_CHOICES, UPSET_MODELS, AccumulatedUpset,
 __all__ = [
     "categories", "CampaignConfig", "CampaignResult", "CategoryCount",
     "default_stimulus", "run_campaign", "run_campaigns", "FAULT_LIST_MODES",
-    "FaultList", "FaultListManager", "FaultInjectionManager", "FaultResult",
+    "FaultList", "FaultListManager", "FaultResult",
     "FaultRecords", "EffectColumns", "FaultEffect", "FaultModeler",
     "campaign_details", "format_table",
     "table3_report", "table4_report",

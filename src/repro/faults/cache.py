@@ -111,10 +111,9 @@ class CampaignCacheEntry:
         #: kept weak so a cached entry does not pin a heavyweight
         #: implementation alive on its own
         self._implementation = weakref.ref(implementation)
-        #: guards the *structural* mutations (LRU eviction, the
-        #: adoption flush) — entries are shared between the service's
-        #: asyncio.to_thread workers.  Memo inserts stay unlocked: a
-        #: lost race there only recomputes, never corrupts.
+        #: guards the golden-trace LRU — entries are shared between the
+        #: service's asyncio.to_thread workers.  Memo inserts stay
+        #: unlocked: a lost race there only recomputes, never corrupts.
         self._lock = threading.Lock()
         self._compiled: Optional[CompiledDesign] = None
         self._vector_program: Optional[VectorProgram] = None
@@ -132,26 +131,7 @@ class CampaignCacheEntry:
         self._defeat_maps: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
-    def compiled_design(self, stats: CacheStats,
-                        compiled: Optional[CompiledDesign] = None
-                        ) -> CompiledDesign:
-        if compiled is not None:
-            # A caller-supplied compilation wins; adopt it so later lookups
-            # (cones, effects) refer to the same net numbering object.
-            # Artefacts derived from a previously adopted compilation are
-            # dropped — the caller may have compiled a variant netlist, and
-            # mixing gate/net numberings would corrupt results silently.
-            if self._compiled is not compiled:
-                with self._lock:
-                    if self._compiled is not None:
-                        self._golden.clear()
-                        self._cones.clear()
-                        self.effects = EffectColumns()
-                        self._defeat_maps.clear()
-                        self._vector_program = None
-                        self._numpy_program = None
-                    self._compiled = compiled
-            return compiled
+    def compiled_design(self, stats: CacheStats) -> CompiledDesign:
         if self._compiled is None:
             implementation = self._implementation()
             if implementation is None:
@@ -335,7 +315,7 @@ class CampaignCache:
         return len(self._entries)
 
 
-#: Process-wide cache shared by every campaign run with ``use_cache=True``.
+#: Process-wide cache shared by every campaign context.
 _GLOBAL_CACHE = CampaignCache()
 
 

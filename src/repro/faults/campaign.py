@@ -13,9 +13,9 @@ swept bit-parallel through :mod:`repro.sim.bitparallel`, ``"numpy"`` —
 the same lane sweep compiled to vectorized ``uint64`` array kernels with
 cross-cone packing through :mod:`repro.sim.npkernel`, ``"sharded"`` —
 shards of the injections run through a vectorized backend in worker
-processes) and ``use_cache=`` controls the golden-trace / fault-effect
-cache (:mod:`repro.faults.cache`).  All backends produce
-bit-identical aggregates for the same seed.  The per-injection records
+processes).  Golden traces, fault lists and fault effects are memoized
+in the process-wide campaign cache (:mod:`repro.faults.cache`).  All
+backends produce bit-identical aggregates for the same seed.  The per-injection records
 are columns; ``CampaignResult.results`` is a read-only view that builds
 each record on access (:class:`~repro.faults.injector.FaultRecords`).
 """
@@ -28,14 +28,11 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from ..pnr.flow import Implementation
-from ..sim.compile import CompiledDesign
 from ..sim.vectors import campaign_workload, stimulus_from_samples, \
     tmr_stimulus_from_samples
 from . import categories
-from .cache import get_cache
 from .engine import (BackendLike, CampaignContext, ProgressCallback,
                      resolve_backend)
-from .fault_list import FaultListManager
 from .injector import FaultRecords, FaultResult
 from .models import EFFECT_ROWS
 from .upsets import UpsetModelLike, resolve_upset_model
@@ -121,8 +118,7 @@ class CampaignResult:
         }
 
 
-def _checkpoint_key(implementation: Implementation,
-                    config: CampaignConfig,
+def _checkpoint_key(config: CampaignConfig,
                     context, model, num_groups: int,
                     stimulus: Optional[Sequence[Dict[str, int]]],
                     fault_bits: Optional[Sequence[int]]) -> str:
@@ -135,15 +131,9 @@ def _checkpoint_key(implementation: Implementation,
     stimulus or bit list.  Deliberately excluded: the backend (all
     backends are bit-identical) and delivery knobs like timeouts.
     """
-    from .cache import implementation_fingerprint
-
-    if context.cache_entry is not None:
-        fingerprint = context.cache_entry.fingerprint
-    else:
-        fingerprint = implementation_fingerprint(implementation)
     digest = hashlib.sha256()
     parts = [
-        fingerprint,
+        context.cache_entry.fingerprint,
         model.describe(),
         str(config.seed),
         config.fault_list_mode,
@@ -201,12 +191,10 @@ def default_stimulus(implementation: Implementation,
 
 def run_campaign(implementation: Implementation,
                  config: Optional[CampaignConfig] = None,
-                 compiled: Optional[CompiledDesign] = None,
                  stimulus: Optional[Sequence[Dict[str, int]]] = None,
                  fault_bits: Optional[Sequence[int]] = None,
                  progress: Optional[ProgressCallback] = None,
-                 backend: BackendLike = None,
-                 use_cache: bool = True) -> CampaignResult:
+                 backend: BackendLike = None) -> CampaignResult:
     """Run one fault-injection campaign on an implemented design."""
     config = config if config is not None else CampaignConfig()
     engine = resolve_backend(backend)
@@ -223,24 +211,13 @@ def run_campaign(implementation: Implementation,
             reported[0] = done
             caller_progress(done, total)
 
-    cache_entry = get_cache().entry_for(implementation) if use_cache else None
-    if use_cache:
-        stats = get_cache().stats
-    else:
-        stats = None
     context = CampaignContext(
-        implementation, compiled=compiled,
+        implementation,
         stimulus=list(stimulus) if stimulus is not None
         else default_stimulus(implementation, config),
-        skip_cycles=config.skip_cycles,
-        cache_entry=cache_entry, stats=stats)
-
-    if cache_entry is not None:
-        fault_list = cache_entry.fault_list(config.fault_list_mode,
-                                            context.stats)
-    else:
-        fault_list = FaultListManager(implementation).build(
-            config.fault_list_mode)
+        skip_cycles=config.skip_cycles)
+    fault_list = context.cache_entry.fault_list(config.fault_list_mode,
+                                                context.stats)
     if fault_bits is None:
         count = config.num_faults if config.num_faults is not None else \
             max(1, int(len(fault_list) * config.sample_fraction))
@@ -256,7 +233,7 @@ def run_campaign(implementation: Implementation,
     # shards under this key (when a cache tier is active) so interrupted
     # campaigns resume instead of recomputing.
     context.checkpoint_key = _checkpoint_key(
-        implementation, config, context, model, len(groups),
+        config, context, model, len(groups),
         stimulus, fault_bits)
     injections = context.tasks_for_groups(groups)
     verdicts = engine.run(context, injections, progress)
@@ -306,13 +283,11 @@ def run_campaign(implementation: Implementation,
 def run_campaigns(implementations: Dict[str, Implementation],
                   config: Optional[CampaignConfig] = None,
                   progress: Optional[ProgressCallback] = None,
-                  backend: BackendLike = None,
-                  use_cache: bool = True) -> Dict[str, CampaignResult]:
+                  backend: BackendLike = None) -> Dict[str, CampaignResult]:
     """Run the same campaign over several designs (the five filter versions)."""
     engine = resolve_backend(backend)
     results: Dict[str, CampaignResult] = {}
     for name, implementation in implementations.items():
         results[name] = run_campaign(implementation, config,
-                                     progress=progress, backend=engine,
-                                     use_cache=use_cache)
+                                     progress=progress, backend=engine)
     return results

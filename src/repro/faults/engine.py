@@ -13,7 +13,7 @@ columns, never as one object per upset:
   first mismatching cycle (``-1`` for none);
 * :class:`CampaignContext` — the shared immutable context (implementation,
   compiled design, stimulus, golden trace) plus memoized derived artefacts,
-  optionally backed by the process-wide :mod:`repro.faults.cache`;
+  read through the process-wide :mod:`repro.faults.cache`;
 * :class:`ExecutionBackend` — the strategy interface, with four
   implementations:
 
@@ -29,9 +29,9 @@ columns, never as one object per upset:
   - :class:`ShardedBackend` — the campaign service's executor: splits the
     injections into the deterministic :func:`~repro.faults.seeds.split_shards`
     schedule and runs each shard through a *vectorized* backend inside a
-    ``concurrent.futures`` worker process, so process-level sharding and
-    the numpy kernel stack multiplicatively.  A shard travels to its
-    worker as its bit slice and comes back as verdict columns.
+    forked ``concurrent.futures`` worker process, so process-level
+    sharding and the numpy kernel stack multiplicatively.  A shard travels
+    to its worker as its bit slice and comes back as verdict columns.
 
 Every backend must produce bit-identical verdict columns for the same
 sampled fault list — the equivalence is enforced by the test suite.
@@ -50,13 +50,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..pnr.flow import Implementation
 from ..sim import npkernel
 from ..sim.bitparallel import (VectorProgram, broadcast_inputs,
-                               broadcast_trace, compile_vector_program,
-                               simulate_lanes)
+                               broadcast_trace, simulate_lanes)
 from ..sim.compile import CompiledDesign, FaultCone
 from ..sim.golden import compare_traces
 from ..sim.overlay import FaultOverlay
 from ..sim.simulator import SimulationTrace, Simulator
-from .cache import CacheStats, CampaignCacheEntry
+from .cache import CacheStats, CampaignCacheEntry, get_cache
 from .injector import FaultResult
 from .models import EFFECT_ROWS, EffectColumns, FaultEffect, FaultModeler
 from .seeds import split_shards
@@ -147,49 +146,37 @@ class VerdictColumns:
 class CampaignContext:
     """Shared, read-only context of one campaign plus memoized artefacts.
 
-    When *cache_entry* is provided, golden traces, fault effects and fault
-    cones are read through (and stored into) the process-wide campaign
-    cache; otherwise the context keeps private memos for the duration of
-    the campaign.
+    Golden traces, fault effects, fault cones and lane programs are read
+    through (and stored into) the implementation's entry in the
+    process-wide campaign cache (:mod:`repro.faults.cache`).
     """
 
     def __init__(self, implementation: Implementation,
-                 compiled: Optional[CompiledDesign] = None,
                  stimulus: Optional[Sequence[Dict[str, int]]] = None,
                  skip_cycles: int = 0,
-                 output_ports: Optional[Sequence[str]] = None,
-                 cache_entry: Optional[CampaignCacheEntry] = None,
-                 stats: Optional[CacheStats] = None) -> None:
+                 output_ports: Optional[Sequence[str]] = None) -> None:
+        cache = get_cache()
         self.implementation = implementation
-        self.cache_entry = cache_entry
-        self.stats = stats if stats is not None else CacheStats()
+        self.cache_entry: CampaignCacheEntry = cache.entry_for(implementation)
+        self.stats: CacheStats = cache.stats
         #: content digest of the exact injections this campaign hands to
         #: its backend (set by ``run_campaign``); checkpoint-capable
         #: backends persist completed shards under it so an interrupted
         #: campaign resumes instead of recomputing.  ``None`` disables
         #: checkpointing.
         self.checkpoint_key: Optional[str] = None
-        if compiled is None:
-            if cache_entry is not None:
-                compiled = cache_entry.compiled_design(self.stats)
-            else:
-                compiled = CompiledDesign(implementation.design)
-        elif cache_entry is not None:
-            compiled = cache_entry.compiled_design(self.stats, compiled)
-        self.compiled = compiled
-        #: the modelled-effect memo the injections index (taken after the
-        #: compiled design, whose adoption may replace the entry's memo)
-        self.effects = cache_entry.effects if cache_entry is not None \
-            else EffectColumns()
+        self.compiled: CompiledDesign = \
+            self.cache_entry.compiled_design(self.stats)
+        #: the modelled-effect memo the injections index
+        self.effects: EffectColumns = self.cache_entry.effects
         self.stimulus = list(stimulus) if stimulus is not None else []
         self.skip_cycles = skip_cycles
         self.output_ports = list(output_ports) if output_ports else None
         self._modeler: Optional[FaultModeler] = None
         self._golden: Optional[SimulationTrace] = None
-        self._base_program = None
+        self._base_program: object = None
         self._vector_program: Optional[VectorProgram] = None
         self._numpy_program: Optional["npkernel.NumpyProgram"] = None
-        self._local_cones: Dict[Tuple[int, ...], FaultCone] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -198,70 +185,37 @@ class CampaignContext:
             self._modeler = FaultModeler(self.implementation, self.compiled)
         return self._modeler
 
-    def detached(self) -> "CampaignContext":
-        """A picklable clone without the process-wide cache attached.
-
-        Cache entries hold weak references (unpicklable), so worker
-        processes created under the ``spawn`` start method receive this
-        detached copy; the golden trace and base program travel with it.
-        """
-        clone = CampaignContext(
-            self.implementation, compiled=self.compiled,
-            stimulus=self.stimulus, skip_cycles=self.skip_cycles,
-            output_ports=self.output_ports)
-        self._ensure_golden()
-        clone._golden = self._golden
-        clone._base_program = self._base_program
-        clone._vector_program = self._vector_program
-        return clone
-
     def prepare(self) -> None:
         """Force the golden trace and base program into existence."""
-        self._ensure_golden()
-
-    def _ensure_golden(self) -> None:
-        if self._golden is not None:
-            return
-        if self.cache_entry is not None:
+        if self._golden is None:
             self._golden, self._base_program = self.cache_entry.golden(
                 self.compiled, self.stimulus, self.stats)
-        else:
-            simulator = Simulator(self.compiled)
-            self._golden = simulator.run(self.stimulus, record_nets=True)
-            self._base_program = simulator.program
 
     @property
     def golden(self) -> SimulationTrace:
-        self._ensure_golden()
+        self.prepare()
         return self._golden
 
     @property
     def base_program(self) -> object:
         """The overlay-free gate program shared by every faulty run."""
-        self._ensure_golden()
+        self.prepare()
         return self._base_program
 
     @property
     def vector_program(self) -> VectorProgram:
         """The compiled bit-parallel lane program of this design."""
         if self._vector_program is None:
-            if self.cache_entry is not None:
-                self._vector_program = self.cache_entry.vector_program(
-                    self.compiled, self.stats)
-            else:
-                self._vector_program = compile_vector_program(self.compiled)
+            self._vector_program = self.cache_entry.vector_program(
+                self.compiled, self.stats)
         return self._vector_program
 
     @property
     def numpy_program(self) -> "npkernel.NumpyProgram":
-        """The numpy-compiled lane program (plans memoized per campaign)."""
+        """The numpy-compiled lane program, with its accumulated plans."""
         if self._numpy_program is None:
-            if self.cache_entry is not None:
-                self._numpy_program = self.cache_entry.numpy_program(
-                    self.compiled, self.stats)
-            else:
-                self._numpy_program = npkernel.compile_numpy_program(
-                    self.vector_program)
+            self._numpy_program = self.cache_entry.numpy_program(
+                self.compiled, self.stats)
         return self._numpy_program
 
     # ------------------------------------------------------------------
@@ -270,10 +224,9 @@ class CampaignContext:
         effects = self.effects
         slot = effects.slot_of(bit)
         if slot is None:
-            if self.cache_entry is not None:
-                self.stats.effect_misses += 1
+            self.stats.effect_misses += 1
             slot = effects.add(bit, self.modeler.effect_of_bit(bit))
-        elif self.cache_entry is not None:
+        else:
             self.stats.effect_hits += 1
         return slot
 
@@ -343,18 +296,7 @@ class CampaignContext:
         """
         if not seed_nets:
             return None
-        if self.cache_entry is not None:
-            return self.cache_entry.cone(seed_nets, self.compiled,
-                                         self.stats)
-        key = tuple(seed_nets)
-        cone = self._local_cones.get(key)
-        if cone is None:
-            self.stats.cone_misses += 1
-            cone = self.compiled.fault_cone(seed_nets)
-            self._local_cones[key] = cone
-        else:
-            self.stats.cone_hits += 1
-        return cone
+        return self.cache_entry.cone(seed_nets, self.compiled, self.stats)
 
     # ------------------------------------------------------------------
     def first_mismatch(self, overlay: FaultOverlay) -> Optional[int]:
@@ -670,10 +612,10 @@ class NumpyBackend(ExecutionBackend):
 
 
 # ----------------------------------------------------------------------
-# Sharded backend: the campaign service's executor.  Workers are primed
-# through a fork-inherited (or, under spawn, pickled) context; each runs
-# a *vectorized* inner backend over its slice of the injections, so
-# process parallelism and lane packing stack.
+# Sharded backend: the campaign service's executor.  Workers are forked
+# and inherit the parent's campaign context; each runs a *vectorized*
+# inner backend over its slice of the injections, so process parallelism
+# and lane packing stack.
 class CampaignWorkerError(RuntimeError):
     """A sharded campaign worker process died mid-campaign.
 
@@ -700,8 +642,8 @@ def _run_task_shard(shard_index: int,
                     ) -> VerdictColumns:
     """Evaluate one shard, given as its ``(bits, clusters)`` slice.
 
-    The worker models the bits itself: under ``fork`` it inherited the
-    parent's effect memo, so every lookup hits.
+    The worker models the bits itself: it inherited the parent's effect
+    memo through the fork, so every lookup hits.
     """
     context = _WORKER_CONTEXT
     assert context is not None and _SHARD_INNER is not None, \
@@ -792,9 +734,12 @@ class ShardedBackend(ExecutionBackend):
     through the vectorized kernel, so saturated lane sweeps stack with
     process parallelism instead of replacing it.
 
+    Workers are forked, so they inherit the campaign context (cache
+    entry, golden trace, effect memo) instead of receiving it pickled.
     Small campaigns (below ``min_tasks``, default 1000) skip the pool
-    entirely and run the inner backend inline, because pool spin-up and
-    context pickling dominate them; this is visible in reports as
+    entirely and run the inner backend inline, because pool spin-up
+    dominates them; so do campaigns on a platform without the ``fork``
+    start method.  This is visible in reports as
     ``sharded:inline-fallback``.
 
     **Supervision and crash-safety.**  Shards are submitted as individual
@@ -925,7 +870,8 @@ class ShardedBackend(ExecutionBackend):
         workers = self._worker_count(total)
         degradations: List[Dict[str, object]] = []
         inner = resolve_backend(self.inner_spec())
-        if not total or workers == 1 or total < self.min_tasks:
+        if not total or workers == 1 or total < self.min_tasks \
+                or "fork" not in multiprocessing.get_all_start_methods():
             # Degrading must stay visible in reports (benchmarks attribute
             # faults/sec to the backend name).
             self.name = "sharded:inline-fallback"
@@ -953,19 +899,9 @@ class ShardedBackend(ExecutionBackend):
             return verdicts
         self.name = ShardedBackend.name
 
-        try:
-            mp_context = multiprocessing.get_context("fork")
-        except ValueError:
-            mp_context = multiprocessing.get_context()
-
-        # Compute the golden reference before the pool starts so workers
-        # inherit it (fork) or receive it pickled (spawn) instead of each
-        # re-simulating it.  Under spawn the context must not carry the
-        # process-wide cache entry (weak references are unpicklable).
+        # Compute the golden reference before the pool starts so the
+        # forked workers inherit it instead of each re-simulating it.
         context.prepare()
-        worker_context = context
-        if mp_context.get_start_method() != "fork":
-            worker_context = context.detached()
 
         ranges = split_shards(total, workers * self.shards_per_worker)
         descriptors = [(index, start, stop)
@@ -1003,9 +939,10 @@ class ShardedBackend(ExecutionBackend):
             while pending:
                 if executor is None:
                     executor = ProcessPoolExecutor(
-                        max_workers=workers, mp_context=mp_context,
+                        max_workers=workers,
+                        mp_context=multiprocessing.get_context("fork"),
                         initializer=_init_shard_worker,
-                        initargs=(worker_context, inner.name))
+                        initargs=(context, inner.name))
                 futures = {
                     executor.submit(_run_task_shard, index, (
                         bits[start:stop], clusters[start:stop]

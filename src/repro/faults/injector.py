@@ -1,23 +1,20 @@
-"""Fault Injection Manager: inject one configuration upset and classify it.
+"""Per-injection outcomes: one configuration upset, classified.
 
-For every selected bit the manager flips the bit in a copy of the bitstream
-(the faulty bitstream the paper downloads into the device), derives the
-behavioural overlay through the fault models, re-simulates the workload over
-the fault's fan-out cone against the recorded golden trace, and compares the
-outputs cycle by cycle — a *Wrong Answer* when any output ever differs from
-the golden device's.
+A :class:`FaultResult` is the outcome of one upset: the behavioural
+overlay of the flipped bit (see :mod:`repro.faults.models`) re-simulated
+over the fault's fan-out cone against the golden trace, with a *Wrong
+Answer* when any output ever differs from the golden device's (see
+:meth:`repro.faults.engine.CampaignContext.evaluate`).  A campaign keeps
+its outcomes as columns, read through :class:`FaultRecords`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from array import array
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
-from ..pnr.flow import Implementation
-from ..sim.compile import CompiledDesign
-from ..sim.simulator import SimulationTrace
-from .models import EFFECT_ROWS, FaultEffect
+from .models import EFFECT_ROWS
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -98,57 +95,3 @@ class FaultRecords(Sequence[FaultResult]):
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
-
-
-class FaultInjectionManager:
-    """Runs single-fault experiments against a golden reference.
-
-    The evaluation itself lives in :class:`repro.faults.engine.
-    CampaignContext`; this manager remains the one-fault-at-a-time surface
-    (and keeps the paper-faithful step of flipping the bit in a copy of the
-    bitstream, even though the simulator consumes the overlay).
-    """
-
-    def __init__(self, implementation: Implementation,
-                 compiled: CompiledDesign,
-                 stimulus: Sequence[Dict[str, int]],
-                 output_ports: Optional[Sequence[str]] = None,
-                 skip_cycles: int = 0) -> None:
-        from .engine import CampaignContext
-
-        self.implementation = implementation
-        self.compiled = compiled
-        self.stimulus = list(stimulus)
-        self.output_ports = list(output_ports) if output_ports else None
-        self.skip_cycles = skip_cycles
-        self.context = CampaignContext(
-            implementation, compiled, self.stimulus,
-            skip_cycles=skip_cycles, output_ports=self.output_ports)
-        self.modeler = self.context.modeler
-        #: the golden device run: full simulation with every net recorded so
-        #: that faulty runs can be confined to the fault's fan-out cone
-        self.context.prepare()
-        self.golden: SimulationTrace = self.context.golden
-
-    # --------------------------------------------------------------
-    def golden_outputs(self) -> SimulationTrace:
-        return self.golden
-
-    def inject(self, bit: int) -> FaultResult:
-        """Inject a single bit flip and classify its outcome."""
-        effect = self.modeler.effect_of_bit(bit)
-        return self._evaluate(effect)
-
-    def inject_effect(self, effect: FaultEffect) -> FaultResult:
-        """Evaluate an already-modelled effect (used by the campaign runner)."""
-        return self._evaluate(effect)
-
-    # --------------------------------------------------------------
-    def _evaluate(self, effect: FaultEffect) -> FaultResult:
-        if effect.has_effect:
-            # The faulty bitstream: flip the bit in a copy (kept faithful to
-            # the paper's flow even though the simulator consumes the
-            # overlay).
-            faulty_bitstream = self.implementation.bitstream.copy()
-            faulty_bitstream.flip_bit(effect.bit)
-        return self.context.evaluate(effect)

@@ -122,8 +122,8 @@ def active_chaos() -> Optional[ChaosConfig]:
     """The chaos configuration of this process, or ``None``.
 
     Read from the environment on every call (cheap: one getenv plus a
-    memoized parse) so worker processes — which inherit the environment
-    under both fork and spawn — see the same fault points as the parent.
+    memoized parse) so forked worker processes — which inherit the
+    environment — see the same fault points as the parent.
     """
     global _CACHED
     raw = os.environ.get(CHAOS_ENV_VAR)

@@ -86,6 +86,7 @@ class TestResultsView:
         config = RECORDED["single"][0]
         result = run_campaign(tiny_fir_implementation, config,
                               backend="numpy")
+        clear_cache()
         context = CampaignContext(
             tiny_fir_implementation,
             stimulus=default_stimulus(tiny_fir_implementation, config))

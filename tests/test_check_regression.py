@@ -87,6 +87,19 @@ class TestFlowGate:
         assert expected
         assert gate.flow_map_in_run_speedups(current) == expected
 
+    def test_parallel_section_reads_jobs_keys(self, flow_baseline):
+        current = _current_flow(flow_baseline)
+        section = current["parallel_cold"]
+        section.update(gate_applied=True, cpu_count=2,
+                       speedup_jobs_n_vs_1=1.2)
+        problems = gate.check_flow(flow_baseline, current, TOLERANCE)
+        assert any(f"jobs={section['jobs']} ran at 1.20x" in problem
+                   for problem in problems), problems
+        section["identical_across_jobs"] = False
+        problems = gate.check_flow(flow_baseline, current, TOLERANCE)
+        assert any("not bit-identical across job counts" in problem
+                   for problem in problems), problems
+
     @pytest.mark.parametrize("flag", [False, None])
     def test_committed_flood_floor_always_applies(self, flow_baseline,
                                                   flag):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import (CampaignConfig, FaultInjectionManager,
+from repro.faults import (CampaignConfig, CampaignContext,
                           FaultListManager, FaultModeler, categories,
                           campaign_details, format_table, run_campaign,
                           table3_report, table4_report)
@@ -137,26 +137,26 @@ class TestFaultModels:
 
 
 class TestInjector:
-    def test_injection_produces_wrong_answers(self, implementation, compiled,
+    def test_injection_produces_wrong_answers(self, implementation,
                                               fault_lists):
         samples = random_samples(10, 4, seed=11)
-        manager = FaultInjectionManager(implementation, compiled,
-                                        stimulus_from_samples(samples))
+        context = CampaignContext(implementation,
+                                  stimulus_from_samples(samples))
         wrong = 0
         for bit in fault_lists["programmed"].sample(60, seed=5):
-            result = manager.inject(bit)
+            result = context.evaluate(context.effect_of_bit(bit))
             wrong += result.wrong_answer
         assert wrong > 0
 
-    def test_silent_fault_reports_no_mismatch(self, implementation, compiled):
+    def test_silent_fault_reports_no_mismatch(self, implementation):
         samples = random_samples(6, 4, seed=12)
-        manager = FaultInjectionManager(implementation, compiled,
-                                        stimulus_from_samples(samples))
+        context = CampaignContext(implementation,
+                                  stimulus_from_samples(samples))
         site = next(s for s in implementation.resources.lut_sites
                     if s.logical_inputs < 4)
         bit = implementation.layout.bit_of(
             lut_bit(site.x, site.y, site.slot, 15))
-        result = manager.inject(bit)
+        result = context.evaluate(context.effect_of_bit(bit))
         assert not result.has_effect and not result.wrong_answer
 
 

@@ -46,7 +46,7 @@ def implementation(tiny_fir_implementation):
 @pytest.fixture(scope="module")
 def serial_reference(implementation):
     clear_cache()
-    return run_campaign(implementation, CONFIG, use_cache=False)
+    return run_campaign(implementation, CONFIG)
 
 
 class TestBackendEquivalence:
@@ -113,12 +113,6 @@ class TestCache:
         assert after["effect_hits"] >= before["effect_hits"] + CONFIG.num_faults
         assert after["fault_list_hits"] > before["fault_list_hits"]
 
-    def test_cache_disabled_matches_cached(self, implementation):
-        cached = run_campaign(implementation, CONFIG)
-        uncached = run_campaign(implementation, CONFIG, use_cache=False)
-        assert cached.wrong_answer_percent == uncached.wrong_answer_percent
-        assert cached.effect_table() == uncached.effect_table()
-
     def test_fingerprint_stable_and_content_based(self, implementation):
         first = implementation_fingerprint(implementation)
         assert first == implementation_fingerprint(implementation)
@@ -175,38 +169,6 @@ class TestEngineApi:
         assert round_trip == verdicts
         assert [bool(wrong) for wrong in round_trip.wrong] == \
             [r.wrong_answer for r in serial_reference.results[:5]]
-
-    def test_detached_context_picklable_for_spawn(self, implementation):
-        from repro.faults import CampaignContext
-
-        entry = get_cache().entry_for(implementation)
-        context = CampaignContext(
-            implementation,
-            stimulus=default_stimulus(implementation, CONFIG),
-            cache_entry=entry)
-        # The cache entry holds weak references and must not travel to
-        # spawn-mode workers; the detached clone must round-trip and keep
-        # evaluating identically.
-        with pytest.raises(TypeError):
-            pickle.dumps(entry)
-        detached = context.detached()
-        # Pickling the netlist graph recurses proportionally to its depth;
-        # multiprocessing pickles from a shallow main-thread stack, but
-        # pytest's own frames eat into the default limit, so restore the
-        # headroom the real spawn path has.
-        import sys
-
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 10000))
-        try:
-            clone = pickle.loads(pickle.dumps(detached))
-        finally:
-            sys.setrecursionlimit(limit)
-        bits = [r.bit for r in
-                run_campaign(implementation, CONFIG).results[:3]]
-        for bit in bits:
-            assert clone.evaluate(clone.effect_of_bit(bit)) == \
-                context.evaluate(context.effect_of_bit(bit))
 
     def test_mutated_bitstream_gets_fresh_cache_entry(self, implementation):
         entry = get_cache().entry_for(implementation)

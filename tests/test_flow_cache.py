@@ -1,5 +1,6 @@
 """Persistent flow-artifact store: hits, misses, recovery, equivalence."""
 
+import multiprocessing
 import pickle
 
 import pytest
@@ -204,3 +205,31 @@ class TestSuiteIntegration:
         for name in designs:
             _same_implementation(serial[name], parallel[name])
             assert parallel[name].design is smoke_suite.flat[name]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="flow workers inherit the suite through fork")
+    def test_parallel_workers_implement_the_callers_suite(self):
+        """Workers implement the caller's suite, not a rebuilt recipe.
+
+        Swapping two flat definitions gives a suite that
+        ``build_design_suite("tiny")`` cannot reproduce; every pending
+        design must still come back from the pool, byte-identical to the
+        serial flow over the same suite.
+        """
+        from repro.experiments import build_design_suite
+        from repro.experiments.designs import (_implement_parallel,
+                                               implement_design_suite)
+
+        suite = build_design_suite("tiny")
+        suite.flat["TMR_p3"], suite.flat["TMR_p3_nv"] = \
+            suite.flat["TMR_p3_nv"], suite.flat["TMR_p3"]
+        pending = ["TMR_p3", "TMR_p3_nv"]
+        serial = implement_design_suite(suite, designs=pending)
+        parallel = _implement_parallel(suite, pending,
+                                       floorplan_domains=False, seed=1,
+                                       jobs=2)
+        assert sorted(parallel) == sorted(pending)
+        for name in pending:
+            _same_implementation(serial[name], parallel[name])
+            assert parallel[name].design is suite.flat[name]
