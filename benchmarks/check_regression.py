@@ -16,12 +16,14 @@ normalized speedup regresses by more than the tolerance:
   — the implementation flow's total ``cold_speedup_vs_seed`` and
   ``warm_speedup_vs_seed``; when the report carries the
   ``parallel_cold`` section (the cold suite at ``jobs=1`` vs ``jobs=N``
-  worker processes), the cross-leg identity bit is a hard gate and the
-  jobs=N speedup is held to ``--flow-parallel-min-speedup`` on
-  multi-core runners; when it carries ``defeat_map_build``, the
-  vectorized build must equal the flood (hard gate), ratio-track the
-  in-run flood speedup, and clear ``--flow-map-min-speedup`` over the
-  committed flood baselines;
+  worker processes), the cross-leg identity bit is a hard gate and,
+  where the report says the gate applied, the jobs=N speedup is held to
+  the bar the run derived and recorded (``bar``), lowered to
+  ``--flow-parallel-min-speedup`` when that is smaller (reports without
+  a recorded bar use the flag alone); when it carries
+  ``defeat_map_build``, the vectorized build must equal the flood (hard
+  gate), ratio-track the in-run flood speedup, and clear
+  ``--flow-map-min-speedup`` over the committed flood baselines;
 * ``BENCH_service.json`` (optional, via
   ``--service-baseline/--service-current``) — the campaign service's
   ``warm_vs_cold_speedup`` (ratio-compared against the baseline and held
@@ -203,11 +205,13 @@ def check_flow(baseline: dict, current: dict, tolerance: float,
                             "bit-identical across job counts")
         if parallel.get("gate_applied", False):
             speedup = parallel.get("speedup_jobs_n_vs_1", 0.0)
-            if speedup < parallel_min_speedup:
+            floor = min(parallel.get("bar", parallel_min_speedup),
+                        parallel_min_speedup)
+            if speedup < floor:
                 problems.append(
                     f"flow parallel_cold: jobs="
                     f"{parallel.get('jobs')} ran at {speedup:.2f}x "
-                    f"jobs=1, below the {parallel_min_speedup:.1f}x "
+                    f"jobs=1, below the {floor:.2f}x "
                     f"floor on a {parallel.get('cpu_count')}-core "
                     f"machine")
     defeat_map = current.get("defeat_map_build")
@@ -410,10 +414,12 @@ def main(argv=None) -> int:
                         help="freshly measured BENCH_flow.json")
     parser.add_argument("--flow-parallel-min-speedup", type=float,
                         default=2.5,
-                        help="floor for the cold suite flow at jobs=N "
-                             "vs jobs=1 (default 2.5; only applied "
-                             "when the report says the gate ran on a "
-                             "multi-core machine)")
+                        help="upper limit on the floor for the cold "
+                             "suite flow at jobs=N vs jobs=1: the floor "
+                             "is the bar the report recorded, or this "
+                             "value when it is lower or the report has "
+                             "none (default 2.5; only applied when the "
+                             "report says the gate applied)")
     parser.add_argument("--flow-map-min-speedup", type=float, default=5.0,
                         help="absolute floor for the vectorized defeat-"
                              "map build's speedup over the committed "
@@ -536,6 +542,7 @@ def main(argv=None) -> int:
             print(f"flow parallel_cold: jobs={parallel.get('jobs')} "
                   f"at {parallel.get('speedup_jobs_n_vs_1')}x vs "
                   f"jobs=1 on {parallel.get('cpu_count')} core(s), "
+                  f"bar {parallel.get('bar', 'n/a')}, "
                   f"identical: {parallel.get('identical_across_jobs')}")
         for design, row in sorted(flow_current.get(
                 "defeat_map_build", {}).get("designs", {}).items()):

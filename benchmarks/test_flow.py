@@ -21,9 +21,12 @@ Two further sections land in the same file:
 
 * ``parallel_cold`` — the cold suite flow at ``jobs=1`` vs ``jobs=N``
   (the suite's designs implemented in N worker processes), asserted
-  bit-identical across job counts at fixed seed.  The ≥2.5x speedup
-  gate only applies on multi-core machines (``cpu_count`` is recorded
-  with the numbers).
+  bit-identical across job counts at fixed seed.  The speedup bar is
+  derived in the same run from what fanning whole designs out can give
+  at best, ``min(jobs, cpu_count, total / longest design)``, times
+  ``PARALLEL_EFFICIENCY``; the bar that applied is recorded with the
+  numbers, and a companion test checks that a forced-serial ``jobs``
+  path fails it.
 * ``defeat_map_build`` — the vectorized defeat-map build vs the python
   taint flood, asserted prediction-identical (including per-class
   counts), with the speedup over the *committed* flood baselines held
@@ -41,6 +44,8 @@ import gc
 import json
 import os
 import time
+
+import pytest
 
 from repro.analysis.layout import LayoutAnalyzer
 from repro.experiments import DESIGN_ORDER, device_for
@@ -67,11 +72,29 @@ MIN_WARM_SPEEDUP = float(
 #: worker.
 FLOW_JOBS = int(os.environ.get("REPRO_BENCH_FLOW_JOBS", "4"))
 
-#: Required cold-suite speedup of jobs=N over jobs=1 — applied
-#: only on machines with at least two cores (a single-core container
-#: can only lose to pool overhead; the identity assertions still run).
-MIN_PARALLEL_SPEEDUP = float(
-    os.environ.get("REPRO_BENCH_FLOW_PARALLEL_MIN_SPEEDUP", "2.5"))
+#: Share of the ideal jobs=N speedup the cold suite must reach.  The
+#: parallel leg pays what the serial one does not: every worker fills
+#: its own lazy device tables (the serial leg fills them once per device
+#: and its later designs reuse them; ~0.5 s of the TMR designs' cost),
+#: forks the pool and pickles each implementation back to the parent.
+#: On a shared 2-core host single rounds reached 0.51-0.96 of the ideal
+#: and the fastest of three mostly 0.7-0.8 (1.3-1.45x against an ideal
+#: of 1.78-1.93x), with dips to 0.6.
+PARALLEL_EFFICIENCY = 0.65
+
+#: Alternating rounds of the two cold legs; each leg keeps its fastest
+#: round, so one slow round on a shared host does not decide the gate.
+PARALLEL_ROUNDS = 3
+
+#: Derived bars below this cannot tell a parallel ``jobs`` path from a
+#: serial one (one core, or one design dominating the suite): on the
+#: same 2-core host a forced-serial jobs=N leg measured 0.97-1.12x, so
+#: the gate is recorded but not applied below 1.2.
+MIN_GATED_BAR = 1.2
+
+#: Optional explicit relaxation of the derived bar (shared CI runners);
+#: it can only lower the bar, never raise it.
+PARALLEL_RELAXED_BAR = os.environ.get("REPRO_BENCH_FLOW_PARALLEL_MIN_SPEEDUP")
 
 #: Required defeat-map build speedup over the *committed* python flood
 #: (the per-design ``defeat_map_seconds`` the retired prefilter
@@ -264,28 +287,83 @@ def test_flow_throughput(benchmark, design_suite, tmp_path_factory,
         payload["totals"]
 
 
+def _cold_legs(suite, jobs):
+    """Both cold legs, alternating for ``PARALLEL_ROUNDS`` rounds.
+
+    Returns the jobs=1 and jobs=N results plus each leg's fastest
+    round: per-design seconds for jobs=1 (it implements one design at
+    a time) and whole-suite seconds for jobs=N.
+    """
+    design_seconds = None
+    parallel_seconds = float("inf")
+    for _round in range(PARALLEL_ROUNDS):
+        base, seconds = {}, {}
+        _clear_device_caches()
+        for name in DESIGN_ORDER:
+            start = time.perf_counter()
+            base.update(implement_design_suite(suite, designs=[name]))
+            seconds[name] = time.perf_counter() - start
+        if design_seconds is None or \
+                sum(seconds.values()) < sum(design_seconds.values()):
+            design_seconds = seconds
+        _clear_device_caches()
+        start = time.perf_counter()
+        parallel = implement_design_suite(suite, jobs=jobs)
+        parallel_seconds = min(parallel_seconds,
+                               time.perf_counter() - start)
+    return base, parallel, design_seconds, parallel_seconds
+
+
+def _clear_device_caches():
+    clear_routing_graph_cache()
+    clear_layout_cache()
+    gc.collect()
+
+
+def _parallel_section(design_seconds, parallel_seconds, jobs, cpu_count):
+    """The ``parallel_cold`` report, with the bar derived from this run.
+
+    Fanning whole designs out cannot beat the job count, the core count
+    or the suite's total over its longest design (Amdahl), so the ideal
+    speedup is the smallest of the three and the bar is
+    ``PARALLEL_EFFICIENCY`` of it, lowered further only by an explicit
+    ``REPRO_BENCH_FLOW_PARALLEL_MIN_SPEEDUP``.
+    """
+    serial_seconds = sum(design_seconds.values())
+    ideal = min(jobs, cpu_count,
+                serial_seconds / max(design_seconds.values()))
+    derived_bar = round(PARALLEL_EFFICIENCY * ideal, 2)
+    bar = derived_bar if PARALLEL_RELAXED_BAR is None \
+        else min(derived_bar, float(PARALLEL_RELAXED_BAR))
+    return {
+        "cpu_count": cpu_count,
+        "jobs": jobs,
+        "jobs_1_seconds": round(serial_seconds, 4),
+        "jobs_n_seconds": round(parallel_seconds, 4),
+        "speedup_jobs_n_vs_1": round(serial_seconds / parallel_seconds, 2),
+        "design_seconds": {name: round(seconds, 4)
+                           for name, seconds in design_seconds.items()},
+        "ideal_speedup": round(ideal, 2),
+        "efficiency": PARALLEL_EFFICIENCY,
+        "derived_bar": derived_bar,
+        "bar": bar,
+        "identical_across_jobs": True,
+        "gate_applied": jobs > 1 and derived_bar >= MIN_GATED_BAR,
+    }
+
+
 def test_parallel_cold_flow(benchmark, design_suite, bench_out_dir):
     """Cold suite flow at jobs=1 vs jobs=N, bit-identical results.
 
     ``jobs`` implements the suite's designs in that many worker
     processes; each design still runs the serial annealer and router,
-    so the two legs must produce byte-identical bitstreams — the
-    speedup gate only applies where parallel hardware exists.
+    so the two legs must produce byte-identical bitstreams.  The speedup
+    is held to the bar derived from this run (see
+    :func:`_parallel_section`) wherever that bar can separate parallel
+    from serial execution.
     """
-    suite = design_suite
-    cpu_count = os.cpu_count() or 1
-    timings = {}
-    results = {}
-    for jobs in (1, FLOW_JOBS):
-        clear_routing_graph_cache()
-        clear_layout_cache()
-        gc.collect()
-        start = time.perf_counter()
-        results[jobs] = implement_design_suite(suite, jobs=jobs)
-        timings[jobs] = time.perf_counter() - start
-
-    base = results[1]
-    parallel = results[FLOW_JOBS]
+    base, parallel, design_seconds, parallel_seconds = _cold_legs(
+        design_suite, FLOW_JOBS)
     for name in DESIGN_ORDER:
         serial_run, parallel_run = base[name], parallel[name]
         assert serial_run.placement.slice_tiles == \
@@ -301,22 +379,37 @@ def test_parallel_cold_flow(benchmark, design_suite, bench_out_dir):
         assert bytes(serial_run.bitstream.bits) == \
             bytes(parallel_run.bitstream.bits), name
 
-    speedup = round(timings[1] / timings[FLOW_JOBS], 2)
-    section = {
-        "cpu_count": cpu_count,
-        "jobs": FLOW_JOBS,
-        "jobs_1_seconds": round(timings[1], 4),
-        "jobs_n_seconds": round(timings[FLOW_JOBS], 4),
-        "speedup_jobs_n_vs_1": speedup,
-        "identical_across_jobs": True,
-        "gate_applied": cpu_count >= 2 and FLOW_JOBS > 1,
-    }
+    section = _parallel_section(design_seconds, parallel_seconds, FLOW_JOBS,
+                                os.cpu_count() or 1)
     _merge_sections(bench_out_dir, {"parallel_cold": section})
     benchmark.extra_info["parallel_cold"] = section
     benchmark.pedantic(lambda: section, rounds=1, iterations=1)
 
     if section["gate_applied"]:
-        assert speedup >= MIN_PARALLEL_SPEEDUP, section
+        assert section["speedup_jobs_n_vs_1"] >= section["bar"], section
+
+
+def test_parallel_cold_gate_rejects_serial_jobs(design_suite, monkeypatch):
+    """Mutation check: a ``jobs`` path that runs serially fails the gate.
+
+    With the worker pool stubbed out, ``implement_design_suite``'s
+    serial pass implements every design, so the jobs=N leg measures
+    serial execution against the same in-run bar.
+    """
+    from repro.experiments import designs
+
+    monkeypatch.setattr(designs, "_implement_parallel",
+                        lambda *args, **kwargs: {})
+    _base, _forced, design_seconds, forced_seconds = _cold_legs(
+        design_suite, FLOW_JOBS)
+    section = _parallel_section(design_seconds, forced_seconds, FLOW_JOBS,
+                                os.cpu_count() or 1)
+    if not section["gate_applied"]:
+        pytest.skip(f"derived bar {section['derived_bar']} is below "
+                    f"{MIN_GATED_BAR}: the gate does not apply here")
+    # The derived bar, not an explicit relaxation of it, is what must
+    # catch a serial path.
+    assert section["speedup_jobs_n_vs_1"] < section["derived_bar"], section
 
 
 def test_defeat_map_build(benchmark, design_suite, implementations,

@@ -35,7 +35,8 @@ from .engine import (BackendLike, CampaignContext, ProgressCallback,
                      resolve_backend)
 from .injector import FaultRecords, FaultResult
 from .models import EFFECT_ROWS
-from .upsets import UpsetModelLike, resolve_upset_model
+from .upsets import (SingleBitInjections, UpsetModelLike,
+                     resolve_upset_model)
 
 
 @dataclasses.dataclass
@@ -227,7 +228,7 @@ def run_campaign(implementation: Implementation,
     else:
         # An explicit bit list bypasses the model's sampling but keeps
         # the historical one-bit-per-injection semantics.
-        groups = [(bit,) for bit in fault_bits]
+        groups = SingleBitInjections(list(fault_bits))
 
     # Arm shard-level checkpointing: sharding backends persist completed
     # shards under this key (when a cache tier is active) so interrupted

@@ -59,6 +59,7 @@ from .cache import CacheStats, CampaignCacheEntry, get_cache
 from .injector import FaultResult
 from .models import EFFECT_ROWS, EffectColumns, FaultEffect, FaultModeler
 from .seeds import split_shards
+from .upsets import SingleBitInjections, merged_effect
 
 #: ``progress(done, total)`` callback signature shared by the engine API.
 ProgressCallback = Callable[[int, int], None]
@@ -241,8 +242,12 @@ class CampaignContext:
         Single-bit groups index the per-bit effects, so the ``single``
         upset model stays bit-identical to the seed campaign; multi-bit
         groups carry their cluster and index the merged effect of its
-        bits (:func:`repro.faults.upsets.merged_effect`).
+        bits (:func:`repro.faults.upsets.merged_effect`).  A
+        :class:`~repro.faults.upsets.SingleBitInjections` view hands over
+        its bit column as it is.
         """
+        if isinstance(groups, SingleBitInjections):
+            return self.injections_for(groups.bits)
         bits = array("q", [group[0] for group in groups])
         clusters: Optional[List[Tuple[int, ...]]] = None
         if any(len(group) != 1 for group in groups):
@@ -253,8 +258,6 @@ class CampaignContext:
                        clusters: Optional[Sequence[Tuple[int, ...]]] = None
                        ) -> Injections:
         """Model injections given as columns (see :class:`Injections`)."""
-        from .upsets import merged_effect
-
         effects = self.effects
         # Samples beyond the population size repeat bits; resolving each
         # distinct bit once keeps huge-scale modelling linear in the

@@ -37,7 +37,8 @@ configuration bit owns its resource) and merge by dict union.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..sim.compile import CompiledDesign
 from ..sim.overlay import FaultOverlay
@@ -61,7 +62,8 @@ class UpsetModel(abc.ABC):
 
     @abc.abstractmethod
     def injections(self, fault_list: "FaultList", count: int, seed: int,
-                   total_bits: Optional[int] = None) -> List[Injection]:
+                   total_bits: Optional[int] = None
+                   ) -> Sequence[Injection]:
         """Sample *count* upsets and group them into injection units.
 
         *total_bits* bounds the configuration address space (used by
@@ -74,14 +76,49 @@ class UpsetModel(abc.ABC):
         return self.name
 
 
+class SingleBitInjections(Sequence[Injection]):
+    """Single-bit injections as a read-only view over one bit column.
+
+    Each item is the one-bit injection ``(bit,)``, built on access, so a
+    million-injection campaign keeps its sampled bits and no tuples.
+    Slicing returns a view of the sliced column.
+    """
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: Sequence[int]) -> None:
+        self.bits = bits
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def __getitem__(self, index: Union[int, slice]
+                    ) -> Union[Injection, "SingleBitInjections"]:
+        if isinstance(index, slice):
+            return SingleBitInjections(self.bits[index])
+        return (self.bits[index],)
+
+    def __iter__(self) -> Iterator[Injection]:
+        return ((bit,) for bit in self.bits)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SingleBitInjections):
+            return list(self.bits) == list(other.bits)
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 class SingleUpset(UpsetModel):
     """One bit per injection — the seed campaign semantics, bit-identical."""
 
     name = "single"
 
     def injections(self, fault_list: "FaultList", count: int, seed: int,
-                   total_bits: Optional[int] = None) -> List[Injection]:
-        return [(bit,) for bit in fault_list.sample(count, seed)]
+                   total_bits: Optional[int] = None) -> SingleBitInjections:
+        return SingleBitInjections(fault_list.sample(count, seed))
 
 
 class MultiBitUpset(UpsetModel):

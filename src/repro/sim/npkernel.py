@@ -7,10 +7,11 @@ the floor, not the word arithmetic.  This module compiles that same lane
 program into a short sequence of **vectorized numpy operations** over
 ``uint64[lanes/64]`` lane-word arrays:
 
-* every net owns one row of a preallocated ``(nets, words)`` state matrix
-  per mask plane (``v`` = known-1, ``k`` = known, exactly the two-mask
-  encoding of :mod:`.bitparallel`);
-* consecutive entries are greedily grouped into *conflict-free batches*
+* every net owns one row of a preallocated state matrix per mask plane
+  (``v`` = known-1, ``k`` = known, exactly the two-mask encoding of
+  :mod:`.bitparallel`), followed by four slot rows (X, known-1, known-0,
+  trash) and the *shadow rows* of patched LUT and buffer pins;
+* entries are grouped by dependency level into *conflict-free batches*
   (no entry reads a net another batch member writes, writes a net another
   member reads, or re-writes a written net), so each batch evaluates as a
   handful of gather → compute → scatter array operations instead of one
@@ -19,13 +20,20 @@ program into a short sequence of **vectorized numpy operations** over
   fancy-indexed sweep, LUT mux trees sharing a postfix skeleton (every
   TMR voter, every adder column) evaluate as one stacked postfix run;
 * overlay patching stays in :func:`.bitparallel.patch_program` — the
-  patched entries are what gets compiled — and lane-masked overrides
-  become masked row stores;
-* settle passes beyond the first only re-evaluate the *override feedback
-  cone* (entries transitively reading a net any override writes); every
-  other entry provably recomputes its pass-1 value, so skipping it is
-  exact, and shards that mix 1-pass and 3-pass faults stop paying the
-  full sweep three times.
+  patched entries are what gets compiled.  Lane-masked overrides become
+  stacked masked row stores (:class:`_BlendPlan`): a batch first copies
+  each overridden pin's net into its shadow row and blends the pin
+  overrides in there, so patched entries are plain trees over shadow
+  rows and fuse with the unpatched ones; net overrides blend into the
+  net rows after the batch writes, and overridden flip-flop pins and
+  output bits read edge shadow rows filled the same way after the
+  settle passes;
+* the entries are batched once per shard.  Settle passes beyond the
+  first only re-evaluate the *override feedback cone* (entries
+  transitively reading a net any override writes), reusing the steps of
+  every batch that lies wholly inside it; every other entry provably
+  recomputes its pass-1 value, so skipping it is exact, and shards that
+  mix 1-pass and 3-pass faults stop paying the full sweep three times.
 
 Because every lane word is a whole ``uint64`` (shard capacity rounds up
 to 64), the big-int ``x ^ all_mask`` complement becomes plain ``~x``:
@@ -43,6 +51,7 @@ numpy is a required dependency of the package, so this kernel backs the
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -69,10 +78,12 @@ _U64_0 = _np.uint64(0)
 # ----------------------------------------------------------------------
 # Lane-word <-> array conversion
 # ----------------------------------------------------------------------
-def _mask_words(mask: int, words: int):
-    """Split a big-int lane word into little-endian uint64 words."""
-    return _np.frombuffer(mask.to_bytes(words * 8, "little"),
-                          dtype="<u8").astype(_np.uint64)
+def _mask_matrix(masks, words: int):
+    """Big-int lane words -> one row of little-endian uint64 words each."""
+    size = words * 8
+    raw = b"".join(mask.to_bytes(size, "little") for mask in masks)
+    return _np.frombuffer(raw, dtype="<u8").astype(_np.uint64).reshape(
+        -1, words)
 
 
 def _row_int(row) -> int:
@@ -128,8 +139,8 @@ _ST_TWO = 0     # (code, kind, a_idx, b_idx, out_idx)
 _ST_ONE = 1     # (code, kind, a_idx, out_idx)
 _ST_CONST = 2   # (code, v_mat, k_mat, out_idx)
 _ST_TREE = 3    # (code, compiled postfix ops, out_idx)
-_ST_MTREE = 5   # (code, pin_specs, ops, out_idx) — masked-pin tree group
-_ST_BLEND = 6   # (code, _BlendPlan) — deferred post overrides of a batch
+_ST_PINS = 4    # (code, src_idx, first_row, end_row, _BlendPlan) — shadows
+_ST_BLEND = 5   # (code, _BlendPlan) — deferred post overrides of a batch
 
 
 def _override_read_nets(override: SourceOverride) -> Tuple[int, ...]:
@@ -170,13 +181,17 @@ def _entry_reads(entry) -> set:
     return reads
 
 
-def _compile_lane_masks(lane_overrides, words: int):
-    """``(mask, override)`` pairs -> ``(keep, mask, override)`` rows."""
-    compiled = []
-    for mask, override in lane_overrides:
-        mask_row = _mask_words(mask, words)
-        compiled.append((~mask_row, mask_row, override))
-    return tuple(compiled)
+def _lane_matrix(lane_lists, words: int):
+    """One ``uint64`` mask row per list of lane indices, by one scatter."""
+    counts = [len(lanes) for lanes in lane_lists]
+    lanes = _np.fromiter(itertools.chain.from_iterable(lane_lists),
+                         dtype=_np.int64, count=sum(counts))
+    rows = _np.repeat(_np.arange(len(lane_lists)), counts)
+    matrix = _np.zeros((len(lane_lists), words), dtype=_np.uint64)
+    _np.bitwise_or.at(matrix, (rows, lanes >> 6),
+                      _np.left_shift(_np.uint64(1),
+                                     (lanes & 63).astype(_np.uint64)))
+    return matrix
 
 
 # Runtime-resolved override tags of the stacked blend groups.
@@ -192,31 +207,38 @@ _BLEND_TAGS = {BLEND_SHORT: _BK_SHORT, BLEND_WIRED_AND: _BK_WAND,
 class _BlendPlan:
     """Ordered lane-masked overrides compiled into stacked array stores.
 
-    Input is a sequence of ``(out_net, lane_mask, override)`` triples in
-    their sequential application order.  The compiler splits them into
-    *waves* — a triple opens a new wave when it reads a net an earlier
-    triple of the wave writes, so every gather within a wave observes the
-    pre-wave state exactly as the sequential big-int loop would.  Within
-    a wave, constant overrides fold per target net into one masked
-    scatter, and runtime overrides (net reroutes, shorts, wired blends)
-    stack per blend kind into a single gather → formula → masked-scatter
-    group; duplicate target nets (one per lane, disjoint masks) either
-    merge at compile time or accumulate through ``ufunc.at`` scatters.
+    Input is a sequence of ``(out_row, lane_mask, override)`` triples in
+    their sequential application order; every mask selects one lane
+    (``1 << lane``, as :func:`.bitparallel.patch_program` builds them).
+    The compiler splits them into *waves* — a triple opens a new wave
+    when it reads a net an earlier triple of the wave writes, so every
+    gather within a wave observes the pre-wave state exactly as the
+    sequential big-int loop would.  Within a wave, constant overrides
+    fold per target row into one masked scatter, and runtime overrides
+    (net reroutes, shorts, wired blends) stack per blend kind into a
+    single gather → formula → masked-scatter group.  Triples landing on
+    the same target come from different lanes (an overlay holds at most
+    one override per net or pin), so their masks are disjoint: identical
+    ``(target, sources)`` pairs merge their lanes, and a target still
+    repeated (rerouted to different sources on different lanes) folds
+    through a segment reduction before one store.
     """
 
     __slots__ = ("waves",)
 
 
-def _compile_blend_plan(triples, words: int, x_slot: int, zrow,
-                        frow) -> Optional[_BlendPlan]:
+def _compile_blend_plan(triples, words: int,
+                        x_slot: int) -> Optional[_BlendPlan]:
     if not triples:
         return None
     waves_raw: List[List[Tuple]] = []
     wave: List[Tuple] = []
     wave_writes: set = set()
     for out, mask, override in triples:
-        if wave and (_override_read_nets(override) and
-                     set(_override_read_nets(override)) & wave_writes):
+        # The raw source fields over-approximate the reads (a detached
+        # or unread field is -1, or at worst splits a wave early).
+        if wave and not wave_writes.isdisjoint((override.net_a,
+                                                override.net_b)):
             waves_raw.append(wave)
             wave = []
             wave_writes = set()
@@ -227,67 +249,55 @@ def _compile_blend_plan(triples, words: int, x_slot: int, zrow,
     plan = _BlendPlan()
     plan.waves = []
     for raw in waves_raw:
-        const_by_out: Dict[int, List] = {}
-        runtime: Dict[int, List[Tuple]] = {}
+        # target row -> (replaced lanes, lanes set to 1, known lanes)
+        const_lanes: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
+        runtime: Dict[int, Dict[Tuple[int, int, int], List[int]]] = {}
         for out, mask, override in raw:
+            lane = mask.bit_length() - 1
             fixed = _const_resolution(override)
             if fixed is not None:
-                fold = const_by_out.get(out)
+                fold = const_lanes.get(out)
                 if fold is None:
-                    fold = [frow.copy(), zrow.copy(), zrow.copy()]
-                    const_by_out[out] = fold
-                mask_row = _mask_words(mask, words)
-                fold[0] &= ~mask_row
+                    fold = const_lanes[out] = ([], [], [])
+                fold[0].append(lane)
                 if fixed[0]:
-                    fold[1] |= mask_row
+                    fold[1].append(lane)
                 if fixed[1]:
-                    fold[2] |= mask_row
+                    fold[2].append(lane)
             else:
                 tag = _BK_NET if override.kind == SOURCE_NET \
                     else _BLEND_TAGS[override.blend]
-                runtime.setdefault(tag, []).append((out, mask, override))
+                key = (out,
+                       override.net_a if override.net_a >= 0 else x_slot,
+                       override.net_b if override.net_b >= 0 else x_slot)
+                runtime.setdefault(tag, {}).setdefault(key, []).append(lane)
 
         stacked = []
-        for tag, items in runtime.items():
-            # An overlay holds at most one override per net, so triples
-            # landing on the same target come from different lanes and
-            # carry disjoint masks: merge identical (out, sources) pairs
-            # by OR-ing masks; targets still duplicated (rerouted to
-            # different sources on different lanes) fold per unique
-            # target through a segment reduction before one store.
-            merged: Dict[Tuple, int] = {}
-            for out, mask, ov in items:
-                key = (out,
-                       ov.net_a if ov.net_a >= 0 else x_slot,
-                       ov.net_b if ov.net_b >= 0 else x_slot)
-                merged[key] = merged.get(key, 0) | mask
+        for tag, merged in runtime.items():
             keys = sorted(merged)
-            mask_mat = _np.stack([_mask_words(merged[key], words)
-                                  for key in keys])
+            mask_mat = _lane_matrix([merged[key] for key in keys], words)
+            outs = _idx([out for out, _a, _b in keys])
             a_idx = _idx([a for _o, a, _b in keys])
             b_idx = _idx([b for _o, _a, b in keys])
-            unique_outs = sorted(set(out for out, _a, _b in keys))
-            if len(unique_outs) == len(keys):
-                stacked.append((tag, None,
-                                _idx([out for out, _a, _b in keys]),
-                                a_idx, b_idx, ~mask_mat, mask_mat))
+            # Sorted keys put repeats of one target in a run: a run start
+            # is wherever the target changes.
+            starts = _np.flatnonzero(_np.diff(outs, prepend=-1))
+            if starts.size == len(keys):
+                stacked.append((tag, None, outs, a_idx, b_idx, ~mask_mat,
+                                mask_mat))
             else:
-                seg = _idx([next(i for i, key in enumerate(keys)
-                                 if key[0] == out) for out in unique_outs])
-                keep = _np.stack([
-                    _np.bitwise_and.reduce(
-                        ~mask_mat[[i for i, key in enumerate(keys)
-                                   if key[0] == out]], axis=0)
-                    for out in unique_outs])
-                stacked.append((tag, seg, _idx(unique_outs), a_idx, b_idx,
-                                keep, mask_mat))
+                stacked.append((tag, starts, outs[starts], a_idx, b_idx,
+                                _np.bitwise_and.reduceat(~mask_mat, starts,
+                                                         axis=0),
+                                mask_mat))
         const_scatter = None
-        if const_by_out:
+        if const_lanes:
+            folds = list(const_lanes.values())
             const_scatter = (
-                _idx(list(const_by_out)),
-                _np.stack([fold[0] for fold in const_by_out.values()]),
-                _np.stack([fold[1] for fold in const_by_out.values()]),
-                _np.stack([fold[2] for fold in const_by_out.values()]))
+                _idx(list(const_lanes)),
+                ~_lane_matrix([fold[0] for fold in folds], words),
+                _lane_matrix([fold[1] for fold in folds], words),
+                _lane_matrix([fold[2] for fold in folds], words))
         plan.waves.append((const_scatter, stacked))
     return plan
 
@@ -335,7 +345,7 @@ def _const_rows(entry, all_mask: int, words: int, zrow, frow):
     if kind == _E_CONST1:
         return frow, frow
     if kind == _E_CONSTM:
-        return _mask_words(entry.a & all_mask, words), frow
+        return _mask_matrix((entry.a & all_mask,), words)[0], frow
     return zrow, zrow  # _E_X
 
 
@@ -346,8 +356,8 @@ def _idx(values):
 def _const_resolution(override: SourceOverride):
     """The fixed ``(v, k)`` bit pair an override resolves to, or None.
 
-    Mirrors :func:`_resolve_rows` on overrides that never read live
-    state: declared constants, detached reroutes, unknown blend kinds
+    Mirrors :func:`.bitparallel._resolve_lanes` on overrides that never
+    read live state: declared constants, detached reroutes, unknown blend kinds
     and blends whose sources are both detached (every supported blend
     of two unknowns is unknown).
     """
@@ -367,87 +377,67 @@ def _const_resolution(override: SourceOverride):
     return None
 
 
-def _compile_pin_runtime(items, words: int, x_slot: int) -> Tuple:
-    """Stack runtime pin overrides into masked scatter groups.
+def _shadow_pins(entry, x_slot: int, first_shadow: int,
+                 shadow_src: List[int], shadow_triples: List[Tuple]):
+    """Rewrite a patched-pin entry as a plain entry over state rows.
 
-    *items* is a list of ``(row, lane_mask, override)`` for one pin
-    position, every override reading live state.  Application order is
-    immaterial: an overlay holds at most one override per gate pin, so
-    overrides landing on the same gathered row always come from
-    different lanes and carry disjoint masks.  The compiler merges
-    identical ``(row, source)`` pairs by OR-ing their masks; rows that
-    still repeat within a group (same pin rerouted to *different*
-    sources on different lanes) compile into one segment-reduced store:
-    ``bitwise_or.reduceat`` folds the disjoint masked resolves per
-    unique row, exactly composing the per-lane replacements.
+    Every pin some lane overrides gets the next shadow row: its base row
+    (the pin's net, or the X slot for an unconnected pin) goes onto
+    *shadow_src* and its lane overrides onto *shadow_triples* as
+    ``(shadow_row, mask, override)``.  Other pins read their net row
+    directly.
     """
-    by_tag: Dict[int, Dict[Tuple, int]] = {}
-    for row, mask, override in items:
-        if override.kind == SOURCE_NET:
-            tag, a, b = _BK_NET, override.net_a, None
-        else:
-            tag = _BLEND_TAGS[override.blend]
-            a = override.net_a if override.net_a >= 0 else x_slot
-            b = override.net_b if override.net_b >= 0 else x_slot
-        merged = by_tag.setdefault(tag, {})
-        key = (row, a, b)
-        merged[key] = merged.get(key, 0) | mask
-    steps: List[Tuple] = []
-    for tag, merged in by_tag.items():
-        keys = sorted(merged)
-        mask_mat = _np.stack([_mask_words(merged[key], words)
-                              for key in keys])
-        p1 = _idx([a for _r, a, _b in keys])
-        p2 = _idx([b for _r, _a, b in keys]) if tag != _BK_NET else None
-        unique_rows = sorted(set(row for row, _a, _b in keys))
-        if len(unique_rows) == len(keys):
-            steps.append((tag, None, _idx([row for row, _a, _b in keys]),
-                          ~mask_mat, mask_mat, p1, p2))
-        else:
-            seg = _idx([next(i for i, key in enumerate(keys)
-                             if key[0] == row) for row in unique_rows])
-            keep = _np.stack([
-                _np.bitwise_and.reduce(
-                    ~mask_mat[[i for i, key in enumerate(keys)
-                               if key[0] == row]], axis=0)
-                for row in unique_rows])
-            steps.append((tag, seg, _idx(unique_rows), keep, mask_mat,
-                          p1, p2))
-    return tuple(steps)
+    rows = []
+    for net, lane_overrides in entry.pins:
+        row = net if net >= 0 else x_slot
+        if lane_overrides:
+            shadow = first_shadow + len(shadow_src)
+            shadow_src.append(row)
+            shadow_triples.extend((shadow, mask, override)
+                                  for mask, override in lane_overrides)
+            row = shadow
+        rows.append(row)
+    ops = tuple((code, rows[arg]) if code == _OP_VAR or code == _OP_MUX
+                else (code, arg) for code, arg in entry.ops)
+    if len(ops) == 1 and ops[0][0] == _OP_VAR:  # BUF or pass-through LUT
+        return dataclasses.replace(entry, kind=_E_COPY, a=ops[0][1],
+                                   ops=None, pins=None)
+    return dataclasses.replace(entry, kind=_E_TREE, ops=ops, pins=None)
 
 
-def _emit_batch(batch, all_mask: int, words: int, x_slot: int, zrow, frow,
-                steps: List[Tuple]) -> None:
+def _emit_batch(batch, all_mask: int, words: int, x_slot: int, zrow,
+                frow) -> Tuple[List[Tuple], int]:
     """Fuse one conflict-free batch into per-shape array steps.
 
+    Returns the steps and the number of shadow rows they use.  Patched
+    pins become shadow rows after the four slot rows (see
+    :func:`_shadow_pins`): the batch opens with one ``_ST_PINS`` step
+    that copies their base rows in with one fancy-index copy and applies
+    every pin override of the batch as one stacked blend plan, and the
+    patched entries then fuse with the plain trees of their skeleton.
     Post overrides (net faults attached to driver entries) are stripped
-    off and applied as one stacked blend plan at the end of the batch:
-    the batch rule guarantees no batch member reads a batch write, so no
-    evaluation order within the batch can observe the difference, and the
-    bearing entries fall back into their fused buckets instead of running
-    as per-entry Python steps.
+    off and applied as one stacked blend plan at the end of the batch.
+    Both are exact because of the batch rule: no member reads a batch
+    write, so resolving every pin before the first write and every post
+    override after the last one changes no value any member observes.
     """
     twos: Dict[int, List] = {}
     ones: Dict[int, List] = {}
     consts: List = []
     trees: Dict[Tuple[int, ...], List] = {}
-    mtrees: Dict[Tuple, List] = {}
     posts: List[Tuple] = []
+    shadow_src: List[int] = []
+    shadow_triples: List[Tuple] = []
+    first_shadow = x_slot + 4
     for entry in batch:
         if entry.post is not None:
             for mask, override in entry.post:
                 posts.append((entry.out_net, mask, override))
             entry = dataclasses.replace(entry, post=None)
         if entry.kind == _E_PINS:
-            # VAR/MUX payloads are pin positions and must agree for
-            # the group to share one compiled op list; CONST payloads
-            # stack per entry and stay out of the key.
-            mtrees.setdefault(
-                (tuple((code, arg) if code == _OP_VAR
-                       or code == _OP_MUX else (code, None)
-                       for code, arg in entry.ops),
-                 len(entry.pins)), []).append(entry)
-        elif entry.kind in _TWO_KINDS:
+            entry = _shadow_pins(entry, x_slot, first_shadow, shadow_src,
+                                 shadow_triples)
+        if entry.kind in _TWO_KINDS:
             twos.setdefault(entry.kind, []).append(entry)
         elif entry.kind in _ONE_KINDS:
             ones.setdefault(entry.kind, []).append(entry)
@@ -456,6 +446,11 @@ def _emit_batch(batch, all_mask: int, words: int, x_slot: int, zrow, frow,
         else:
             trees.setdefault(tuple(code for code, _arg in entry.ops),
                              []).append(entry)
+    steps: List[Tuple] = []
+    if shadow_src:
+        steps.append((_ST_PINS, _idx(shadow_src), first_shadow,
+                      first_shadow + len(shadow_src),
+                      _compile_blend_plan(shadow_triples, words, x_slot)))
     for kind, group in twos.items():
         steps.append((_ST_TWO, kind,
                       _idx([entry.a for entry in group]),
@@ -487,9 +482,9 @@ def _emit_batch(batch, all_mask: int, words: int, x_slot: int, zrow, frow,
                     arr = arg_memo[slots] = _idx(slots)
                 ops.append((code, arr))
             elif code == _OP_CONST:
-                v_mat = _np.stack(
-                    [_mask_words(entry.ops[position][1] & all_mask, words)
-                     for entry in group])
+                v_mat = _mask_matrix(
+                    [entry.ops[position][1] & all_mask for entry in group],
+                    words)
                 ops.append((_OP_CONST,
                             (v_mat, _np.full((count, words), _U64_MAX,
                                              dtype=_np.uint64))))
@@ -500,134 +495,118 @@ def _emit_batch(batch, all_mask: int, words: int, x_slot: int, zrow, frow,
                 ops.append((code, None))
         steps.append((_ST_TREE, _fuse_ops(ops),
                       _idx([entry.out_net for entry in group])))
-    for (keyed_ops, num_pins), group in mtrees.items():
-        codes = tuple(code for code, _arg in keyed_ops)
-        count = len(group)
-        pin_specs: List[Tuple] = []
-        for position in range(num_pins):
-            net_idx = _idx([entry.pins[position][0]
-                            if entry.pins[position][0] >= 0 else x_slot
-                            for entry in group])
-            keep = set_v = set_k = None
-            runtime_items: List[Tuple] = []
-            for row, entry in enumerate(group):
-                for mask, override in entry.pins[position][1]:
-                    fixed = _const_resolution(override)
-                    if fixed is None:
-                        # Reads live state — stacked runtime scatter.
-                        runtime_items.append((row, mask, override))
-                        continue
-                    # Resolves at compile time; fold the disjoint
-                    # replacements into one masked store.
-                    if keep is None:
-                        keep = _np.full((count, words), _U64_MAX,
-                                        dtype=_np.uint64)
-                        set_v = _np.zeros((count, words), dtype=_np.uint64)
-                        set_k = _np.zeros((count, words), dtype=_np.uint64)
-                    mask_row = _mask_words(mask, words)
-                    keep[row] &= ~mask_row
-                    set_v[row] |= mask_row if fixed[0] else 0
-                    set_k[row] |= mask_row if fixed[1] else 0
-            pin_specs.append((net_idx, keep, set_v, set_k,
-                              _compile_pin_runtime(runtime_items, words,
-                                                   x_slot)))
-        ops = []
-        for position, code in enumerate(codes):
-            if code == _OP_CONST:
-                v_mat = _np.stack(
-                    [_mask_words(entry.ops[position][1] & all_mask, words)
-                     for entry in group])
-                ops.append((_OP_CONST,
-                            (v_mat, _np.full((count, words), _U64_MAX,
-                                             dtype=_np.uint64))))
-            elif code == _OP_X:
-                zeros = _np.zeros((count, words), dtype=_np.uint64)
-                ops.append((_OP_CONST, (zeros, zeros)))
-            else:
-                # VAR/MUX payloads are pin positions, shared by the group.
-                ops.append((code, group[0].ops[position][1]))
-        steps.append((_ST_MTREE, tuple(pin_specs), _fuse_ops(ops),
-                      _idx([entry.out_net for entry in group])))
     if posts:
         steps.append((_ST_BLEND,
-                      _compile_blend_plan(posts, words, x_slot, zrow,
-                                          frow)))
+                      _compile_blend_plan(posts, words, x_slot)))
+    return steps, len(shadow_src)
 
 
-def _compile_sweep(entries, all_mask: int, words: int, x_slot: int, zrow,
-                   frow) -> List[Tuple]:
-    """Greedy conflict-free batching of the (patched) entry list.
+def _compile_sweep(entries, seed_nets, all_mask: int, words: int,
+                   x_slot: int, zrow, frow) -> Tuple[List, List, int]:
+    """Batch the (patched) entry list once and compile both sweeps.
 
-    An entry joins the current batch only when it reads nothing the batch
-    writes, and its output is neither read nor written by the batch.
-    Within a batch every member therefore observes exactly the pre-batch
-    state and writes a distinct net — gather/compute/scatter order across
-    the fused steps cannot change any value, so the batched sweep equals
-    the sequential big-int pass bit for bit.
+    Returns ``(steps, reduced_steps, shadow_rows)``: the first settle
+    pass, every later one, and the most shadow rows any batch uses.
+
+    Batching is by level (as soon as possible): an entry goes into the
+    batch after the last one holding an earlier entry that writes a net
+    it reads (it must see that write) or that reads or writes its output
+    (that entry must not see this write).  Every member of a batch
+    therefore observes exactly the state the sequential big-int pass
+    shows it and writes a distinct net — gather/compute/scatter order
+    across the fused steps cannot change any value, so the batched sweep
+    equals the sequential pass bit for bit, with fewer batches than
+    cutting the entry list into consecutive runs.  The later-pass sweep
+    keeps only the override feedback cone (:func:`_dirty_nets`): it
+    reuses a batch's steps when every member is in the cone and emits
+    steps for just the cone members otherwise.  A subset of a
+    conflict-free batch is still conflict-free and the batches keep
+    their order, so that sweep is exact too.
     """
-    steps: List[Tuple] = []
-    batch: List = []
-    batch_reads: set = set()
-    batch_writes: set = set()
-    for entry in entries:
+    entries = [entry for entry in entries if entry.out_net >= 0]
+    reads = [_entry_reads(entry) for entry in entries]
+    batches: List[List] = []
+    # net -> batch of its writer / latest batch reading it
+    writer_level: Dict[int, int] = {}
+    reader_level: Dict[int, int] = {}
+    for entry, entry_reads in zip(entries, reads):
         out = entry.out_net
-        if out < 0:
-            continue
-        reads = _entry_reads(entry)
-        if batch and ((reads & batch_writes) or out in batch_reads
-                      or out in batch_writes):
-            _emit_batch(batch, all_mask, words, x_slot, zrow, frow, steps)
-            batch = []
-            batch_reads = set()
-            batch_writes = set()
-        batch.append(entry)
-        batch_reads |= reads
-        batch_writes.add(out)
-    if batch:
-        _emit_batch(batch, all_mask, words, x_slot, zrow, frow, steps)
-    return steps
+        level = max(reader_level.get(out, -1), writer_level.get(out, -1)) + 1
+        for net in entry_reads:
+            written = writer_level.get(net)
+            if written is not None and written >= level:
+                level = written + 1
+        if level == len(batches):
+            batches.append([])
+        batches[level].append(entry)
+        writer_level[out] = level
+        for net in entry_reads:
+            if reader_level.get(net, -1) < level:
+                reader_level[net] = level
+
+    compiled = [_emit_batch(batch, all_mask, words, x_slot, zrow, frow)
+                for batch in batches]
+    steps = [step for batch_steps, _rows in compiled for step in batch_steps]
+    dirty = _dirty_nets(entries, reads, seed_nets)
+    reduced: List[Tuple] = []
+    for batch, (batch_steps, _rows) in zip(batches, compiled):
+        cone = [entry for entry in batch if entry.out_net in dirty]
+        if len(cone) == len(batch):
+            reduced.extend(batch_steps)
+        elif cone:
+            reduced.extend(_emit_batch(cone, all_mask, words, x_slot, zrow,
+                                       frow)[0])
+    return (steps, reduced or steps,
+            max((rows for _steps, rows in compiled), default=0))
 
 
-def _reduced_entries(entries, seed_nets) -> List:
-    """Entries that can change value after the first settle pass.
+def _dirty_nets(entries, reads, seed_nets) -> set:
+    """Nets whose value can change after the first settle pass.
 
     Passes beyond the first exist to let override-induced backward
     dependencies (shorts, rewired pins, net conflicts) converge.  Only
     entries transitively reading a net some override writes — plus the
     override-bearing entries themselves — can compute a different value
     in pass 2+; everything else provably reproduces its pass-1 output,
-    so the reduced list is exact, not an approximation.
+    so sweeping only the entries that drive these nets is exact, not an
+    approximation.  *reads* holds :func:`_entry_reads` of each entry.
     """
     dirty = set(seed_nets)
-    for entry in entries:
-        if entry.out_net >= 0 and (entry.kind == _E_PINS
-                                   or entry.post is not None):
-            dirty.add(entry.out_net)
-    if not dirty:
-        return []
-    changed = True
+    dirty.update(entry.out_net for entry in entries
+                 if entry.kind == _E_PINS or entry.post is not None)
+    changed = bool(dirty)
     while changed:
         changed = False
-        for entry in entries:
-            out = entry.out_net
-            if out < 0 or out in dirty:
-                continue
-            if _entry_reads(entry) & dirty:
-                dirty.add(out)
+        for entry, entry_reads in zip(entries, reads):
+            if entry.out_net not in dirty and \
+                    not entry_reads.isdisjoint(dirty):
+                dirty.add(entry.out_net)
                 changed = True
-    return [entry for entry in entries if entry.out_net in dirty]
+    return dirty
 
 
 # ----------------------------------------------------------------------
 # Shard plans
 # ----------------------------------------------------------------------
 class _ShardPlan:
-    """Everything overlay-dependent, compiled once per (shard, width)."""
+    """Everything overlay-dependent, compiled once per (shard, width).
 
-    __slots__ = ("lanes", "words", "num_nets", "steps", "reduced_steps",
+    ``steps`` is the first settle pass and ``reduced_steps`` every later
+    one; both come from one batching of the patched entries and share
+    the step tuples of every batch that lies wholly in the override
+    feedback cone.  ``rows`` is the height of the state matrices: one
+    row per net, the X / known-1 / known-0 slots, the trash row, the
+    shadow rows of the batch with the most patched pins, then one edge
+    shadow row per overridden flip-flop pin or output bit (``edge``
+    fills them after the settle passes; ``ff_d``/``ff_ce``/``ff_r`` and
+    ``output_rows`` point at them).
+    """
+
+    __slots__ = ("lanes", "words", "num_nets", "rows", "steps",
+                 "reduced_steps",
                  "pre_blend", "ff_d", "ff_ce", "ff_r", "ff_q",
-                 "ff_state_v", "ff_state_k", "ff_overrides", "output_masks",
-                 "pending0", "zrow", "frow")
+                 "ff_state_v", "ff_state_k", "output_rows", "edge",
+                 "pending0", "zrow")
 
 
 def _build_shard_plan(program: VectorProgram,
@@ -657,62 +636,62 @@ def _build_shard_plan(program: VectorProgram,
     plan.words = words
     plan.num_nets = design.num_nets
     plan.zrow = _np.zeros(words, dtype=_np.uint64)
-    plan.frow = _np.full(words, _U64_MAX, dtype=_np.uint64)
-    plan.pending0 = _mask_words((1 << lanes) - 1, words)
+    plan.pending0 = _mask_matrix(((1 << lanes) - 1,), words)[0]
 
     x_slot = design.num_nets
-    plan.steps = _compile_sweep(entries, all_mask, words, x_slot,
-                                plan.zrow, plan.frow)
-    reduced = _reduced_entries(entries,
-                               [net for net, _ in pre_net_overrides])
-    plan.reduced_steps = _compile_sweep(reduced, all_mask, words, x_slot,
-                                        plan.zrow, plan.frow) \
-        if reduced else plan.steps
+    plan.steps, plan.reduced_steps, shadow_rows = _compile_sweep(
+        entries, [net for net, _ in pre_net_overrides], all_mask, words,
+        x_slot, plan.zrow, _np.full(words, _U64_MAX, dtype=_np.uint64))
     plan.pre_blend = _compile_blend_plan(
         [(net, mask, override)
          for net, lane_overrides in pre_net_overrides
          for mask, override in lane_overrides],
-        words, x_slot, plan.zrow, plan.frow)
+        words, x_slot)
 
-    # Flip-flop index arrays; absent pins read the constant slot rows
-    # (X / known-1 / known-0), absent outputs scatter into the trash row.
-    num_nets = design.num_nets
-    x_slot, one_slot, zero_slot, trash = (num_nets, num_nets + 1,
-                                          num_nets + 2, num_nets + 3)
-    plan.ff_d = _idx([r.d_net if r.d_net >= 0 else x_slot
-                      for r in records])
-    plan.ff_ce = _idx([r.ce_net if r.ce_net >= 0 else one_slot
-                       for r in records])
-    plan.ff_r = _idx([r.r_net if r.r_net >= 0 else zero_slot
-                      for r in records])
+    # Flip-flop pins and output bits read their net rows; absent pins read
+    # the constant slot rows (X / known-1 / known-0) and absent flip-flop
+    # outputs scatter into the trash row.  A pin or output bit some lane
+    # overrides reads an *edge shadow row* instead, refilled after the
+    # settle passes of every cycle by one copy + blend plan.
+    one_slot, zero_slot, trash = x_slot + 1, x_slot + 2, x_slot + 3
+    first_edge = x_slot + 4 + shadow_rows
+    edge_src: List[int] = []
+    edge_triples: List[Tuple] = []
+
+    def edge_row(row: int, lane_overrides) -> int:
+        if not lane_overrides:
+            return row
+        shadow = first_edge + len(edge_src)
+        edge_src.append(row)
+        edge_triples.extend((shadow, mask, override)
+                            for mask, override in lane_overrides)
+        return shadow
+
+    plan.ff_d = _idx([edge_row(r.d_net if r.d_net >= 0 else x_slot,
+                               r.d_overrides) for r in records])
+    plan.ff_ce = _idx([edge_row(r.ce_net if r.ce_net >= 0 else one_slot,
+                                r.ce_overrides) for r in records])
+    plan.ff_r = _idx([edge_row(r.r_net if r.r_net >= 0 else zero_slot,
+                               r.r_overrides) for r in records])
     plan.ff_q = _idx([r.q_net if r.q_net >= 0 else trash
                       for r in records])
-    if records:
-        plan.ff_state_v = _np.stack([_mask_words(r.state_v, words)
-                                     for r in records])
-        plan.ff_state_k = _np.stack([_mask_words(r.state_k, words)
-                                     for r in records])
-    else:
-        plan.ff_state_v = _np.zeros((0, words), dtype=_np.uint64)
-        plan.ff_state_k = _np.zeros((0, words), dtype=_np.uint64)
-    ff_overrides = []
-    for position, record in enumerate(records):
-        for port, lane_overrides in (("D", record.d_overrides),
-                                     ("CE", record.ce_overrides),
-                                     ("R", record.r_overrides)):
-            if lane_overrides:
-                ff_overrides.append(
-                    (position, port,
-                     _compile_lane_masks(lane_overrides, words)))
-    plan.ff_overrides = tuple(ff_overrides)
+    plan.ff_state_v = _mask_matrix([r.state_v for r in records], words)
+    plan.ff_state_k = _mask_matrix([r.state_k for r in records], words)
 
-    output_masks: Dict[Tuple[str, int], List] = {}
+    output_overrides: Dict[Tuple[str, int], List] = {}
     for lane, overlay in enumerate(overlays):
         for key, override in overlay.output_pin_overrides.items():
-            output_masks.setdefault(key, []).append((1 << lane, override))
-    plan.output_masks = {
-        key: _compile_lane_masks(lane_overrides, words)
-        for key, lane_overrides in output_masks.items()}
+            output_overrides.setdefault(key, []).append((1 << lane, override))
+    plan.output_rows = {}
+    for (port, position), lane_overrides in output_overrides.items():
+        net = design.outputs[port].net_indices[position]
+        plan.output_rows[(port, position)] = edge_row(
+            net if net >= 0 else x_slot, lane_overrides)
+    plan.edge = (_ST_PINS, _idx(edge_src), first_edge,
+                 first_edge + len(edge_src),
+                 _compile_blend_plan(edge_triples, words, x_slot)) \
+        if edge_src else None
+    plan.rows = first_edge + len(edge_src)
     return plan
 
 
@@ -755,47 +734,6 @@ def _compile_compare(design: CompiledDesign, golden: SimulationTrace,
 # ----------------------------------------------------------------------
 # Row-wise primitives (lane-masked overrides, postfix programs)
 # ----------------------------------------------------------------------
-def _resolve_rows(override: SourceOverride, net_v, net_k, zrow, frow):
-    """Array twin of :func:`.bitparallel._resolve_lanes` on state rows."""
-    kind = override.kind
-    if kind == SOURCE_CONST:
-        value = override.value
-        if value == logic.ONE:
-            return frow, frow
-        if value == logic.ZERO:
-            return zrow, frow
-        return zrow, zrow
-    if kind == SOURCE_NET:
-        net = override.net_a
-        if net < 0:
-            return zrow, zrow
-        return net_v[net], net_k[net]
-    net_a, net_b = override.net_a, override.net_b
-    va, ka = (net_v[net_a], net_k[net_a]) if net_a >= 0 else (zrow, zrow)
-    vb, kb = (net_v[net_b], net_k[net_b]) if net_b >= 0 else (zrow, zrow)
-    blend = override.blend
-    if blend == BLEND_SHORT:
-        same = ~(va ^ vb) & ~(ka ^ kb)
-        return va & same, ka & same
-    if blend == BLEND_WIRED_AND:
-        return va & vb, (ka & kb) | (ka & ~va) | (kb & ~vb)
-    if blend == BLEND_WIRED_OR:
-        return va | vb, (ka & kb) | va | vb
-    if blend == BLEND_AND_NOT:
-        nv, nk = kb & ~vb, kb
-        return va & nv, (ka & nk) | (ka & ~va) | (nk & ~nv)
-    return zrow, zrow
-
-
-def _blend_rows(v, k, lane_overrides, net_v, net_k, zrow, frow):
-    """Replace the lanes selected by each compiled (keep, mask, override)."""
-    for keep, mask, override in lane_overrides:
-        ov, ok = _resolve_rows(override, net_v, net_k, zrow, frow)
-        v = (v & keep) | (ov & mask)
-        k = (k & keep) | (ok & mask)
-    return v, k
-
-
 #: Fused ``CONST, CONST, MUX`` triple over fully-known constant leaves —
 #: the bottom level of every LUT Shannon tree.  Payload carries the
 #: selector slot plus precomputed leaf matrices (see :func:`_fuse_ops`).
@@ -830,14 +768,14 @@ def _fuse_ops(ops) -> Tuple:
 
 
 def _run_ops_compiled(ops, slot_v, slot_k):
-    """Postfix machine over rows or stacked row matrices.
+    """Postfix machine over stacked row matrices.
 
-    ``slot_v`` / ``slot_k`` index net rows (tree entries), per-pin rows
-    (pin-override entries) or — with per-op index arrays — whole stacked
-    gather matrices (skeleton-grouped trees); the op formulas are the
-    big-int kernel's with ``~`` in place of ``^ all_mask``.  Selector
-    masks are memoized per selector slot: every MUX of one Shannon-tree
-    level switches on the same pin.
+    ``slot_v`` / ``slot_k`` are the state matrices and every VAR/MUX
+    payload is an index array gathering one row per skeleton-grouped
+    tree (net, slot or shadow rows); the op formulas are the big-int
+    kernel's with ``~`` in place of ``^ all_mask``.  Selector masks are
+    memoized per selector array: every MUX of one Shannon-tree level
+    switches on the same pins.
     """
     stack: List[Tuple] = []
     push = stack.append
@@ -848,7 +786,7 @@ def _run_ops_compiled(ops, slot_v, slot_k):
             push((slot_v[payload], slot_k[payload]))
         elif code == _OP_MUXC:
             sel, c0v, c1v, agreec, ac = payload
-            key = sel if sel.__class__ is int else id(sel)
+            key = id(sel)
             got = sel_cache.get(key)
             if got is None:
                 vs, ks = slot_v[sel], slot_k[sel]
@@ -860,7 +798,7 @@ def _run_ops_compiled(ops, slot_v, slot_k):
         elif code == _OP_MUX:
             v1, k1 = pop()
             v0, k0 = pop()
-            key = payload if payload.__class__ is int else id(payload)
+            key = id(payload)
             got = sel_cache.get(key)
             if got is None:
                 vs, ks = slot_v[payload], slot_k[payload]
@@ -897,7 +835,7 @@ def _run_ops_compiled(ops, slot_v, slot_k):
     return stack[-1]
 
 
-def _run_pass(steps, net_v, net_k, zrow, frow) -> None:
+def _run_pass(steps, net_v, net_k) -> None:
     """One settle pass: every fused step, gather -> compute -> scatter."""
     for step in steps:
         code = step[0]
@@ -935,54 +873,11 @@ def _run_pass(steps, net_v, net_k, zrow, frow) -> None:
             v, k = _run_ops_compiled(ops, net_v, net_k)
             net_v[out] = v
             net_k[out] = k
-        elif code == _ST_MTREE:
-            _, pin_specs, ops, out = step
-            pins_v: List = []
-            pins_k: List = []
-            for net_idx, keep, set_v, set_k, runtime in pin_specs:
-                # The gather is a fancy-index copy, so the runtime
-                # scatters below mutate a private matrix, never state.
-                bv = net_v[net_idx]
-                bk = net_k[net_idx]
-                if keep is not None:
-                    bv = bv & keep | set_v
-                    bk = bk & keep | set_k
-                for tag, seg, rows, keepm, maskm, p1, p2 in runtime:
-                    va = net_v[p1]
-                    ka = net_k[p1]
-                    if tag == _BK_NET:
-                        ov, ok = va, ka
-                    else:
-                        vb = net_v[p2]
-                        kb = net_k[p2]
-                        if tag == _BK_SHORT:
-                            same = ~(va ^ vb) & ~(ka ^ kb)
-                            ov, ok = va & same, ka & same
-                        elif tag == _BK_WAND:
-                            ov = va & vb
-                            ok = (ka & kb) | (ka & ~va) | (kb & ~vb)
-                        elif tag == _BK_WOR:
-                            ov = va | vb
-                            ok = (ka & kb) | va | vb
-                        else:  # _BK_ANDNOT
-                            nv = kb & ~vb
-                            ov = va & nv
-                            ok = (ka & kb) | (ka & ~va) | (kb & ~nv)
-                    ov = ov & maskm
-                    ok = ok & maskm
-                    if seg is not None:
-                        # Same pin rerouted to different sources on
-                        # different lanes: the disjoint masked resolves
-                        # fold per unique row before one plain store.
-                        ov = _np.bitwise_or.reduceat(ov, seg, axis=0)
-                        ok = _np.bitwise_or.reduceat(ok, seg, axis=0)
-                    bv[rows] = bv[rows] & keepm | ov
-                    bk[rows] = bk[rows] & keepm | ok
-                pins_v.append(bv)
-                pins_k.append(bk)
-            v, k = _run_ops_compiled(ops, pins_v, pins_k)
-            net_v[out] = v
-            net_k[out] = k
+        elif code == _ST_PINS:
+            _, src, first, end, blend = step
+            net_v[first:end] = net_v[src]
+            net_k[first:end] = net_k[src]
+            _apply_blend_plan(blend, net_v, net_k)
         elif code == _ST_CONST:
             _, v_mat, k_mat, out = step
             net_v[out] = v_mat
@@ -1001,9 +896,9 @@ def _run_shard_plan(plan: _ShardPlan, golden: SimulationTrace,
     np = _np
     words = plan.words
     num_nets = plan.num_nets
-    zrow, frow = plan.zrow, plan.frow
-    net_v = np.zeros((num_nets + 4, words), dtype=np.uint64)
-    net_k = np.zeros((num_nets + 4, words), dtype=np.uint64)
+    zrow = plan.zrow
+    net_v = np.zeros((plan.rows, words), dtype=np.uint64)
+    net_k = np.zeros((plan.rows, words), dtype=np.uint64)
     net_v[num_nets + 1] = _U64_MAX   # known-1 slot (absent CE)
     net_k[num_nets + 1] = _U64_MAX
     net_k[num_nets + 2] = _U64_MAX   # known-0 slot (absent reset)
@@ -1015,7 +910,7 @@ def _run_shard_plan(plan: _ShardPlan, golden: SimulationTrace,
     first_mismatch: List[Optional[int]] = [None] * plan.lanes
     lane_outputs: Optional[List[Dict[str, List[Tuple[int, int]]]]] = \
         [] if record_lane_outputs else None
-    slow_sample = record_lane_outputs or bool(plan.output_masks)
+    slow_sample = record_lane_outputs or bool(plan.output_rows)
     gv = gk = None
     if reseed is not None:
         gv, gk = reseed
@@ -1036,21 +931,24 @@ def _run_shard_plan(plan: _ShardPlan, golden: SimulationTrace,
         if plan.pre_blend is not None:
             _apply_blend_plan(plan.pre_blend, net_v, net_k)
 
-        _run_pass(plan.steps, net_v, net_k, zrow, frow)
+        _run_pass(plan.steps, net_v, net_k)
         if plan.pre_blend is not None:
             _apply_blend_plan(plan.pre_blend, net_v, net_k)
         for _ in range(passes - 1):
             # Later passes only re-settle the override feedback cone,
-            # and stop early at the fixed point: an unchanged state
-            # would make the next pass recompute exactly itself.
-            prev_v = net_v.copy()
-            prev_k = net_k.copy()
-            _run_pass(plan.reduced_steps, net_v, net_k, zrow, frow)
+            # and stop early at the fixed point: unchanged net rows
+            # would make the next pass recompute exactly themselves
+            # (shadow rows are refilled before every read).
+            prev_v = net_v[:num_nets].copy()
+            prev_k = net_k[:num_nets].copy()
+            _run_pass(plan.reduced_steps, net_v, net_k)
             if plan.pre_blend is not None:
                 _apply_blend_plan(plan.pre_blend, net_v, net_k)
-            if np.array_equal(net_v, prev_v) and \
-                    np.array_equal(net_k, prev_k):
+            if np.array_equal(net_v[:num_nets], prev_v) and \
+                    np.array_equal(net_k[:num_nets], prev_k):
                 break
+        if plan.edge is not None:
+            _run_pass((plan.edge,), net_v, net_k)
 
         # Sample outputs; fold golden disagreement into per-word masks.
         if slow_sample:
@@ -1059,15 +957,9 @@ def _run_shard_plan(plan: _ShardPlan, golden: SimulationTrace,
             sampled: Optional[Dict[str, List[Tuple[int, int]]]] = \
                 {} if record_lane_outputs else None
             for port_name, position, net in compare.positions:
-                if net >= 0:
-                    v, k = net_v[net], net_k[net]
-                else:
-                    v, k = zrow, zrow
-                lane_overrides = plan.output_masks.get((port_name,
-                                                       position))
-                if lane_overrides is not None:
-                    v, k = _blend_rows(v, k, lane_overrides, net_v, net_k,
-                                       zrow, frow)
+                row = plan.output_rows.get((port_name, position),
+                                           net if net >= 0 else num_nets)
+                v, k = net_v[row], net_k[row]
                 if sampled is not None:
                     sampled.setdefault(port_name, []).append(
                         (_row_int(v), _row_int(k)))
@@ -1101,7 +993,8 @@ def _run_shard_plan(plan: _ShardPlan, golden: SimulationTrace,
                     first_mismatch[base + low.bit_length() - 1] = cycle
                     word ^= low
 
-        # Clock edge: gather pins, blend lane overrides, advance states.
+        # Clock edge: gather pins (overridden ones from their edge shadow
+        # rows) and advance states.
         if has_ffs:
             dv = net_v[plan.ff_d]
             dk = net_k[plan.ff_d]
@@ -1109,19 +1002,6 @@ def _run_shard_plan(plan: _ShardPlan, golden: SimulationTrace,
             ek = net_k[plan.ff_ce]
             rv = net_v[plan.ff_r]
             rk = net_k[plan.ff_r]
-            for position, port, lane_overrides in plan.ff_overrides:
-                if port == "D":
-                    dv[position], dk[position] = _blend_rows(
-                        dv[position], dk[position], lane_overrides,
-                        net_v, net_k, zrow, frow)
-                elif port == "CE":
-                    ev[position], ek[position] = _blend_rows(
-                        ev[position], ek[position], lane_overrides,
-                        net_v, net_k, zrow, frow)
-                else:
-                    rv[position], rk[position] = _blend_rows(
-                        rv[position], rk[position], lane_overrides,
-                        net_v, net_k, zrow, frow)
             sel1 = ek & ev
             sel0 = ek & ~ev
             unk = ~ek

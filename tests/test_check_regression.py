@@ -100,6 +100,20 @@ class TestFlowGate:
         assert any("not bit-identical across job counts" in problem
                    for problem in problems), problems
 
+    def test_parallel_floor_is_the_recorded_bar(self, flow_baseline):
+        current = _current_flow(flow_baseline)
+        section = current["parallel_cold"]
+        section.update(gate_applied=True, cpu_count=2, bar=1.16,
+                       speedup_jobs_n_vs_1=1.2)
+        assert gate.check_flow(flow_baseline, current, TOLERANCE) == []
+        section["speedup_jobs_n_vs_1"] = 1.0
+        problems = gate.check_flow(flow_baseline, current, TOLERANCE)
+        assert any("ran at 1.00x jobs=1, below the 1.16x" in problem
+                   for problem in problems), problems
+        # the flag only ever lowers the recorded bar
+        assert gate.check_flow(flow_baseline, current, TOLERANCE,
+                               parallel_min_speedup=0.9) == []
+
     @pytest.mark.parametrize("flag", [False, None])
     def test_committed_flood_floor_always_applies(self, flow_baseline,
                                                   flag):

@@ -6,19 +6,26 @@ lane by lane into the traces the scalar :class:`Simulator` produces, LUT
 INIT sweeps must agree for every truth table, and the campaign-level
 :class:`NumpyBackend` must be a bit-identical drop-in for SerialBackend —
 including ``first_mismatch_cycle`` — under every upset model, while its
-cross-cone scheduler keeps the packed lanes nearly full.
+cross-cone scheduler keeps the packed lanes nearly full.  Shards built to
+hit each shadow-row path (per-lane reroutes, mixed constant and runtime
+overrides, buffer and open pins, register pins and output bits) and the
+settle-pass sweep's batch reuse must match the big-int kernel too.
 """
 
 import random
 
 import pytest
 
-from repro.cells import logic
+from repro.cells import INIT_XOR2, logic
+from repro.cells.library import shared_cell_library
 from repro.faults import (CampaignConfig, NumpyBackend, clear_cache,
                           run_campaign)
-from repro.sim import (FaultOverlay, Simulator, SourceOverride,
+from repro.netlist import Netlist, NetlistBuilder
+from repro.sim import (BLEND_AND_NOT, BLEND_WIRED_OR, CompiledDesign,
+                       FaultOverlay, Simulator, SourceOverride,
                        compile_vector_program, simulate_lanes,
                        simulate_lanes_numpy)
+from repro.sim import npkernel
 
 
 def _unpack_lane(v, k, lane):
@@ -98,6 +105,246 @@ def _assert_lanes_match_scalar(design, overlays, stimulus, golden,
                 got = [_unpack_lane(v, k, lane) for v, k in sampled[port]]
                 assert got == bits, (overlay.description, cycle, port)
     return result
+
+
+def _assert_lanes_match_both(design, overlays, stimulus, golden, cone_of):
+    """Numpy lanes equal the scalar traces and the big-int lanes."""
+    result = _assert_lanes_match_scalar(design, overlays, stimulus, golden,
+                                        cone_of)
+    bigint = simulate_lanes(
+        compile_vector_program(design), overlays, stimulus, golden,
+        passes=max(o.required_passes() for o in overlays), cone=cone_of,
+        record_lane_outputs=True)
+    for cycle, sampled in enumerate(bigint.lane_outputs):
+        for port, words in sampled.items():
+            for lane, overlay in enumerate(overlays):
+                assert [_unpack_lane(v, k, lane)
+                        for v, k in result.lane_outputs[cycle][port]] == \
+                    [_unpack_lane(v, k, lane) for v, k in words], \
+                    (overlay.description, cycle, port)
+    assert [(o.wrong_answer, o.first_mismatch_cycle)
+            for o in result.outcomes] == \
+        [(o.wrong_answer, o.first_mismatch_cycle) for o in bigint.outcomes]
+
+
+def _pin_overlay(description, gate, position, override):
+    overlay = FaultOverlay(description=description)
+    overlay.gate_pin_overrides[(gate.index, position)] = override
+    overlay.seed_nets = [gate.output_net]
+    return overlay
+
+
+def _plan(design, overlays, cone=None):
+    return npkernel._build_shard_plan(compile_vector_program(design),
+                                      overlays, None, cone)
+
+
+def _pin_groups(plan):
+    """The stacked blend groups and constant folds of the pin steps."""
+    groups, folds = [], []
+    for step in plan.steps:
+        if step[0] == npkernel._ST_PINS:
+            for const_scatter, stacked in step[4].waves:
+                groups.extend(stacked)
+                if const_scatter is not None:
+                    folds.append(const_scatter)
+    return groups, folds
+
+
+@pytest.fixture()
+def buffered_design():
+    """Buffered input, a LUT3 with an open I2, a register, two outputs.
+
+    ``Y = OBUF(lut_open(IBUF(A), B, open))``; ``Z = Q xor C`` with ``Q``
+    the registered ``lut_open`` output.
+    """
+    netlist = Netlist("pins")
+    builder = NetlistBuilder.new_module(netlist, "dut", "work",
+                                        shared_cell_library())
+    clk = builder.input("CLK", 1)[0]
+    a, b, c = (builder.input(name, 1)[0] for name in "ABC")
+    y = builder.output("Y", 1)[0]
+    z = builder.output("Z", 1)[0]
+    a_buf, mixed, q = builder.wire("a_buf"), builder.wire("mixed"), \
+        builder.wire("q")
+    builder.instantiate("IBUF", "ibuf_a", I=a, O=a_buf)
+    builder.instantiate("LUT3", "lut_open", properties={"INIT": 0b10010110},
+                        I0=a_buf, I1=b, O=mixed)
+    builder.instantiate("OBUF", "obuf_y", I=mixed, O=y)
+    builder.instantiate("FD", "state", C=clk, D=mixed, Q=q)
+    builder.instantiate("LUT2", "lut_z", properties={"INIT": INIT_XOR2},
+                        I0=q, I1=c, O=z)
+    return CompiledDesign(builder.finish(set_top=True))
+
+
+class TestShadowPins:
+    """Patched LUT and buffer pins evaluate through shadow rows."""
+
+    def test_pin_rerouted_to_different_sources_per_lane(
+            self, tiny_fir_compiled):
+        design = tiny_fir_compiled
+        lut = next(g for g in design.gates
+                   if g.kind == 0 and g.num_inputs >= 2)
+        others = [n for n in range(design.num_nets)
+                  if n not in lut.input_nets and n != lut.output_net]
+        overlays = [_pin_overlay(f"I0 -> net {net}", lut, 0,
+                                 SourceOverride.net(net))
+                    for net in others[:3] + others[-2:]]
+        overlays += [_pin_overlay(f"I0 shorted to {net}", lut, 0,
+                                  SourceOverride.blend_of(lut.input_nets[1],
+                                                          net))
+                     for net in others[3:5]]
+        # Both kinds repeat one shadow row with different sources, so
+        # both stacked groups fold through the segment reduction.
+        groups, _folds = _pin_groups(_plan(design, overlays))
+        assert len(groups) == 2
+        assert all(seg is not None for _tag, seg, *_rest in groups)
+        stimulus = _stimulus(design, 6, seed=41)
+        golden = Simulator(design).run(stimulus, record_nets=True)
+        _assert_lanes_match_both(design, overlays, stimulus, golden,
+                                 cone_of=None)
+
+    def test_constant_and_runtime_overrides_share_a_pin(
+            self, tiny_fir_compiled):
+        design = tiny_fir_compiled
+        lut = next(g for g in design.gates
+                   if g.kind == 0 and g.num_inputs >= 2)
+        other = next(n for n in range(design.num_nets)
+                     if n not in lut.input_nets and n != lut.output_net)
+        overlays = [
+            _pin_overlay("I1 stuck at 1", lut, 1, SourceOverride.constant(1)),
+            _pin_overlay("I1 stuck at 0", lut, 1, SourceOverride.constant(0)),
+            _pin_overlay("I1 open", lut, 1, SourceOverride.floating()),
+            _pin_overlay("I1 -> other net", lut, 1,
+                         SourceOverride.net(other)),
+            _pin_overlay("I1 wired-or", lut, 1, SourceOverride.blend_of(
+                lut.input_nets[1], other, BLEND_WIRED_OR)),
+        ]
+        groups, folds = _pin_groups(_plan(design, overlays))
+        const_rows = {int(row) for out_idx, *_masks in folds
+                      for row in out_idx}
+        runtime_rows = {int(row) for _tag, _seg, out_idx, *_rest in groups
+                        for row in out_idx}
+        assert const_rows & runtime_rows
+        stimulus = _stimulus(design, 6, seed=42)
+        golden = Simulator(design).run(stimulus, record_nets=True)
+        _assert_lanes_match_both(design, overlays, stimulus, golden,
+                                 cone_of=None)
+
+    def test_buffer_pins_and_unconnected_lut_pins(self, buffered_design):
+        design = buffered_design
+        gate = {g.name: g for g in design.gates}
+        ibuf, lut, obuf, lut_z = (gate["ibuf_a"], gate["lut_open"],
+                                  gate["obuf_y"], gate["lut_z"])
+        assert lut.input_nets[2] < 0
+        net_b, net_c = design.inputs["B"].net_indices[0], \
+            design.inputs["C"].net_indices[0]
+        net_a = design.inputs["A"].net_indices[0]
+        overlays = [
+            _pin_overlay("IBUF -> B", ibuf, 0, SourceOverride.net(net_b)),
+            _pin_overlay("IBUF stuck at 1", ibuf, 0,
+                         SourceOverride.constant(1)),
+            _pin_overlay("IBUF shorted to C", ibuf, 0,
+                         SourceOverride.blend_of(net_a, net_c)),
+            _pin_overlay("open I2 -> C", lut, 2, SourceOverride.net(net_c)),
+            _pin_overlay("open I2 stuck at 1", lut, 2,
+                         SourceOverride.constant(1)),
+            _pin_overlay("I1 open", lut, 1, SourceOverride.floating()),
+            _pin_overlay("OBUF wired-or Q", obuf, 0, SourceOverride.blend_of(
+                lut.output_net, lut_z.input_nets[0], BLEND_WIRED_OR)),
+            _pin_overlay("Q and-not C", lut_z, 0, SourceOverride.blend_of(
+                lut_z.input_nets[0], net_c, BLEND_AND_NOT)),
+        ]
+        stimulus = _stimulus(design, 8, seed=43)
+        golden = Simulator(design).run(stimulus, record_nets=True)
+        _assert_lanes_match_both(design, overlays, stimulus, golden,
+                                 cone_of=None)
+
+    def test_feedback_cone_splitting_a_batch(self, tiny_fir_compiled):
+        design = tiny_fir_compiled
+        luts = [g for g in design.gates if g.kind == 0 and g.num_inputs >= 2]
+        lut = luts[len(luts) // 2]
+        overlays = [_pin_overlay(f"I0 shorted to net {net}", lut, 0,
+                                 SourceOverride.blend_of(lut.input_nets[0],
+                                                         net))
+                    for net in (luts[-1].output_net, luts[0].output_net)]
+        plan = _plan(design, overlays)
+        assert max(o.required_passes() for o in overlays) > 1
+        # Some batch mixes cone and non-cone entries: its later-pass
+        # steps are emitted anew, while whole-cone batches are reused.
+        full = {id(step) for step in plan.steps}
+        assert any(id(step) not in full for step in plan.reduced_steps)
+        assert any(id(step) in full for step in plan.reduced_steps)
+        stimulus = _stimulus(design, 8, seed=44)
+        golden = Simulator(design).run(stimulus, record_nets=True)
+        _assert_lanes_match_both(design, overlays, stimulus, golden,
+                                 cone_of=None)
+
+    def test_flip_flop_pins_and_output_bits(self, buffered_design):
+        # Overridden register pins (absent CE and reset included) and
+        # output bits read edge shadow rows filled after the passes.
+        design = buffered_design
+        gate = {g.name: g for g in design.gates}
+        flip_flop = design.flip_flops[0]
+        net_b, net_c = design.inputs["B"].net_indices[0], \
+            design.inputs["C"].net_indices[0]
+        mixed = gate["lut_open"].output_net
+
+        def ff_overlay(description, port, override):
+            overlay = FaultOverlay(description=description)
+            overlay.ff_pin_overrides[(flip_flop.index, port)] = override
+            overlay.seed_nets = [flip_flop.q_net]
+            return overlay
+
+        def out_overlay(description, port, override):
+            overlay = FaultOverlay(description=description)
+            overlay.output_pin_overrides[(port, 0)] = override
+            return overlay
+
+        overlays = [
+            ff_overlay("D -> C", "D", SourceOverride.net(net_c)),
+            ff_overlay("D shorted to B", "D",
+                       SourceOverride.blend_of(mixed, net_b)),
+            ff_overlay("D open", "D", SourceOverride.floating()),
+            ff_overlay("CE -> B", "CE", SourceOverride.net(net_b)),
+            ff_overlay("reset -> C", "R", SourceOverride.net(net_c)),
+            ff_overlay("reset stuck at 1", "R", SourceOverride.constant(1)),
+            out_overlay("Y -> C", "Y", SourceOverride.net(net_c)),
+            out_overlay("Y wired-or B", "Y",
+                        SourceOverride.blend_of(mixed, net_b,
+                                                BLEND_WIRED_OR)),
+            out_overlay("Z stuck at 0", "Z", SourceOverride.constant(0)),
+        ]
+        plan = _plan(design, overlays)
+        edge_rows = range(plan.edge[2], plan.edge[3])
+        assert int(plan.ff_d[0]) in edge_rows
+        assert plan.output_rows[("Y", 0)] in edge_rows
+        stimulus = _stimulus(design, 8, seed=46)
+        golden = Simulator(design).run(stimulus, record_nets=True)
+        _assert_lanes_match_both(design, overlays, stimulus, golden,
+                                 cone_of=None)
+
+    def test_all_dirty_cone_reuses_every_step(self, buffered_design):
+        design = buffered_design
+        gate = {g.name: g for g in design.gates}
+        lut, lut_z = gate["lut_open"], gate["lut_z"]
+        other = design.inputs["C"].net_indices[0]
+        overlays = [
+            _pin_overlay("I0 shorted to C", lut, 0,
+                         SourceOverride.blend_of(lut.input_nets[0], other)),
+            _pin_overlay("Q -> C", lut_z, 0, SourceOverride.net(other)),
+        ]
+        cone = design.fault_cone([lut.output_net])
+        plan = _plan(design, overlays, cone)
+        # Every cone entry is patched or reads the patched LUT, so every
+        # batch is reused as it is (not the fallback to the whole list).
+        assert plan.reduced_steps is not plan.steps
+        assert [id(step) for step in plan.reduced_steps] == \
+            [id(step) for step in plan.steps]
+        stimulus = _stimulus(design, 6, seed=45)
+        golden = Simulator(design).run(stimulus, record_nets=True)
+        _assert_lanes_match_both(design, overlays, stimulus, golden,
+                                 cone_of=cone)
 
 
 class TestInitSweeps:
