@@ -64,6 +64,16 @@ class TestInjectionSampling:
         groups = SingleUpset().injections(fault_list, 40, seed=7)
         assert groups == [(bit,) for bit in fault_list.sample(40, 7)]
 
+    def test_single_view_is_a_read_only_sequence(self, fault_list):
+        groups = SingleUpset().injections(fault_list, 40, seed=7)
+        bits = fault_list.sample(40, 7)
+        assert len(groups) == 40
+        assert groups[3] == (bits[3],) and groups[-1] == (bits[-1],)
+        assert groups[5:9] == [(bit,) for bit in bits[5:9]]
+        assert list(groups) == [(bit,) for bit in bits]
+        with pytest.raises(TypeError):
+            groups[0] = (1,)
+
     def test_deterministic_under_fixed_seed(self, fault_list):
         for model in (SingleUpset(), MultiBitUpset(3), AccumulatedUpset(5)):
             first = model.injections(fault_list, 50, seed=11, total_bits=600)
@@ -204,6 +214,21 @@ class TestCampaignIntegration:
                             for r in explicit.results]
             assert modeled.wrong_answers == explicit.wrong_answers
             assert modeled.upset_model == "single"
+
+    def test_single_view_models_like_tuple_groups(
+            self, tiny_tmr_implementation):
+        """The view's bit column is modelled as its ``(bit,)`` groups."""
+        from repro.faults import FaultListManager
+
+        fault_list = FaultListManager(tiny_tmr_implementation).build(
+            "design")
+        context = CampaignContext(tiny_tmr_implementation)
+        view = SingleUpset().injections(fault_list, 50, seed=5)
+        from_view = context.tasks_for_groups(view)
+        from_tuples = context.tasks_for_groups(list(view))
+        assert from_view.clusters is None and from_tuples.clusters is None
+        assert list(from_view.bits) == list(from_tuples.bits)
+        assert list(from_view.slots) == list(from_tuples.slots)
 
     @pytest.mark.parametrize("model", ("mbu:2", "accumulate:4"))
     def test_multi_bit_backends_agree(self, tiny_tmr_implementation, model):
