@@ -19,13 +19,14 @@ columns, never as one object per upset:
 
   - :class:`SerialBackend` — one injection at a time, the seed semantics
     and the oracle every other backend is checked against;
-  - :class:`VectorBackend` — packs whole fault shards into the bit lanes of
-    Python big integers and simulates them in one PPSFP-style sweep
-    through the :mod:`repro.sim.bitparallel` kernel;
-  - :class:`NumpyBackend` — compiles the lane program into vectorized
-    numpy sweeps (:mod:`repro.sim.npkernel`) and packs lanes *across*
-    cones under one union cone, so shards run near-full instead of
-    fragmenting per fault group;
+  - :class:`VectorBackend` and :class:`NumpyBackend` — one lane driver
+    (:class:`LaneBackend`) that gives each distinct effect slot one lane,
+    packs the lanes *across* fan-out cones into ``lane_width`` shards
+    under a union cone, and demuxes each lane's outcome to every
+    injection of its slot.  They differ only in the PPSFP-style sweep
+    that simulates a shard: Python big-int lanes
+    (:mod:`repro.sim.bitparallel`) or the lane program compiled into
+    vectorized numpy sweeps (:mod:`repro.sim.npkernel`);
   - :class:`ShardedBackend` — the campaign service's executor: splits the
     injections into the deterministic :func:`~repro.faults.seeds.split_shards`
     schedule and runs each shard through a *vectorized* backend inside a
@@ -49,8 +50,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..pnr.flow import Implementation
 from ..sim import npkernel
-from ..sim.bitparallel import (VectorProgram, broadcast_inputs,
-                               broadcast_trace, simulate_lanes)
+from ..sim.bitparallel import (VectorProgram, VectorResult,
+                               broadcast_inputs, broadcast_trace,
+                               simulate_lanes)
 from ..sim.compile import CompiledDesign, FaultCone
 from ..sim.golden import compare_traces
 from ..sim.overlay import FaultOverlay
@@ -294,7 +296,7 @@ class CampaignContext:
         """Memoized fan-out cone of a seed-net set.
 
         Serves both per-fault cones and the per-shard union cones of the
-        vector backend: repeated campaigns produce the same shards, so
+        lane driver: repeated campaigns produce the same shards, so
         union cones hit the cache like any other cone.
         """
         if not seed_nets:
@@ -379,147 +381,66 @@ class SerialBackend(ExecutionBackend):
         return verdicts
 
 
-class VectorBackend(ExecutionBackend):
-    """Bit-parallel (PPSFP-style) shard evaluation over integer lanes.
+#: ``sweep(overlays, passes, cone, plan_key)``: one lane executor's
+#: simulation of one packed shard (see :meth:`LaneBackend._sweeper`).
+ShardSweep = Callable[[List[FaultOverlay], int, Optional[FaultCone],
+                       Tuple[object, ...]], VectorResult]
 
-    Effectful injections are grouped by the two shard invariants that
-    must be homogeneous for bit-identical results — the number of
-    combinational settle passes and whether a fault cone exists — then
-    packed ``lane_width`` faults at a time into the big-int lanes of the
-    :mod:`repro.sim.bitparallel` kernel.  One sweep over the levelized
-    lane program simulates the whole shard against the cached golden
-    trace; per-lane first mismatches are written back into the verdict
-    columns, and a lane-retirement mask stops the sweep early once every
-    lane of the shard has produced a wrong answer.
-
-    ``last_run_stats`` records shard sizes and lane utilization of the
-    most recent :meth:`run`, so benchmarks can report how full the lanes
-    actually were.
-    """
-
-    name = "vector"
-
-    def __init__(self, lane_width: int = 256) -> None:
-        if lane_width < 1:
-            raise ValueError("lane_width must be at least 1")
-        self.lane_width = lane_width
-        self.last_run_stats: Dict[str, object] = {}
-
-    def run(self, context: CampaignContext, injections: Injections,
-            progress: Optional[ProgressCallback] = None
-            ) -> VerdictColumns:
-        context.prepare()
-        program = context.vector_program
-        verdicts = VerdictColumns.for_injections(injections)
-        overlays = injections.effects.overlays
-        slots = injections.slots
-        total = len(injections)
-
-        groups: Dict[Tuple[int, bool], List[int]] = {}
-        for index, slot in enumerate(slots):
-            if not EFFECTFUL[verdicts.rows[index]]:
-                continue
-            overlay = overlays[slot]
-            key = (overlay.required_passes(), bool(overlay.seed_nets))
-            groups.setdefault(key, []).append(index)
-        done = self._advance(progress, 0,
-                             total - sum(map(len, groups.values())), total)
-
-        width = self.lane_width
-        reseed = None
-        inputs = None
-        if groups:
-            # Built once per campaign: every shard shares the stimulus
-            # broadcast (and, for coned shards, the golden broadcast).
-            inputs = broadcast_inputs(context.compiled, context.stimulus,
-                                      (1 << width) - 1)
-        shard_stats: List[Dict[str, object]] = []
-        for (passes, coned), group in groups.items():
-            for start in range(0, len(group), width):
-                shard = group[start:start + width]
-                shard_overlays = [overlays[slots[index]] for index in shard]
-                cone = None
-                if coned:
-                    seeds = sorted({net for overlay in shard_overlays
-                                    for net in overlay.seed_nets})
-                    cone = context.cone_for_nets(seeds)
-                    if reseed is None:
-                        reseed = broadcast_trace(context.golden,
-                                                 (1 << width) - 1)
-                result = simulate_lanes(
-                    program, shard_overlays, context.stimulus,
-                    context.golden, passes=passes,
-                    skip_cycles=context.skip_cycles,
-                    ports=context.output_ports, cone=cone, width=width,
-                    reseed=reseed if coned else None, inputs=inputs)
-                for index, first in zip(shard, result.first_mismatch):
-                    verdicts.record(index, first)
-                done = self._advance(progress, done, len(shard), total)
-                shard_stats.append({
-                    "lanes": len(shard),
-                    "passes": passes,
-                    "coned": coned,
-                    "cone_gates": len(cone.gate_indices)
-                    if cone is not None else len(program.entries),
-                    "cycles_simulated": result.cycles_simulated,
-                })
-        used = sum(stat["lanes"] for stat in shard_stats)
-        self.last_run_stats = {
-            "lane_width": width,
-            "shards": shard_stats,
-            "packed_faults": used,
-            "peak_lane_utilization": max(
-                (stat["lanes"] / width for stat in shard_stats),
-                default=0.0),
-            "mean_lane_utilization": (used / (len(shard_stats) * width))
-            if shard_stats else 0.0,
-        }
-        return verdicts
+#: A packed lane: ``(passes, seed nets, cluster, effect slot)``.
+_Lane = Tuple[int, Tuple[int, ...], Tuple[int, ...], int]
 
 
-class NumpyBackend(ExecutionBackend):
-    """Numpy-compiled PPSFP sweeps with cross-cone lane packing.
+class LaneBackend(ExecutionBackend):
+    """The lane driver: dedup, cross-cone packing and demux of a campaign.
 
-    Three things distinguish this from :class:`VectorBackend`:
+    Both lane executors compile the same
+    :class:`~repro.sim.bitparallel.VectorProgram`; this driver decides
+    what each sweep simulates, and a subclass only supplies the sweep:
 
-    * shards evaluate through :mod:`repro.sim.npkernel` — the lane
-      program compiled into fused array operations instead of a Python
-      loop interpreting one entry per gate;
     * identical injections are evaluated **once**: injections sharing an
       effect slot flip the same bit cluster, one representative lane
       simulates, and every duplicate receives its outcome (a
       10^6-injection campaign over a ~10^4-bit fault list collapses to
       the unique-bit population);
-    * lanes pack **across** cones: effectful faults are only split by
-      whether they have a cone at all, sorted by seed nets so
-      neighbouring lanes share fan-out, and each shard simulates the
-      union cone at the maximum pass count of its members.  Simulating a
-      lane under a superset cone (or extra settle passes) cannot change
-      its outcome — nets outside a lane's own cone carry golden values —
-      so packing trades no accuracy for near-full lanes.
+    * lanes pack **across** cones: effectful slots are only split by
+      whether they have a cone at all, sorted by pass count, then seed
+      nets (so neighbouring lanes share fan-out), then cluster, and cut
+      into ``lane_width`` chunks; each shard simulates the union cone of
+      its members at their highest pass count.  Simulating a lane under
+      a superset cone (or extra settle passes) cannot change its outcome
+      (nets outside a lane's own cone carry golden values), so packing
+      trades no accuracy for near-full lanes.
 
-    The default of 4096 lanes per shard keeps the sweep count low; wider
-    shards stop paying off because their union cones grow.  Verdicts are
-    bit-identical to :class:`SerialBackend` (enforced by the test suite).
-
-    ``last_run_stats`` reports shard sizes and lane utilization (lanes
-    over word-quantized capacity, i.e. ``ceil(lanes/64)*64``) of the most
-    recent :meth:`run` for the benchmark harness.
+    Verdicts are bit-identical to :class:`SerialBackend` (enforced by
+    the test suite).  ``last_run_stats`` reports the shard schedule and
+    lane utilization (lanes over each shard's :meth:`_capacity`) of the
+    most recent :meth:`run` for the benchmark harness.
     """
 
-    name = "numpy"
+    #: lanes per shard when the constructor is given none
+    default_lane_width: int
 
-    def __init__(self, lane_width: int = 4096) -> None:
+    def __init__(self, lane_width: Optional[int] = None) -> None:
+        if lane_width is None:
+            lane_width = self.default_lane_width
         if lane_width < 1:
             raise ValueError("lane_width must be at least 1")
         self.lane_width = lane_width
         self.last_run_stats: Dict[str, object] = {}
 
+    @abc.abstractmethod
+    def _sweeper(self, context: CampaignContext) -> ShardSweep:
+        """This executor's shard sweep over *context*, for one run."""
+
+    @abc.abstractmethod
+    def _capacity(self, lanes: int) -> int:
+        """Lanes a sweep of a *lanes*-lane shard actually simulates."""
+
     def run(self, context: CampaignContext, injections: Injections,
             progress: Optional[ProgressCallback] = None
             ) -> VerdictColumns:
         context.prepare()
-        program = context.numpy_program
+        sweep = self._sweeper(context)
         effects = injections.effects
         verdicts = VerdictColumns.for_injections(injections)
         total = len(injections)
@@ -527,11 +448,10 @@ class NumpyBackend(ExecutionBackend):
         # Injections sharing a slot are the same physical fault; simulate
         # one lane per slot and count how many injections it settles.
         multiplicity = collections.Counter(injections.slots)
-        # Members are decorated (passes, seeds, cluster, slot) so the sort
+        # Lanes are decorated (passes, seeds, cluster, slot) so the sort
         # and the per-shard pass maximum reuse one required_passes() call
         # per overlay; the cluster is unique, so `slot` never decides.
-        groups: Dict[bool, List[Tuple[int, Tuple[int, ...],
-                                      Tuple[int, ...], int]]] = {}
+        groups: Dict[bool, List[_Lane]] = {}
         silent = 0
         for slot, count in multiplicity.items():
             if not EFFECTFUL[effects.rows[slot]]:
@@ -548,51 +468,46 @@ class NumpyBackend(ExecutionBackend):
         shard_stats: List[Dict[str, object]] = []
         packed = 0
         capacity_total = 0
+        peak = 0.0
+        width = self.lane_width
         for coned in sorted(groups):
             members = groups[coned]
             # A shard settles every lane with the worst member's pass
-            # count, so lanes pack in pass-count order first — chunks
+            # count, so lanes pack in pass-count order first: chunks
             # stay (mostly) pass-homogeneous without fragmenting shards.
             # The seed-net sort below it keeps neighbouring lanes in
             # overlapping fan-out, which keeps union cones tight.
             members.sort()
-            for start in range(0, len(members), self.lane_width):
-                shard = members[start:start + self.lane_width]
-                overlays = [effects.overlays[slot]
-                            for _p, _s, _c, slot in shard]
+            for start in range(0, len(members), width):
+                shard = members[start:start + width]
+                overlays = [effects.overlays[lane[3]] for lane in shard]
                 passes = shard[-1][0]
                 cone = None
                 if coned:
-                    seeds = sorted({net for overlay in overlays
-                                    for net in overlay.seed_nets})
-                    cone = context.cone_for_nets(seeds)
+                    cone = context.cone_for_nets(sorted(
+                        {net for overlay in overlays
+                         for net in overlay.seed_nets}))
                 plan_key = ((id(cone) if cone is not None else None,)
-                            + tuple(cluster for _p, _s, cluster, _slot
-                                    in shard))
-                result = program.simulate_shard(
-                    overlays, context.stimulus, context.golden,
-                    passes=passes, skip_cycles=context.skip_cycles,
-                    ports=context.output_ports, cone=cone,
-                    plan_key=plan_key)
+                            + tuple(lane[2] for lane in shard))
+                result = sweep(overlays, passes, cone, plan_key)
                 settled = 0
-                for (_p, _s, _c, slot), first in zip(shard,
-                                                     result.first_mismatch):
+                for lane, first in zip(shard, result.first_mismatch):
                     if first is not None:
-                        outcome[slot] = first
-                    settled += multiplicity[slot]
+                        outcome[lane[3]] = first
+                    settled += multiplicity[lane[3]]
                 done = self._advance(progress, done, settled, total)
                 lanes = len(shard)
-                capacity = ((lanes + 63) // 64) * 64
+                capacity = self._capacity(lanes)
                 packed += lanes
                 capacity_total += capacity
+                peak = max(peak, lanes / capacity)
                 shard_stats.append({
                     "lanes": lanes,
                     "capacity": capacity,
                     "passes": passes,
                     "coned": coned,
                     "cone_gates": len(cone.gate_indices)
-                    if cone is not None
-                    else len(program.program.entries),
+                    if cone is not None else len(context.compiled.gates),
                     "cycles_simulated": result.cycles_simulated,
                 })
         if outcome:
@@ -600,18 +515,86 @@ class NumpyBackend(ExecutionBackend):
             for index, slot in enumerate(injections.slots):
                 verdicts.record(index, get(slot))
         self.last_run_stats = {
-            "lane_width": self.lane_width,
+            "lane_width": width,
             "shards": shard_stats,
             "packed_faults": packed,
             "unique_faults": len(multiplicity),
             "demuxed_faults": total,
-            "peak_lane_utilization": max(
-                (stat["lanes"] / stat["capacity"]
-                 for stat in shard_stats), default=0.0),
+            "peak_lane_utilization": peak,
             "mean_lane_utilization": (packed / capacity_total)
             if capacity_total else 0.0,
         }
         return verdicts
+
+
+class VectorBackend(LaneBackend):
+    """Lane driver over the big-int :mod:`repro.sim.bitparallel` kernel.
+
+    Each net and mask plane is one Python integer ``lane_width`` bits
+    wide, so every sweep simulates ``lane_width`` lanes (ghost lanes
+    replay the golden circuit); the sweep interprets the lane program
+    one entry per gate and retires early once every lane is wrong.
+    """
+
+    name = "vector"
+    default_lane_width = 256
+
+    def _capacity(self, lanes: int) -> int:
+        return self.lane_width
+
+    def _sweeper(self, context: CampaignContext) -> ShardSweep:
+        program = context.vector_program
+        width = self.lane_width
+        all_mask = (1 << width) - 1
+        # Built once per run: every shard shares the stimulus broadcast
+        # and, for coned shards, the golden broadcast.
+        inputs = broadcast_inputs(context.compiled, context.stimulus,
+                                  all_mask)
+        reseed: Optional[List[Tuple[List[int], List[int]]]] = None
+
+        def sweep(overlays: List[FaultOverlay], passes: int,
+                  cone: Optional[FaultCone],
+                  plan_key: Tuple[object, ...]) -> VectorResult:
+            nonlocal reseed
+            if cone is not None and reseed is None:
+                reseed = broadcast_trace(context.golden, all_mask)
+            return simulate_lanes(
+                program, overlays, context.stimulus, context.golden,
+                passes=passes, skip_cycles=context.skip_cycles,
+                ports=context.output_ports, cone=cone, width=width,
+                reseed=reseed if cone is not None else None, inputs=inputs)
+
+        return sweep
+
+
+class NumpyBackend(LaneBackend):
+    """Lane driver over the numpy-compiled :mod:`repro.sim.npkernel`.
+
+    The lane program compiles into fused array operations over
+    ``uint64`` lane words, with shard plans memoized per program, so a
+    sweep simulates its lanes rounded up to whole 64-lane words.  The
+    4096-lane default keeps the sweep count low; wider shards stop
+    paying off because their union cones grow.
+    """
+
+    name = "numpy"
+    default_lane_width = 4096
+
+    def _capacity(self, lanes: int) -> int:
+        return ((lanes + 63) // 64) * 64
+
+    def _sweeper(self, context: CampaignContext) -> ShardSweep:
+        program = context.numpy_program
+
+        def sweep(overlays: List[FaultOverlay], passes: int,
+                  cone: Optional[FaultCone],
+                  plan_key: Tuple[object, ...]) -> VectorResult:
+            return program.simulate_shard(
+                overlays, context.stimulus, context.golden, passes=passes,
+                skip_cycles=context.skip_cycles,
+                ports=context.output_ports, cone=cone, plan_key=plan_key)
+
+        return sweep
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,7 @@ from .bitparallel import (LaneOutcome, VectorProgram, VectorResult,
                           broadcast_inputs, broadcast_trace,
                           compile_vector_program, simulate_lanes)
 from .compile import CompiledDesign, FaultCone, FlipFlop, Gate, PortBinding
-from .npkernel import (NumpyProgram, broadcast_inputs_numpy,
-                       broadcast_trace_numpy, compile_numpy_program,
-                       simulate_lanes_numpy)
+from .npkernel import NumpyProgram, compile_numpy_program
 from .golden import (ComparisonResult, compare_traces, outputs_as_ints,
                      trace_matches_reference)
 from .overlay import (BLEND_AND_NOT, BLEND_SHORT, BLEND_UNKNOWN,
@@ -20,8 +18,7 @@ from .vectors import (alternating, campaign_workload, impulse, random_samples,
 __all__ = [
     "LaneOutcome", "VectorProgram", "VectorResult", "broadcast_inputs",
     "broadcast_trace", "compile_vector_program", "simulate_lanes",
-    "NumpyProgram", "broadcast_inputs_numpy", "broadcast_trace_numpy",
-    "compile_numpy_program", "simulate_lanes_numpy",
+    "NumpyProgram", "compile_numpy_program",
     "CompiledDesign", "FaultCone", "FlipFlop", "Gate", "PortBinding",
     "ComparisonResult", "compare_traces", "outputs_as_ints",
     "trace_matches_reference", "BLEND_AND_NOT", "BLEND_SHORT",

@@ -293,15 +293,51 @@ class VectorProgram:
                 self.entries.append(_Entry(kind, gate.output_net, a=net,
                                            gate_index=gate.index))
             else:
-                self.entries.append(self._compile_lut(gate))
+                self.entries.append(_lut_entry(gate, [], -1))
+        self._pin_ops: Dict[Tuple[int, int],
+                            Tuple[Tuple[int, int], ...]] = {}
 
-    def _compile_lut(self, gate, init: Optional[int] = None) -> _Entry:
-        table = gate.init if init is None else init
-        words = [-1 if (table >> address) & 1 else 0
-                 for address in range(1 << gate.num_inputs)]
-        tree = _lut_tree(words, gate.num_inputs, -1)
-        tree = _remap_leaves(tree, gate.input_nets)
-        return _specialize(tree, gate.output_net, gate.index)
+    def pin_ops(self, gate, all_mask: int) -> Tuple[Tuple[int, int], ...]:
+        """Memoized :func:`_position_ops` of *gate*'s own INIT.
+
+        Every shard that patches a pin of the LUT but no lane's INIT
+        evaluates these ops over its pin slots.
+        """
+        key = (gate.index, all_mask)
+        if key not in self._pin_ops:
+            self._pin_ops[key] = _position_ops(gate, [], all_mask)
+        return self._pin_ops[key]
+
+
+def _lane_lut_tree(gate, lanes_init: List[Tuple[int, int]],
+                   all_mask: int) -> Tuple:
+    """The Shannon tree of *gate* with per-lane INIT overrides applied."""
+    words = []
+    for address in range(1 << gate.num_inputs):
+        word = all_mask if (gate.init >> address) & 1 else 0
+        for mask, new_init in lanes_init:
+            if (new_init >> address) & 1:
+                word |= mask
+            else:
+                word &= ~mask
+        words.append(word)
+    return _lut_tree(words, gate.num_inputs, all_mask)
+
+
+def _lut_entry(gate, lanes_init: List[Tuple[int, int]],
+               all_mask: int) -> _Entry:
+    """The entry of :func:`_lane_lut_tree` over *gate*'s input nets."""
+    tree = _remap_leaves(_lane_lut_tree(gate, lanes_init, all_mask),
+                         gate.input_nets)
+    return _specialize(tree, gate.output_net, gate.index)
+
+
+def _position_ops(gate, lanes_init: List[Tuple[int, int]],
+                  all_mask: int) -> Tuple[Tuple[int, int], ...]:
+    """Postfix ops of :func:`_lane_lut_tree`, indexed by pin position."""
+    ops: List[Tuple[int, int]] = []
+    _flatten(_lane_lut_tree(gate, lanes_init, all_mask), ops)
+    return tuple(ops)
 
 
 def compile_vector_program(design: CompiledDesign) -> VectorProgram:
@@ -350,28 +386,17 @@ def patch_program(program: VectorProgram, overlays: Sequence[FaultOverlay],
             continue
         if gate.kind != KIND_LUT:
             continue
-        lanes_init = init_masks.get(gate_index, ())
-        words = []
-        for address in range(1 << gate.num_inputs):
-            word = all_mask if (gate.init >> address) & 1 else 0
-            for mask, new_init in lanes_init:
-                if (new_init >> address) & 1:
-                    word |= mask
-                else:
-                    word &= ~mask
-            words.append(word)
-        tree = _lut_tree(words, gate.num_inputs, all_mask)
+        lanes_init = init_masks.get(gate_index, [])
         overridden = pin_masks.get(gate_index)
         if overridden is None:
-            tree = _remap_leaves(tree, gate.input_nets)
-            entry = _specialize(tree, gate.output_net, gate_index)
+            entry = _lut_entry(gate, lanes_init, all_mask)
         else:
-            ops: List[Tuple[int, int]] = []
-            _flatten(tree, ops)
+            ops = _position_ops(gate, lanes_init, all_mask) if lanes_init \
+                else program.pin_ops(gate, all_mask)
             pins = tuple(
                 (net, tuple(overridden.get(position, ())))
                 for position, net in enumerate(gate.input_nets))
-            entry = _Entry(_E_PINS, gate.output_net, ops=tuple(ops),
+            entry = _Entry(_E_PINS, gate.output_net, ops=ops,
                            pins=pins, gate_index=gate_index)
         entries[position_of_gate[gate_index]] = entry
 
@@ -388,6 +413,76 @@ def patch_program(program: VectorProgram, overlays: Sequence[FaultOverlay],
             entries[index] = dataclasses.replace(
                 entries[index], post=tuple(lane_overrides))
     return entries, pre_net_overrides
+
+
+# ----------------------------------------------------------------------
+# Settle-pass feedback cone
+# ----------------------------------------------------------------------
+_TWO_KINDS = frozenset((_E_AND2, _E_OR2, _E_XOR2, _E_XNOR2))
+_ONE_KINDS = frozenset((_E_COPY, _E_NOT))
+
+
+def _override_read_nets(override: SourceOverride) -> Tuple[int, ...]:
+    if override.kind == SOURCE_CONST:
+        return ()
+    if override.kind == SOURCE_NET:
+        return (override.net_a,) if override.net_a >= 0 else ()
+    return tuple(net for net in (override.net_a, override.net_b)
+                 if net >= 0)
+
+
+def _entry_reads(entry) -> set:
+    """Nets whose value the entry observes during its evaluation."""
+    reads: set = set()
+    kind = entry.kind
+    if kind in _ONE_KINDS:
+        reads.add(entry.a)
+    elif kind in _TWO_KINDS:
+        reads.add(entry.a)
+        reads.add(entry.b)
+    elif kind == _E_TREE:
+        for code, arg in entry.ops:
+            if code == _OP_VAR or code == _OP_MUX:
+                reads.add(arg)
+    elif kind == _E_PINS:
+        for net, lane_overrides in entry.pins:
+            if net >= 0:
+                reads.add(net)
+            for _mask, override in lane_overrides:
+                reads.update(_override_read_nets(override))
+    if entry.post is not None:
+        for _mask, override in entry.post:
+            # The post blend reading the entry's own output sees the value
+            # just written — satisfied by scatter-before-blend, not a
+            # cross-entry dependency.
+            reads.update(net for net in _override_read_nets(override)
+                         if net != entry.out_net)
+    return reads
+
+
+def _dirty_nets(entries, reads, seed_nets) -> set:
+    """Nets whose value can change after the first settle pass.
+
+    Passes beyond the first exist to let override-induced backward
+    dependencies (shorts, rewired pins, net conflicts) converge.  Only
+    entries transitively reading a net some override writes — plus the
+    override-bearing entries themselves — can compute a different value
+    in pass 2+; everything else provably reproduces its pass-1 output,
+    so sweeping only the entries that drive these nets is exact, not an
+    approximation.  *reads* holds :func:`_entry_reads` of each entry.
+    """
+    dirty = set(seed_nets)
+    dirty.update(entry.out_net for entry in entries
+                 if entry.kind == _E_PINS or entry.post is not None)
+    changed = bool(dirty)
+    while changed:
+        changed = False
+        for entry, entry_reads in zip(entries, reads):
+            if entry.out_net not in dirty and \
+                    not entry_reads.isdisjoint(dirty):
+                dirty.add(entry.out_net)
+                changed = True
+    return dirty
 
 
 # ----------------------------------------------------------------------
@@ -746,9 +841,11 @@ def simulate_lanes(program: VectorProgram,
     *cone* (the union fan-out cone of the shard) only cone gates and
     flip-flops are evaluated and everything else is re-seeded from the
     golden trace each cycle — the lane-wise equivalent of the scalar
-    simulator's cone mode.  All overlays of a shard must agree on
-    ``required_passes()`` (pass the common value as *passes*) for
-    bit-identical results versus the scalar simulator.
+    simulator's cone mode.  *passes* must cover every overlay's
+    ``required_passes()`` (the default takes their maximum); extra
+    settle passes leave a settled lane unchanged, so the results stay
+    bit-identical to the scalar simulator.  Passes after the first
+    evaluate only the override feedback cone (:func:`_dirty_nets`).
     """
     lanes = len(overlays)
     lane_width = width if width is not None else lanes
@@ -772,6 +869,14 @@ def simulate_lanes(program: VectorProgram,
             reseed = broadcast_trace(golden, all_mask)
     else:
         flip_flops = _build_flip_flops(design, overlays, None, all_mask)
+    # Passes after the first only re-evaluate the override feedback cone:
+    # every other entry reproduces its pass-1 value.
+    settle = entries
+    if passes > 1:
+        dirty = _dirty_nets(entries, [_entry_reads(entry)
+                                      for entry in entries],
+                            [net for net, _ in pre_net_overrides])
+        settle = [entry for entry in entries if entry.out_net in dirty]
 
     output_masks: Dict[Tuple[str, int], Tuple] = {}
     for lane, overlay in enumerate(overlays):
@@ -819,8 +924,9 @@ def simulate_lanes(program: VectorProgram,
             net_v[net] = v
             net_k[net] = k
 
-        for _ in range(passes):
-            _evaluate_pass(entries, net_v, net_k, all_mask)
+        for settle_pass in range(passes):
+            _evaluate_pass(settle if settle_pass else entries, net_v, net_k,
+                           all_mask)
             for net, lane_overrides in pre_net_overrides:
                 v, k = _blend_lanes((net_v[net], net_k[net]),
                                     lane_overrides, net_v, net_k, all_mask)

@@ -58,13 +58,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as _np
 
 from ..cells import logic
-from .bitparallel import (VectorProgram, VectorResult,
-                          _build_flip_flops, _E_AND2, _E_CONST0, _E_CONST1,
-                          _E_CONSTM, _E_COPY, _E_NOT, _E_OR2, _E_PINS,
-                          _E_TREE, _E_X, _E_XNOR2, _E_XOR2, _OP_AND,
-                          _OP_CONST, _OP_MUX, _OP_MUXX, _OP_NOT, _OP_OR,
-                          _OP_VAR, _OP_X, _OP_XOR, broadcast_inputs,
-                          patch_program)
+from .bitparallel import (VectorProgram, VectorResult, _ONE_KINDS,
+                          _TWO_KINDS, _build_flip_flops, _dirty_nets,
+                          _E_AND2, _E_CONST0, _E_CONST1, _E_CONSTM, _E_COPY,
+                          _E_OR2, _E_PINS, _E_TREE, _E_X, _E_XOR2,
+                          _entry_reads, _OP_AND, _OP_CONST, _OP_MUX,
+                          _OP_MUXX, _OP_NOT, _OP_OR, _OP_VAR, _OP_X, _OP_XOR,
+                          broadcast_inputs, patch_program)
 from .compile import CompiledDesign, FaultCone
 from .overlay import (BLEND_AND_NOT, BLEND_SHORT, BLEND_WIRED_AND,
                       BLEND_WIRED_OR, SOURCE_CONST, SOURCE_NET,
@@ -130,8 +130,6 @@ def broadcast_inputs_numpy(design: CompiledDesign, stimulus):
 # ----------------------------------------------------------------------
 # Sweep compilation: conflict-free batches -> fused array steps
 # ----------------------------------------------------------------------
-_TWO_KINDS = frozenset((_E_AND2, _E_OR2, _E_XOR2, _E_XNOR2))
-_ONE_KINDS = frozenset((_E_COPY, _E_NOT))
 _CONST_KINDS = frozenset((_E_CONST0, _E_CONST1, _E_CONSTM, _E_X))
 
 # Step opcodes of the compiled sweep.
@@ -141,44 +139,6 @@ _ST_CONST = 2   # (code, v_mat, k_mat, out_idx)
 _ST_TREE = 3    # (code, compiled postfix ops, out_idx)
 _ST_PINS = 4    # (code, src_idx, first_row, end_row, _BlendPlan) — shadows
 _ST_BLEND = 5   # (code, _BlendPlan) — deferred post overrides of a batch
-
-
-def _override_read_nets(override: SourceOverride) -> Tuple[int, ...]:
-    if override.kind == SOURCE_CONST:
-        return ()
-    if override.kind == SOURCE_NET:
-        return (override.net_a,) if override.net_a >= 0 else ()
-    return tuple(net for net in (override.net_a, override.net_b)
-                 if net >= 0)
-
-
-def _entry_reads(entry) -> set:
-    """Nets whose value the entry observes during its evaluation."""
-    reads: set = set()
-    kind = entry.kind
-    if kind in _ONE_KINDS:
-        reads.add(entry.a)
-    elif kind in _TWO_KINDS:
-        reads.add(entry.a)
-        reads.add(entry.b)
-    elif kind == _E_TREE:
-        for code, arg in entry.ops:
-            if code == _OP_VAR or code == _OP_MUX:
-                reads.add(arg)
-    elif kind == _E_PINS:
-        for net, lane_overrides in entry.pins:
-            if net >= 0:
-                reads.add(net)
-            for _mask, override in lane_overrides:
-                reads.update(_override_read_nets(override))
-    if entry.post is not None:
-        for _mask, override in entry.post:
-            # The post blend reading the entry's own output sees the value
-            # just written — satisfied by scatter-before-blend, not a
-            # cross-entry dependency.
-            reads.update(net for net in _override_read_nets(override)
-                         if net != entry.out_net)
-    return reads
 
 
 def _lane_matrix(lane_lists, words: int):
@@ -558,31 +518,6 @@ def _compile_sweep(entries, seed_nets, all_mask: int, words: int,
                                        frow)[0])
     return (steps, reduced or steps,
             max((rows for _steps, rows in compiled), default=0))
-
-
-def _dirty_nets(entries, reads, seed_nets) -> set:
-    """Nets whose value can change after the first settle pass.
-
-    Passes beyond the first exist to let override-induced backward
-    dependencies (shorts, rewired pins, net conflicts) converge.  Only
-    entries transitively reading a net some override writes — plus the
-    override-bearing entries themselves — can compute a different value
-    in pass 2+; everything else provably reproduces its pass-1 output,
-    so sweeping only the entries that drive these nets is exact, not an
-    approximation.  *reads* holds :func:`_entry_reads` of each entry.
-    """
-    dirty = set(seed_nets)
-    dirty.update(entry.out_net for entry in entries
-                 if entry.kind == _E_PINS or entry.post is not None)
-    changed = bool(dirty)
-    while changed:
-        changed = False
-        for entry, entry_reads in zip(entries, reads):
-            if entry.out_net not in dirty and \
-                    not entry_reads.isdisjoint(dirty):
-                dirty.add(entry.out_net)
-                changed = True
-    return dirty
 
 
 # ----------------------------------------------------------------------
@@ -1101,7 +1036,13 @@ class NumpyProgram:
                        width: Optional[int] = None,
                        plan_key: Optional[Tuple] = None,
                        record_lane_outputs: bool = False) -> VectorResult:
-        """Memo-backed equivalent of :func:`simulate_lanes_numpy`."""
+        """Simulate one shard through its (memoized) compiled sweep.
+
+        The contract and result of :func:`.bitparallel.simulate_lanes`:
+        lane *i* carries ``overlays[i]``, lanes up to *width* beyond the
+        shard replay the golden circuit, and *plan_key*, when given,
+        memoizes the shard plan for a repeat of the same shard.
+        """
         if passes is None:
             passes = max((overlay.required_passes()
                           for overlay in overlays), default=1)
@@ -1116,37 +1057,3 @@ class NumpyProgram:
 def compile_numpy_program(program: VectorProgram) -> NumpyProgram:
     """Wrap a lane program for numpy-compiled shard sweeps."""
     return NumpyProgram(program)
-
-
-def simulate_lanes_numpy(program: VectorProgram,
-                         overlays: Sequence[FaultOverlay],
-                         stimulus,
-                         golden: SimulationTrace,
-                         passes: Optional[int] = None,
-                         skip_cycles: int = 0,
-                         ports: Optional[Sequence[str]] = None,
-                         cone: Optional[FaultCone] = None,
-                         width: Optional[int] = None,
-                         reseed=None,
-                         inputs=None,
-                         record_lane_outputs: bool = False) -> VectorResult:
-    """Drop-in twin of :func:`.bitparallel.simulate_lanes`.
-
-    Same contract, same semantics, same :class:`VectorResult` — evaluated
-    through the compiled numpy sweep.  *reseed* / *inputs*, when given,
-    are the array forms built by :func:`broadcast_trace_numpy` /
-    :func:`broadcast_inputs_numpy`.
-    """
-    if isinstance(program, NumpyProgram):
-        program = program.program
-    if passes is None:
-        passes = max((overlay.required_passes() for overlay in overlays),
-                     default=1)
-    plan = _build_shard_plan(program, overlays, width, cone)
-    if cone is not None and reseed is None:
-        reseed = broadcast_trace_numpy(golden)
-    if inputs is None:
-        inputs = broadcast_inputs_numpy(program.design, stimulus)
-    compare = _compile_compare(program.design, golden, ports)
-    return _run_shard_plan(plan, golden, compare, passes, skip_cycles,
-                           reseed, inputs, record_lane_outputs)

@@ -18,13 +18,13 @@ import pytest
 
 from repro.cells import INIT_XOR2, logic
 from repro.cells.library import shared_cell_library
-from repro.faults import (CampaignConfig, NumpyBackend, clear_cache,
-                          run_campaign)
+from repro.faults import (CampaignConfig, NumpyBackend, VectorBackend,
+                          clear_cache, run_campaign)
 from repro.netlist import Netlist, NetlistBuilder
 from repro.sim import (BLEND_AND_NOT, BLEND_WIRED_OR, CompiledDesign,
                        FaultOverlay, Simulator, SourceOverride,
-                       compile_vector_program, simulate_lanes,
-                       simulate_lanes_numpy)
+                       compile_numpy_program, compile_vector_program,
+                       simulate_lanes)
 from repro.sim import npkernel
 
 
@@ -88,8 +88,8 @@ def _heterogeneous_overlays(design):
 def _assert_lanes_match_scalar(design, overlays, stimulus, golden,
                                cone_of, width=None):
     program = compile_vector_program(design)
-    result = simulate_lanes_numpy(
-        program, overlays, stimulus, golden,
+    result = compile_numpy_program(program).simulate_shard(
+        overlays, stimulus, golden,
         passes=max(o.required_passes() for o in overlays),
         cone=cone_of, width=width or max(len(overlays), 7),
         record_lane_outputs=True)
@@ -416,8 +416,8 @@ class TestWholeDesignSweeps:
         passes = max(o.required_passes() for o in overlays)
         bigint = simulate_lanes(program, overlays, stimulus, golden,
                                 passes=passes)
-        compiled = simulate_lanes_numpy(program, overlays, stimulus,
-                                        golden, passes=passes)
+        compiled = compile_numpy_program(program).simulate_shard(
+            overlays, stimulus, golden, passes=passes)
         assert [(o.wrong_answer, o.first_mismatch_cycle)
                 for o in compiled.outcomes] == \
             [(o.wrong_answer, o.first_mismatch_cycle)
@@ -428,9 +428,9 @@ class TestWholeDesignSweeps:
         stimulus = _stimulus(design, 5, seed=23)
         golden = Simulator(design).run(stimulus, record_nets=True)
         program = compile_vector_program(design)
-        result = simulate_lanes_numpy(program, [FaultOverlay()], stimulus,
-                                      golden, passes=1, width=9,
-                                      record_lane_outputs=True)
+        result = compile_numpy_program(program).simulate_shard(
+            [FaultOverlay()], stimulus, golden, passes=1, width=9,
+            record_lane_outputs=True)
         assert result.outcomes[0].wrong_answer is False
         assert result.outcomes[0].first_mismatch_cycle is None
         for cycle, expected in enumerate(golden.outputs):
@@ -513,7 +513,10 @@ class TestNumpyBackendEquivalence:
         assert self._verdict_stream(compiled) == \
             self._verdict_stream(serial)
 
-    def test_oversampled_draw_bit_identical(self, tiny_fir_implementation):
+    @pytest.mark.parametrize("backend_class", [VectorBackend, NumpyBackend],
+                             ids=["vector", "numpy"])
+    def test_oversampled_draw_bit_identical(self, tiny_fir_implementation,
+                                            backend_class):
         # The huge-scale regime in miniature: more injections than
         # programmable bits, so duplicates collapse onto shared lanes and
         # must demux back into per-injection verdicts.
@@ -525,7 +528,7 @@ class TestNumpyBackendEquivalence:
                                 workload_cycles=5, seed=11)
         serial = run_campaign(tiny_fir_implementation, config,
                               backend="serial")
-        backend = NumpyBackend()
+        backend = backend_class()
         compiled = run_campaign(tiny_fir_implementation, config,
                                 backend=backend)
         assert compiled.injected == population + 150
@@ -537,16 +540,23 @@ class TestNumpyBackendEquivalence:
 
 
 class TestCrossConePacking:
+    # Utilization is lanes over sweep capacity, and a vector sweep's
+    # capacity is its whole lane width: vector runs one word wide, the
+    # capacity numpy's 40-lane sweep here rounds up to.
+    @pytest.mark.parametrize("make_backend", [
+        lambda: VectorBackend(lane_width=64), NumpyBackend],
+        ids=["vector", "numpy"])
     def test_scheduler_packs_lanes_across_cones(self,
-                                                tiny_fir_implementation):
+                                                tiny_fir_implementation,
+                                                make_backend):
         # Every effectful fault has its own cone; the packer must still
         # produce near-full shards (not one shard per cone).
         config = CampaignConfig(num_faults=120, workload_cycles=6, seed=9)
-        backend = NumpyBackend()
+        backend = make_backend()
         result = run_campaign(tiny_fir_implementation, config,
                               backend=backend)
         stats = backend.last_run_stats
-        assert result.backend == "numpy"
+        assert result.backend == backend.name
         assert stats["packed_faults"] == sum(stat["lanes"]
                                              for stat in stats["shards"])
         # Coned faults pack into one union-cone shard (plus at most one
@@ -554,6 +564,20 @@ class TestCrossConePacking:
         assert len(stats["shards"]) <= 2
         assert stats["mean_lane_utilization"] >= 0.6
         assert stats["peak_lane_utilization"] <= 1.0
+
+    def test_lane_backends_share_one_schedule(self,
+                                              tiny_tmr_implementation):
+        # One driver packs for both executors: at equal lane width they
+        # sweep the same shards, mixed pass counts included.
+        config = CampaignConfig(num_faults=150, workload_cycles=5, seed=13)
+        schedules = []
+        for backend in (VectorBackend(lane_width=8),
+                        NumpyBackend(lane_width=8)):
+            run_campaign(tiny_tmr_implementation, config, backend=backend)
+            schedules.append([(stat["lanes"], stat["passes"], stat["coned"])
+                              for stat in backend.last_run_stats["shards"]])
+        assert schedules[0] == schedules[1]
+        assert len({passes for _lanes, passes, _coned in schedules[0]}) > 1
 
     def test_utilization_accounts_word_quantized_capacity(
             self, tiny_fir_implementation):
