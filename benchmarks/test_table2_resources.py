@@ -12,12 +12,13 @@ Paper claims checked (shape, not absolute numbers):
 """
 
 from repro.analysis import resource_table
-from repro.experiments import DESIGN_ORDER, run_table2
+from repro.experiments import DESIGN_ORDER
+from repro.pipeline import resources_analysis
 
 
-def test_table2_resources(benchmark, design_suite, implementations):
+def test_table2_resources(benchmark, implementations):
     table = benchmark.pedantic(
-        lambda: run_table2(design_suite, implementations),
+        lambda: resources_analysis(implementations, DESIGN_ORDER),
         rounds=1, iterations=1)
 
     rows = {name: table[name] for name in DESIGN_ORDER}

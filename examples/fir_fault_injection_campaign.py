@@ -8,10 +8,11 @@ stage/cache report.
 
 Run with ``python examples/fir_fault_injection_campaign.py [scale]
 [backend] [jobs]`` where *scale* is ``smoke`` (default, about a minute),
-``fast`` or ``paper``, *backend* selects the campaign execution engine
-(``serial``, the bit-parallel ``vector`` — the default, the
-numpy-compiled ``numpy``, or the process-parallel ``sharded``), and *jobs* implements the five filter versions in that many
-parallel worker processes; every backend produces identical results.  Set
+``tiny`` (seconds), ``fast`` or ``paper``, *backend* selects the campaign
+execution engine (``serial``, the bit-parallel ``vector`` — the default,
+the numpy-compiled ``numpy``, or the process-parallel ``sharded``), and
+*jobs* implements the five filter versions in that many parallel worker
+processes; every backend produces identical results.  Set
 the ``REPRO_FLOW_CACHE`` environment variable to a directory to persist
 the place-and-route artifacts — a second run then skips implementation
 entirely.  ``python -m repro run table4-fir`` is the equivalent CLI.
@@ -25,6 +26,7 @@ from repro.analysis import format_resource_table, resource_table
 from repro.experiments import DESIGN_ORDER, PAPER_TABLE3_PERCENT
 from repro.faults import table3_report, table4_report
 from repro.pipeline import PipelineContext, pipeline_for
+from repro.scenarios import resolve_scenario
 
 
 def main(scale: str = "smoke", backend: str = "vector",
@@ -36,12 +38,9 @@ def main(scale: str = "smoke", backend: str = "vector",
 
     # Drive the stages through an explicit context so the full
     # CampaignResult objects stay available for the paper-style reports.
-    ctx = PipelineContext(scenario_id="table4-fir", scale=scale,
-                          designs=DESIGN_ORDER, backend=backend,
-                          jobs=jobs, flow_cache=flow_cache,
-                          analyses=("table3", "table4"))
-    report = pipeline_for(("build", "implement", "campaign",
-                           "analyze")).run(ctx)
+    scenario = resolve_scenario("table4-fir", scale=scale, backend=backend)
+    ctx = PipelineContext(scenario, jobs=jobs, flow_cache=flow_cache)
+    report = pipeline_for(scenario.stages).run(ctx)
 
     print(f"  filter: {ctx.suite.spec.taps} taps, "
           f"{ctx.suite.spec.data_width}-bit samples, "

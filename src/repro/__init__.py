@@ -20,8 +20,8 @@ The package provides, bottom-up:
 * :mod:`repro.faults` — bitstream fault injection, effect classification and
   campaign management;
 * :mod:`repro.analysis` — resource/robustness reports (paper Tables 2-4);
-* :mod:`repro.experiments` — library functions behind every table and
-  figure;
+* :mod:`repro.experiments` — the five filter versions, the paper's
+  reference numbers and the figure and ablation functions;
 * :mod:`repro.pipeline` — the declarative experiment pipeline engine
   (fingerprint-keyed stages over flow/campaign caches);
 * :mod:`repro.scenarios` — the scenario registry and ``run_scenario``

@@ -1,8 +1,7 @@
 """Primitive cell library, LUT INIT helpers and behavioural models."""
 
 from . import logic
-from .evaluate import (asynchronous_state, combinational_output,
-                       initial_state, lut_init_of, output_port_of,
+from .evaluate import (combinational_output, lut_init_of,
                        sequential_next_state)
 from .library import (CELL_INFO, FF_CELLS, IO_CELLS, LUT_CELLS, CellInfo,
                       build_cell_library, cell_info, is_flip_flop, is_lut,
@@ -12,12 +11,11 @@ from .lut import (INIT_AND2, INIT_AND3, INIT_AND4, INIT_ANDNOT2, INIT_BUF,
                   INIT_INV, INIT_MAJ3, INIT_MUX2, INIT_NAND2, INIT_NOR2,
                   INIT_OR2, INIT_OR3, INIT_OR4, INIT_VOTER, INIT_XNOR2,
                   INIT_XOR2, INIT_XOR3, INIT_XOR4, init_from_function,
-                  init_from_truth_table, named_init, named_init_width,
-                  truth_table)
+                  init_from_truth_table, named_init, truth_table)
 
 __all__ = [
-    "logic", "asynchronous_state", "combinational_output", "initial_state",
-    "lut_init_of", "output_port_of", "sequential_next_state", "CELL_INFO",
+    "logic", "combinational_output", "lut_init_of", "sequential_next_state",
+    "CELL_INFO",
     "FF_CELLS", "IO_CELLS", "LUT_CELLS", "CellInfo", "build_cell_library",
     "cell_info", "is_flip_flop", "is_lut", "lut_cell_for_inputs",
     "lut_input_count", "shared_cell_library", "INIT_AND2", "INIT_AND3",
@@ -25,5 +23,5 @@ __all__ = [
     "INIT_MUX2", "INIT_NAND2", "INIT_NOR2", "INIT_OR2", "INIT_OR3",
     "INIT_OR4", "INIT_VOTER", "INIT_XNOR2", "INIT_XOR2", "INIT_XOR3",
     "INIT_XOR4", "init_from_function", "init_from_truth_table", "named_init",
-    "named_init_width", "truth_table",
+    "truth_table",
 ]

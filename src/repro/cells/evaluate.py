@@ -49,17 +49,6 @@ def combinational_output(instance: Instance,
     raise ValueError(f"cannot evaluate unknown cell type {cell!r}")
 
 
-def output_port_of(cell_name: str) -> str:
-    """Name of the (single) output port of a primitive."""
-    if cell_name == "GND":
-        return "G"
-    if cell_name == "VCC":
-        return "P"
-    if cell_name in FF_CELLS:
-        return "Q"
-    return "O"
-
-
 def sequential_next_state(instance: Instance, inputs: Mapping[str, int],
                           current_state: int) -> int:
     """Compute the next Q of a flip-flop at an active clock edge.
@@ -99,23 +88,3 @@ def sequential_next_state(instance: Instance, inputs: Mapping[str, int],
             return logic.UNKNOWN
         return logic.mux(enable, current_state, data)
     raise AssertionError(f"unhandled flip-flop {cell}")
-
-
-def asynchronous_state(instance: Instance, inputs: Mapping[str, int],
-                       current_state: int) -> int:
-    """Apply level-sensitive (asynchronous) behaviour between clock edges."""
-    cell = instance.reference.name
-    if cell == "FDCE":
-        clear = inputs.get("CLR", logic.ZERO)
-        if clear == logic.ONE:
-            return logic.ZERO
-    return current_state
-
-
-def initial_state(instance: Instance) -> int:
-    """Power-up / configuration value of a flip-flop (the INIT bit)."""
-    init = instance.properties.get("FF_INIT", 0)
-    if isinstance(init, str):
-        init = int(init, 0)
-    init = int(init) & 1
-    return logic.ONE if init else logic.ZERO

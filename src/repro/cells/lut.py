@@ -105,11 +105,3 @@ def named_init(name: str) -> int:
         return _NAMED_INITS[name][0]
     except KeyError:
         raise ValueError(f"unknown named INIT {name!r}") from None
-
-
-def named_init_width(name: str) -> int:
-    """Number of LUT inputs used by a named INIT."""
-    try:
-        return _NAMED_INITS[name][1]
-    except KeyError:
-        raise ValueError(f"unknown named INIT {name!r}") from None

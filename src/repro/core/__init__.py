@@ -15,8 +15,7 @@ from .tmr import (DEFAULT_CLOCK_PORTS, DOMAIN_SUFFIXES, NUM_DOMAINS,
                   TMRConfig, TMRResult, apply_tmr, domain_of)
 from .voters import (DOMAIN_PROPERTY, VOTED_NET_PROPERTY, VOTER_PROPERTY,
                      build_voted_register, count_voters,
-                     insert_majority_voter, is_voter, majority_vote_values,
-                     voter_instances)
+                     insert_majority_voter, is_voter, voter_instances)
 
 __all__ = [
     "DomainIsolationReport", "RobustnessEstimate", "VoterRegionReport",
@@ -31,5 +30,5 @@ __all__ = [
     "DOMAIN_SUFFIXES", "NUM_DOMAINS", "TMRConfig", "TMRResult", "apply_tmr",
     "domain_of", "DOMAIN_PROPERTY", "VOTED_NET_PROPERTY", "VOTER_PROPERTY",
     "build_voted_register", "count_voters", "insert_majority_voter",
-    "is_voter", "majority_vote_values", "voter_instances",
+    "is_voter", "voter_instances",
 ]

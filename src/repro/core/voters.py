@@ -118,10 +118,3 @@ def build_voted_register(netlist: Netlist, width: int,
                 cell_library=cells, name=f"voter_tr{domain}_{bit}",
                 domain=domain, voted_net=f"Q[{bit}]", role="register-voter")
     return builder.finish()
-
-
-def majority_vote_values(a: int, b: int, c: int) -> int:
-    """Reference majority function (re-exported for tests and docs)."""
-    from ..cells import logic
-
-    return logic.majority(a, b, c)

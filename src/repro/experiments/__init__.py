@@ -1,16 +1,20 @@
-"""Library entry points that regenerate every table and figure of the paper.
+"""The paper's five filter versions and the analyses behind its figures.
 
-``python -m repro run <scenario>`` is the command line over them (see
-``python -m repro list``).
+:mod:`~repro.experiments.designs` builds and implements the five filter
+versions and holds the paper's reference numbers and the per-scale
+campaign configuration; :mod:`~repro.experiments.figures` and
+:mod:`~repro.experiments.ablations` compute the figure summaries and the
+ablation studies.  Tables 2-4 are scenarios of the pipeline engine:
+``python -m repro run table2-fir`` (or ``table3-fir``, ``table4-fir``)
+is the command line and :func:`repro.run_scenario` the library call; see
+``python -m repro list``.
 """
 
 from .designs import (DESIGN_ORDER, PAPER_TABLE2_FMAX, PAPER_TABLE2_SLICES,
                       PAPER_TABLE3_PERCENT, PAPER_TABLE4, SCALES, DesignSuite,
-                      Scale, build_design_suite, device_for, fir_spec_for,
-                      implement_design_suite, scale_by_name, tmr_configs)
-from .table2 import run_table2
-from .table3 import campaign_config_for, run_table3
-from .table4 import run_table4
+                      Scale, build_design_suite, campaign_config_for,
+                      device_for, fir_spec_for, implement_design_suite,
+                      scale_by_name, tmr_configs)
 from .figures import (ascii_partition_diagram, figure1_summary,
                       figure1_upset_demo, figure2_summary, figure3_summary,
                       figure4_summary, run_figures)
@@ -19,10 +23,10 @@ from .ablations import fault_list_mode_study, partition_sweep
 __all__ = [
     "DESIGN_ORDER", "PAPER_TABLE2_FMAX", "PAPER_TABLE2_SLICES",
     "PAPER_TABLE3_PERCENT", "PAPER_TABLE4", "SCALES", "DesignSuite", "Scale",
-    "build_design_suite", "device_for", "fir_spec_for",
-    "implement_design_suite", "scale_by_name", "tmr_configs", "run_table2",
-    "campaign_config_for", "run_table3", "run_table4",
-    "ascii_partition_diagram", "figure1_summary", "figure1_upset_demo",
-    "figure2_summary", "figure3_summary", "figure4_summary", "run_figures",
-    "fault_list_mode_study", "partition_sweep",
+    "build_design_suite", "campaign_config_for", "device_for",
+    "fir_spec_for", "implement_design_suite", "scale_by_name",
+    "tmr_configs", "ascii_partition_diagram", "figure1_summary",
+    "figure1_upset_demo", "figure2_summary", "figure3_summary",
+    "figure4_summary", "run_figures", "fault_list_mode_study",
+    "partition_sweep",
 ]

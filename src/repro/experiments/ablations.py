@@ -24,8 +24,7 @@ from ..core import EveryKth, sweep_partitions
 from ..faults import run_campaign
 from ..faults.engine import BackendLike, resolve_backend
 from ..pnr import Implementation
-from .designs import DesignSuite, build_design_suite
-from .table3 import campaign_config_for
+from .designs import DesignSuite, build_design_suite, campaign_config_for
 
 
 def partition_sweep(suite: Optional[DesignSuite] = None, scale: str = "fast",

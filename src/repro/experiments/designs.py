@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core import (AllComponents, ByComponentType, NoPartition, TMRConfig,
                     TMRResult, apply_tmr)
+from ..faults import CampaignConfig
 from ..fpga import Device, device_by_name
 from ..netlist import Definition, Netlist, flatten
 from ..pnr import Floorplan, Implementation, implement
@@ -133,6 +134,26 @@ def scale_by_name(name: str) -> Scale:
     except KeyError:
         raise KeyError(f"unknown scale {name!r}; available: "
                        + ", ".join(sorted(SCALES))) from None
+
+
+def campaign_config_for(suite: "DesignSuite",
+                        num_faults: Optional[int] = None,
+                        fault_list_mode: str = "design",
+                        seed: int = 2005,
+                        upset_model: str = "single") -> CampaignConfig:
+    """The campaign configuration of *suite*'s scale.
+
+    ``num_faults=None`` takes the scale's default campaign size; the
+    workload length always comes from the scale.
+    """
+    return CampaignConfig(
+        num_faults=num_faults if num_faults is not None
+        else suite.scale.campaign_faults,
+        workload_cycles=suite.scale.workload_cycles,
+        fault_list_mode=fault_list_mode,
+        seed=seed,
+        upset_model=upset_model,
+    )
 
 
 def fir_spec_for(scale: Scale) -> FirSpec:

@@ -2,8 +2,7 @@
 
 from . import categories
 from .cache import (CampaignCache, CampaignCacheEntry, cache_stats,
-                    clear_cache, configure_cache, get_cache,
-                    implementation_fingerprint)
+                    clear_cache, get_cache, implementation_fingerprint)
 from .campaign import (CampaignConfig, CampaignResult, CategoryCount,
                        default_stimulus, run_campaign, run_campaigns)
 from .engine import (BACKEND_CHOICES, BACKENDS, CampaignContext,
@@ -35,7 +34,7 @@ __all__ = [
     "derive_seed", "resolve_backend", "split_shards", "substream",
     # cache layer
     "CampaignCache", "CampaignCacheEntry", "cache_stats", "clear_cache",
-    "configure_cache", "get_cache", "implementation_fingerprint",
+    "get_cache", "implementation_fingerprint",
     # upset-model axis
     "UPSET_MODEL_CHOICES", "UPSET_MODELS", "AccumulatedUpset",
     "MultiBitUpset", "SingleUpset", "UpsetModel", "merged_effect",

@@ -304,13 +304,6 @@ class CampaignCache:
             self._entries.clear()
             self.stats = CacheStats()
 
-    def resize(self, max_entries: int) -> None:
-        """Change the bound, evicting immediately if it shrank."""
-        with self._lock:
-            self.max_entries = max_entries
-            while len(self._entries) > max_entries:
-                self._entries.popitem(last=False)
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -332,8 +325,3 @@ def clear_cache() -> None:
 def cache_stats() -> Dict[str, int]:
     """Hit/miss counters of the process-wide cache."""
     return _GLOBAL_CACHE.stats.as_dict()
-
-
-def configure_cache(max_entries: int) -> None:
-    """Resize the process-wide cache (evicts immediately if shrinking)."""
-    _GLOBAL_CACHE.resize(max_entries)

@@ -94,12 +94,6 @@ class FaultListManager:
         # layout so repeated fault-list builds skip the enumeration.
         return self.layout.pip_bits_by_destination(*tile)
 
-    def _pips_into_node(self, node: Node) -> List[Pip]:
-        from ..fpga.routing import node_tile
-
-        tile = node_tile(self.device, node)
-        return [pip for pip, _bit in self._tile_fanin(tile).get(node, [])]
-
     def _bits_into_node(self, node: Node) -> List[int]:
         from ..fpga.routing import node_tile
 

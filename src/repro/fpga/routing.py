@@ -66,10 +66,6 @@ def pad_input(pad_index: int) -> Node:
     return ("pad_i", pad_index)
 
 
-def node_kind(node: Node) -> str:
-    return node[0]
-
-
 def node_tile(device: Device, node: Node) -> Tuple[int, int]:
     """The tile a node belongs to (a pad belongs to its perimeter tile)."""
     kind = node[0]

@@ -1,8 +1,7 @@
 """SpyDrNet-style netlist intermediate representation and transformations."""
 
 from .ir import (Definition, Direction, Instance, InstancePin, Library, Net,
-                 Netlist, NetlistError, Pin, Port, TopPin, bus_nets,
-                 connect_bus)
+                 Netlist, NetlistError, Pin, Port, TopPin)
 from .builder import NetlistBuilder
 from .transform import (HIER_SEP, clone_definition, flatten,
                         remove_unconnected_instances, uniquify)
@@ -10,22 +9,17 @@ from .traversal import (SEQUENTIAL_CELLS, fanin_cone, fanout_cone,
                         instance_fanin_nets, instance_fanout_nets,
                         is_sequential, logic_depth, multiply_driven_nets,
                         net_driver_instances, net_sink_instances,
-                        primary_input_nets, primary_output_nets,
                         topological_levels, topological_order, undriven_nets)
-from .validate import ValidationIssue, ValidationReport, validate_definition, \
-    validate_netlist
-from .verilog import netlist_to_string, read_netlist, write_netlist
+from .validate import ValidationIssue, ValidationReport, validate_definition
 
 __all__ = [
     "Definition", "Direction", "Instance", "InstancePin", "Library", "Net",
-    "Netlist", "NetlistError", "Pin", "Port", "TopPin", "bus_nets",
-    "connect_bus", "NetlistBuilder", "HIER_SEP", "clone_definition",
-    "flatten", "remove_unconnected_instances", "uniquify",
+    "Netlist", "NetlistError", "Pin", "Port", "TopPin", "NetlistBuilder",
+    "HIER_SEP", "clone_definition", "flatten",
+    "remove_unconnected_instances", "uniquify",
     "SEQUENTIAL_CELLS", "fanin_cone", "fanout_cone", "instance_fanin_nets",
     "instance_fanout_nets", "is_sequential", "logic_depth",
     "multiply_driven_nets", "net_driver_instances", "net_sink_instances",
-    "primary_input_nets", "primary_output_nets", "topological_levels",
-    "topological_order", "undriven_nets", "ValidationIssue",
-    "ValidationReport", "validate_definition", "validate_netlist",
-    "netlist_to_string", "read_netlist", "write_netlist",
+    "topological_levels", "topological_order", "undriven_nets",
+    "ValidationIssue", "ValidationReport", "validate_definition",
 ]

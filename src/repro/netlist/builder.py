@@ -154,15 +154,6 @@ class NetlistBuilder:
         instance.connect(out_port, net, 0)
         return net
 
-    def constant_bus(self, value: int, width: int) -> List[Net]:
-        """Return nets representing *value* as an unsigned bus, LSB first."""
-        if value < 0:
-            value &= (1 << width) - 1
-        nets = []
-        for bit in range(width):
-            nets.append(self.power() if (value >> bit) & 1 else self.ground())
-        return nets
-
     def finish(self, set_top: bool = False) -> Definition:
         """Return the built definition, optionally marking it netlist top."""
         if set_top:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class NetlistError(Exception):
@@ -169,9 +169,6 @@ class Net:
         """Pins that read the value of this net."""
         return [p for p in self.pins if not p.is_driver]
 
-    def instance_pins(self) -> List[InstancePin]:
-        return [p for p in self.pins if isinstance(p, InstancePin)]
-
     def top_pins(self) -> List[TopPin]:
         return [p for p in self.pins if isinstance(p, TopPin)]
 
@@ -211,12 +208,6 @@ class Instance:
     def pins(self) -> Iterator[InstancePin]:
         """Iterate over the pins that have been materialized so far."""
         return iter(list(self._pins.values()))
-
-    def all_pins(self) -> Iterator[InstancePin]:
-        """Iterate over one pin per bit of every port (materializing them)."""
-        for port in self.reference.ports.values():
-            for bit in port.bits():
-                yield self.pin(port.name, bit)
 
     def connect(self, port_name: str, net: Net, index: int = 0) -> InstancePin:
         """Connect port bit *port_name*[*index*] to *net* and return the pin."""
@@ -370,12 +361,6 @@ class Definition:
             if candidate not in self.instances and candidate not in self.nets:
                 return candidate
 
-    def primitive_instances(self) -> List[Instance]:
-        return [i for i in self.instances.values() if i.is_primitive]
-
-    def hierarchical_instances(self) -> List[Instance]:
-        return [i for i in self.instances.values() if not i.is_primitive]
-
     def count_primitives(self) -> Dict[str, int]:
         """Count leaf cells by type, recursing through hierarchy."""
         counts: Dict[str, int] = {}
@@ -468,14 +453,3 @@ class Netlist:
     def __repr__(self) -> str:
         top = self.top.name if self.top is not None else None
         return f"Netlist({self.name!r}, top={top!r})"
-
-
-def bus_nets(definition: Definition, base_name: str, width: int) -> List[Net]:
-    """Create *width* nets named ``base_name[i]`` and return them LSB-first."""
-    return [definition.add_net(f"{base_name}[{i}]") for i in range(width)]
-
-
-def connect_bus(instance: Instance, port_name: str, nets: Iterable[Net]) -> None:
-    """Connect an iterable of nets (LSB first) to the bits of a bus port."""
-    for index, net in enumerate(nets):
-        instance.connect(port_name, net, index)

@@ -200,24 +200,6 @@ def fanout_cone(instance: Instance,
     return seen
 
 
-def primary_input_nets(definition: Definition) -> List[Net]:
-    """Nets driven by the definition's own input ports."""
-    nets = []
-    for pin in definition.top_pins():
-        if pin.is_driver and pin.net is not None:
-            nets.append(pin.net)
-    return nets
-
-
-def primary_output_nets(definition: Definition) -> List[Net]:
-    """Nets read by the definition's own output ports."""
-    nets = []
-    for pin in definition.top_pins():
-        if not pin.is_driver and pin.net is not None:
-            nets.append(pin.net)
-    return nets
-
-
 def undriven_nets(definition: Definition) -> List[Net]:
     """Nets with at least one sink but no driver."""
     result = []

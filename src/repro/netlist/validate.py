@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from .ir import Definition, Direction, Netlist
+from .ir import Definition, Direction
 from .traversal import (floating_nets, multiply_driven_nets, topological_levels, undriven_nets)
 from .ir import NetlistError
 
@@ -119,12 +119,3 @@ def validate_definition(definition: Definition,
             report.add("error", "combinational-loop", str(exc), definition.name)
 
     return report
-
-
-def validate_netlist(netlist: Netlist, **kwargs) -> ValidationReport:
-    """Validate the top definition of *netlist*."""
-    if netlist.top is None:
-        report = ValidationReport()
-        report.add("error", "no-top", "netlist has no top definition")
-        return report
-    return validate_definition(netlist.top, **kwargs)

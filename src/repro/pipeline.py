@@ -31,7 +31,7 @@ the campaign service and the CI gate alike.
 
 Scenario *definitions* (which designs, which axes, which analyses) live in
 :mod:`repro.scenarios`; this module only knows how to execute one resolved
-configuration.
+:class:`~repro.scenarios.Scenario`, which is the one description of a run.
 """
 
 from __future__ import annotations
@@ -41,26 +41,34 @@ import hashlib
 import platform
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from . import __version__
 from .analysis import (area_overhead, best_partition, improvement_factor,
                        performance_degradation, resource_table,
                        routing_effect_share)
-from .faults import (CampaignConfig, CampaignResult, cache_stats,
-                     resolve_backend, resolve_upset_model, run_campaign)
+from .faults import (CampaignResult, cache_stats, resolve_backend,
+                     resolve_upset_model, run_campaign)
+from .pnr import Implementation
 from .pnr.artifacts import TOOL_VERSION, StoreLike, resolve_store
-from .experiments.designs import (DESIGN_ORDER, PAPER_TABLE2_FMAX,
-                                  PAPER_TABLE2_SLICES, PAPER_TABLE3_PERCENT,
-                                  PAPER_TABLE4, DesignSuite,
-                                  build_design_suite,
+from .experiments.designs import (PAPER_TABLE2_FMAX, PAPER_TABLE2_SLICES,
+                                  PAPER_TABLE3_PERCENT, PAPER_TABLE4,
+                                  DesignSuite, build_design_suite,
+                                  campaign_config_for,
                                   implement_design_suite)
+
+if TYPE_CHECKING:
+    from .scenarios import Scenario
 
 #: Identity of the report layout emitted by :func:`build_report`.  Bump when
 #: a key is renamed or its meaning changes; additions are backward
 #: compatible.  All keys are snake_case — the drivers historically mixed
 #: casings, this schema is now the only JSON surface.
 REPORT_SCHEMA = "repro.scenario-report/1"
+
+#: Machine-facing progress hook: ``(design, faults done, faults total)``.
+ProgressCallback = Callable[[str, int, int], None]
 
 #: Suites already built this process, keyed by their build recipe.
 _SUITE_MEMO: Dict[Tuple, DesignSuite] = {}
@@ -72,61 +80,43 @@ _SUITE_MEMO: Dict[Tuple, DesignSuite] = {}
 class PipelineContext:
     """Mutable state threaded through one pipeline run.
 
-    Holds the resolved knobs of one scenario variant plus the artefacts
-    the stages produce (suite, implementations, campaign results, derived
-    analyses).  Callers may pre-seed ``suite`` / ``implementations`` to
-    skip the corresponding stages' work — ``run_table2``/``run_table3``
-    use this to keep their historical signatures.
+    Every experiment knob (scale, backend, upset model, fault list,
+    seed, floorplan, partition selector, analyses) is read from
+    ``scenario``, one resolved scenario variant.  The context adds only
+    how the run is delivered (flow-worker count, flow store, progress
+    reporting) and the artefacts the stages produce (suite,
+    implementations, campaign results, derived analyses).  ``designs``
+    starts as the scenario's list; the build stage fills it in when the
+    shortlist selector derives the designs.
     """
 
-    def __init__(self, scenario_id: str = "custom",
-                 scale: str = "fast",
-                 designs: Sequence[str] = DESIGN_ORDER,
-                 backend: str = "serial",
-                 upset_model: str = "single",
-                 fault_list_mode: str = "design",
-                 num_faults: Optional[int] = None,
-                 seed: int = 2005,
-                 jobs: int = 1,
+    def __init__(self, scenario: "Scenario", *, jobs: int = 1,
                  flow_cache: StoreLike = None,
-                 floorplan_domains: bool = False,
-                 partition_selector: str = "canonical",
-                 shortlist_size: int = 3,
-                 analyses: Sequence[str] = (),
                  progress: bool = False,
-                 progress_callback: Optional[Callable[[str, int, int],
-                                                      None]] = None) -> None:
-        self.scenario_id = scenario_id
-        self.scale = scale
-        self.designs: List[str] = list(designs)
-        self.backend = backend
-        self.upset_model = upset_model
-        self.fault_list_mode = fault_list_mode
-        self.num_faults = num_faults
-        self.seed = seed
+                 progress_callback: Optional[ProgressCallback] = None
+                 ) -> None:
+        self.scenario = scenario
+        self.designs: List[str] = list(scenario.designs)
         self.jobs = jobs
         self.store = resolve_store(flow_cache)
-        self.floorplan_domains = floorplan_domains
-        self.partition_selector = partition_selector
-        self.shortlist_size = shortlist_size
-        self.analyses: List[str] = list(analyses)
         self.progress = progress
         #: machine-facing progress hook ``(design, done, total)`` — the
         #: service's job monitor; independent of the human ``progress`` flag
         self.progress_callback = progress_callback
         # artefacts produced by the stages
         self.suite: Optional[DesignSuite] = None
-        self.implementations: Optional[Dict[str, object]] = None
+        self.implementations: Optional[Dict[str, Implementation]] = None
         self.campaigns: Dict[str, CampaignResult] = {}
         self.derived: Dict[str, object] = {}
 
     def identity(self) -> str:
         """The run-invariant part of every stage fingerprint."""
-        return (f"scenario={self.scenario_id}|scale={self.scale}"
+        scenario = self.scenario
+        return (f"scenario={scenario.id}|scale={scenario.scale}"
                 f"|designs={','.join(self.designs)}"
-                f"|partitions={self.partition_selector}"
-                f":{self.shortlist_size}"
-                f"|floorplan={self.floorplan_domains}"
+                f"|partitions={scenario.partition_selector}"
+                f":{scenario.shortlist_size}"
+                f"|floorplan={scenario.floorplan_domains}"
                 f"|flow={TOOL_VERSION}")
 
 
@@ -220,14 +210,14 @@ class BuildStage(Stage):
         return ctx.identity()
 
     def run(self, ctx: PipelineContext) -> Dict[str, object]:
-        memo_hit = ctx.suite is not None
-        if ctx.suite is None:
-            ctx.suite, generated, memo_hit = get_suite(
-                ctx.scale, ctx.partition_selector, ctx.shortlist_size)
-            # An empty design list means "derived by the build stage"; an
-            # explicit list (e.g. a --design restriction) is honoured.
-            if ctx.partition_selector == "shortlist" and not ctx.designs:
-                ctx.designs = ["standard"] + generated
+        scenario = ctx.scenario
+        ctx.suite, generated, memo_hit = get_suite(
+            scenario.scale, scenario.partition_selector,
+            scenario.shortlist_size)
+        # An empty design list means "derived by the build stage"; an
+        # explicit list (e.g. a --design restriction) is honoured.
+        if scenario.partition_selector == "shortlist" and not ctx.designs:
+            ctx.designs = ["standard"] + generated
         missing = [name for name in ctx.designs
                    if name not in ctx.suite.flat]
         if missing:
@@ -259,17 +249,13 @@ class ImplementStage(Stage):
 
     def run(self, ctx: PipelineContext) -> Dict[str, object]:
         assert ctx.suite is not None, "build stage must run first"
-        if ctx.implementations is None:
-            ctx.implementations = implement_design_suite(
-                ctx.suite, designs=list(ctx.designs),
-                floorplan_domains=ctx.floorplan_domains,
-                jobs=ctx.jobs, artifact_store=ctx.store)
-        summary: Dict[str, object] = {}
-        for name in ctx.designs:
-            implementation = ctx.implementations.get(name)
-            if implementation is not None:
-                summary[name] = implementation.summary()
-        return {"implementations": summary}
+        ctx.implementations = implement_design_suite(
+            ctx.suite, designs=list(ctx.designs),
+            floorplan_domains=ctx.scenario.floorplan_domains,
+            jobs=ctx.jobs, artifact_store=ctx.store)
+        return {"implementations": {
+            name: implementation.summary()
+            for name, implementation in ctx.implementations.items()}}
 
 
 class CampaignStage(Stage):
@@ -281,10 +267,12 @@ class CampaignStage(Stage):
         # The backend is deliberately absent: every backend produces
         # bit-identical campaign results, so it does not change the result
         # identity (it is still recorded in the report).
-        return (f"{ctx.identity()}|seed={ctx.seed}"
-                f"|faults={ctx.num_faults}"
-                f"|model={resolve_upset_model(ctx.upset_model).describe()}"
-                f"|mode={ctx.fault_list_mode}")
+        scenario = ctx.scenario
+        model = resolve_upset_model(scenario.upset_model).describe()
+        return (f"{ctx.identity()}|seed={scenario.seed}"
+                f"|faults={scenario.num_faults}"
+                f"|model={model}"
+                f"|mode={scenario.fault_list_mode}")
 
     def cache_snapshot(self, ctx: PipelineContext) -> Dict[str, int]:
         return dict(cache_stats())
@@ -293,19 +281,14 @@ class CampaignStage(Stage):
         assert ctx.implementations is not None, \
             "implement stage must run first"
         assert ctx.suite is not None
-        config = CampaignConfig(
-            num_faults=ctx.num_faults if ctx.num_faults is not None
-            else ctx.suite.scale.campaign_faults,
-            workload_cycles=ctx.suite.scale.workload_cycles,
-            fault_list_mode=ctx.fault_list_mode,
-            seed=ctx.seed,
-            upset_model=ctx.upset_model,
-        )
-        engine = resolve_backend(ctx.backend)
+        scenario = ctx.scenario
+        config = campaign_config_for(
+            ctx.suite, scenario.num_faults,
+            fault_list_mode=scenario.fault_list_mode, seed=scenario.seed,
+            upset_model=scenario.upset_model)
+        engine = resolve_backend(scenario.backend)
         execution: Dict[str, object] = {}
         for name in ctx.designs:
-            if name not in ctx.implementations:
-                continue
             callback = None
             if ctx.progress_callback is not None:
                 monitor = ctx.progress_callback
@@ -326,7 +309,8 @@ class CampaignStage(Stage):
             "injected": {name: result.injected
                          for name, result in ctx.campaigns.items()},
             "backend": engine.name,
-            "upset_model": resolve_upset_model(ctx.upset_model).describe(),
+            "upset_model": resolve_upset_model(
+                scenario.upset_model).describe(),
             # Per-design execution provenance (shard counts, retries,
             # checkpoint hits, backend degradations).  Volatile by
             # definition — a resumed run reports checkpoint hits where a
@@ -365,11 +349,11 @@ def table4_claims(results: Dict[str, CampaignResult]) -> Dict[str, object]:
     return claims
 
 
-def resources_analysis(ctx: PipelineContext) -> Dict[str, object]:
+def resources_analysis(implementations: Dict[str, Implementation],
+                       designs: Sequence[str]) -> Dict[str, object]:
     """The Table 2 analogue: per-design resources and overheads."""
-    assert ctx.implementations is not None
-    rows = resource_table(ctx.implementations, order=ctx.designs)
-    reference = "standard" if "standard" in ctx.implementations \
+    rows = resource_table(implementations, order=designs)
+    reference = "standard" if "standard" in implementations \
         else rows[0].design
     overhead = area_overhead(rows, reference)
     slowdown = performance_degradation(rows, reference)
@@ -382,6 +366,11 @@ def resources_analysis(ctx: PipelineContext) -> Dict[str, object]:
         entry["paper_fmax_mhz"] = PAPER_TABLE2_FMAX.get(row.design)
         table[row.design] = entry
     return table
+
+
+def _analyze_resources(ctx: PipelineContext) -> Dict[str, object]:
+    assert ctx.implementations is not None, "implement stage must run first"
+    return resources_analysis(ctx.implementations, ctx.designs)
 
 
 def _analyze_table3(ctx: PipelineContext) -> Dict[str, object]:
@@ -427,8 +416,8 @@ def _defeat_maps_of(ctx: PipelineContext) -> Dict[str, object]:
 
     assert ctx.implementations is not None, "implement stage must run first"
     return {name: defeat_map_for(ctx.implementations[name],
-                                 mode=ctx.fault_list_mode)
-            for name in ctx.designs if name in ctx.implementations}
+                                 mode=ctx.scenario.fault_list_mode)
+            for name in ctx.designs}
 
 
 def _analyze_defeat_map(ctx: PipelineContext) -> Dict[str, object]:
@@ -475,7 +464,7 @@ def _analyze_prediction(ctx: PipelineContext) -> Dict[str, object]:
 
 #: analysis name -> function(ctx) -> JSON-serializable summary
 ANALYSES = {
-    "resources": resources_analysis,
+    "resources": _analyze_resources,
     "table3": _analyze_table3,
     "table4": _analyze_table4,
     "figures": _analyze_figures,
@@ -492,15 +481,17 @@ class AnalyzeStage(Stage):
     name = "analyze"
 
     def _inputs(self, ctx: PipelineContext) -> str:
-        return f"{ctx.identity()}|analyses={','.join(ctx.analyses)}"
+        analyses = ctx.scenario.analyses
+        return f"{ctx.identity()}|analyses={','.join(analyses)}"
 
     def run(self, ctx: PipelineContext) -> Dict[str, object]:
-        for analysis in ctx.analyses:
+        analyses = ctx.scenario.analyses
+        for analysis in analyses:
             if analysis not in ANALYSES:
                 raise KeyError(f"unknown analysis {analysis!r}; available: "
                                f"{sorted(ANALYSES)}")
             ctx.derived[analysis] = ANALYSES[analysis](ctx)
-        return {"analyses": list(ctx.analyses)}
+        return {"analyses": list(analyses)}
 
 
 #: stage name -> class, the library scenarios compose their pipelines from
@@ -587,10 +578,7 @@ def _campaign_entry(result: CampaignResult) -> Dict[str, object]:
     }
 
 
-def report_provenance(scenario_id: str, scale: str, seed: int,
-                      backend: object, upset_model: object,
-                      fault_list_mode: str,
-                      num_faults: Optional[int]) -> Dict[str, object]:
+def report_provenance(scenario: "Scenario") -> Dict[str, object]:
     """The provenance block shared by every report (single-run or matrix).
 
     Backend and upset-model specs are resolved to their canonical names
@@ -598,13 +586,13 @@ def report_provenance(scenario_id: str, scale: str, seed: int,
     """
     return {
         "schema": REPORT_SCHEMA,
-        "scenario": scenario_id,
-        "scale": scale,
-        "seed": seed,
-        "backend": resolve_backend(backend).name,
-        "upset_model": resolve_upset_model(upset_model).describe(),
-        "fault_list_mode": fault_list_mode,
-        "num_faults": num_faults,
+        "scenario": scenario.id,
+        "scale": scenario.scale,
+        "seed": scenario.seed,
+        "backend": resolve_backend(scenario.backend).name,
+        "upset_model": resolve_upset_model(scenario.upset_model).describe(),
+        "fault_list_mode": scenario.fault_list_mode,
+        "num_faults": scenario.num_faults,
         "tool_version": {
             "repro": __version__,
             "flow": TOOL_VERSION,
@@ -630,9 +618,7 @@ def build_report(ctx: PipelineContext,
             entry["campaign"] = _campaign_entry(ctx.campaigns[name])
         if entry:
             designs[name] = entry
-    report = report_provenance(ctx.scenario_id, ctx.scale, ctx.seed,
-                               ctx.backend, ctx.upset_model,
-                               ctx.fault_list_mode, ctx.num_faults)
+    report = report_provenance(ctx.scenario)
     report.update({
         "designs": designs,
         "derived": ctx.derived,

@@ -55,12 +55,6 @@ class Placement:
     #: total half-perimeter wirelength after placement
     wirelength: int = 0
 
-    def tile_of_cell(self, cell_name: str) -> Tuple[int, int]:
-        return self.cell_tiles[cell_name]
-
-    def pad_of_port(self, port: str, bit: int) -> int:
-        return self.port_pads[(port, bit)]
-
 
 def _domain_of_slice(definition: Definition, pack_result: PackResult,
                      slice_index: int) -> Optional[int]:

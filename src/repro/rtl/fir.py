@@ -93,9 +93,6 @@ class FirComponents:
     multipliers: List[str] = dataclasses.field(default_factory=list)
     adders: List[str] = dataclasses.field(default_factory=list)
 
-    def all_components(self) -> List[str]:
-        return self.registers + self.multipliers + self.adders
-
 
 def build_fir(netlist: Netlist, spec: Optional[FirSpec] = None,
               cell_library: Optional[Library] = None,

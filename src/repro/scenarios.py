@@ -24,14 +24,16 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from .experiments.designs import DESIGN_ORDER, scale_by_name
 from .faults import (FAULT_LIST_MODES, resolve_backend,
                      resolve_upset_model)
-from .pipeline import PipelineContext, StoreLike, pipeline_for
+from .pipeline import (PipelineContext, ProgressCallback, StoreLike,
+                       pipeline_for, report_provenance)
 
-#: One matrix axis: a PipelineContext field name and its candidate values.
+#: One matrix axis: a Scenario field name and its candidate values.
 Axis = Tuple[str, Tuple[object, ...]]
 
 
@@ -74,33 +76,10 @@ class Scenario:
             return
         fields = [axis[0] for axis in self.axes]
         for combo in itertools.product(*(axis[1] for axis in self.axes)):
-            overrides = dict(zip(fields, combo))
+            overrides: Dict[str, Any] = dict(zip(fields, combo))
             variant_id = ",".join(f"{field}={value}"
                                   for field, value in overrides.items())
             yield variant_id, dataclasses.replace(self, axes=(), **overrides)
-
-    def context(self, *, jobs: int = 1, flow_cache: StoreLike = None,
-                progress: bool = False,
-                progress_callback=None) -> PipelineContext:
-        """A pipeline context carrying this scenario's resolved knobs."""
-        return PipelineContext(
-            scenario_id=self.id,
-            scale=self.scale,
-            designs=self.designs,
-            backend=self.backend,
-            upset_model=self.upset_model,
-            fault_list_mode=self.fault_list_mode,
-            num_faults=self.num_faults,
-            seed=self.seed,
-            jobs=jobs,
-            flow_cache=flow_cache,
-            floorplan_domains=self.floorplan_domains,
-            partition_selector=self.partition_selector,
-            shortlist_size=self.shortlist_size,
-            analyses=self.analyses,
-            progress=progress,
-            progress_callback=progress_callback,
-        )
 
 
 #: The registry, in registration order (also the ``repro list`` order).
@@ -330,11 +309,13 @@ register_scenario(Scenario(
 def validate_scenario(scenario: Scenario) -> None:
     """Reject a scenario whose knobs cannot run, before any work starts.
 
-    Checks the backend, upset model, scale and fault-list mode
-    of every matrix variant and raises :class:`ValueError` (or
-    :class:`KeyError` for an unknown scale).  :func:`run_scenario` calls
-    it before the expensive build/implement stages, and the campaign
-    service before it queues or journals a submission.
+    Checks the backend, upset model, scale, fault-list mode, fault count
+    and (under the canonical partition selector, whose design names are
+    known before the build) the designs of every matrix variant, and
+    raises :class:`ValueError` (or :class:`KeyError` for an unknown
+    scale).  :func:`run_scenario` calls it before the expensive
+    build/implement stages, and the campaign service before it queues or
+    journals a submission.
     """
     for _, variant in scenario.variants():
         resolve_backend(variant.backend)
@@ -344,6 +325,18 @@ def validate_scenario(scenario: Scenario) -> None:
             raise ValueError(f"unknown fault-list mode "
                              f"{variant.fault_list_mode!r}; choose from "
                              f"{FAULT_LIST_MODES}")
+        faults = variant.num_faults
+        if faults is not None and (isinstance(faults, bool)
+                                   or not isinstance(faults, int)
+                                   or faults < 0):
+            raise ValueError(f"num_faults must be a non-negative integer, "
+                             f"not {faults!r}")
+        if variant.partition_selector == "canonical":
+            unknown = [name for name in variant.designs
+                       if name not in DESIGN_ORDER]
+            if unknown:
+                raise ValueError(f"unknown designs {unknown}; choose from "
+                                 f"{DESIGN_ORDER}")
 
 
 def resolve_scenario(scenario: Union[str, Scenario],
@@ -357,8 +350,9 @@ def resolve_scenario(scenario: Union[str, Scenario],
     """
     if isinstance(scenario, str):
         scenario = scenario_by_name(scenario)
-    given = {name: value for name, value in overrides.items()
-             if value is not None}
+    given: Dict[str, Any] = {name: value
+                             for name, value in overrides.items()
+                             if value is not None}
     if "designs" in given:
         given["designs"] = tuple(given["designs"])
     if not given:
@@ -379,7 +373,7 @@ def run_scenario(scenario: Union[str, Scenario], *,
                  jobs: int = 1,
                  flow_cache: StoreLike = None,
                  progress: bool = False,
-                 progress_callback=None,
+                 progress_callback: Optional[ProgressCallback] = None,
                  repeat: int = 1) -> Dict[str, object]:
     """Run one scenario (expanding its matrix axes) and return the report.
 
@@ -413,11 +407,12 @@ def run_scenario(scenario: Union[str, Scenario], *,
 
 
 def _run_once(scenario: Scenario, *, jobs: int, flow_cache: StoreLike,
-              progress: bool, progress_callback=None,
+              progress: bool,
+              progress_callback: Optional[ProgressCallback] = None,
               keepalive: Optional[List[PipelineContext]] = None
               ) -> Dict[str, object]:
     def execute(variant: Scenario) -> Dict[str, object]:
-        ctx = variant.context(jobs=jobs, flow_cache=flow_cache,
+        ctx = PipelineContext(variant, jobs=jobs, flow_cache=flow_cache,
                               progress=progress,
                               progress_callback=progress_callback)
         if keepalive is not None:
@@ -431,12 +426,7 @@ def _run_once(scenario: Scenario, *, jobs: int, flow_cache: StoreLike,
     runs: Dict[str, object] = {}
     for variant_id, variant in variants:
         runs[variant_id] = execute(variant)
-    from .pipeline import report_provenance
-
-    report = report_provenance(scenario.id, scenario.scale, scenario.seed,
-                               scenario.backend, scenario.upset_model,
-                               scenario.fault_list_mode,
-                               scenario.num_faults)
+    report = report_provenance(scenario)
     report.update({
         "axes": [{"field": field, "values": list(values)}
                  for field, values in scenario.axes],

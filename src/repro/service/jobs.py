@@ -114,8 +114,13 @@ class JobSpec:
         if "scenario" not in data:
             raise ValueError("job spec needs a 'scenario' field")
         kwargs = dict(data)
-        if kwargs.get("designs") is not None:
-            kwargs["designs"] = tuple(kwargs["designs"])
+        designs = kwargs.get("designs")
+        if designs is not None:
+            # tuple("standard") would split a bare name into letters
+            if not isinstance(designs, (list, tuple)):
+                raise ValueError(f"designs must be a list of design "
+                                 f"names, not {designs!r}")
+            kwargs["designs"] = tuple(designs)
         return cls(**kwargs)
 
 

@@ -301,8 +301,8 @@ class FaultCone:
 
     # Cones are memoized per seed-net tuple (repro.faults.cache and the
     # campaign context), so one cone object serves many simulations; the
-    # membership sets the simulators filter programs with are memoized
-    # alongside instead of being rebuilt from the sorted lists per run.
+    # gate membership set the simulators filter programs with is memoized
+    # alongside instead of being rebuilt from the sorted list per run.
     @property
     def gate_set(self) -> frozenset:
         cached = self.__dict__.get("_gate_set")
@@ -311,24 +311,7 @@ class FaultCone:
             self._gate_set = cached
         return cached
 
-    @property
-    def ff_set(self) -> frozenset:
-        cached = self.__dict__.get("_ff_set")
-        if cached is None:
-            cached = frozenset(self.ff_indices)
-            self._ff_set = cached
-        return cached
-
-    @property
-    def net_set(self) -> frozenset:
-        cached = self.__dict__.get("_net_set")
-        if cached is None:
-            cached = frozenset(self.net_indices)
-            self._net_set = cached
-        return cached
-
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        for memo in ("_gate_set", "_ff_set", "_net_set"):
-            state.pop(memo, None)
+        state.pop("_gate_set", None)
         return state

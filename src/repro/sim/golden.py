@@ -88,12 +88,6 @@ def compare_traces(dut: SimulationTrace, golden: SimulationTrace,
     )
 
 
-def outputs_as_ints(trace: SimulationTrace, port: str,
-                    signed: bool = True) -> List[Optional[int]]:
-    """Convenience re-export of :meth:`SimulationTrace.output_ints`."""
-    return trace.output_ints(port, signed)
-
-
 def trace_matches_reference(trace: SimulationTrace, port: str,
                             reference: Sequence[int], signed: bool = True,
                             skip_cycles: int = 0) -> bool:

@@ -75,10 +75,6 @@ class GateBuilder:
     def nor2(self, a: Net, b: Net, output: Optional[Net] = None) -> Net:
         return self.lut(lut_inits.INIT_NOR2, [a, b], output, "nor")
 
-    def andnot2(self, a: Net, b: Net, output: Optional[Net] = None) -> Net:
-        """a AND (NOT b)."""
-        return self.lut(lut_inits.INIT_ANDNOT2, [a, b], output, "andnot")
-
     def and3(self, a: Net, b: Net, c: Net, output: Optional[Net] = None) -> Net:
         return self.lut(lut_inits.INIT_AND3, [a, b, c], output, "and3")
 
@@ -130,29 +126,6 @@ class GateBuilder:
 
     def constant(self, value: int) -> Net:
         return self.builder.power() if value else self.builder.ground()
-
-    def reduce_or(self, nets: Sequence[Net]) -> Net:
-        """OR-reduce an arbitrary number of nets with a LUT tree."""
-        remaining = list(nets)
-        if not remaining:
-            return self.builder.ground()
-        while len(remaining) > 1:
-            next_level: List[Net] = []
-            index = 0
-            while index < len(remaining):
-                chunk = remaining[index:index + 4]
-                index += 4
-                if len(chunk) == 1:
-                    next_level.append(chunk[0])
-                elif len(chunk) == 2:
-                    next_level.append(self.or2(chunk[0], chunk[1]))
-                elif len(chunk) == 3:
-                    next_level.append(self.or3(chunk[0], chunk[1], chunk[2]))
-                else:
-                    next_level.append(self.lut(lut_inits.INIT_OR4, chunk,
-                                               None, "or4"))
-            remaining = next_level
-        return remaining[0]
 
     def equal_const(self, word: Sequence[Net], value: int) -> Net:
         """Comparator: 1 when *word* equals the unsigned constant *value*."""

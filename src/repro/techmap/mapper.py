@@ -27,10 +27,6 @@ class MapperReport:
     merges: int = 0
     passes: int = 0
 
-    @property
-    def luts_removed(self) -> int:
-        return self.luts_before - self.luts_after
-
 
 def _is_lut(instance: Instance) -> bool:
     return instance.reference.name in LUT_CELLS

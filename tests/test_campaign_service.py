@@ -512,9 +512,12 @@ class TestCampaignService:
                 stable_report(first.report)
 
     def test_failed_job_surfaces_error(self, tmp_path):
+        # Shortlist design names exist only once the build stage ran, so
+        # this spec passes submit-time validation and fails in the worker.
+        spec = dataclasses.replace(tiny_spec(designs=("no-such-design",)),
+                                   scenario="partition-shortlist")
         with CampaignService(tier=tmp_path / "tier") as service:
-            job = service.run(tiny_spec(designs=("no-such-design",)),
-                              timeout=300)
+            job = service.run(spec, timeout=300)
             assert job.state == JobState.FAILED
             assert "no-such-design" in job.error
 
@@ -615,6 +618,22 @@ class TestHttpApi:
         ("fault_list_mode", "nope", "unknown fault-list mode"),
     ])
     def test_unrunnable_spec_is_400_and_never_journaled(
+            self, served, field, value, message):
+        service, url = served
+        with pytest.raises(RuntimeError, match=rf"\(400\).*{message}"):
+            submit_job(url, {"scenario": "table3-fir", field: value})
+        assert service.queue.jobs() == []
+        assert service.journal.replay().replayed == 0
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("designs", "standard", "designs must be a list"),
+        ("designs", ["TMR_p9"], "unknown designs"),
+        ("num_faults", -5, "num_faults must be a non-negative integer"),
+        ("num_faults", "many", "num_faults must be a non-negative integer"),
+        ("num_faults", True, "num_faults must be a non-negative integer"),
+    ], ids=["bare-design-name", "unknown-design", "negative-faults",
+            "string-faults", "bool-faults"])
+    def test_unrunnable_designs_or_faults_are_400_and_never_journaled(
             self, served, field, value, message):
         service, url = served
         with pytest.raises(RuntimeError, match=rf"\(400\).*{message}"):

@@ -140,11 +140,12 @@ class TestFingerprint:
         # earlier releases must keep hitting, so neither key may drift
         # unless TOOL_VERSION is bumped on purpose.
         from repro import SCENARIOS
+        from repro.pipeline import PipelineContext
 
         assert flow_fingerprint(tiny_fir_flat, small_device) == (
             "3cad3083af6b290cd208aba6334a9929"
             "f61ae0465baf14f6837ef1b505bfc69c")
-        assert SCENARIOS["table3-fir"].context().identity() == (
+        assert PipelineContext(SCENARIOS["table3-fir"]).identity() == (
             "scenario=table3-fir|scale=fast"
             "|designs=standard,TMR_p1,TMR_p2,TMR_p3,TMR_p3_nv"
             "|partitions=canonical:3|floorplan=False|flow=flow-1")
@@ -171,8 +172,9 @@ class TestSuiteIntegration:
     def test_tables_identical_cold_vs_cache_hit(self, smoke_suite, tmp_path):
         import json
 
-        from repro.experiments import (implement_design_suite, run_table3,
-                                       run_table4)
+        from repro.experiments import (campaign_config_for,
+                                       implement_design_suite)
+        from repro.faults import run_campaign
 
         store = FlowArtifactStore(tmp_path / "suite-cache")
         designs = ["standard", "TMR_p3"]
@@ -185,12 +187,14 @@ class TestSuiteIntegration:
             _same_implementation(cold[name], warm[name])
 
         def tables(implementations):
-            results = run_table3(suite=smoke_suite,
-                                 implementations=implementations,
-                                 num_faults=40, backend="vector")
+            config = campaign_config_for(smoke_suite, 40)
+            results = {name: run_campaign(implementations[name], config,
+                                          backend="vector")
+                       for name in designs}
             payload = {name: result.summary_row()
                        for name, result in results.items()}
-            payload["table4"] = run_table4(results)
+            payload["table4"] = {name: result.effect_table()
+                                 for name, result in results.items()}
             return json.dumps(payload, sort_keys=True, default=str)
 
         assert tables(cold) == tables(warm)

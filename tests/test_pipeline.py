@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -56,11 +57,33 @@ class TestRegistry:
         assert "runs" not in report
         assert report["backend"] == "vector"
 
+    def test_identities_pinned_to_recorded_digest(self):
+        # Every stage fingerprint chains on the context identity, so the
+        # identity of every built-in scenario and matrix variant (designs
+        # still empty before the shortlist build) must not drift.
+        builtin = ("table2-fir", "table3-fir", "huge-fir", "chaos-fir",
+                   "table4-fir", "figures-fir", "figure1-upsets",
+                   "ablation-sweep", "floorplan-fir", "mbu-fir",
+                   "accumulate-fir", "upset-matrix", "backend-matrix",
+                   "defeat-map-fir", "prediction-vs-campaign",
+                   "partition-shortlist")
+        lines = []
+        for name in builtin:
+            scenario = SCENARIOS[name]
+            lines.append(PipelineContext(scenario).identity())
+            for variant_id, variant in scenario.variants():
+                lines.append(
+                    f"{variant_id}:{PipelineContext(variant).identity()}")
+        assert len(lines) == 37
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "4c3ee766d5745aabf5f1564a1fd9b9b654e824221b6a8b1c79485d858812a63c")
+
     def test_unknown_stage_and_analysis(self):
         with pytest.raises(KeyError, match="unknown pipeline stage"):
             pipeline_for(("build", "deploy"))
-        ctx = PipelineContext(scale="tiny", designs=("standard",),
-                              analyses=("tableau",))
+        ctx = PipelineContext(Scenario(id="custom", title="custom",
+                                       scale="tiny", designs=("standard",),
+                                       analyses=("tableau",)))
         with pytest.raises(KeyError, match="unknown analysis"):
             pipeline_for(("build", "analyze")).run(ctx)
 
@@ -69,8 +92,8 @@ class TestPipelineRuns:
     def test_table3_scenario_matches_direct_campaign_loop(self, flow_store):
         """The pipeline path reproduces the plain run_campaign loop."""
         from repro.experiments import (DESIGN_ORDER, build_design_suite,
+                                       campaign_config_for,
                                        implement_design_suite)
-        from repro.experiments.table3 import campaign_config_for
         from repro.faults import run_campaign
 
         suite = build_design_suite("tiny")
@@ -208,30 +231,6 @@ class TestFigure1Upsets:
             assert (example is None) == (demo[count] == 0)
             if example is not None:
                 assert example["wrong_answer"] is wrong
-
-
-class TestDriverParity:
-    def test_run_table3_equals_scenario(self, flow_store):
-        from repro.experiments import DESIGN_ORDER, run_table3
-
-        results = run_table3(scale="tiny", num_faults=TINY["num_faults"],
-                             flow_cache=flow_store)
-        report = run_scenario("table3-fir", flow_cache=flow_store, **TINY)
-        for name in DESIGN_ORDER:
-            row = results[name].summary_row()
-            campaign = report["designs"][name]["campaign"]
-            assert (campaign["injected"], campaign["wrong"]) == \
-                (row["injected"], row["wrong"])
-
-    def test_run_table2_matches_resources_analysis(self, flow_store):
-        from repro.experiments import run_table2
-
-        table = run_table2(scale="tiny", flow_cache=flow_store)
-        report = run_scenario("table2-fir", scale="tiny",
-                              flow_cache=flow_store)
-        assert set(table) == set(report["derived"]["resources"])
-        for name, entry in table.items():
-            assert entry == report["derived"]["resources"][name]
 
 
 class TestCommandLine:
