@@ -28,6 +28,7 @@ Knobs: ``REPRO_BENCH_SCALE`` / ``REPRO_BENCH_FAULTS`` (see conftest).
 """
 
 import dataclasses
+import gc
 import json
 import os
 import time
@@ -120,6 +121,10 @@ def _seed_serial_loop(implementation, config: CampaignConfig) -> dict:
 
 
 def _timed(thunk):
+    # Every timed leg, seed loop and backend alike, starts from the same
+    # collector state: what the previous leg left is collected off the
+    # clock instead of in a pause inside a ~15 ms campaign.
+    gc.collect()
     start = time.perf_counter()
     value = thunk()
     return value, time.perf_counter() - start

@@ -55,7 +55,7 @@ from ..sim.bitparallel import (VectorProgram, VectorResult,
                                simulate_lanes)
 from ..sim.compile import CompiledDesign, FaultCone
 from ..sim.golden import compare_traces
-from ..sim.overlay import FaultOverlay
+from ..sim.overlay import FaultOverlay, Lanes
 from ..sim.simulator import SimulationTrace, Simulator
 from .cache import CacheStats, CampaignCacheEntry, get_cache
 from .injector import FaultResult
@@ -224,14 +224,14 @@ class CampaignContext:
     # ------------------------------------------------------------------
     def effect_slot(self, bit: int) -> int:
         """The :attr:`effects` slot of *bit*, modelling it on a miss."""
-        effects = self.effects
-        slot = effects.slot_of(bit)
-        if slot is None:
-            self.stats.effect_misses += 1
-            slot = effects.add(bit, self.modeler.effect_of_bit(bit))
-        else:
-            self.stats.effect_hits += 1
-        return slot
+        self._model_bits((bit,))
+        return self.effects.slots((bit,))[0]
+
+    def _model_bits(self, bits: Sequence[int]) -> None:
+        """Model the distinct *bits* the memo lacks, counting hits."""
+        misses = self.effects.model_bits(bits, self.modeler)
+        self.stats.effect_misses += misses
+        self.stats.effect_hits += len(bits) - misses
 
     def effect_of_bit(self, bit: int) -> FaultEffect:
         """A :class:`FaultEffect` view of *bit*'s memoized effect."""
@@ -261,24 +261,19 @@ class CampaignContext:
                        ) -> Injections:
         """Model injections given as columns (see :class:`Injections`)."""
         effects = self.effects
+        cluster_list = list(clusters) if clusters is not None else None
         # Samples beyond the population size repeat bits; resolving each
         # distinct bit once keeps huge-scale modelling linear in the
         # number of *distinct* bits.
-        seen: Dict[int, int] = {}
-
-        def slot_of(bit: int) -> int:
-            slot = seen.get(bit)
-            if slot is None:
-                slot = seen[bit] = self.effect_slot(bit)
-            return slot
-
-        cluster_list = list(clusters) if clusters is not None else None
+        self._model_bits(list(dict.fromkeys(
+            bits if cluster_list is None
+            else (bit for cluster in cluster_list for bit in cluster))))
         if cluster_list is None:
-            slots = array("i", [slot_of(bit) for bit in bits])
+            slots = effects.slots(bits)
         else:
             slots = array("i")
             for cluster in cluster_list:
-                constituents = [slot_of(bit) for bit in cluster]
+                constituents = effects.slots(cluster)
                 if len(cluster) == 1:
                     slots.append(constituents[0])
                     continue
@@ -371,19 +366,19 @@ class SerialBackend(ExecutionBackend):
             ) -> VerdictColumns:
         context.prepare()
         verdicts = VerdictColumns.for_injections(injections)
-        overlays = injections.effects.overlays
+        effects = injections.effects
         total = len(injections)
         for index, slot in enumerate(injections.slots):
             if EFFECTFUL[verdicts.rows[index]]:
                 verdicts.record(index,
-                                context.first_mismatch(overlays[slot]))
+                                context.first_mismatch(effects.overlay(slot)))
             self._advance(progress, index, 1, total)
         return verdicts
 
 
-#: ``sweep(overlays, passes, cone, plan_key)``: one lane executor's
+#: ``sweep(lanes, passes, cone, plan_key)``: one lane executor's
 #: simulation of one packed shard (see :meth:`LaneBackend._sweeper`).
-ShardSweep = Callable[[List[FaultOverlay], int, Optional[FaultCone],
+ShardSweep = Callable[[Lanes, int, Optional[FaultCone],
                        Tuple[object, ...]], VectorResult]
 
 #: A packed lane: ``(passes, seed nets, cluster, effect slot)``.
@@ -448,19 +443,22 @@ class LaneBackend(ExecutionBackend):
         # Injections sharing a slot are the same physical fault; simulate
         # one lane per slot and count how many injections it settles.
         multiplicity = collections.Counter(injections.slots)
-        # Lanes are decorated (passes, seeds, cluster, slot) so the sort
-        # and the per-shard pass maximum reuse one required_passes() call
-        # per overlay; the cluster is unique, so `slot` never decides.
+        # Lanes are decorated (passes, seeds, cluster, slot) from the
+        # effect columns for the sort and the per-shard pass maximum; the
+        # cluster is unique, so `slot` never decides.
         groups: Dict[bool, List[_Lane]] = {}
         silent = 0
+        rows, keys, passes = effects.rows, effects.keys, effects.passes
+        seed_nets, seed_start = effects.seed_nets, effects.seed_start
         for slot, count in multiplicity.items():
-            if not EFFECTFUL[effects.rows[slot]]:
+            if not EFFECTFUL[rows[slot]]:
                 silent += count
                 continue
-            overlay = effects.overlays[slot]
-            key = effects.keys[slot]
-            groups.setdefault(bool(overlay.seed_nets), []).append(
-                (overlay.required_passes(), tuple(sorted(overlay.seed_nets)),
+            seeds = tuple(sorted(
+                seed_nets[seed_start[slot]:seed_start[slot + 1]]))
+            key = keys[slot]
+            groups.setdefault(bool(seeds), []).append(
+                (passes[slot], seeds,
                  key if isinstance(key, tuple) else (key,), slot))
         done = self._advance(progress, 0, silent, total)
 
@@ -480,16 +478,15 @@ class LaneBackend(ExecutionBackend):
             members.sort()
             for start in range(0, len(members), width):
                 shard = members[start:start + width]
-                overlays = [effects.overlays[lane[3]] for lane in shard]
-                passes = shard[-1][0]
+                shard_passes = shard[-1][0]
                 cone = None
                 if coned:
                     cone = context.cone_for_nets(sorted(
-                        {net for overlay in overlays
-                         for net in overlay.seed_nets}))
+                        {net for lane in shard for net in lane[1]}))
                 plan_key = ((id(cone) if cone is not None else None,)
                             + tuple(lane[2] for lane in shard))
-                result = sweep(overlays, passes, cone, plan_key)
+                result = sweep(Lanes(effects, [lane[3] for lane in shard]),
+                               shard_passes, cone, plan_key)
                 settled = 0
                 for lane, first in zip(shard, result.first_mismatch):
                     if first is not None:
@@ -504,7 +501,7 @@ class LaneBackend(ExecutionBackend):
                 shard_stats.append({
                     "lanes": lanes,
                     "capacity": capacity,
-                    "passes": passes,
+                    "passes": shard_passes,
                     "coned": coned,
                     "cone_gates": len(cone.gate_indices)
                     if cone is not None else len(context.compiled.gates),
@@ -552,14 +549,13 @@ class VectorBackend(LaneBackend):
                                   all_mask)
         reseed: Optional[List[Tuple[List[int], List[int]]]] = None
 
-        def sweep(overlays: List[FaultOverlay], passes: int,
-                  cone: Optional[FaultCone],
+        def sweep(lanes: Lanes, passes: int, cone: Optional[FaultCone],
                   plan_key: Tuple[object, ...]) -> VectorResult:
             nonlocal reseed
             if cone is not None and reseed is None:
                 reseed = broadcast_trace(context.golden, all_mask)
             return simulate_lanes(
-                program, overlays, context.stimulus, context.golden,
+                program, lanes, context.stimulus, context.golden,
                 passes=passes, skip_cycles=context.skip_cycles,
                 ports=context.output_ports, cone=cone, width=width,
                 reseed=reseed if cone is not None else None, inputs=inputs)
@@ -586,11 +582,10 @@ class NumpyBackend(LaneBackend):
     def _sweeper(self, context: CampaignContext) -> ShardSweep:
         program = context.numpy_program
 
-        def sweep(overlays: List[FaultOverlay], passes: int,
-                  cone: Optional[FaultCone],
+        def sweep(lanes: Lanes, passes: int, cone: Optional[FaultCone],
                   plan_key: Tuple[object, ...]) -> VectorResult:
             return program.simulate_shard(
-                overlays, context.stimulus, context.golden, passes=passes,
+                lanes, context.stimulus, context.golden, passes=passes,
                 skip_cycles=context.skip_cycles,
                 ports=context.output_ports, cone=cone, plan_key=plan_key)
 

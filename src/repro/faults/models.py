@@ -3,14 +3,20 @@ effect on the implemented design.
 
 The :class:`FaultModeler` owns all the cross-references between the
 configuration layout, the used-resource database, the routed netlist and the
-compiled simulation model.  Given a bit address it returns a
-:class:`FaultEffect` carrying
+compiled simulation model.  Given a bit address it writes
 
 * the Table 4 effect category (LUT / MUX / Initialization / Open / Bridge /
   Input-Antenna / Conflict / Others), and
-* a :class:`~repro.sim.overlay.FaultOverlay` describing exactly how the
-  simulated design behaves with that bit flipped (possibly empty when the
-  upset provably cannot change any signal).
+* the override rows describing exactly how the simulated design behaves
+  with that bit flipped (none when the upset provably cannot change any
+  signal)
+
+into a slot of :class:`EffectColumns`, with no Python object per bit:
+each override is one row of plain integers
+(:class:`~repro.sim.overlay.OverlayColumns`), and the sink targets of a
+routing node are worked out once per modeler.  A
+:class:`~repro.sim.overlay.FaultOverlay` (and a :class:`FaultEffect`
+around it) is only a view built on demand.
 
 Operational definitions of the routing categories (all PIP bits are
 independent pass-transistor-style bits in our fabric model):
@@ -34,8 +40,8 @@ independent pass-transistor-style bits in our fabric model):
   **Bridge** with no behavioural effect.
 
 Campaigns memoize modelled effects in :class:`EffectColumns`, which keeps
-per bit a row of :data:`EFFECT_ROWS` and the detail string, and an
-overlay only where the bit changes the design.
+per bit a row of :data:`EFFECT_ROWS`, the detail string and the override
+columns.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from array import array
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from ..fpga.bitgen import UsedResources
 from ..fpga.config import (KIND_LUT_BIT, KIND_PIP, KIND_SLICE_CFG,
@@ -53,7 +59,10 @@ from ..fpga.routing import Pip
 from ..pnr.flow import Implementation
 from ..pnr.route import SinkSpec
 from ..sim.compile import CompiledDesign
-from ..sim.overlay import (BLEND_AND_NOT, BLEND_SHORT, FaultOverlay,
+from ..sim.overlay import (BLEND_AND_NOT, BLEND_SHORT, FF_PORTS, FLOATING,
+                           OVERRIDE_WIDTH, ROW_FF_INIT, ROW_FF_PIN,
+                           ROW_GATE_PIN, ROW_LUT_INIT, ROW_NET,
+                           ROW_OUTPUT_PIN, FaultOverlay, OverlayColumns,
                            SourceOverride)
 from . import categories
 
@@ -63,13 +72,18 @@ _LUT_PIN_TO_SLOT = {
     "G1": ("G", 0), "G2": ("G", 1), "G3": ("G", 2), "G4": ("G", 3),
 }
 
-#: Serializes :meth:`EffectColumns.add` (appends are short and rare
-#: next to the modelling that precedes them).
+#: Serializes writes to every :class:`EffectColumns` (modelling a missing
+#: bit included), so a memo's columns stay aligned.
 _APPEND_LOCK = threading.Lock()
 
-#: The two constant overrides, shared by every overlay that uses one.
-_FLOATING = SourceOverride.floating()
+_FF_D = FF_PORTS.index("D")
+_FF_CE = FF_PORTS.index("CE")
 _STUCK_HIGH = SourceOverride.constant(1)
+
+#: Per (net, node): the number of sinks through the node, then the
+#: ``row kind, target, argument`` of each sink that gets an override,
+#: flat (a flat tuple of atoms is one object the collector untracks).
+_SinkTargets = Tuple[object, ...]
 
 
 @dataclasses.dataclass
@@ -111,24 +125,34 @@ EFFECT_ROW_INDEX: Dict[Tuple[str, str, bool], int] = {
 #: What an effect is memoized under: its bit, or a multi-bit cluster.
 EffectKey = Union[int, Tuple[int, ...]]
 
+#: What :meth:`FaultModeler.write_bit` returns next to the rows it
+#: writes: resource, category, detail, description, seed nets and
+#: combinational settle passes.
+Modelled = Tuple[Resource, str, str, str, Tuple[int, ...], int]
 
-class EffectColumns:
+
+class EffectColumns(OverlayColumns):
     """Modelled effects stored as columns, one slot per distinct key.
 
     A key is a bit (a single-bit effect) or a bit tuple (the merged
     effect of one multi-bit injection).  Per slot the columns hold the
     effect's :data:`EFFECT_ROWS` index, its primary bit, its resource
-    and its detail string; a :class:`FaultOverlay` is kept only for
-    effectful slots, so most bits that change nothing cost no objects.
-    :meth:`effect` rebuilds a :class:`FaultEffect` view on access.
+    and its detail string, and, as :class:`~repro.sim.overlay.
+    OverlayColumns`, its override rows, settle passes, seed nets and
+    description: no Python object is kept per effect.  :meth:`effect`
+    and :meth:`overlay` build :class:`FaultEffect` and
+    :class:`FaultOverlay` views on access, for the serial oracle, the
+    multi-bit merge and the defeat map's per-bit path.
 
     Appends hold a lock (the service's worker threads share one memo
-    per implementation): the columns must stay aligned.  Two threads
-    modelling the same key both compute it; the first append wins.  The
-    lock is module-wide, so a memo pickles like plain data.
+    per implementation): the columns must stay aligned.  A bit is
+    modelled under the lock, straight into the columns; a key already
+    stored returns its slot.  The lock is module-wide, so a memo
+    pickles like plain data.
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self._slot_of: Dict[EffectKey, int] = {}
         #: slot -> key, bit and resource of the effect
         self.keys: List[EffectKey] = []
@@ -137,8 +161,6 @@ class EffectColumns:
         #: slot -> EFFECT_ROWS index
         self.rows = array("B")
         self.details: List[str] = []
-        #: slot -> overlay, effectful (or seed-carrying) slots only
-        self.overlays: Dict[int, FaultOverlay] = {}
 
     def slot_of(self, key: EffectKey) -> Optional[int]:
         return self._slot_of.get(key)
@@ -146,38 +168,69 @@ class EffectColumns:
     def add(self, key: EffectKey, effect: FaultEffect) -> int:
         """Store *effect* under *key*; the slot of the stored effect."""
         overlay = effect.overlay
-        has_effect = not overlay.is_empty()
-        # EffectRow hashes as the plain tuple it is.
-        row = EFFECT_ROW_INDEX[(effect.resource[0], effect.category,
-                                has_effect)]
         with _APPEND_LOCK:
             slot = self._slot_of.get(key)
             if slot is not None:
                 return slot
-            slot = len(self.keys)
-            self.keys.append(key)
-            self.bits.append(effect.bit)
-            self.resources.append(effect.resource)
-            self.rows.append(row)
-            self.details.append(effect.detail)
-            # An empty overlay may still name seed nets (an open with no
-            # sinks left); a multi-bit merge unions those, so keep it.
-            if has_effect or overlay.seed_nets:
-                self.overlays[slot] = overlay
-            self._slot_of[key] = slot
+            self.write_rows(overlay)
+            return self._close(key, effect.bit, (
+                effect.resource, effect.category, effect.detail,
+                overlay.description, overlay.seed_nets,
+                overlay.comb_passes))
+
+    def model_bits(self, bits: Iterable[int],
+                   modeler: "FaultModeler") -> int:
+        """Model every bit of *bits* not stored yet; how many were not.
+
+        The lock is only taken when a bit is missing: a process forked
+        while another thread holds it still reads every bit it
+        inherited.
+        """
+        slot_of = self._slot_of
+        missing = [bit for bit in bits if bit not in slot_of]
+        if missing:
+            overrides = self.overrides
+            write = modeler.write_bit
+            with _APPEND_LOCK:
+                for bit in missing:
+                    if bit in slot_of:
+                        continue
+                    mark = len(overrides)
+                    try:
+                        modelled = write(self, bit)
+                    except BaseException:
+                        del overrides[mark:]
+                        raise
+                    self._close(bit, bit, modelled)
+        return len(missing)
+
+    def slots(self, keys: Iterable[EffectKey]) -> array:
+        """The slot of every key (each must be stored)."""
+        return array("i", map(self._slot_of.__getitem__, keys))
+
+    def _close(self, key: EffectKey, bit: int, modelled: Modelled) -> int:
+        resource, category, detail, description, seeds, comb = modelled
+        has_effect = len(self.overrides) > self.row_start[-1] * \
+            OVERRIDE_WIDTH
+        slot = self.close_slot(description, seeds, comb)
+        self.keys.append(key)
+        self.bits.append(bit)
+        self.resources.append(resource)
+        self.rows.append(EFFECT_ROW_INDEX[(resource[0], category,
+                                           has_effect)])
+        self.details.append(detail)
+        self._slot_of[key] = slot
         return slot
 
     def effect(self, slot: int) -> FaultEffect:
         """A :class:`FaultEffect` view of one slot (built per call)."""
-        overlay = self.overlays.get(slot)
         return FaultEffect(self.bits[slot], self.resources[slot],
                            EFFECT_ROWS[self.rows[slot]].category,
-                           overlay if overlay is not None
-                           else FaultOverlay(), self.details[slot])
+                           self.overlay(slot), self.details[slot])
 
 
 class FaultModeler:
-    """Maps configuration bits of an implementation onto fault overlays."""
+    """Maps configuration bits of an implementation onto override rows."""
 
     def __init__(self, implementation: Implementation,
                  compiled: CompiledDesign) -> None:
@@ -190,53 +243,67 @@ class FaultModeler:
         self._net_id = compiled.net_index
         self._gate_index = compiled.gate_index_by_name
         self._ff_index = compiled.ff_index_by_name
-        #: one instance per distinct net/blend override (they are frozen)
-        self._overrides: Dict[SourceOverride, SourceOverride] = {}
-
-    def _shared(self, override: SourceOverride) -> SourceOverride:
-        return self._overrides.setdefault(override, override)
+        #: (net, node) -> (sinks through the node, their override targets)
+        self._targets: Dict[Tuple[str, object], _SinkTargets] = {}
 
     # ------------------------------------------------------------------
     def effect_of_bit(self, bit: int) -> FaultEffect:
+        """A :class:`FaultEffect` view of *bit*, modelled on its own."""
+        columns = OverlayColumns()
+        resource, category, detail, description, seeds, comb = \
+            self.write_bit(columns, bit)
+        slot = columns.close_slot(description, seeds, comb)
+        return FaultEffect(bit, resource, category, columns.overlay(slot),
+                           detail)
+
+    def write_bit(self, columns: OverlayColumns, bit: int) -> Modelled:
+        """Append *bit*'s override rows to *columns*' open slot.
+
+        Returns the rest of the effect (see :data:`Modelled`); the
+        caller closes the slot.
+        """
         resource = self.layout.resource_of(bit)
         kind = resource[0]
         if kind == KIND_LUT_BIT:
-            return self._lut_effect(bit, resource)
+            return self._lut_effect(columns, resource)
         if kind == KIND_SLICE_CFG:
-            return self._slice_cfg_effect(bit, resource)
-        return self._pip_effect(bit, resource)
+            return self._slice_cfg_effect(columns, resource)
+        return self._pip_effect(columns, resource)
 
     # ------------------------------------------------------------------
     # CLB logic bits
     # ------------------------------------------------------------------
-    def _lut_effect(self, bit: int, resource: Resource) -> FaultEffect:
+    def _lut_effect(self, columns: OverlayColumns,
+                    resource: Resource) -> Modelled:
         _, x, y, slot, table_bit = resource
         site = self.resources.lut_site_at(x, y, slot)
-        overlay = FaultOverlay(description=f"LUT bit {table_bit} at "
-                               f"({x},{y}) {slot}")
+        description = f"LUT bit {table_bit} at ({x},{y}) {slot}"
         if site is None:
-            return FaultEffect(bit, resource, categories.LUT, overlay,
-                               "unused LUT site")
+            return (resource, categories.LUT, "unused LUT site",
+                    description, (), 1)
         if table_bit >= (1 << site.logical_inputs):
-            return FaultEffect(bit, resource, categories.LUT, overlay,
-                               "upset in unused truth-table region")
+            return (resource, categories.LUT,
+                    "upset in unused truth-table region", description, (), 1)
         gate_index = self._gate_index.get(site.cell)
         if gate_index is None:
-            return FaultEffect(bit, resource, categories.LUT, overlay,
-                               "cell not in compiled design")
+            return (resource, categories.LUT, "cell not in compiled design",
+                    description, (), 1)
         gate = self.compiled.gates[gate_index]
-        overlay.lut_init_overrides[gate_index] = gate.init ^ (1 << table_bit)
-        overlay.seed_nets = (gate.output_net,)
-        return FaultEffect(bit, resource, categories.LUT, overlay,
-                           f"minterm {table_bit} of {site.cell} flipped")
+        columns.overrides.extend(
+            (ROW_LUT_INIT, gate_index, gate.init ^ (1 << table_bit))
+            + FLOATING)
+        return (resource, categories.LUT,
+                f"minterm {table_bit} of {site.cell} flipped", description,
+                (gate.output_net,), 1)
 
-    def _slice_cfg_effect(self, bit: int, resource: Resource) -> FaultEffect:
+    def _slice_cfg_effect(self, columns: OverlayColumns,
+                          resource: Resource) -> Modelled:
         _, x, y, name = resource
-        overlay = FaultOverlay(description=f"slice cfg {name} at ({x},{y})")
+        description = f"slice cfg {name} at ({x},{y})"
         if name == "CLKINV":
-            category = categories.MUX
-            return FaultEffect(bit, resource, category, overlay,
-                               "clock polarity bit (no functional model)")
+            return (resource, categories.MUX,
+                    "clock polarity bit (no functional model)", description,
+                    (), 1)
 
         suffix = "FFX" if name.startswith("FFX") else "FFY"
         site = self.resources.ff_site_at(x, y, suffix)
@@ -245,200 +312,189 @@ class FaultModeler:
         else:
             category = categories.MUX
         if site is None:
-            return FaultEffect(bit, resource, category, overlay,
-                               "unused flip-flop site")
+            return (resource, category, "unused flip-flop site", description,
+                    (), 1)
         ff_index = self._ff_index.get(site.cell)
         if ff_index is None:
-            return FaultEffect(bit, resource, category, overlay,
-                               "cell not in compiled design")
+            return (resource, category, "cell not in compiled design",
+                    description, (), 1)
         flip_flop = self.compiled.flip_flops[ff_index]
+        extend = columns.overrides.extend
+        seeds: Tuple[int, ...] = (flip_flop.q_net,)
 
         if name.endswith("_INIT"):
-            overlay.ff_init_overrides[ff_index] = 1 - site.init_value
-            overlay.seed_nets = (flip_flop.q_net,)
+            extend((ROW_FF_INIT, ff_index, 1 - site.init_value) + FLOATING)
             detail = f"power-up value of {site.cell} flipped"
         elif name.endswith("_DMUX"):
-            overlay.seed_nets = (flip_flop.q_net,)
+            source = FLOATING
             if site.data_from_lut:
                 # Data now comes from the unrouted bypass pin: floating.
-                overlay.ff_pin_overrides[(ff_index, "D")] = _FLOATING
                 detail = f"{site.cell} data input detached from its LUT"
             else:
                 paired = self.resources.lut_site_at(x, y,
                                                     FF_PAIRED_LUT[suffix])
                 if paired is None:
-                    overlay.ff_pin_overrides[(ff_index, "D")] = _FLOATING
                     detail = f"{site.cell} data input switched to empty LUT"
                 else:
                     paired_gate = self.compiled.gates[
                         self._gate_index[paired.cell]]
-                    overlay.ff_pin_overrides[(ff_index, "D")] = \
-                        self._shared(SourceOverride.net(
-                            paired_gate.output_net))
+                    source = SourceOverride.net(paired_gate.output_net)
                     detail = (f"{site.cell} data input switched to "
                               f"{paired.cell}")
+            extend((ROW_FF_PIN, ff_index, _FF_D) + source)
         elif name.endswith("_CEMUX"):
-            overlay.seed_nets = (flip_flop.q_net,)
             if site.uses_clock_enable:
-                overlay.ff_pin_overrides[(ff_index, "CE")] = _STUCK_HIGH
+                extend((ROW_FF_PIN, ff_index, _FF_CE) + _STUCK_HIGH)
                 detail = f"{site.cell} clock enable stuck active"
             else:
-                overlay.ff_pin_overrides[(ff_index, "CE")] = _FLOATING
+                extend((ROW_FF_PIN, ff_index, _FF_CE) + FLOATING)
                 detail = f"{site.cell} clock enable floating"
         else:  # _SRMODE
             detail = "set/reset mode bit (no functional model)"
-        return FaultEffect(bit, resource, category, overlay, detail)
+            seeds = ()
+        return resource, category, detail, description, seeds, 1
 
     # ------------------------------------------------------------------
     # Routing bits
     # ------------------------------------------------------------------
-    def _pip_effect(self, bit: int, resource: Resource) -> FaultEffect:
+    def _pip_effect(self, columns: OverlayColumns,
+                    resource: Resource) -> Modelled:
         pip: Pip = (resource[1], resource[2])
-        source, destination = pip
-        if pip in self.resources.used_pips:
-            return self._open_effect(bit, resource, pip)
-        return self._new_pip_effect(bit, resource, pip)
+        net_name = self.resources.used_pips.get(pip)
+        if net_name is not None:
+            return self._open_effect(columns, resource, pip, net_name)
+        return self._new_pip_effect(columns, resource, pip)
 
-    def _open_effect(self, bit: int, resource: Resource,
-                     pip: Pip) -> FaultEffect:
-        net_name = self.resources.used_pips[pip]
-        overlay = FaultOverlay(description=f"open on net {net_name}")
-        tree = self.routing.routes.get(net_name)
-        if tree is None:
-            return FaultEffect(bit, resource, categories.OPEN, overlay,
-                               "route tree missing")
-        affected = tree.sinks_through(pip[1])
-        for spec in affected:
-            self._override_sink(overlay, spec, _FLOATING)
+    def _open_effect(self, columns: OverlayColumns, resource: Resource,
+                     pip: Pip, net_name: str) -> Modelled:
+        description = f"open on net {net_name}"
+        if net_name not in self.routing.routes:
+            return (resource, categories.OPEN, "route tree missing",
+                    description, (), 1)
+        sinks = self._write_sinks(columns, net_name, pip[1], FLOATING)
         net_id = self._net_id.get(net_name, -1)
-        overlay.seed_nets = (net_id,) if net_id >= 0 else ()
-        return FaultEffect(bit, resource, categories.OPEN, overlay,
-                           f"{len(affected)} sink(s) of {net_name} float")
+        return (resource, categories.OPEN,
+                f"{sinks} sink(s) of {net_name} float", description,
+                (net_id,) if net_id >= 0 else (), 1)
 
-    def _new_pip_effect(self, bit: int, resource: Resource,
-                        pip: Pip) -> FaultEffect:
+    def _new_pip_effect(self, columns: OverlayColumns, resource: Resource,
+                        pip: Pip) -> Modelled:
         source, destination = pip
         source_net = self.routing.node_owner.get(source)
         dest_net = self.routing.node_owner.get(destination)
-        dest_kind = destination[0]
 
         if dest_net is not None and source_net is not None and \
                 source_net != dest_net:
-            if dest_kind == "wire":
-                return self._conflict_effect(bit, resource, pip, source_net,
-                                             dest_net)
-            return self._bridge_effect(bit, resource, pip, source_net,
-                                       dest_net)
+            if destination[0] == "wire":
+                return self._short_effect(columns, resource, pip, source_net,
+                                          dest_net, conflict=True)
+            return self._short_effect(columns, resource, pip, source_net,
+                                      dest_net, conflict=False)
         if dest_net is not None and source_net is None:
-            overlay = FaultOverlay(
-                description=f"bridge of {dest_net} to an undriven wire")
-            return FaultEffect(bit, resource, categories.BRIDGE, overlay,
-                               "used signal bridged to floating wire "
-                               "(no logical effect)")
+            return (resource, categories.BRIDGE,
+                    "used signal bridged to floating wire "
+                    "(no logical effect)",
+                    f"bridge of {dest_net} to an undriven wire", (), 1)
         if source_net is not None and dest_net is None:
-            return self._antenna_effect(bit, resource, pip, source_net)
-        overlay = FaultOverlay(description="PIP between unused resources")
-        return FaultEffect(bit, resource, categories.OTHERS, overlay,
-                           "both ends unused")
+            return self._antenna_effect(columns, resource, pip, source_net)
+        return (resource, categories.OTHERS, "both ends unused",
+                "PIP between unused resources", (), 1)
 
-    def _conflict_effect(self, bit: int, resource: Resource, pip: Pip,
-                         source_net: str, dest_net: str) -> FaultEffect:
-        overlay = FaultOverlay(
-            description=f"conflict between {source_net} and {dest_net}")
+    def _short_effect(self, columns: OverlayColumns, resource: Resource,
+                      pip: Pip, source_net: str, dest_net: str,
+                      conflict: bool) -> Modelled:
+        """Conflict (two driven wires) or bridge (onto a used pin)."""
         source_id = self._net_id.get(source_net, -1)
         dest_id = self._net_id.get(dest_net, -1)
-        blend = self._shared(SourceOverride.blend_of(dest_id, source_id,
-                                                     BLEND_SHORT))
         affected = 0
-        dest_tree = self.routing.routes.get(dest_net)
-        if dest_tree is not None:
-            for spec in dest_tree.sinks_through(pip[1]):
-                self._override_sink(overlay, spec, blend)
-                affected += 1
-        source_tree = self.routing.routes.get(source_net)
-        if source_tree is not None and pip[0] in source_tree.nodes():
-            reverse_blend = self._shared(SourceOverride.blend_of(
-                source_id, dest_id, BLEND_SHORT))
-            for spec in source_tree.sinks_through(pip[0]):
-                self._override_sink(overlay, spec, reverse_blend)
-                affected += 1
-        overlay.seed_nets = tuple(n for n in (source_id, dest_id) if n >= 0)
-        overlay.comb_passes = 3
-        return FaultEffect(bit, resource, categories.CONFLICT, overlay,
-                           f"{affected} sink(s) see the short of "
-                           f"{source_net} and {dest_net}")
+        if dest_net in self.routing.routes:
+            affected = self._write_sinks(
+                columns, dest_net, pip[1],
+                SourceOverride.blend_of(dest_id, source_id, BLEND_SHORT))
+        seeds = tuple(n for n in (source_id, dest_id) if n >= 0)
+        if not conflict:
+            return (resource, categories.BRIDGE,
+                    f"{affected} sink(s) of {dest_net} shorted with "
+                    f"{source_net}",
+                    f"bridge of {source_net} onto {dest_net} at {pip[1]}",
+                    seeds, 3)
+        if source_net in self.routing.routes:
+            # No sinks when the PIP's source node is off the source tree.
+            affected += self._write_sinks(
+                columns, source_net, pip[0],
+                SourceOverride.blend_of(source_id, dest_id, BLEND_SHORT))
+        return (resource, categories.CONFLICT,
+                f"{affected} sink(s) see the short of {source_net} and "
+                f"{dest_net}",
+                f"conflict between {source_net} and {dest_net}", seeds, 3)
 
-    def _bridge_effect(self, bit: int, resource: Resource, pip: Pip,
-                       source_net: str, dest_net: str) -> FaultEffect:
-        overlay = FaultOverlay(
-            description=f"bridge of {source_net} onto {dest_net} at "
-            f"{pip[1]}")
-        source_id = self._net_id.get(source_net, -1)
-        dest_id = self._net_id.get(dest_net, -1)
-        blend = self._shared(SourceOverride.blend_of(dest_id, source_id,
-                                                     BLEND_SHORT))
-        affected = 0
-        dest_tree = self.routing.routes.get(dest_net)
-        if dest_tree is not None:
-            for spec in dest_tree.sinks_through(pip[1]):
-                self._override_sink(overlay, spec, blend)
-                affected += 1
-        overlay.seed_nets = tuple(n for n in (source_id, dest_id) if n >= 0)
-        overlay.comb_passes = 3
-        return FaultEffect(bit, resource, categories.BRIDGE, overlay,
-                           f"{affected} sink(s) of {dest_net} shorted with "
-                           f"{source_net}")
-
-    def _antenna_effect(self, bit: int, resource: Resource, pip: Pip,
-                        source_net: str) -> FaultEffect:
+    def _antenna_effect(self, columns: OverlayColumns, resource: Resource,
+                        pip: Pip, source_net: str) -> Modelled:
         destination = pip[1]
-        overlay = FaultOverlay(
-            description=f"antenna from {source_net} onto {destination}")
+        description = f"antenna from {source_net} onto {destination}"
         if destination[0] != "ipin":
-            return FaultEffect(bit, resource, categories.INPUT_ANTENNA,
-                               overlay, "stray drive of an unused wire")
+            return (resource, categories.INPUT_ANTENNA,
+                    "stray drive of an unused wire", description, (), 1)
         _, x, y, pin = destination
         slot_info = _LUT_PIN_TO_SLOT.get(pin)
         if slot_info is None:
-            return FaultEffect(bit, resource, categories.INPUT_ANTENNA,
-                               overlay, "stray drive of an unused control pin")
+            return (resource, categories.INPUT_ANTENNA,
+                    "stray drive of an unused control pin", description,
+                    (), 1)
         slot, position = slot_info
         site = self.resources.lut_site_at(x, y, slot)
         if site is None or position < site.logical_inputs:
-            return FaultEffect(bit, resource, categories.INPUT_ANTENNA,
-                               overlay, "stray drive of an unused LUT input")
+            return (resource, categories.INPUT_ANTENNA,
+                    "stray drive of an unused LUT input", description, (), 1)
         # A used LUT whose physical input `position` is unused: driving it
         # high addresses the all-zero upper half of the physical table.
         gate_index = self._gate_index.get(site.cell)
         if gate_index is None:
-            return FaultEffect(bit, resource, categories.INPUT_ANTENNA,
-                               overlay, "cell not in compiled design")
-        gate = self.compiled.gates[gate_index]
-        source_id = self._net_id.get(source_net, -1)
-        overlay.net_overrides[gate.output_net] = self._shared(
-            SourceOverride.blend_of(gate.output_net, source_id,
-                                    BLEND_AND_NOT))
-        overlay.seed_nets = (gate.output_net,)
-        overlay.comb_passes = 3
-        return FaultEffect(bit, resource, categories.INPUT_ANTENNA, overlay,
-                           f"unused input of {site.cell} driven by "
-                           f"{source_net}")
+            return (resource, categories.INPUT_ANTENNA,
+                    "cell not in compiled design", description, (), 1)
+        out = self.compiled.gates[gate_index].output_net
+        columns.overrides.extend(
+            (ROW_NET, out, 0)
+            + SourceOverride.blend_of(out, self._net_id.get(source_net, -1),
+                                      BLEND_AND_NOT))
+        return (resource, categories.INPUT_ANTENNA,
+                f"unused input of {site.cell} driven by {source_net}",
+                description, (out,), 3)
 
     # ------------------------------------------------------------------
-    def _override_sink(self, overlay: FaultOverlay, spec: SinkSpec,
-                       override: SourceOverride) -> None:
-        """Attach an override to the right simulator entity for one sink."""
+    def _write_sinks(self, columns: OverlayColumns, net_name: str,
+                     node: object, source: SourceOverride) -> int:
+        """Override every sink of *net_name* served through *node*.
+
+        Returns the number of sinks through the node (sinks whose cell
+        the compiled design lacks get no row).
+        """
+        key = (net_name, node)
+        targets = self._targets.get(key)
+        if targets is None:
+            specs = self.routing.routes[net_name].sinks_through(node)
+            flat: List[object] = [len(specs)]
+            for spec in specs:
+                flat.extend(self._sink_target(spec))
+            targets = self._targets[key] = tuple(flat)
+        extend = columns.overrides.extend
+        for index in range(1, len(targets), 3):
+            kind, target, argument = targets[index:index + 3]
+            if kind == ROW_OUTPUT_PIN:
+                target = columns.port_id(target)
+            extend((kind, target, argument) + source)
+        return targets[0]
+
+    def _sink_target(self, spec: SinkSpec) -> Tuple:
+        """``(row kind, target, argument)`` overriding one sink, or ``()``."""
         if spec.cell is None:
-            overlay.output_pin_overrides[(spec.port, spec.bit)] = override
-            return
+            return (ROW_OUTPUT_PIN, spec.port, spec.bit)
         gate_index = self._gate_index.get(spec.cell)
         if gate_index is not None:
             position = int(spec.port[1:]) if spec.port.startswith("I") else 0
-            overlay.gate_pin_overrides[(gate_index, position)] = override
-            return
+            return (ROW_GATE_PIN, gate_index, position)
         ff_index = self._ff_index.get(spec.cell)
         if ff_index is not None:
-            port = spec.port
-            if port in ("R", "CLR"):
-                port = "R"
-            overlay.ff_pin_overrides[(ff_index, port)] = override
+            port = "R" if spec.port in ("R", "CLR") else spec.port
+            return (ROW_FF_PIN, ff_index, FF_PORTS.index(port))
+        return ()

@@ -274,8 +274,11 @@ class RoutingGraph:
             self.is_sink[index] = kind in ("ipin", "pad_i")
             self.is_wire[index] = kind == "wire"
             self.is_pad_in[index] = kind == "pad_i"
-        #: lazily filled per-id neighbour lists (None until first visited)
-        self._adjacency: List[Optional[List[int]]] = [None] * count
+        #: lazily filled per-id neighbour ids (None until first visited);
+        #: tuples of ints, which the collector untracks, so a filled
+        #: table adds no long-lived tracked objects to the process (and
+        #: to every flow worker forked from it)
+        self._adjacency: List[Optional[Tuple[int, ...]]] = [None] * count
         self._adjacency_complete = False
         self._np_tables: Optional[Dict[str, object]] = None
 
@@ -290,10 +293,10 @@ class RoutingGraph:
         adjacency = self._adjacency[node_id]
         if adjacency is None:
             lookup = self.node_id
-            adjacency = [lookup[neighbor] for neighbor
-                         in downhill(self.device, self.nodes[node_id])]
+            adjacency = tuple([lookup[neighbor] for neighbor
+                               in downhill(self.device, self.nodes[node_id])])
             self._adjacency[node_id] = adjacency
-        return adjacency
+        return list(adjacency)
 
     # --------------------------------------------------------------
     def build_adjacency(self) -> None:
@@ -403,8 +406,8 @@ class RoutingGraph:
                         result.append(ipin_grid[ipin_base + ordinal])
                     for pad_index in pads_at.get((tx, ty), ()):
                         result.append(pad_in_id[pad_index])
-            # ipin / pad_i are sinks: empty list.
-            adjacency[node_id] = result
+            # ipin / pad_i are sinks: no neighbours.
+            adjacency[node_id] = tuple(result)
         self._adjacency_complete = True
 
     def np_tables(self) -> Dict[str, object]:

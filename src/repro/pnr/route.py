@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cells.library import FF_CELLS, LUT_CELLS
@@ -63,10 +64,9 @@ class RouteTree:
         return {(parent, node) for node, parent in self.parent.items()}
 
     def nodes(self) -> Set[Node]:
-        # Memoized like children(): the routing-fault models probe node
-        # membership once per candidate bridge/conflict bit, and trees
-        # are immutable once the router returns them.  Callers must not
-        # mutate the returned set.
+        # Memoized: the defeat map probes node membership once per
+        # candidate bridge/conflict bit, and trees are immutable once the
+        # router returns them.  Callers must not mutate the returned set.
         result = self.__dict__.get("_nodes")
         if result is None:
             result = set(self.parent)
@@ -84,59 +84,55 @@ class RouteTree:
         path.reverse()
         return path
 
-    def children(self) -> Dict[Node, List[Node]]:
-        """Child adjacency of the tree (node -> direct children).
-
-        Built once per tree and memoized: the routing-fault models query
-        :meth:`sinks_through` for every open/bridge/conflict upset of a
-        net, and walking each sink's parent chain per query is quadratic
-        on high-fanout nets.  The memo never goes stale because route
-        trees are immutable once the router returns them.
-        """
-        children = self.__dict__.get("_children")
-        if children is None:
-            children = {}
-            for node, parent in self.parent.items():
-                children.setdefault(parent, []).append(node)
-            self._children = children
-        return children
-
     def sinks_through(self, node: Node) -> List[SinkSpec]:
         """Sinks whose path from the source passes through *node*.
 
-        Memoized per node: the fault models ask the same question for
-        every candidate PIP bit landing on a node, which on dense tiles
-        repeats the subtree walk hundreds of times.  Callers must not
-        mutate the returned list.
+        In the order of :attr:`sinks`; empty for a node off the tree.
+        The first query of a tree memoizes every node's sink nodes in
+        one post-order walk, each node's from its children's (the fault
+        models ask for every candidate PIP bit landing on the tree).
         """
         memo = self.__dict__.get("_sinks_through")
         if memo is None:
-            memo = {}
-            self._sinks_through = memo
-        cached = memo.get(node)
-        if cached is not None:
-            return cached
-        if node != self.source and node not in self.parent:
-            memo[node] = []
-            return memo[node]
-        children = self.children()
-        subtree = {node}
-        stack = [node]
+            memo = self._sinks_through = self._sink_nodes_by_node()
+        sinks = self.sinks
+        return [sinks[sink] for sink in memo.get(node, ())]
+
+    def _sink_nodes_by_node(self) -> Dict[Node, Tuple[Node, ...]]:
+        """node -> the sink nodes at or below it, in :attr:`sinks` order.
+
+        Values are tuples of node tuples, so a memoized tree keeps one
+        collector-tracked object for the whole table.
+        """
+        order = {sink: index for index, sink in enumerate(self.sinks)}
+        children: Dict[Node, List[Node]] = {}
+        for child, parent in self.parent.items():
+            children.setdefault(parent, []).append(child)
+        below: Dict[Node, Tuple[Node, ...]] = {}
+        stack = [self.source]
         while stack:
-            for child in children.get(stack.pop(), ()):
-                subtree.add(child)
-                stack.append(child)
-        result = [spec for sink_node, spec in self.sinks.items()
-                  if sink_node in subtree]
-        memo[node] = result
-        return result
+            node = stack[-1]
+            pending = [child for child in children.get(node, ())
+                       if child not in below]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            runs = [below[child] for child in children.get(node, ())]
+            if node in order:
+                runs.append((node,))
+            if len(runs) == 1:
+                below[node] = runs[0]
+            else:
+                below[node] = tuple(sorted(itertools.chain.from_iterable(
+                    runs), key=order.__getitem__))
+        return below
 
     def __getstate__(self) -> Dict[str, object]:
         # Keep pickled artifacts (the flow cache) free of the lazily
-        # built child/membership/subtree indexes; they are rebuilt on
-        # demand after loading.
+        # built membership and sink indexes; they are rebuilt on demand
+        # after loading.
         state = self.__dict__.copy()
-        state.pop("_children", None)
         state.pop("_nodes", None)
         state.pop("_sinks_through", None)
         return state

@@ -309,9 +309,9 @@ register_scenario(Scenario(
 def validate_scenario(scenario: Scenario) -> None:
     """Reject a scenario whose knobs cannot run, before any work starts.
 
-    Checks the backend, upset model, scale, fault-list mode, fault count
-    and (under the canonical partition selector, whose design names are
-    known before the build) the designs of every matrix variant, and
+    Checks the backend, upset model, scale, fault-list mode, fault count,
+    seed and (under the canonical partition selector, whose design names
+    are known before the build) the designs of every matrix variant, and
     raises :class:`ValueError` (or :class:`KeyError` for an unknown
     scale).  :func:`run_scenario` calls it before the expensive
     build/implement stages, and the campaign service before it queues or
@@ -331,7 +331,13 @@ def validate_scenario(scenario: Scenario) -> None:
                                    or faults < 0):
             raise ValueError(f"num_faults must be a non-negative integer, "
                              f"not {faults!r}")
+        seed = variant.seed
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed must be an integer, not {seed!r}")
         if variant.partition_selector == "canonical":
+            if not variant.designs:
+                raise ValueError(f"designs must name at least one of "
+                                 f"{DESIGN_ORDER}")
             unknown = [name for name in variant.designs
                        if name not in DESIGN_ORDER]
             if unknown:

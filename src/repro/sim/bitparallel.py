@@ -58,9 +58,13 @@ from ..cells import logic
 from .compile import (KIND_BUF, KIND_CONST0, KIND_CONST1, KIND_LUT,
                       CompiledDesign, FaultCone)
 from .overlay import (BLEND_AND_NOT, BLEND_SHORT, BLEND_WIRED_AND,
-                      BLEND_WIRED_OR, SOURCE_CONST, SOURCE_NET,
-                      FaultOverlay, SourceOverride)
+                      BLEND_WIRED_OR, FF_PORTS, OVERRIDE_WIDTH, ROW_FF_INIT,
+                      ROW_FF_PIN, ROW_GATE_PIN, ROW_LUT_INIT, ROW_NET,
+                      SOURCE_CONST, SOURCE_NET, LanesLike, SourceOverride,
+                      as_lanes)
 from .simulator import SimulationTrace
+
+_FF_D, _FF_CE, _FF_R = (FF_PORTS.index(port) for port in ("D", "CE", "R"))
 
 # ----------------------------------------------------------------------
 # Expression trees (compile time only)
@@ -348,28 +352,85 @@ def compile_vector_program(design: CompiledDesign) -> VectorProgram:
 # ----------------------------------------------------------------------
 # Shard patching
 # ----------------------------------------------------------------------
-def patch_program(program: VectorProgram, overlays: Sequence[FaultOverlay],
+#: One lane's override of a target: ``(lane mask, source)``, the source
+#: a plain tuple of the five :class:`SourceOverride` fields.
+LaneSource = Tuple[int, Tuple[int, ...]]
+
+
+class ShardOverrides:
+    """A shard's override rows bucketed by target, read once per shard.
+
+    Lane *i* is slot ``lanes.slots[i]`` of the lanes' columns; every
+    bucket lists ``(1 << i, value)`` pairs in lane order.  ``luts``
+    holds replacement INITs, ``ff_inits`` the (set, clear) lane masks of
+    flipped power-up values, and the other buckets sources: ``pins`` by
+    gate then input position, ``nets`` by net, ``ff_pins`` by
+    (flip-flop, ``FF_PORTS`` index) and ``outputs`` by (port, bit).
+    """
+
+    __slots__ = ("count", "passes", "luts", "pins", "nets", "ff_pins",
+                 "ff_inits", "outputs")
+
+    def __init__(self, overlays: LanesLike) -> None:
+        lanes = as_lanes(overlays)
+        columns = lanes.columns
+        self.count = len(lanes.slots)
+        self.passes = lanes.passes()
+        luts: Dict[int, List[Tuple[int, int]]] = {}
+        pins: Dict[int, Dict[int, List[LaneSource]]] = {}
+        nets: Dict[int, List[LaneSource]] = {}
+        ff_pins: Dict[Tuple[int, int], List[LaneSource]] = {}
+        ff_inits: Dict[int, Tuple[int, int]] = {}
+        outputs: Dict[Tuple[str, int], List[LaneSource]] = {}
+        table = columns.overrides
+        row_start = columns.row_start
+        ports = columns.ports
+        width = OVERRIDE_WIDTH
+        for lane, slot in enumerate(lanes.slots):
+            stop = row_start[slot + 1] * width
+            base = row_start[slot] * width
+            if base == stop:
+                continue
+            mask = 1 << lane
+            while base < stop:
+                kind, target, argument, *source = table[base:base + width]
+                base += width
+                if kind == ROW_GATE_PIN:
+                    pins.setdefault(target, {}).setdefault(
+                        argument, []).append((mask, tuple(source)))
+                elif kind == ROW_LUT_INIT:
+                    luts.setdefault(target, []).append((mask, argument))
+                elif kind == ROW_FF_PIN:
+                    ff_pins.setdefault((target, argument), []).append(
+                        (mask, tuple(source)))
+                elif kind == ROW_NET:
+                    nets.setdefault(target, []).append((mask, tuple(source)))
+                elif kind == ROW_FF_INIT:
+                    set_mask, clear_mask = ff_inits.get(target, (0, 0))
+                    if argument:
+                        set_mask |= mask
+                    else:
+                        clear_mask |= mask
+                    ff_inits[target] = (set_mask, clear_mask)
+                else:
+                    outputs.setdefault((ports[target], argument), []).append(
+                        (mask, tuple(source)))
+        self.luts, self.pins, self.nets = luts, pins, nets
+        self.ff_pins, self.ff_inits, self.outputs = ff_pins, ff_inits, outputs
+
+
+def patch_program(program: VectorProgram, shard: ShardOverrides,
                   all_mask: int):
-    """Apply a shard of overlays (lane *i* = overlay *i*) to the program.
+    """Apply a shard's overrides to the program (lane *i* = slot *i*).
 
     Returns ``(entries, pre_net_overrides)``: the patched entry list and the
     lane-masked net overrides the sweep applies before/after every settle
     pass (mirroring the scalar simulator's application points).
     """
     design = program.design
-    init_masks: Dict[int, List[Tuple[int, int]]] = {}
-    pin_masks: Dict[int, Dict[int, List[Tuple[int, SourceOverride]]]] = {}
-    net_masks: Dict[int, List[Tuple[int, SourceOverride]]] = {}
-    for lane, overlay in enumerate(overlays):
-        mask = 1 << lane
-        for gate_index, new_init in overlay.lut_init_overrides.items():
-            init_masks.setdefault(gate_index, []).append((mask, new_init))
-        for (gate_index, position), override in \
-                overlay.gate_pin_overrides.items():
-            pin_masks.setdefault(gate_index, {}).setdefault(
-                position, []).append((mask, override))
-        for net, override in overlay.net_overrides.items():
-            net_masks.setdefault(net, []).append((mask, override))
+    init_masks = shard.luts
+    pin_masks = shard.pins
+    net_masks = shard.nets
 
     entries = list(program.entries)
     position_of_gate = {entry.gate_index: index
@@ -422,13 +483,13 @@ _TWO_KINDS = frozenset((_E_AND2, _E_OR2, _E_XOR2, _E_XNOR2))
 _ONE_KINDS = frozenset((_E_COPY, _E_NOT))
 
 
-def _override_read_nets(override: SourceOverride) -> Tuple[int, ...]:
-    if override.kind == SOURCE_CONST:
+def _override_read_nets(source: SourceOverride) -> Tuple[int, ...]:
+    kind, net_a, net_b = source[:3]
+    if kind == SOURCE_CONST:
         return ()
-    if override.kind == SOURCE_NET:
-        return (override.net_a,) if override.net_a >= 0 else ()
-    return tuple(net for net in (override.net_a, override.net_b)
-                 if net >= 0)
+    if kind == SOURCE_NET:
+        return (net_a,) if net_a >= 0 else ()
+    return tuple(net for net in (net_a, net_b) if net >= 0)
 
 
 def _entry_reads(entry) -> set:
@@ -491,23 +552,19 @@ def _dirty_nets(entries, reads, seed_nets) -> set:
 def _resolve_lanes(override: SourceOverride, net_v: List[int],
                    net_k: List[int], all_mask: int) -> Tuple[int, int]:
     """Lane-wise :meth:`SourceOverride.resolve`."""
-    kind = override.kind
+    kind, net_a, net_b, value, blend = override
     if kind == SOURCE_CONST:
-        value = override.value
         if value == logic.ONE:
             return all_mask, all_mask
         if value == logic.ZERO:
             return 0, all_mask
         return 0, 0
     if kind == SOURCE_NET:
-        net = override.net_a
-        if net < 0:
+        if net_a < 0:
             return 0, 0
-        return net_v[net], net_k[net]
-    net_a, net_b = override.net_a, override.net_b
+        return net_v[net_a], net_k[net_a]
     va, ka = (net_v[net_a], net_k[net_a]) if net_a >= 0 else (0, 0)
     vb, kb = (net_v[net_b], net_k[net_b]) if net_b >= 0 else (0, 0)
-    blend = override.blend
     if blend == BLEND_SHORT:
         same = ((va ^ vb) ^ all_mask) & ((ka ^ kb) ^ all_mask)
         return va & same, ka & same
@@ -528,8 +585,8 @@ def _blend_lanes(base: Tuple[int, int], lane_overrides,
                  all_mask: int) -> Tuple[int, int]:
     """Replace the lanes selected by each (mask, override) pair."""
     v, k = base
-    for mask, override in lane_overrides:
-        ov, ok = _resolve_lanes(override, net_v, net_k, all_mask)
+    for mask, source in lane_overrides:
+        ov, ok = _resolve_lanes(source, net_v, net_k, all_mask)
         keep = mask ^ all_mask
         v = (v & keep) | (ov & mask)
         k = (k & keep) | (ok & mask)
@@ -668,24 +725,11 @@ class _LaneFlipFlop:
     state_k: int = 0
 
 
-def _build_flip_flops(design: CompiledDesign,
-                      overlays: Sequence[FaultOverlay],
+def _build_flip_flops(design: CompiledDesign, shard: ShardOverrides,
                       active_indices: Optional[Sequence[int]],
                       all_mask: int) -> List[_LaneFlipFlop]:
-    pin_masks: Dict[Tuple[int, str], List[Tuple[int, SourceOverride]]] = {}
-    init_masks: Dict[int, Tuple[int, int]] = {}
-    for lane, overlay in enumerate(overlays):
-        mask = 1 << lane
-        for (ff_index, port), override in overlay.ff_pin_overrides.items():
-            pin_masks.setdefault((ff_index, port), []).append((mask,
-                                                               override))
-        for ff_index, value in overlay.ff_init_overrides.items():
-            set_mask, clear_mask = init_masks.get(ff_index, (0, 0))
-            if value:
-                set_mask |= mask
-            else:
-                clear_mask |= mask
-            init_masks[ff_index] = (set_mask, clear_mask)
+    pin_masks = shard.ff_pins
+    init_masks = shard.ff_inits
 
     indices = active_indices if active_indices is not None else \
         range(len(design.flip_flops))
@@ -698,9 +742,9 @@ def _build_flip_flops(design: CompiledDesign,
         records.append(_LaneFlipFlop(
             d_net=flip_flop.d_net, ce_net=flip_flop.ce_net,
             r_net=flip_flop.reset_net, q_net=flip_flop.q_net,
-            d_overrides=tuple(pin_masks.get((index, "D"), ())),
-            ce_overrides=tuple(pin_masks.get((index, "CE"), ())),
-            r_overrides=tuple(pin_masks.get((index, "R"), ())),
+            d_overrides=tuple(pin_masks.get((index, _FF_D), ())),
+            ce_overrides=tuple(pin_masks.get((index, _FF_CE), ())),
+            r_overrides=tuple(pin_masks.get((index, _FF_R), ())),
             state_v=state_v, state_k=all_mask))
     return records
 
@@ -821,7 +865,7 @@ def broadcast_inputs(design: CompiledDesign, stimulus, all_mask: int):
 
 
 def simulate_lanes(program: VectorProgram,
-                   overlays: Sequence[FaultOverlay],
+                   overlays: LanesLike,
                    stimulus,
                    golden: SimulationTrace,
                    passes: Optional[int] = None,
@@ -836,39 +880,40 @@ def simulate_lanes(program: VectorProgram,
                    record_lane_outputs: bool = False) -> VectorResult:
     """Simulate every overlay of a shard in one bit-parallel sweep.
 
-    Lane *i* carries ``overlays[i]``; lanes up to *width* beyond the shard
-    population re-simulate the golden circuit and are ignored.  With
-    *cone* (the union fan-out cone of the shard) only cone gates and
-    flip-flops are evaluated and everything else is re-seeded from the
-    golden trace each cycle — the lane-wise equivalent of the scalar
-    simulator's cone mode.  *passes* must cover every overlay's
+    Lane *i* carries ``overlays[i]`` (or slot ``slots[i]`` of a
+    :class:`~repro.sim.overlay.Lanes` shard); lanes up to *width* beyond
+    the shard population re-simulate the golden circuit and are
+    ignored.  With *cone* (the union fan-out cone of the shard) only
+    cone gates and flip-flops are evaluated and everything else is
+    re-seeded from the golden trace each cycle — the lane-wise
+    equivalent of the scalar simulator's cone mode.  *passes* must cover every overlay's
     ``required_passes()`` (the default takes their maximum); extra
     settle passes leave a settled lane unchanged, so the results stay
     bit-identical to the scalar simulator.  Passes after the first
     evaluate only the override feedback cone (:func:`_dirty_nets`).
     """
-    lanes = len(overlays)
+    shard = ShardOverrides(overlays)
+    lanes = shard.count
     lane_width = width if width is not None else lanes
     if lane_width < lanes:
         raise ValueError(f"width {lane_width} cannot hold {lanes} lanes")
     all_mask = (1 << lane_width) - 1 if lane_width else 0
     used_mask = (1 << lanes) - 1
     if passes is None:
-        passes = max((overlay.required_passes() for overlay in overlays),
-                     default=1)
+        passes = shard.passes
 
     design = program.design
-    entries, pre_net_overrides = patch_program(program, overlays, all_mask)
+    entries, pre_net_overrides = patch_program(program, shard, all_mask)
     if cone is not None:
         active_gates = cone.gate_set
         entries = [entry for entry in entries
                    if entry.gate_index in active_gates]
-        flip_flops = _build_flip_flops(design, overlays, cone.ff_indices,
+        flip_flops = _build_flip_flops(design, shard, cone.ff_indices,
                                        all_mask)
         if reseed is None:
             reseed = broadcast_trace(golden, all_mask)
     else:
-        flip_flops = _build_flip_flops(design, overlays, None, all_mask)
+        flip_flops = _build_flip_flops(design, shard, None, all_mask)
     # Passes after the first only re-evaluate the override feedback cone:
     # every other entry reproduces its pass-1 value.
     settle = entries
@@ -878,12 +923,8 @@ def simulate_lanes(program: VectorProgram,
                             [net for net, _ in pre_net_overrides])
         settle = [entry for entry in entries if entry.out_net in dirty]
 
-    output_masks: Dict[Tuple[str, int], Tuple] = {}
-    for lane, overlay in enumerate(overlays):
-        for key, override in overlay.output_pin_overrides.items():
-            output_masks.setdefault(key, []).append((1 << lane, override))
-    output_masks = {key: tuple(value) for key, value in
-                    output_masks.items()}
+    output_masks = {key: tuple(value)
+                    for key, value in shard.outputs.items()}
 
     inputs_per_cycle = inputs if inputs is not None else \
         broadcast_inputs(design, stimulus, all_mask)

@@ -19,15 +19,17 @@ program into a short sequence of **vectorized numpy operations** over
 * within a batch, same-shape work fuses: all AND2 gates become one
   fancy-indexed sweep, LUT mux trees sharing a postfix skeleton (every
   TMR voter, every adder column) evaluate as one stacked postfix run;
-* overlay patching stays in :func:`.bitparallel.patch_program` — the
-  patched entries are what gets compiled.  Lane-masked overrides become
-  stacked masked row stores (:class:`_BlendPlan`): a batch first copies
-  each overridden pin's net into its shadow row and blends the pin
-  overrides in there, so patched entries are plain trees over shadow
-  rows and fuse with the unpatched ones; net overrides blend into the
-  net rows after the batch writes, and overridden flip-flop pins and
-  output bits read edge shadow rows filled the same way after the
-  settle passes;
+* overlay patching stays in :func:`.bitparallel.patch_program`, over
+  the shard's override rows as :class:`.bitparallel.ShardOverrides`
+  buckets them — the patched entries are what gets compiled.
+  Lane-masked overrides become stacked masked stores
+  (:class:`_BlendPlan`; runtime blends gather and store only the lane
+  words some lane selects): a batch first copies each overridden pin's
+  net into its shadow row and blends the pin overrides in there, so
+  patched entries are plain trees over shadow rows and fuse with the
+  unpatched ones; net overrides blend into the net rows after the
+  batch writes, and overridden flip-flop pins and output bits read
+  edge shadow rows filled the same way after the settle passes;
 * the entries are batched once per shard.  Settle passes beyond the
   first only re-evaluate the *override feedback cone* (entries
   transitively reading a net any override writes), reusing the steps of
@@ -64,11 +66,11 @@ from .bitparallel import (VectorProgram, VectorResult, _ONE_KINDS,
                           _E_OR2, _E_PINS, _E_TREE, _E_X, _E_XOR2,
                           _entry_reads, _OP_AND, _OP_CONST, _OP_MUX,
                           _OP_MUXX, _OP_NOT, _OP_OR, _OP_VAR, _OP_X, _OP_XOR,
-                          broadcast_inputs, patch_program)
+                          ShardOverrides, broadcast_inputs, patch_program)
 from .compile import CompiledDesign, FaultCone
 from .overlay import (BLEND_AND_NOT, BLEND_SHORT, BLEND_WIRED_AND,
-                      BLEND_WIRED_OR, SOURCE_CONST, SOURCE_NET,
-                      FaultOverlay, SourceOverride)
+                      BLEND_WIRED_OR, SOURCE_CONST, SOURCE_NET, LanesLike,
+                      SourceOverride, as_lanes)
 from .simulator import SimulationTrace
 
 _U64_MAX = _np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -167,21 +169,23 @@ _BLEND_TAGS = {BLEND_SHORT: _BK_SHORT, BLEND_WIRED_AND: _BK_WAND,
 class _BlendPlan:
     """Ordered lane-masked overrides compiled into stacked array stores.
 
-    Input is a sequence of ``(out_row, lane_mask, override)`` triples in
+    Input is a sequence of ``(out_row, lane_mask, source)`` triples in
     their sequential application order; every mask selects one lane
-    (``1 << lane``, as :func:`.bitparallel.patch_program` builds them).
+    (``1 << lane``, as :class:`.bitparallel.ShardOverrides` builds them).
     The compiler splits them into *waves* — a triple opens a new wave
     when it reads a net an earlier triple of the wave writes, so every
     gather within a wave observes the pre-wave state exactly as the
     sequential big-int loop would.  Within a wave, constant overrides
     fold per target row into one masked scatter, and runtime overrides
     (net reroutes, shorts, wired blends) stack per blend kind into a
-    single gather → formula → masked-scatter group.  Triples landing on
-    the same target come from different lanes (an overlay holds at most
-    one override per net or pin), so their masks are disjoint: identical
-    ``(target, sources)`` pairs merge their lanes, and a target still
-    repeated (rerouted to different sources on different lanes) folds
-    through a segment reduction before one store.
+    single gather → formula → masked-scatter group over just the lane
+    words some lane selects (masks are sparse: one lane in 64 words).
+    Triples landing on the same target come from different lanes (an
+    overlay holds at most one override per net or pin), so their masks
+    are disjoint: identical ``(target, sources)`` pairs merge their
+    lanes, and a target word still repeated (rerouted to different
+    sources on different lanes) folds through a segment reduction
+    before one store.
     """
 
     __slots__ = ("waves",)
@@ -194,15 +198,14 @@ def _compile_blend_plan(triples, words: int,
     waves_raw: List[List[Tuple]] = []
     wave: List[Tuple] = []
     wave_writes: set = set()
-    for out, mask, override in triples:
+    for out, mask, source in triples:
         # The raw source fields over-approximate the reads (a detached
         # or unread field is -1, or at worst splits a wave early).
-        if wave and not wave_writes.isdisjoint((override.net_a,
-                                                override.net_b)):
+        if wave and not wave_writes.isdisjoint(source[1:3]):
             waves_raw.append(wave)
             wave = []
             wave_writes = set()
-        wave.append((out, mask, override))
+        wave.append((out, mask, source))
         wave_writes.add(out)
     waves_raw.append(wave)
 
@@ -212,9 +215,9 @@ def _compile_blend_plan(triples, words: int,
         # target row -> (replaced lanes, lanes set to 1, known lanes)
         const_lanes: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
         runtime: Dict[int, Dict[Tuple[int, int, int], List[int]]] = {}
-        for out, mask, override in raw:
+        for out, mask, source in raw:
             lane = mask.bit_length() - 1
-            fixed = _const_resolution(override)
+            fixed = _const_resolution(source)
             if fixed is not None:
                 fold = const_lanes.get(out)
                 if fold is None:
@@ -225,31 +228,37 @@ def _compile_blend_plan(triples, words: int,
                 if fixed[1]:
                     fold[2].append(lane)
             else:
-                tag = _BK_NET if override.kind == SOURCE_NET \
-                    else _BLEND_TAGS[override.blend]
-                key = (out,
-                       override.net_a if override.net_a >= 0 else x_slot,
-                       override.net_b if override.net_b >= 0 else x_slot)
+                kind, net_a, net_b, _value, blend = source
+                tag = _BK_NET if kind == SOURCE_NET else _BLEND_TAGS[blend]
+                key = (out, net_a if net_a >= 0 else x_slot,
+                       net_b if net_b >= 0 else x_slot)
                 runtime.setdefault(tag, {}).setdefault(key, []).append(lane)
 
         stacked = []
         for tag, merged in runtime.items():
             keys = sorted(merged)
             mask_mat = _lane_matrix([merged[key] for key in keys], words)
-            outs = _idx([out for out, _a, _b in keys])
-            a_idx = _idx([a for _o, a, _b in keys])
-            b_idx = _idx([b for _o, _a, b in keys])
-            # Sorted keys put repeats of one target in a run: a run start
-            # is wherever the target changes.
-            starts = _np.flatnonzero(_np.diff(outs, prepend=-1))
-            if starts.size == len(keys):
-                stacked.append((tag, None, outs, a_idx, b_idx, ~mask_mat,
-                                mask_mat))
+            # Only the lane words a key selects are gathered and stored:
+            # one element per (key, word) with a lane set, ordered by
+            # (target, word) so repeats of one target word form a run.
+            key_of, word = _np.nonzero(mask_mat)
+            outs = _idx([out for out, _a, _b in keys])[key_of]
+            order = _np.lexsort((word, outs))
+            key_of, word, outs = key_of[order], word[order], outs[order]
+            bits = mask_mat[key_of, word]
+            a_idx = _idx([a for _o, a, _b in keys])[key_of]
+            b_idx = _idx([b for _o, _a, b in keys])[key_of]
+            starts = _np.flatnonzero(
+                (_np.diff(outs, prepend=-1) != 0)
+                | (_np.diff(word, prepend=-1) != 0))
+            if starts.size == len(outs):
+                stacked.append((tag, None, outs, word, a_idx, b_idx, word,
+                                ~bits, bits))
             else:
-                stacked.append((tag, starts, outs[starts], a_idx, b_idx,
-                                _np.bitwise_and.reduceat(~mask_mat, starts,
-                                                         axis=0),
-                                mask_mat))
+                stacked.append((tag, starts, outs[starts], word[starts],
+                                a_idx, b_idx, word,
+                                ~_np.bitwise_or.reduceat(bits, starts),
+                                bits))
         const_scatter = None
         if const_lanes:
             folds = list(const_lanes.values())
@@ -264,14 +273,15 @@ def _compile_blend_plan(triples, words: int,
 
 def _apply_blend_plan(plan: _BlendPlan, net_v, net_k) -> None:
     for const_scatter, stacked in plan.waves:
-        for tag, seg, out_idx, a_idx, b_idx, keep, mask in stacked:
-            va = net_v[a_idx]
-            ka = net_k[a_idx]
+        for (tag, seg, out_idx, out_word, a_idx, b_idx, word, keep,
+             mask) in stacked:
+            va = net_v[a_idx, word]
+            ka = net_k[a_idx, word]
             if tag == _BK_NET:
                 ov, ok = va, ka
             else:
-                vb = net_v[b_idx]
-                kb = net_k[b_idx]
+                vb = net_v[b_idx, word]
+                kb = net_k[b_idx, word]
                 if tag == _BK_SHORT:
                     same = ~(va ^ vb) & ~(ka ^ kb)
                     ov, ok = va & same, ka & same
@@ -288,10 +298,10 @@ def _apply_blend_plan(plan: _BlendPlan, net_v, net_k) -> None:
             ov = ov & mask
             ok = ok & mask
             if seg is not None:
-                ov = _np.bitwise_or.reduceat(ov, seg, axis=0)
-                ok = _np.bitwise_or.reduceat(ok, seg, axis=0)
-            net_v[out_idx] = net_v[out_idx] & keep | ov
-            net_k[out_idx] = net_k[out_idx] & keep | ok
+                ov = _np.bitwise_or.reduceat(ov, seg)
+                ok = _np.bitwise_or.reduceat(ok, seg)
+            net_v[out_idx, out_word] = net_v[out_idx, out_word] & keep | ov
+            net_k[out_idx, out_word] = net_k[out_idx, out_word] & keep | ok
         if const_scatter is not None:
             out_idx, keep, set_v, set_k = const_scatter
             net_v[out_idx] = net_v[out_idx] & keep | set_v
@@ -313,26 +323,26 @@ def _idx(values):
     return _np.array(values, dtype=_np.intp)
 
 
-def _const_resolution(override: SourceOverride):
-    """The fixed ``(v, k)`` bit pair an override resolves to, or None.
+def _const_resolution(source: SourceOverride):
+    """The fixed ``(v, k)`` bit pair a source resolves to, or None.
 
     Mirrors :func:`.bitparallel._resolve_lanes` on overrides that never
     read live state: declared constants, detached reroutes, unknown blend kinds
     and blends whose sources are both detached (every supported blend
     of two unknowns is unknown).
     """
-    kind = override.kind
+    kind, net_a, net_b, value, blend = source
     if kind == SOURCE_CONST:
-        if override.value == logic.ONE:
+        if value == logic.ONE:
             return (1, 1)
-        if override.value == logic.ZERO:
+        if value == logic.ZERO:
             return (0, 1)
         return (0, 0)
     if kind == SOURCE_NET:
-        return (0, 0) if override.net_a < 0 else None
-    if override.blend not in _BLEND_TAGS:
+        return (0, 0) if net_a < 0 else None
+    if blend not in _BLEND_TAGS:
         return (0, 0)
-    if override.net_a < 0 and override.net_b < 0:
+    if net_a < 0 and net_b < 0:
         return (0, 0)
     return None
 
@@ -344,7 +354,7 @@ def _shadow_pins(entry, x_slot: int, first_shadow: int,
     Every pin some lane overrides gets the next shadow row: its base row
     (the pin's net, or the X slot for an unconnected pin) goes onto
     *shadow_src* and its lane overrides onto *shadow_triples* as
-    ``(shadow_row, mask, override)``.  Other pins read their net row
+    ``(shadow_row, mask, source)``.  Other pins read their net row
     directly.
     """
     rows = []
@@ -353,8 +363,8 @@ def _shadow_pins(entry, x_slot: int, first_shadow: int,
         if lane_overrides:
             shadow = first_shadow + len(shadow_src)
             shadow_src.append(row)
-            shadow_triples.extend((shadow, mask, override)
-                                  for mask, override in lane_overrides)
+            shadow_triples.extend((shadow, mask, source)
+                                  for mask, source in lane_overrides)
             row = shadow
         rows.append(row)
     ops = tuple((code, rows[arg]) if code == _OP_VAR or code == _OP_MUX
@@ -391,8 +401,8 @@ def _emit_batch(batch, all_mask: int, words: int, x_slot: int, zrow,
     first_shadow = x_slot + 4
     for entry in batch:
         if entry.post is not None:
-            for mask, override in entry.post:
-                posts.append((entry.out_net, mask, override))
+            for mask, source in entry.post:
+                posts.append((entry.out_net, mask, source))
             entry = dataclasses.replace(entry, post=None)
         if entry.kind == _E_PINS:
             entry = _shadow_pins(entry, x_slot, first_shadow, shadow_src,
@@ -544,11 +554,11 @@ class _ShardPlan:
                  "pending0", "zrow")
 
 
-def _build_shard_plan(program: VectorProgram,
-                      overlays: Sequence[FaultOverlay],
+def _build_shard_plan(program: VectorProgram, overlays: LanesLike,
                       width: Optional[int],
                       cone: Optional[FaultCone]) -> _ShardPlan:
-    lanes = len(overlays)
+    shard = ShardOverrides(overlays)
+    lanes = shard.count
     lane_width = width if width is not None else lanes
     if lane_width < lanes:
         raise ValueError(f"width {lane_width} cannot hold {lanes} lanes")
@@ -556,15 +566,15 @@ def _build_shard_plan(program: VectorProgram,
     all_mask = (1 << (words * 64)) - 1
     design = program.design
 
-    entries, pre_net_overrides = patch_program(program, overlays, all_mask)
+    entries, pre_net_overrides = patch_program(program, shard, all_mask)
     if cone is not None:
         active = cone.gate_set
         entries = [entry for entry in entries
                    if entry.gate_index in active]
-        records = _build_flip_flops(design, overlays, cone.ff_indices,
+        records = _build_flip_flops(design, shard, cone.ff_indices,
                                     all_mask)
     else:
-        records = _build_flip_flops(design, overlays, None, all_mask)
+        records = _build_flip_flops(design, shard, None, all_mask)
 
     plan = _ShardPlan()
     plan.lanes = lanes
@@ -578,9 +588,9 @@ def _build_shard_plan(program: VectorProgram,
         entries, [net for net, _ in pre_net_overrides], all_mask, words,
         x_slot, plan.zrow, _np.full(words, _U64_MAX, dtype=_np.uint64))
     plan.pre_blend = _compile_blend_plan(
-        [(net, mask, override)
+        [(net, mask, source)
          for net, lane_overrides in pre_net_overrides
-         for mask, override in lane_overrides],
+         for mask, source in lane_overrides],
         words, x_slot)
 
     # Flip-flop pins and output bits read their net rows; absent pins read
@@ -598,8 +608,8 @@ def _build_shard_plan(program: VectorProgram,
             return row
         shadow = first_edge + len(edge_src)
         edge_src.append(row)
-        edge_triples.extend((shadow, mask, override)
-                            for mask, override in lane_overrides)
+        edge_triples.extend((shadow, mask, source)
+                            for mask, source in lane_overrides)
         return shadow
 
     plan.ff_d = _idx([edge_row(r.d_net if r.d_net >= 0 else x_slot,
@@ -613,12 +623,8 @@ def _build_shard_plan(program: VectorProgram,
     plan.ff_state_v = _mask_matrix([r.state_v for r in records], words)
     plan.ff_state_k = _mask_matrix([r.state_k for r in records], words)
 
-    output_overrides: Dict[Tuple[str, int], List] = {}
-    for lane, overlay in enumerate(overlays):
-        for key, override in overlay.output_pin_overrides.items():
-            output_overrides.setdefault(key, []).append((1 << lane, override))
     plan.output_rows = {}
-    for (port, position), lane_overrides in output_overrides.items():
+    for (port, position), lane_overrides in shard.outputs.items():
         net = design.outputs[port].net_indices[position]
         plan.output_rows[(port, position)] = edge_row(
             net if net >= 0 else x_slot, lane_overrides)
@@ -981,7 +987,7 @@ class NumpyProgram:
         self._compares: "OrderedDict[Tuple, Tuple]" = OrderedDict()
 
     # ------------------------------------------------------------------
-    def shard_plan(self, overlays: Sequence[FaultOverlay],
+    def shard_plan(self, overlays: LanesLike,
                    width: Optional[int] = None,
                    cone: Optional[FaultCone] = None,
                    key: Optional[Tuple] = None) -> _ShardPlan:
@@ -1027,7 +1033,7 @@ class NumpyProgram:
         return hit[1]
 
     # ------------------------------------------------------------------
-    def simulate_shard(self, overlays: Sequence[FaultOverlay], stimulus,
+    def simulate_shard(self, overlays: LanesLike, stimulus,
                        golden: SimulationTrace,
                        passes: Optional[int] = None,
                        skip_cycles: int = 0,
@@ -1039,14 +1045,15 @@ class NumpyProgram:
         """Simulate one shard through its (memoized) compiled sweep.
 
         The contract and result of :func:`.bitparallel.simulate_lanes`:
-        lane *i* carries ``overlays[i]``, lanes up to *width* beyond the
-        shard replay the golden circuit, and *plan_key*, when given,
-        memoizes the shard plan for a repeat of the same shard.
+        lane *i* carries ``overlays[i]`` (or slot ``slots[i]`` of a
+        :class:`~repro.sim.overlay.Lanes` shard), lanes up to *width*
+        beyond the shard replay the golden circuit, and *plan_key*, when
+        given, memoizes the shard plan for a repeat of the same shard.
         """
+        lanes = as_lanes(overlays)
         if passes is None:
-            passes = max((overlay.required_passes()
-                          for overlay in overlays), default=1)
-        plan = self.shard_plan(overlays, width, cone, key=plan_key)
+            passes = lanes.passes()
+        plan = self.shard_plan(lanes, width, cone, key=plan_key)
         reseed = self.reseed_for(golden) if cone is not None else None
         inputs = self.inputs_for(stimulus)
         compare = self.compare_for(golden, ports)

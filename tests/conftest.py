@@ -99,3 +99,11 @@ def tiny_tmr_implementation(tiny_fir, tiny_tmr_suite):
                    flat_name="fir_tiny_p2_flat")
     return implement(flat, device_by_name("XC2S50E"),
                      anneal_moves_per_slice=2)
+
+
+@pytest.fixture(scope="session")
+def tiny_suite_implementations():
+    """Every design of the tiny-scale suite, placed and routed."""
+    from repro.experiments.designs import (build_design_suite,
+                                           implement_design_suite)
+    return implement_design_suite(build_design_suite("tiny"))

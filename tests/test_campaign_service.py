@@ -631,8 +631,12 @@ class TestHttpApi:
         ("num_faults", -5, "num_faults must be a non-negative integer"),
         ("num_faults", "many", "num_faults must be a non-negative integer"),
         ("num_faults", True, "num_faults must be a non-negative integer"),
+        ("designs", [], "designs must name at least one"),
+        ("seed", "abc", "seed must be an integer"),
+        ("seed", True, "seed must be an integer"),
     ], ids=["bare-design-name", "unknown-design", "negative-faults",
-            "string-faults", "bool-faults"])
+            "string-faults", "bool-faults", "no-designs", "string-seed",
+            "bool-seed"])
     def test_unrunnable_designs_or_faults_are_400_and_never_journaled(
             self, served, field, value, message):
         service, url = served

@@ -78,6 +78,20 @@ class TestRegistry:
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
             "4c3ee766d5745aabf5f1564a1fd9b9b654e824221b6a8b1c79485d858812a63c")
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(designs=[]), "designs must name at least one"),
+        (dict(designs=["standard"], seed="abc"), "seed must be an integer"),
+        (dict(designs=["standard"], seed=True), "seed must be an integer"),
+    ], ids=["no-designs", "string-seed", "bool-seed"])
+    def test_unrunnable_designs_or_seed_rejected_before_build(
+            self, monkeypatch, overrides, message):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the build stage ran")
+
+        monkeypatch.setattr("repro.pipeline.build_design_suite", no_build)
+        with pytest.raises(ValueError, match=message):
+            run_scenario("table3-fir", scale="tiny", **overrides)
+
     def test_unknown_stage_and_analysis(self):
         with pytest.raises(KeyError, match="unknown pipeline stage"):
             pipeline_for(("build", "deploy"))

@@ -148,6 +148,34 @@ class TestRoute:
             assert tree.sinks_through(path[1])  # the first hop serves someone
         assert total >= 1
 
+    def test_sinks_through_matches_a_subtree_scan(
+            self, tiny_suite_implementations):
+        def scanned(tree, node):
+            # The definition the memo replaced: every sink of the net
+            # checked against the subtree below the node.
+            if node != tree.source and node not in tree.parent:
+                return []
+            children = {}
+            for child, parent in tree.parent.items():
+                children.setdefault(parent, []).append(child)
+            subtree = {node}
+            stack = [node]
+            while stack:
+                for child in children.get(stack.pop(), ()):
+                    subtree.add(child)
+                    stack.append(child)
+            return [spec for sink_node, spec in tree.sinks.items()
+                    if sink_node in subtree]
+
+        checked = 0
+        off_tree = ("wire", -1, -1, "N", 0)
+        for implementation in tiny_suite_implementations.values():
+            for tree in implementation.routing.routes.values():
+                for node in sorted(tree.nodes()) + [off_tree]:
+                    assert tree.sinks_through(node) == scanned(tree, node)
+                    checked += 1
+        assert checked > 1000
+
     def test_pip_owner_consistent(self, tiny_fir_implementation):
         routing = tiny_fir_implementation.routing
         for pip, net in routing.pip_owner.items():
