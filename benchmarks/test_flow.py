@@ -2,7 +2,7 @@
 
 Measures, per suite design, the seed place-and-route flow (the tuple-based
 PathFinder router, swap-and-recompute annealer and linear-scan bit
-accounting preserved in :mod:`repro.pnr.reference`) against
+accounting preserved in :mod:`oracles.reference_flow`) against
 
 * the **cold** fast flow — integer-indexed routing graph, incremental
   annealing, memoized PIP tables, nothing on disk yet, and
@@ -28,9 +28,9 @@ Two further sections land in the same file:
   numbers, and a companion test checks that a forced-serial ``jobs``
   path fails it.
 * ``defeat_map_build`` — the vectorized defeat-map build vs the python
-  taint flood, asserted prediction-identical (including per-class
-  counts), with the speedup over the *committed* flood baselines held
-  to an absolute floor.
+  taint flood (:mod:`oracles.flood`), asserted prediction-identical
+  (including per-class counts), with the speedup over the *committed*
+  flood baselines held to an absolute floor.
 
 Knobs: ``REPRO_BENCH_SCALE`` selects the suite scale (see conftest);
 ``REPRO_BENCH_FLOW_MIN_SPEEDUP`` / ``REPRO_BENCH_FLOW_WARM_MIN_SPEEDUP``
@@ -54,8 +54,10 @@ from repro.fpga.bitgen import generate_bitstream
 from repro.fpga.config import ConfigLayout, clear_layout_cache
 from repro.fpga.routing import clear_routing_graph_cache
 from repro.pnr import FlowArtifactStore, estimate_timing, implement, pack
-from repro.pnr.reference import (reference_bit_stats, reference_place,
-                                 reference_route_design)
+
+from oracles.flood import FloodAnalyzer
+from oracles.reference_flow import (reference_bit_stats, reference_place,
+                                    reference_route_design)
 
 #: Required cold-flow speedup over the seed flow (locally ~2.5x; shared CI
 #: runners relax the bar via the env knob, the regression gate compares
@@ -447,8 +449,7 @@ def test_defeat_map_build(benchmark, design_suite, implementations,
         impl = implementations[name]
         gc.collect()
         flood_map, flood_seconds = _timed(
-            lambda impl=impl: LayoutAnalyzer(
-                impl, vectorize=False).build_map())
+            lambda impl=impl: FloodAnalyzer(impl).build_map())
         vector_seconds = None
         vector_map = None
         for _ in range(3):  # best-of-3 damps single-core scheduler noise

@@ -12,7 +12,7 @@ the route trees and the compiled netlist.
 
 For every configuration bit of the fault list the
 :class:`LayoutAnalyzer` answers "where can this upset's effect go?" by
-propagating a taint from the overlay's entry nets through the compiled
+propagating a taint from the overrides' entry nets through the compiled
 design.  Voter LUTs *absorb* the taint (a majority voter with at most one
 corrupted input provably outputs the golden value, and the simulator's
 three-valued LUT evaluation honours that even for unknowns); flip-flops
@@ -36,6 +36,15 @@ The defeat-capable set is a *superset* of the bits that can produce wrong
 answers — the ``prediction-vs-campaign`` scenario cross-validates that
 against measured campaigns — and the silent set is *sound*: a bit
 predicted silent can never produce an output mismatch.
+
+The taint is propagated once for the whole design: every net's forward
+closure is one bitset, and a bit's verdict decodes the union of its entry
+nets' closures.  Routing (PIP) bits, the bulk of a fault list, take those
+unions from per-(net, routing node) sink signatures without modelling
+each bit; LUT and slice-configuration bits read the override rows the
+:class:`~repro.faults.models.FaultModeler` writes for them.  The per-net
+flood these closures replaced is the equivalence oracle in
+``tests/oracles/flood.py``.
 """
 
 from __future__ import annotations
@@ -56,16 +65,23 @@ from ..core.tmr import DOMAIN_SUFFIXES
 from ..core.voters import VOTED_NET_PROPERTY, VOTER_PROPERTY, is_voter
 from ..faults import categories
 from ..faults.fault_list import FaultList, FaultListManager
-from ..faults.models import FaultEffect, FaultModeler, _LUT_PIN_TO_SLOT
-from ..fpga.config import KIND_LUT_BIT, KIND_PIP
+from ..faults.models import FaultModeler, _LUT_PIN_TO_SLOT
+from ..fpga.config import KIND_PIP, Resource
 from ..pnr.flow import Implementation
 from ..sim.compile import CompiledDesign
+from ..sim.overlay import (OVERRIDE_WIDTH, ROW_FF_INIT, ROW_FF_PIN,
+                           ROW_GATE_PIN, ROW_LUT_INIT, ROW_OUTPUT_PIN,
+                           OverlayColumns)
 
 #: Static per-bit verdicts of the layout analyzer.
 SILENT = "silent"
 CORRECTABLE = "single-domain-correctable"
 DEFEAT = "cross-domain-defeat-capable"
 CLASSIFICATIONS = (SILENT, CORRECTABLE, DEFEAT)
+
+#: The verdict of an upset that writes no override: it leaves the design
+#: untouched.  Compared by identity, next to the interned union verdicts.
+_NO_EFFECT = (SILENT, (), (), False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,11 +167,6 @@ class DefeatMap:
         self.bits.append(bit)
         self.rows.append(row)
         self.details.append(detail)
-
-    def add_prediction(self, prediction: BitPrediction) -> None:
-        self.add(prediction.bit, self.verdict_id(Verdict._make(
-            getattr(prediction, field) for field in Verdict._fields)),
-            prediction.detail)
 
     @property
     def predictions(self) -> Mapping[int, BitPrediction]:
@@ -279,45 +290,29 @@ class _PredictionView(Mapping):
         return len(self._map.bits)
 
 
-@dataclasses.dataclass(frozen=True)
-class _TaintSummary:
-    """Forward closure of one seed net, with voters absorbing."""
-
-    #: redundant domains of the tainted nets (None filtered out)
-    domains: FrozenSet[int]
-    #: (voter gate index, tainted input net) pairs where the taint stopped
-    voter_hits: FrozenSet[Tuple[int, int]]
-    #: whether an output port net was tainted (no voter in between)
-    reaches_output: bool
-
-
 class LayoutAnalyzer:
     """Classifies configuration bits of one implemented design.
 
     The analyzer cross-references the implementation's fault models with
-    the compiled netlist: per bit it derives the overlay's *entry nets*
-    (the first nets that can carry a wrong value), pushes a taint through
-    gates and flip-flops — voter LUTs absorb it, recording which inputs
-    arrived corrupted — and classifies the bit by what the taint reached.
+    the compiled netlist: per bit it derives the *entry nets* of the
+    upset's overrides (the first nets that can carry a wrong value),
+    unions their taint closures through gates and flip-flops — voter LUTs
+    absorb the taint, recording which inputs arrived corrupted — and
+    classifies the bit by what the taint reached.
     """
 
-    def __init__(self, implementation: Implementation,
-                 vectorize: bool = True) -> None:
+    def __init__(self, implementation: Implementation) -> None:
         self.implementation = implementation
         self.compiled = CompiledDesign(implementation.design)
         self.modeler = FaultModeler(implementation, self.compiled)
         self._build_structure()
-        self._taint_memo: Dict[int, _TaintSummary] = {}
-        # Vectorized taint propagation (the default): per-net closure
-        # bitsets swept over the whole net graph at once.  The per-seed
-        # python flood (``vectorize=False``) stays as the equivalence
-        # reference.
-        self._vectorized = vectorize
         self._closure = None
         self._rows: Optional[List[int]] = None
         self._union_memo: Dict[int, Tuple] = {}
-        self._signature_memo: Dict[object, Tuple] = {}
         self._sink_sig_memo: Dict[Tuple[str, object], Tuple] = {}
+        #: the modeler writes each logic bit's override rows here; the
+        #: rows are dropped once the bit is classified
+        self._scratch = OverlayColumns()
 
     # ------------------------------------------------------------------
     def _build_structure(self) -> None:
@@ -329,20 +324,6 @@ class LayoutAnalyzer:
             net = definition.nets.get(name)
             if net is not None:
                 self._net_domain[index] = domain_of_net(net)
-
-        self._net_sink_gates: Dict[int, List[int]] = {}
-        self._net_sink_ffs: Dict[int, List[int]] = {}
-        for gate in compiled.gates:
-            for net in gate.input_nets:
-                if net >= 0:
-                    self._net_sink_gates.setdefault(net, []).append(
-                        gate.index)
-        for flip_flop in compiled.flip_flops:
-            for net in (flip_flop.d_net, flip_flop.ce_net,
-                        flip_flop.reset_net):
-                if net >= 0:
-                    self._net_sink_ffs.setdefault(net, []).append(
-                        flip_flop.index)
 
         self._voter_gates: Dict[int, str] = {}
         for gate in compiled.gates:
@@ -356,47 +337,6 @@ class LayoutAnalyzer:
                                      if net >= 0)
 
     # ------------------------------------------------------------------
-    def _taint_of_net(self, seed: int) -> _TaintSummary:
-        """Memoized forward closure of one net (voters absorb).
-
-        Closures are unions over seeds, so multi-net entries combine the
-        per-net memos instead of re-walking the graph.
-        """
-        memo = self._taint_memo.get(seed)
-        if memo is not None:
-            return memo
-        tainted: Set[int] = set()
-        voter_hits: Set[Tuple[int, int]] = set()
-        reaches_output = False
-        stack = [seed]
-        gates = self.compiled.gates
-        flip_flops = self.compiled.flip_flops
-        while stack:
-            net = stack.pop()
-            if net in tainted:
-                continue
-            tainted.add(net)
-            if net in self._output_nets:
-                reaches_output = True
-            for gate_index in self._net_sink_gates.get(net, ()):
-                if gate_index in self._voter_gates:
-                    voter_hits.add((gate_index, net))
-                    continue  # the majority voter absorbs a single taint
-                out = gates[gate_index].output_net
-                if out >= 0 and out not in tainted:
-                    stack.append(out)
-            for ff_index in self._net_sink_ffs.get(net, ()):
-                q_net = flip_flops[ff_index].q_net
-                if q_net >= 0 and q_net not in tainted:
-                    stack.append(q_net)
-        domains = frozenset(domain for domain in
-                            (self._net_domain[net] for net in tainted)
-                            if domain is not None)
-        memo = _TaintSummary(domains, frozenset(voter_hits), reaches_output)
-        self._taint_memo[seed] = memo
-        return memo
-
-    # ------------------------------------------------------------------
     # Vectorized taint propagation
     # ------------------------------------------------------------------
     def _closure_bits(self):
@@ -406,9 +346,9 @@ class LayoutAnalyzer:
         the design, one ``reaches_output`` bit, then one bit per (voter
         gate, input position) slot.  ``closure[n]`` is the union of the
         local bits of every net reachable from ``n`` through non-voter
-        gates and flip-flops — exactly the information
-        :meth:`_taint_of_net`'s flood summarizes, for *all* seed nets in
-        one fixpoint sweep over the sparse int-indexed net adjacency.
+        gates and flip-flops — exactly what a per-net taint flood
+        summarizes, for *all* seed nets in one fixpoint sweep over the
+        sparse int-indexed net adjacency.
         """
         if self._closure is not None:
             return self._closure
@@ -475,10 +415,10 @@ class LayoutAnalyzer:
     def _row_ints(self) -> List[int]:
         """Each net's closure bitset as one python integer.
 
-        Overlay signatures union entry-net closures; with integer rows
-        that union is a single big-int OR per net (C speed) instead of
-        python set/dict merges, and equal unions — however the entry sets
-        differed — share one decoded verdict through ``_union_memo``.
+        A bit's verdict unions its entry nets' closures; with integer
+        rows that union is a single big-int OR per net (C speed) instead
+        of python set/dict merges, and equal unions — however the entry
+        sets differed — share one decoded verdict through ``_union_memo``.
         """
         rows = self._rows
         if rows is None:
@@ -495,40 +435,6 @@ class LayoutAnalyzer:
                 in enumerate(zip(self._slot_gate, self._slot_position))}
             self._output_mask = 1 << self._output_bit
         return rows
-
-    def _verdict(self, entries: Set[int],
-                 voter_pin_hits: Set[Tuple[int, int]],
-                 reaches_output: bool) -> Tuple:
-        """Memoized verdict of one overlay signature.
-
-        Bits sharing an overlay signature (same entry nets, same direct
-        voter-pin hits) share a verdict; the memo collapses the fault
-        list's many same-net PIP bits onto one closure decode.
-        """
-        key = (frozenset(entries), frozenset(voter_pin_hits),
-               reaches_output)
-        resolved = self._signature_memo.get(key)
-        if resolved is None:
-            resolved = self._classify_signature(entries, voter_pin_hits,
-                                                reaches_output)
-            self._signature_memo[key] = resolved
-        return resolved
-
-    def _classify_signature(self, entries: Set[int],
-                            voter_pin_hits: Set[Tuple[int, int]],
-                            reaches_output: bool) -> Tuple:
-        """Union the entry nets' decoded closure summaries into a verdict."""
-        rows = self._row_ints()
-        union = 0
-        for entry in entries:
-            union |= rows[entry]
-        if voter_pin_hits:
-            slot_mask = self._slot_mask
-            for hit in voter_pin_hits:
-                union |= slot_mask[hit]
-        if reaches_output:
-            union |= self._output_mask
-        return self._union_verdict(union)
 
     def _union_verdict(self, union: int) -> Tuple:
         """Memoized verdict of one closure-bitset union integer."""
@@ -563,7 +469,7 @@ class LayoutAnalyzer:
     def _resolve(self, domains: Set[int],
                  corrupted_positions: Dict[int, Set[int]],
                  reaches_output: bool) -> Tuple:
-        """Shared classification tail of the flood and vectorized paths."""
+        """Classification tail shared with the flood oracle."""
         # A voter input position carries one redundant domain's copy.
         defeated = False
         for positions in corrupted_positions.values():
@@ -585,96 +491,57 @@ class LayoutAnalyzer:
                 reaches_output)
 
     # ------------------------------------------------------------------
-    def _entry_nets(self, effect: FaultEffect
-                    ) -> Tuple[Set[int], Set[Tuple[int, int]]]:
-        """Nets that first carry a wrong value, plus direct voter-pin hits.
+    def _row_verdict(self, bit: int) -> Tuple[Resource, str, str, Tuple]:
+        """Classify *bit* from the override rows the modeler writes.
 
-        An override on a voter's *input pin* corrupts only what that voter
-        reads — the voter may still absorb it — so it is recorded as a
-        ``(voter gate, input position)`` hit instead of tainting the
-        voter's output.  An override of the voter's own truth table breaks
-        the voter itself and taints its output.
+        Returns the bit's resource, category, detail and verdict
+        (:data:`_NO_EFFECT` when no override was written).  Each row ORs
+        its entry net's closure into one union: a LUT INIT override
+        taints the gate's output (a voter with a broken truth table
+        included); a pin override of a *voter* input only sets that
+        input's slot, since the voter may still out-vote it; other gate
+        and flip-flop overrides taint the gate output or ``Q``; a net
+        override taints the net; an output-pin override reaches the
+        output.
         """
-        overlay = effect.overlay
+        scratch = self._scratch
+        overrides = scratch.overrides
+        del overrides[:]
+        resource, category, detail = self.modeler.write_bit(scratch, bit)[:3]
+        if not overrides:
+            return resource, category, detail, _NO_EFFECT
+        rows = self._row_ints()
         gates = self.compiled.gates
         flip_flops = self.compiled.flip_flops
-        entries: Set[int] = set()
-        voter_pin_hits: Set[Tuple[int, int]] = set()
-
-        for gate_index in overlay.lut_init_overrides:
-            out = gates[gate_index].output_net
-            if out >= 0:
-                entries.add(out)
-        for (gate_index, position) in overlay.gate_pin_overrides:
-            if gate_index in self._voter_gates:
-                voter_pin_hits.add((gate_index, position))
+        union = 0
+        for base in range(0, len(overrides), OVERRIDE_WIDTH):
+            kind, target, argument = overrides[base:base + 3]
+            if kind == ROW_OUTPUT_PIN:
+                union |= self._output_mask
                 continue
-            out = gates[gate_index].output_net
-            if out >= 0:
-                entries.add(out)
-        for (ff_index, _port) in overlay.ff_pin_overrides:
-            q_net = flip_flops[ff_index].q_net
-            if q_net >= 0:
-                entries.add(q_net)
-        for ff_index in overlay.ff_init_overrides:
-            q_net = flip_flops[ff_index].q_net
-            if q_net >= 0:
-                entries.add(q_net)
-        for net in overlay.net_overrides:
+            if kind == ROW_GATE_PIN and target in self._voter_gates:
+                union |= self._slot_mask[(target, argument)]
+                continue
+            if kind in (ROW_LUT_INIT, ROW_GATE_PIN):
+                net = gates[target].output_net
+            elif kind in (ROW_FF_PIN, ROW_FF_INIT):
+                net = flip_flops[target].q_net
+            else:  # ROW_NET
+                net = target
             if net >= 0:
-                entries.add(net)
-        return entries, voter_pin_hits
-
-    # ------------------------------------------------------------------
-    def classify_effect(self, effect: FaultEffect) -> BitPrediction:
-        overlay = effect.overlay
-        resource_kind = effect.resource[0]
-        if not effect.has_effect:
-            return BitPrediction(
-                bit=effect.bit, resource_kind=resource_kind,
-                category=effect.category, classification=SILENT,
-                has_effect=False, detail=effect.detail)
-
-        entries, voter_pin_hits = self._entry_nets(effect)
-        direct_output = bool(overlay.output_pin_overrides)
-
-        if self._vectorized:
-            resolved = self._verdict(entries, voter_pin_hits, direct_output)
-        else:
-            domains: Set[int] = set()
-            voter_hits: Set[Tuple[int, int]] = set()
-            reaches_output = direct_output
-            for entry in sorted(entries):
-                summary = self._taint_of_net(entry)
-                domains.update(summary.domains)
-                voter_hits.update(summary.voter_hits)
-                reaches_output = reaches_output or summary.reaches_output
-
-            # Count *distinct corrupted input positions* per voter: a
-            # taint arriving on input net N and a pin override of the
-            # position that reads N are the same corrupted leg, not two.
-            corrupted_positions: Dict[int, Set[int]] = {}
-            for (gate_index, net) in voter_hits:
-                inputs = self.compiled.gates[gate_index].input_nets
-                positions = corrupted_positions.setdefault(gate_index, set())
-                positions.update(position for position, input_net
-                                 in enumerate(inputs) if input_net == net)
-            for (gate_index, position) in voter_pin_hits:
-                corrupted_positions.setdefault(gate_index, set()).add(
-                    position)
-            resolved = self._resolve(domains, corrupted_positions,
-                                     reaches_output)
-
-        classification, domains_tuple, barriers, reaches_output = resolved
-        return BitPrediction(
-            bit=effect.bit, resource_kind=resource_kind,
-            category=effect.category, classification=classification,
-            has_effect=True, detail=effect.detail,
-            domains=domains_tuple, barriers=barriers,
-            reaches_output=reaches_output)
+                union |= rows[net]
+        verdict = self._union_memo.get(union) or self._union_verdict(union)
+        return resource, category, detail, verdict
 
     def classify_bit(self, bit: int) -> BitPrediction:
-        return self.classify_effect(self.modeler.effect_of_bit(bit))
+        resource, category, detail, verdict = self._row_verdict(bit)
+        classification, domains, barriers, reaches_output = verdict
+        return BitPrediction(
+            bit=bit, resource_kind=resource[0], category=category,
+            classification=classification,
+            has_effect=verdict is not _NO_EFFECT, detail=detail,
+            domains=domains, barriers=barriers,
+            reaches_output=reaches_output)
 
     # ------------------------------------------------------------------
     # Bulk classification
@@ -739,18 +606,17 @@ class LayoutAnalyzer:
 
     def _bulk_predictions(self, bits: Sequence[int],
                           defeat_map: DefeatMap) -> None:
-        """Classify a fault list without materializing per-bit overlays.
+        """Classify a fault list, appending verdict rows and details.
 
-        Mirrors the buckets of :class:`~repro.faults.models.FaultModeler`
-        bit for bit — same categories, same detail strings, same
-        silent/has-effect decisions — but resolves each bucket with
-        dictionary lookups and the memoized sink signatures instead of
-        building a :class:`FaultEffect`, and appends each bit's verdict
-        row and detail to *defeat_map* without building a prediction.
-        Slice-configuration bits (a small minority with the most
-        intricate modeling) still go through the reference per-bit path.
-        The equivalence suite asserts prediction-for-prediction equality
-        against that path on every design.
+        PIP bits mirror the routing buckets of
+        :class:`~repro.faults.models.FaultModeler` bit for bit — same
+        categories, same detail strings, same silent/has-effect
+        decisions — but resolve each bucket with dictionary lookups and
+        the memoized per-(net, node) sink signatures instead of writing
+        override rows.  LUT and slice-configuration bits (under a tenth
+        of a map) take the modeler's rows (:meth:`_row_verdict`).  The
+        equivalence suite asserts prediction-for-prediction equality
+        against the flood oracle on every design.
         """
         implementation = self.implementation
         resources = implementation.resources
@@ -760,41 +626,39 @@ class LayoutAnalyzer:
         routes = routing.routes
         gate_index_of = self.compiled.gate_index_by_name.get
         gates = self.compiled.gates
-        lut_sites: Dict[Tuple[int, int, str], object] = {}
         layout = implementation.layout
         resource_of = layout.resource_of
         resource_memo_get = layout._resource_by_bit.get
         sink_signature = self._sink_signature
         sig_memo_get = self._sink_sig_memo.get
         union_verdict = self._union_verdict
+        row_verdict = self._row_verdict
         rows = self._row_ints()
         # Memo hits are the overwhelmingly common case; look them up
         # without a function call (verdict tuples are never empty, so
         # ``or`` falls through exactly on a miss).
         union_memo_get = self._union_memo.get
-        lut_site_at = resources.lut_site_at
+        lut_site_get = self.modeler.lut_sites.get
         slot_of_pin = _LUT_PIN_TO_SLOT.get
         add = defeat_map.add
-        KIND_PIP_, KIND_LUT_BIT_ = KIND_PIP, KIND_LUT_BIT
+        KIND_PIP_ = KIND_PIP
         OPEN, CONFLICT, BRIDGE = categories.OPEN, categories.CONFLICT, \
             categories.BRIDGE
-        ANTENNA, OTHERS, LUT = categories.INPUT_ANTENNA, categories.OTHERS, \
-            categories.LUT
+        ANTENNA, OTHERS = categories.INPUT_ANTENNA, categories.OTHERS
 
         # Verdict rows per (kind, category, union verdict).  Union
         # verdicts are interned in the union memo, so object identity is
-        # a valid (and hash-free) key; NO_EFFECT stands for the upsets
+        # a valid (and hash-free) key; _NO_EFFECT stands for the upsets
         # that leave the design untouched.
-        NO_EFFECT = (SILENT, (), (), False)
         row_ids: Dict[Tuple[str, str, int], int] = {}
 
         def row_of(kind: str, category: str,
-                   verdict: Tuple = NO_EFFECT) -> int:
+                   verdict: Tuple = _NO_EFFECT) -> int:
             key = (kind, category, id(verdict))
             row = row_ids.get(key)
             if row is None:
                 row = row_ids[key] = defeat_map.verdict_id(Verdict(
-                    kind, category, verdict[0], verdict is not NO_EFFECT,
+                    kind, category, verdict[0], verdict is not _NO_EFFECT,
                     *verdict[1:]))
             return row
 
@@ -891,10 +755,7 @@ class LayoutAnalyzer:
                         "stray drive of an unused control pin")
                     continue
                 slot, position = slot_info
-                site_key = (x, y, slot)
-                if site_key not in lut_sites:
-                    lut_sites[site_key] = lut_site_at(x, y, slot)
-                site = lut_sites[site_key]
+                site = lut_site_get((x, y, slot))
                 if site is None or position < site.logical_inputs:
                     add(bit, row_of(kind, ANTENNA),
                         "stray drive of an unused LUT input")
@@ -910,31 +771,8 @@ class LayoutAnalyzer:
                 add(bit, row_of(kind, ANTENNA, verdict),
                     f"unused input of {site.cell} driven by {source_net}")
                 continue
-            if kind == KIND_LUT_BIT_:
-                _, x, y, slot, table_bit = resource
-                site_key = (x, y, slot)
-                if site_key not in lut_sites:
-                    lut_sites[site_key] = lut_site_at(x, y, slot)
-                site = lut_sites[site_key]
-                if site is None:
-                    add(bit, row_of(kind, LUT), "unused LUT site")
-                    continue
-                if table_bit >= (1 << site.logical_inputs):
-                    add(bit, row_of(kind, LUT),
-                        "upset in unused truth-table region")
-                    continue
-                gate_index = gate_index_of(site.cell)
-                if gate_index is None:
-                    add(bit, row_of(kind, LUT), "cell not in compiled design")
-                    continue
-                output_net = gates[gate_index].output_net
-                union = rows[output_net] if output_net >= 0 else 0
-                verdict = union_memo_get(union) or union_verdict(union)
-                add(bit, row_of(kind, LUT, verdict),
-                    f"minterm {table_bit} of {site.cell} flipped")
-                continue
-            # Slice configuration bits: reference per-bit path.
-            defeat_map.add_prediction(self.classify_bit(bit))
+            _resource, category, detail, verdict = row_verdict(bit)
+            add(bit, row_of(kind, category, verdict), detail)
 
     # ------------------------------------------------------------------
     def build_map(self, fault_list: Optional[FaultList] = None,
@@ -944,11 +782,7 @@ class LayoutAnalyzer:
             fault_list = FaultListManager(self.implementation).build(mode)
         defeat_map = DefeatMap(self.implementation.design.name,
                                fault_list.mode)
-        if self._vectorized:
-            self._bulk_predictions(fault_list.bits, defeat_map)
-        else:
-            for bit in fault_list.bits:
-                defeat_map.add_prediction(self.classify_bit(bit))
+        self._bulk_predictions(fault_list.bits, defeat_map)
         return defeat_map
 
 

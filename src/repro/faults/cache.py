@@ -124,7 +124,7 @@ class CampaignCacheEntry:
         self._golden: "OrderedDict[Tuple, Tuple[SimulationTrace, object]]" \
             = OrderedDict()
         #: modelled effects per bit (and per multi-bit cluster); campaign
-        #: contexts read and fill it (see ``CampaignContext.effect_slot``)
+        #: contexts read and fill it (see ``CampaignContext.injections_for``)
         self.effects = EffectColumns()
         self._cones: Dict[Tuple[int, ...], FaultCone] = {}
         #: fault-list mode -> static defeat map (repro.analysis.layout)
@@ -291,9 +291,13 @@ class CampaignCache:
         fingerprint = self.fingerprint_of(implementation)
         with self._lock:
             entry = self._entries.get(fingerprint)
-            if entry is None or entry._implementation() is None:
+            if entry is None:
                 entry = CampaignCacheEntry(fingerprint, implementation)
                 self._entries[fingerprint] = entry
+            elif entry._implementation() is None:
+                # Entries are keyed by content: a bit-identical
+                # implementation takes over the entry of a collected one.
+                entry._implementation = weakref.ref(implementation)
             self._entries.move_to_end(fingerprint)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)

@@ -58,8 +58,7 @@ from ..sim.golden import compare_traces
 from ..sim.overlay import FaultOverlay, Lanes
 from ..sim.simulator import SimulationTrace, Simulator
 from .cache import CacheStats, CampaignCacheEntry, get_cache
-from .injector import FaultResult
-from .models import EFFECT_ROWS, EffectColumns, FaultEffect, FaultModeler
+from .models import EFFECT_ROWS, EffectColumns, FaultModeler
 from .seeds import split_shards
 from .upsets import SingleBitInjections, merged_effect
 
@@ -222,20 +221,11 @@ class CampaignContext:
         return self._numpy_program
 
     # ------------------------------------------------------------------
-    def effect_slot(self, bit: int) -> int:
-        """The :attr:`effects` slot of *bit*, modelling it on a miss."""
-        self._model_bits((bit,))
-        return self.effects.slots((bit,))[0]
-
     def _model_bits(self, bits: Sequence[int]) -> None:
         """Model the distinct *bits* the memo lacks, counting hits."""
         misses = self.effects.model_bits(bits, self.modeler)
         self.stats.effect_misses += misses
         self.stats.effect_hits += len(bits) - misses
-
-    def effect_of_bit(self, bit: int) -> FaultEffect:
-        """A :class:`FaultEffect` view of *bit*'s memoized effect."""
-        return self.effects.effect(self.effect_slot(bit))
 
     def tasks_for_groups(self, groups: Sequence[Sequence[int]]
                          ) -> Injections:
@@ -312,20 +302,6 @@ class CampaignContext:
         return compare_traces(trace, self.golden, ports=self.output_ports,
                               skip_cycles=self.skip_cycles
                               ).first_mismatch_cycle
-
-    def evaluate(self, effect: FaultEffect) -> FaultResult:
-        """Evaluate one modelled effect against the golden reference."""
-        has_effect = effect.has_effect
-        first = self.first_mismatch(effect.overlay) if has_effect else None
-        return FaultResult(
-            bit=effect.bit,
-            resource_kind=effect.resource[0],
-            category=effect.category,
-            has_effect=has_effect,
-            wrong_answer=first is not None,
-            first_mismatch_cycle=first,
-            detail=effect.detail,
-        )
 
 
 class ExecutionBackend(abc.ABC):

@@ -82,12 +82,6 @@ class FaultListManager:
         self.device = implementation.device
 
     # --------------------------------------------------------------
-    def _tile_pips(self, tile: Tuple[int, int]) -> List[Pip]:
-        # Reuse the layout's per-tile cache: the layout instance is shared
-        # across all designs on one device profile, so tile enumerations
-        # done for bit assignment are not repeated per fault list.
-        return self.layout._tile_pips(*tile)
-
     def _tile_fanin(self, tile: Tuple[int, int]
                     ) -> Dict[Node, List[Tuple[Pip, int]]]:
         # Destination node -> [(pip, bit address)], cached on the shared

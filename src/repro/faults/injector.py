@@ -4,8 +4,8 @@ A :class:`FaultResult` is the outcome of one upset: the behavioural
 overlay of the flipped bit (see :mod:`repro.faults.models`) re-simulated
 over the fault's fan-out cone against the golden trace, with a *Wrong
 Answer* when any output ever differs from the golden device's (see
-:meth:`repro.faults.engine.CampaignContext.evaluate`).  A campaign keeps
-its outcomes as columns, read through :class:`FaultRecords`.
+:meth:`repro.faults.engine.CampaignContext.first_mismatch`).  A campaign
+keeps its outcomes as columns, read through :class:`FaultRecords`.
 """
 
 from __future__ import annotations

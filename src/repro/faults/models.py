@@ -49,9 +49,10 @@ from __future__ import annotations
 import dataclasses
 import threading
 from array import array
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Tuple,
+                    TypeVar, Union)
 
-from ..fpga.bitgen import UsedResources
+from ..fpga.bitgen import FlipFlopSite, LutSite, UsedResources
 from ..fpga.config import (KIND_LUT_BIT, KIND_PIP, KIND_SLICE_CFG,
                            ConfigLayout, Resource)
 from ..fpga.device import FF_PAIRED_LUT, Device
@@ -79,6 +80,9 @@ _APPEND_LOCK = threading.Lock()
 _FF_D = FF_PORTS.index("D")
 _FF_CE = FF_PORTS.index("CE")
 _STUCK_HIGH = SourceOverride.constant(1)
+
+#: An occupied LUT or flip-flop site.
+Site = TypeVar("Site", LutSite, FlipFlopSite)
 
 #: Per (net, node): the number of sinks through the node, then the
 #: ``row kind, target, argument`` of each sink that gets an override,
@@ -141,8 +145,8 @@ class EffectColumns(OverlayColumns):
     OverlayColumns`, its override rows, settle passes, seed nets and
     description: no Python object is kept per effect.  :meth:`effect`
     and :meth:`overlay` build :class:`FaultEffect` and
-    :class:`FaultOverlay` views on access, for the serial oracle, the
-    multi-bit merge and the defeat map's per-bit path.
+    :class:`FaultOverlay` views on access, for the serial backend and
+    the multi-bit merge.
 
     Appends hold a lock (the service's worker threads share one memo
     per implementation): the columns must stay aligned.  A bit is
@@ -243,6 +247,9 @@ class FaultModeler:
         self._net_id = compiled.net_index
         self._gate_index = compiled.gate_index_by_name
         self._ff_index = compiled.ff_index_by_name
+        #: (x, y, slot) -> the occupied LUT / flip-flop site there
+        self.lut_sites = _site_index(self.resources.lut_sites)
+        self.ff_sites = _site_index(self.resources.ff_sites)
         #: (net, node) -> (sinks through the node, their override targets)
         self._targets: Dict[Tuple[str, object], _SinkTargets] = {}
 
@@ -276,7 +283,7 @@ class FaultModeler:
     def _lut_effect(self, columns: OverlayColumns,
                     resource: Resource) -> Modelled:
         _, x, y, slot, table_bit = resource
-        site = self.resources.lut_site_at(x, y, slot)
+        site = self.lut_sites.get((x, y, slot))
         description = f"LUT bit {table_bit} at ({x},{y}) {slot}"
         if site is None:
             return (resource, categories.LUT, "unused LUT site",
@@ -306,7 +313,7 @@ class FaultModeler:
                     (), 1)
 
         suffix = "FFX" if name.startswith("FFX") else "FFY"
-        site = self.resources.ff_site_at(x, y, suffix)
+        site = self.ff_sites.get((x, y, suffix))
         if name.endswith("_INIT") or name.endswith("_SRMODE"):
             category = categories.INITIALIZATION
         else:
@@ -331,8 +338,7 @@ class FaultModeler:
                 # Data now comes from the unrouted bypass pin: floating.
                 detail = f"{site.cell} data input detached from its LUT"
             else:
-                paired = self.resources.lut_site_at(x, y,
-                                                    FF_PAIRED_LUT[suffix])
+                paired = self.lut_sites.get((x, y, FF_PAIRED_LUT[suffix]))
                 if paired is None:
                     detail = f"{site.cell} data input switched to empty LUT"
                 else:
@@ -442,7 +448,7 @@ class FaultModeler:
                     "stray drive of an unused control pin", description,
                     (), 1)
         slot, position = slot_info
-        site = self.resources.lut_site_at(x, y, slot)
+        site = self.lut_sites.get((x, y, slot))
         if site is None or position < site.logical_inputs:
             return (resource, categories.INPUT_ANTENNA,
                     "stray drive of an unused LUT input", description, (), 1)
@@ -498,3 +504,11 @@ class FaultModeler:
             port = "R" if spec.port in ("R", "CLR") else spec.port
             return (ROW_FF_PIN, ff_index, FF_PORTS.index(port))
         return ()
+
+
+def _site_index(sites: Iterable[Site]) -> Dict[Tuple[int, int, str], Site]:
+    """Sites by ``(x, y, slot)``; the first site wins, as in a list scan."""
+    index: Dict[Tuple[int, int, str], Site] = {}
+    for site in sites:
+        index.setdefault((site.x, site.y, site.slot), site)
+    return index

@@ -64,18 +64,6 @@ class UsedResources:
     site_cells: Dict[Tuple[int, int, str], str]
     stats: BitstreamStats
 
-    def lut_site_at(self, x: int, y: int, slot: str) -> Optional[LutSite]:
-        for site in self.lut_sites:
-            if site.x == x and site.y == y and site.slot == slot:
-                return site
-        return None
-
-    def ff_site_at(self, x: int, y: int, slot: str) -> Optional[FlipFlopSite]:
-        for site in self.ff_sites:
-            if site.x == x and site.y == y and site.slot == slot:
-                return site
-        return None
-
 
 def _physical_lut_init(logical_init: int, logical_inputs: int) -> int:
     """Expand a k-input LUT INIT into the 16-bit physical truth table.
@@ -182,7 +170,7 @@ def compute_design_bit_stats(device: Device, layout: ConfigLayout,
     fan-in tables (one dictionary lookup per used node) instead of the
     seed's linear scan over each tile's PIP list; the counts are the same
     integers, asserted by the flow-equivalence tests against
-    :func:`repro.pnr.reference.reference_bit_stats`.
+    ``reference_bit_stats`` in ``tests/oracles/reference_flow.py``.
     """
     from .routing import node_tile
 

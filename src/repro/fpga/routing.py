@@ -16,8 +16,8 @@ dictionary keys and serialized cheaply:
 
 A PIP is a directed ``(source_node, sink_node)`` pair controlled by one
 configuration bit.  The connectivity rules below are deterministic functions
-of the device geometry, so the full routing graph never needs to be stored:
-the router asks for the *downhill* PIPs of a node on demand and the
+of the device geometry: :class:`RoutingGraph` tabulates every node's
+*downhill* neighbours once per device profile for the router, and the
 configuration-layout code enumerates the PIPs owned by one tile on demand.
 
 All PIP bits are modelled as independent pass-transistor-style bits.  This is
@@ -226,9 +226,9 @@ class RoutingGraph:
     * ``tile_x`` / ``tile_y`` — per-id tile coordinates (a pad maps to its
       perimeter tile),
     * ``is_sink`` / ``is_wire`` / ``is_pad_in`` — per-id kind predicates,
-    * ``downhill_ids`` — per-id neighbour ids, computed lazily in exactly
-      the order :func:`downhill` emits them (so heap tie-breaking, and
-      therefore every route tree, is bit-identical to the tuple router).
+    * ``adjacency`` — per-id neighbour ids, in exactly the order
+      :func:`downhill` emits them (so heap tie-breaking, and therefore
+      every route tree, is bit-identical to the tuple router).
 
     Ids are assigned in sorted node-tuple order, so sorting ids is the
     same as sorting tuples — the property the router's deterministic
@@ -274,12 +274,10 @@ class RoutingGraph:
             self.is_sink[index] = kind in ("ipin", "pad_i")
             self.is_wire[index] = kind == "wire"
             self.is_pad_in[index] = kind == "pad_i"
-        #: lazily filled per-id neighbour ids (None until first visited);
-        #: tuples of ints, which the collector untracks, so a filled
-        #: table adds no long-lived tracked objects to the process (and
-        #: to every flow worker forked from it)
-        self._adjacency: List[Optional[Tuple[int, ...]]] = [None] * count
-        self._adjacency_complete = False
+        #: per-id neighbour ids: tuples of ints, which the collector
+        #: untracks, so the table adds no long-lived tracked objects to
+        #: the process (and to every flow worker forked from it)
+        self.adjacency: List[Tuple[int, ...]] = self._build_adjacency()
         self._np_tables: Optional[Dict[str, object]] = None
 
     def __len__(self) -> int:
@@ -288,33 +286,18 @@ class RoutingGraph:
     def id_of(self, node: Node) -> int:
         return self.node_id[node]
 
-    def downhill_ids(self, node_id: int) -> List[int]:
-        """Neighbour ids of a node, in :func:`downhill` order."""
-        adjacency = self._adjacency[node_id]
-        if adjacency is None:
-            lookup = self.node_id
-            adjacency = tuple([lookup[neighbor] for neighbor
-                               in downhill(self.device, self.nodes[node_id])])
-            self._adjacency[node_id] = adjacency
-        return list(adjacency)
-
     # --------------------------------------------------------------
-    def build_adjacency(self) -> None:
-        """Fill the whole adjacency table in one bulk pass.
+    def _build_adjacency(self) -> List[Tuple[int, ...]]:
+        """The whole adjacency table, in one bulk pass.
 
-        Produces, for every node, exactly the id list
-        :meth:`downhill_ids` would compute — same neighbours, same order
-        (asserted by the equivalence tests) — but via integer grid
-        lookups instead of constructing and hashing one node tuple per
-        neighbour, which makes the cold build several times cheaper than
-        letting the router fault the table in lazily.
+        Produces, for every node, the ids of exactly the neighbours
+        :func:`downhill` lists, in the same order (asserted by the
+        equivalence tests), but via integer grid lookups instead of
+        constructing and hashing one node tuple per neighbour.
         """
-        if self._adjacency_complete:
-            return
         device = self.device
         width = device.spec.wires_per_direction
         nodes = self.nodes
-        count = len(nodes)
         columns, rows = device.columns, device.rows
         dir_list = list(DIRECTIONS)
         dir_ordinal = {d: i for i, d in enumerate(dir_list)}
@@ -354,10 +337,8 @@ class RoutingGraph:
         for pad in device.pads:
             pads_at.setdefault((pad.x, pad.y), []).append(pad.index)
 
-        adjacency = self._adjacency
-        for node_id, node in enumerate(nodes):
-            if adjacency[node_id] is not None:
-                continue
+        adjacency: List[Tuple[int, ...]] = []
+        for node in nodes:
             kind = node[0]
             result: List[int] = []
             if kind == "opin":
@@ -407,8 +388,8 @@ class RoutingGraph:
                     for pad_index in pads_at.get((tx, ty), ()):
                         result.append(pad_in_id[pad_index])
             # ipin / pad_i are sinks: no neighbours.
-            adjacency[node_id] = tuple(result)
-        self._adjacency_complete = True
+            adjacency.append(tuple(result))
+        return adjacency
 
     def np_tables(self) -> Dict[str, object]:
         """Numpy copies of the per-id tables.

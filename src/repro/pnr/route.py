@@ -323,8 +323,8 @@ class Router:
     coordinates are array lookups.  Because ids are assigned in sorted
     tuple order and neighbours keep their emission order, every heap
     tie-break — and therefore every route tree — is bit-identical to the
-    seed tuple router (asserted against
-    :mod:`repro.pnr.reference` by the equivalence tests).
+    seed tuple router (asserted by the equivalence tests against the
+    reference flow in ``tests/oracles/reference_flow.py``).
     """
 
     def __init__(self, device: Device, max_iterations: int = 12,
@@ -346,10 +346,6 @@ class Router:
         #: (the margin grows on later negotiation iterations)
         self.bounding_box_margin = bounding_box_margin
         self.graph: RoutingGraph = routing_graph(device)
-        # Pay the whole adjacency table up front in one bulk pass: it is
-        # several times cheaper than faulting it in node by node during
-        # the first nets' searches.
-        self.graph.build_adjacency()
         #: numpy per-id tables for vectorized candidate masks
         self._tables = self.graph.np_tables()
         #: reusable A* tables (epoch-stamped, never cleared)
@@ -556,7 +552,7 @@ class Router:
         tile_y = graph.tile_y
         is_wire = graph.is_wire
         is_pad_in = graph.is_pad_in
-        adjacency = graph._adjacency
+        adjacency = graph.adjacency
         weight = self.heuristic_weight
         target_x = tile_x[target]
         target_y = tile_y[target]

@@ -398,31 +398,22 @@ def run_scenario(scenario: Union[str, Scenario], *,
     if repeat < 1:
         raise ValueError("repeat must be at least 1")
     report: Dict[str, object] = {}
-    # Contexts of earlier repetitions are kept alive for the duration of
-    # the run: the campaign cache holds its implementations by weak
-    # reference, so dropping them between repetitions would silently turn
-    # every warm-repetition lookup into a miss.
-    keepalive: List[PipelineContext] = []
     for _ in range(repeat):
         report = _run_once(scenario, jobs=jobs, flow_cache=flow_cache,
                            progress=progress,
-                           progress_callback=progress_callback,
-                           keepalive=keepalive)
+                           progress_callback=progress_callback)
     report["repeat"] = repeat
     return report
 
 
 def _run_once(scenario: Scenario, *, jobs: int, flow_cache: StoreLike,
               progress: bool,
-              progress_callback: Optional[ProgressCallback] = None,
-              keepalive: Optional[List[PipelineContext]] = None
+              progress_callback: Optional[ProgressCallback] = None
               ) -> Dict[str, object]:
     def execute(variant: Scenario) -> Dict[str, object]:
         ctx = PipelineContext(variant, jobs=jobs, flow_cache=flow_cache,
                               progress=progress,
                               progress_callback=progress_callback)
-        if keepalive is not None:
-            keepalive.append(ctx)
         return pipeline_for(variant.stages).run(ctx)
 
     variants = list(scenario.variants())

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import math
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
@@ -76,6 +77,13 @@ class JobSpec:
     def __post_init__(self) -> None:
         if self.designs is not None and not isinstance(self.designs, tuple):
             object.__setattr__(self, "designs", tuple(self.designs))
+        timeout = self.timeout_s
+        if timeout is not None and (
+                isinstance(timeout, bool)
+                or not isinstance(timeout, (int, float))
+                or not math.isfinite(timeout) or timeout <= 0):
+            raise ValueError(f"timeout_s must be a finite number of "
+                             f"seconds > 0, not {timeout!r}")
 
     # ------------------------------------------------------------------
     def overrides(self) -> Dict[str, object]:

@@ -11,9 +11,9 @@ algorithms so that
 * the flow benchmark (``benchmarks/test_flow.py``) can measure the fast
   flow against the true seed baseline on the same machine.
 
-Nothing in the production flow imports this module; it exists purely as a
-semantic anchor.  Do not "optimize" it — its value is that it stays slow
-and obviously equivalent to the seed.
+It lives with the test oracles, outside the package: nothing in the
+production flow imports it.  Do not "optimize" it — its value is that it
+stays slow and obviously equivalent to the seed.
 """
 
 from __future__ import annotations
@@ -22,15 +22,17 @@ import heapq
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..fpga.bitgen import LutSite, FlipFlopSite
-from ..fpga.config import BitstreamStats, ConfigLayout
-from ..fpga.device import Device
-from ..fpga.routing import Node, downhill, node_tile, pips_into_tile
-from ..netlist.ir import Definition
-from .pack import PackResult
-from .route import (NetRequest, RouteTree, RoutingError, RoutingResult,
-                    SinkSpec, extract_routing_problem)
-from .place import Placement
+from repro.fpga.bitgen import LutSite, FlipFlopSite
+from repro.fpga.config import LUT_BITS, BitstreamStats, ConfigLayout
+from repro.fpga.device import Device
+from repro.fpga.routing import Node, downhill, node_tile, pips_into_tile
+from repro.netlist.ir import Definition
+from repro.pnr.pack import PackResult
+from repro.pnr.place import (Placement, _assign_pads, _build_net_endpoints,
+                              _serpentine_tiles, _wirelength)
+from repro.pnr.route import (NetRequest, RouteTree, RoutingError,
+                             RoutingResult, SinkSpec,
+                             extract_routing_problem)
 
 
 # ----------------------------------------------------------------------
@@ -335,9 +337,6 @@ def reference_place(definition: Definition, pack_result: PackResult,
                     target_utilization: float = 0.55) -> Placement:
     """The seed ``place`` (no floorplan): constructive fill plus the
     swap-and-recompute annealer above."""
-    from .place import (_assign_pads, _build_net_endpoints, _serpentine_tiles,
-                        _wirelength)
-
     num_slices = pack_result.num_slices
     if num_slices > device.spec.num_tiles:
         raise ValueError(
@@ -399,8 +398,6 @@ def reference_bit_stats(device: Device, layout: ConfigLayout,
                         used_slices: List[Tuple[int, int]],
                         routing: RoutingResult) -> BitstreamStats:
     """The seed ``compute_design_bit_stats``: linear PIP scans per node."""
-    from ..fpga.config import LUT_BITS
-
     lut_bits = LUT_BITS * len(lut_sites)
     ff_bits = 0
     for _site in ff_sites:

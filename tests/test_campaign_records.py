@@ -33,6 +33,8 @@ from repro.faults.engine import CampaignContext
 from repro.service import SharedCacheTier, activate_tier, deactivate_tier
 from repro.sim import FaultOverlay
 
+from oracles.campaign import effect_of_bit, evaluate
+
 BACKENDS = [
     pytest.param(lambda: "serial", id="serial"),
     pytest.param(lambda: "vector", id="vector"),
@@ -90,7 +92,7 @@ class TestResultsView:
         context = CampaignContext(
             tiny_fir_implementation,
             stimulus=default_stimulus(tiny_fir_implementation, config))
-        oracle = [context.evaluate(context.effect_of_bit(record.bit))
+        oracle = [evaluate(context, effect_of_bit(context, record.bit))
                   for record in result.results]
         assert list(result.results) == oracle
         assert result.results == oracle

@@ -645,6 +645,17 @@ class TestHttpApi:
         assert service.queue.jobs() == []
         assert service.journal.replay().replayed == 0
 
+    @pytest.mark.parametrize("timeout", [
+        float("nan"), float("inf"), True, "5", -1, 0],
+        ids=["nan", "inf", "bool", "string", "negative", "zero"])
+    def test_bad_timeout_is_400_and_never_journaled(self, served, timeout):
+        service, url = served
+        with pytest.raises(RuntimeError,
+                           match=r"\(400\).*timeout_s must be a finite"):
+            submit_job(url, dict(tiny_spec().as_dict(), timeout_s=timeout))
+        assert service.queue.jobs() == []
+        assert service.journal.replay().replayed == 0
+
     def test_unknown_job_is_404(self, served):
         _service, url = served
         with pytest.raises(RuntimeError, match="404"):

@@ -29,6 +29,8 @@ from repro.sim import (SOURCE_BLEND, SOURCE_CONST, SOURCE_NET, FaultOverlay,
                        SourceOverride)
 from repro.sim.overlay import BLEND_NAMES, Lanes, OverlayColumns, as_lanes
 
+from oracles.campaign import effect_slot
+
 FIELDS = ("lut_init_overrides", "gate_pin_overrides", "ff_pin_overrides",
           "ff_init_overrides", "net_overrides", "output_pin_overrides")
 
@@ -82,7 +84,7 @@ def test_views_equal_the_per_bit_model(tiny_suite_implementations):
         context = CampaignContext(implementation)
         effects = context.effects
         for bit in FaultListManager(implementation).build().bits:
-            slot = context.effect_slot(bit)
+            slot = effect_slot(context, bit)
             effect = effects.effect(slot)
             overlay = effect.overlay
             assert effects.passes[slot] == overlay.required_passes()

@@ -9,6 +9,8 @@ from repro.faults import (CampaignConfig, CampaignContext,
 from repro.fpga import lut_bit, pip_resource, slice_cfg
 from repro.sim import CompiledDesign, stimulus_from_samples, random_samples
 
+from oracles.campaign import effect_of_bit, evaluate
+
 
 @pytest.fixture(scope="module")
 def implementation(tiny_fir_implementation):
@@ -144,7 +146,7 @@ class TestInjector:
                                   stimulus_from_samples(samples))
         wrong = 0
         for bit in fault_lists["programmed"].sample(60, seed=5):
-            result = context.evaluate(context.effect_of_bit(bit))
+            result = evaluate(context, effect_of_bit(context, bit))
             wrong += result.wrong_answer
         assert wrong > 0
 
@@ -156,7 +158,7 @@ class TestInjector:
                     if s.logical_inputs < 4)
         bit = implementation.layout.bit_of(
             lut_bit(site.x, site.y, site.slot, 15))
-        result = context.evaluate(context.effect_of_bit(bit))
+        result = evaluate(context, effect_of_bit(context, bit))
         assert not result.has_effect and not result.wrong_answer
 
 

@@ -5,6 +5,7 @@ bit-identical campaign aggregates (wrong-answer percentages, Table 4
 category counts, per-fault records) for the same sampled fault list.
 """
 
+import gc
 import pickle
 import random
 
@@ -17,6 +18,7 @@ from repro.faults import (BACKEND_CHOICES, BACKENDS, CampaignConfig,
                           default_stimulus, get_cache,
                           implementation_fingerprint, resolve_backend,
                           run_campaign, run_campaigns)
+from repro.pnr import FlowArtifactStore, implement
 
 CONFIG = CampaignConfig(num_faults=120, workload_cycles=6, seed=9)
 
@@ -117,6 +119,27 @@ class TestCache:
         first = implementation_fingerprint(implementation)
         assert first == implementation_fingerprint(implementation)
         assert get_cache().fingerprint_of(implementation) == first
+
+    def test_reloaded_implementation_gets_the_same_entry(
+            self, tiny_fir_flat, small_device, tmp_path):
+        # Entries are keyed by content: once the implementation an entry
+        # was made for is collected, a bit-identical one reloaded from
+        # the flow store finds that entry, memos and all.
+        store = FlowArtifactStore(tmp_path / "flow-cache")
+        clear_cache()
+        implementation = implement(tiny_fir_flat, small_device,
+                                   anneal_moves_per_slice=2,
+                                   artifact_store=store)
+        entry = get_cache().entry_for(implementation)
+        del implementation
+        gc.collect()
+        assert entry._implementation() is None
+        reloaded = implement(tiny_fir_flat, small_device,
+                             anneal_moves_per_slice=2, artifact_store=store)
+        assert store.stats.flow_hits == 1
+        assert get_cache().entry_for(reloaded) is entry
+        assert entry._implementation() is reloaded
+        clear_cache()
 
     def test_clear_cache_resets(self, implementation):
         run_campaign(implementation, CONFIG)

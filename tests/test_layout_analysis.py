@@ -26,6 +26,9 @@ from repro.analysis.layout import (CORRECTABLE, DEFEAT, SILENT,
 from repro.core import compute_voter_regions, estimate_robustness
 from repro.core.optimizer import _estimate_extra_levels
 from repro.faults import CampaignConfig, FaultListManager, run_campaign
+from repro.fpga.config import KIND_LUT_BIT, KIND_SLICE_CFG
+
+from oracles.flood import FloodAnalyzer
 
 
 @pytest.fixture(scope="module")
@@ -208,10 +211,8 @@ class TestVectorizedAnalyzer:
     """
 
     def _assert_equivalent(self, implementation):
-        flood = LayoutAnalyzer(implementation,
-                               vectorize=False).build_map()
-        vectorized = LayoutAnalyzer(implementation,
-                                    vectorize=True).build_map()
+        flood = FloodAnalyzer(implementation).build_map()
+        vectorized = LayoutAnalyzer(implementation).build_map()
         assert vectorized.predictions == flood.predictions
         assert vectorized.counts() == flood.counts()
         for cls in (SILENT, CORRECTABLE, DEFEAT):
@@ -270,6 +271,27 @@ class TestVectorizedAnalyzer:
 
     def test_unprotected_map_matches_flood(self, tiny_fir_implementation):
         self._assert_equivalent(tiny_fir_implementation)
+
+    @pytest.mark.parametrize("design", ["standard", "TMR"])
+    def test_logic_bits_classify_like_the_flood(
+            self, design, tiny_fir_implementation, tiny_tmr_implementation):
+        # classify_bit reads the modeler's override rows, the path the
+        # map build takes for every LUT and slice-configuration bit.
+        implementation = tiny_fir_implementation if design == "standard" \
+            else tiny_tmr_implementation
+        analyzer = LayoutAnalyzer(implementation)
+        flood = FloodAnalyzer(implementation)
+        resource_of = implementation.layout.resource_of
+        bits = [bit for bit in FaultListManager(implementation).build().bits
+                if resource_of(bit)[0] in (KIND_LUT_BIT, KIND_SLICE_CFG)]
+        kinds = {resource_of(bit)[0] for bit in bits}
+        assert kinds == {KIND_LUT_BIT, KIND_SLICE_CFG}
+        effectful = 0
+        for bit in bits:
+            prediction = analyzer.classify_bit(bit)
+            assert prediction == flood.classify_bit(bit), bit
+            effectful += prediction.has_effect
+        assert 0 < effectful < len(bits)
 
     def test_unvoted_map_matches_flood(self, tiny_fir, tiny_tmr_suite):
         # The no-voter worst case exercises the antenna/LUT buckets with

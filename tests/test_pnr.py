@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.faults.models import FaultModeler
 from repro.fpga import device_by_name
 from repro.fpga.device import FF_PAIRED_LUT
 from repro.netlist import flatten
 from repro.pnr import Floorplan, estimate_timing, pack, place
 from repro.pnr.route import extract_routing_problem
+from repro.sim import CompiledDesign
 
 
 class TestPack:
@@ -212,10 +214,16 @@ class TestTimingAndFlow:
 
     def test_used_resources_site_lookup(self, tiny_fir_implementation):
         resources = tiny_fir_implementation.resources
-        assert resources.lut_sites
-        site = resources.lut_sites[0]
-        assert resources.lut_site_at(site.x, site.y, site.slot) is site
-        assert resources.lut_site_at(-1, -1, "F") is None
+        assert resources.lut_sites and resources.ff_sites
+        modeler = FaultModeler(
+            tiny_fir_implementation,
+            CompiledDesign(tiny_fir_implementation.design))
+        for sites, index in ((resources.lut_sites, modeler.lut_sites),
+                             (resources.ff_sites, modeler.ff_sites)):
+            assert len(index) == len(sites)
+            for site in sites:
+                assert index[(site.x, site.y, site.slot)] is site
+        assert (-1, -1, "F") not in modeler.lut_sites
 
     def test_stats_routing_dominates(self, tiny_fir_implementation):
         stats = tiny_fir_implementation.resources.stats

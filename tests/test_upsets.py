@@ -17,6 +17,8 @@ from repro.faults import (AccumulatedUpset, CampaignConfig, FaultList,
 from repro.faults.engine import CampaignContext
 from repro.fpga.config import lut_bit
 
+from oracles.campaign import effect_of_bit
+
 
 @pytest.fixture()
 def fault_list():
@@ -146,7 +148,7 @@ class TestMergedEffect:
         layout = implementation.layout
         bits = [layout.bit_of(lut_bit(site.x, site.y, site.slot, table_bit))
                 for table_bit in range(2)]
-        effects = [context.effect_of_bit(bit) for bit in bits]
+        effects = [effect_of_bit(context, bit) for bit in bits]
         merged = merged_effect(tuple(bits), effects, context.compiled)
         (gate_index,) = set(effects[0].overlay.lut_init_overrides) \
             | set(effects[1].overlay.lut_init_overrides)
@@ -157,7 +159,7 @@ class TestMergedEffect:
 
     def test_single_constituent_passes_through(self, tiny_fir_implementation):
         context = CampaignContext(tiny_fir_implementation)
-        effect = context.effect_of_bit(0)
+        effect = effect_of_bit(context, 0)
         assert merged_effect((0,), [effect], context.compiled) is effect
 
     def test_seed_nets_union_and_passes(self, tiny_fir_implementation):
@@ -171,7 +173,7 @@ class TestMergedEffect:
         bits = FaultListManager(tiny_fir_implementation).build("design").bits
         effectful = []
         for bit in bits:
-            effect = context.effect_of_bit(bit)
+            effect = effect_of_bit(context, bit)
             if effect.has_effect and effect.overlay.seed_nets:
                 effectful.append((bit, effect))
             if len(effectful) == 2:
