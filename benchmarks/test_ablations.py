@@ -7,8 +7,7 @@
   mode (DESIGN.md design-choice: what counts as a "bit related to the DUT").
 """
 
-from repro.experiments import campaign_config_for, fault_list_mode_study, \
-    partition_sweep
+from repro.experiments import campaign_config_for, partition_sweep
 from repro.faults import run_campaign
 from repro.pnr import Floorplan, implement
 
@@ -60,10 +59,14 @@ def test_ablation_floorplanning(benchmark, design_suite, implementations,
 def test_ablation_fault_list_mode(benchmark, design_suite, implementations):
     """Percentages under the 'programmed bits only' reading of the paper's
     fault selection versus the default 'all design-related bits'."""
-    study = benchmark.pedantic(
-        lambda: fault_list_mode_study(implementations["standard"],
-                                      design_suite),
-        rounds=1, iterations=1)
+    def study_modes():
+        return {mode: run_campaign(
+                    implementations["standard"],
+                    campaign_config_for(design_suite, fault_list_mode=mode)
+                ).summary_row()
+                for mode in ("design", "programmed")}
+
+    study = benchmark.pedantic(study_modes, rounds=1, iterations=1)
     benchmark.extra_info["fault_list_modes"] = study
     # Restricting the list to programmed (set) bits concentrates it on
     # effective upsets, so the wrong-answer share rises — towards the

@@ -7,9 +7,8 @@ blocked by a voter barrier (Figure 3) and the three partitioned filter
 architectures (Figure 4).
 """
 
-from repro.experiments import (ascii_partition_diagram, figure1_summary,
-                               figure2_summary, figure3_summary,
-                               figure4_summary)
+from repro.experiments import (figure1_summary, figure2_summary,
+                               figure3_summary, figure4_summary)
 
 
 def test_figure1_plain_tmr_scheme(benchmark, design_suite):
@@ -47,9 +46,6 @@ def test_figure4_filter_architectures(benchmark, design_suite):
     summary = benchmark.pedantic(lambda: figure4_summary(design_suite),
                                  rounds=1, iterations=1)
     benchmark.extra_info["figure4"] = summary
-    benchmark.extra_info["diagrams"] = {
-        name: ascii_partition_diagram(design_suite, name)
-        for name in design_suite.tmr}
 
     inventory = summary["component_inventory"]
     assert inventory["multipliers"] == design_suite.spec.taps

@@ -6,16 +6,13 @@ from .layout import (CLASSIFICATIONS, CORRECTABLE, DEFEAT, SILENT,
                      prediction_vs_campaign)
 from .resources import (ResourceRow, area_overhead, format_resource_table,
                         performance_degradation, resource_row, resource_table)
-from .robustness import (TradeoffPoint, best_partition, campaign_tradeoff,
-                         domain_crossing_summary, improvement_factor,
-                         routing_effect_share, tradeoff_curve)
+from .robustness import (best_partition, improvement_factor,
+                         routing_effect_share)
 
 __all__ = [
     "ResourceRow", "area_overhead", "format_resource_table",
     "performance_degradation", "resource_row", "resource_table",
-    "TradeoffPoint", "best_partition", "campaign_tradeoff",
-    "domain_crossing_summary", "improvement_factor", "routing_effect_share",
-    "tradeoff_curve",
+    "best_partition", "improvement_factor", "routing_effect_share",
     # layout-aware defeat analysis
     "CLASSIFICATIONS", "CORRECTABLE", "DEFEAT", "SILENT", "BitPrediction",
     "DefeatMap", "LayoutAnalyzer", "defeat_map_for", "layout_robustness",

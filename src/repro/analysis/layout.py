@@ -105,10 +105,6 @@ class BitPrediction:
     def is_silent(self) -> bool:
         return self.classification == SILENT
 
-    @property
-    def is_defeat_capable(self) -> bool:
-        return self.classification == DEFEAT
-
 
 class Verdict(NamedTuple):
     """Everything a :class:`BitPrediction` says except its bit and detail."""
@@ -203,9 +199,6 @@ class DefeatMap:
     def bits_of_class(self, classification: str) -> List[int]:
         return self._bits_where(
             lambda verdict: verdict.classification == classification)
-
-    def silent_bits(self) -> FrozenSet[int]:
-        return frozenset(self.bits_of_class(SILENT))
 
     def defeat_capable_bits(self) -> FrozenSet[int]:
         return frozenset(self.bits_of_class(DEFEAT))

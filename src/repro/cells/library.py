@@ -96,14 +96,6 @@ def cell_info(name: str) -> CellInfo:
         raise KeyError(f"unknown primitive cell {name!r}") from None
 
 
-def is_lut(name: str) -> bool:
-    return name in LUT_CELLS
-
-
-def is_flip_flop(name: str) -> bool:
-    return name in FF_CELLS
-
-
 def lut_input_count(name: str) -> int:
     info = cell_info(name)
     if info.lut_inputs is None:

@@ -15,27 +15,6 @@ UNKNOWN = 2
 
 VALUES = (ZERO, ONE, UNKNOWN)
 
-_CHAR = {ZERO: "0", ONE: "1", UNKNOWN: "X"}
-_FROM_CHAR = {"0": ZERO, "1": ONE, "x": UNKNOWN, "X": UNKNOWN}
-
-
-def to_char(value: int) -> str:
-    """Render a logic value as ``0``/``1``/``X``."""
-    return _CHAR[value]
-
-
-def from_char(char: str) -> int:
-    """Parse ``0``/``1``/``x``/``X`` into a logic value."""
-    try:
-        return _FROM_CHAR[char]
-    except KeyError:
-        raise ValueError(f"not a logic value character: {char!r}") from None
-
-
-def is_known(value: int) -> bool:
-    """True for 0/1, False for X (equality alone covers the identity case)."""
-    return value != UNKNOWN
-
 
 def not_(a: int) -> int:
     if a == UNKNOWN:
@@ -59,12 +38,6 @@ def or_(a: int, b: int) -> int:
     return UNKNOWN
 
 
-def xor_(a: int, b: int) -> int:
-    if a == UNKNOWN or b == UNKNOWN:
-        return UNKNOWN
-    return a ^ b
-
-
 def mux(select: int, if_zero: int, if_one: int) -> int:
     """Two-input multiplexer with X-pessimism on the select."""
     if select == ZERO:
@@ -73,22 +46,6 @@ def mux(select: int, if_zero: int, if_one: int) -> int:
         return if_one
     if if_zero == if_one:
         return if_zero
-    return UNKNOWN
-
-
-def majority(a: int, b: int, c: int) -> int:
-    """Majority of three values; this is the TMR voter function.
-
-    The vote is resolved whenever two inputs agree on a known value, even if
-    the third is unknown — which is exactly why TMR masks a single corrupted
-    domain.
-    """
-    if a == b and a != UNKNOWN:
-        return a
-    if a == c and a != UNKNOWN:
-        return a
-    if b == c and b != UNKNOWN:
-        return b
     return UNKNOWN
 
 
@@ -167,7 +124,3 @@ def int_to_bits(value: int, width: int) -> List[int]:
         value &= (1 << width) - 1
     return [(value >> i) & 1 for i in range(width)]
 
-
-def word_to_string(bits: Sequence[int]) -> str:
-    """Render a bus value MSB-first, e.g. ``01X1``."""
-    return "".join(to_char(b) for b in reversed(list(bits)))

@@ -2,13 +2,16 @@
 
 A ``LUTk`` primitive stores its truth table in an ``INIT`` integer: bit *i*
 of INIT is the LUT output when the input address (I0 = LSB) equals *i*.
-These helpers build INIT values from Python functions and provide the
-canonical INITs used by the technology mapper and the TMR voter generator.
+These helpers build INIT values from Python functions, read an instance's
+INIT, and provide the canonical INITs used by the technology mapper and the
+TMR voter generator.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
+
+from ..netlist.ir import Instance
 
 
 def init_from_function(function: Callable[..., int], num_inputs: int) -> int:
@@ -23,22 +26,12 @@ def init_from_function(function: Callable[..., int], num_inputs: int) -> int:
     return init
 
 
-def init_from_truth_table(rows: Sequence[int], num_inputs: int) -> int:
-    """Build an INIT from an explicit truth table (entry *i* = output at *i*)."""
-    if len(rows) != (1 << num_inputs):
-        raise ValueError(
-            f"truth table for LUT{num_inputs} needs {1 << num_inputs} rows, "
-            f"got {len(rows)}")
-    init = 0
-    for address, value in enumerate(rows):
-        if value & 1:
-            init |= 1 << address
-    return init
-
-
-def truth_table(init: int, num_inputs: int) -> list:
-    """Inverse of :func:`init_from_truth_table`."""
-    return [(init >> address) & 1 for address in range(1 << num_inputs)]
+def lut_init_of(instance: Instance) -> int:
+    """Return the INIT property of a LUT instance (0 if unset)."""
+    init = instance.properties.get("INIT", 0)
+    if isinstance(init, str):
+        init = int(init, 0)
+    return int(init)
 
 
 # ----------------------------------------------------------------------
@@ -76,32 +69,3 @@ INIT_OR4 = init_from_function(lambda a, b, c, d: a | b | c | d, 4)
 #: this is exactly what the paper means by "one majority voter can be
 #: implemented by one LUT".
 INIT_VOTER = INIT_MAJ3
-
-_NAMED_INITS = {
-    "BUF": (INIT_BUF, 1),
-    "INV": (INIT_INV, 1),
-    "AND2": (INIT_AND2, 2),
-    "OR2": (INIT_OR2, 2),
-    "XOR2": (INIT_XOR2, 2),
-    "XNOR2": (INIT_XNOR2, 2),
-    "NAND2": (INIT_NAND2, 2),
-    "NOR2": (INIT_NOR2, 2),
-    "ANDNOT2": (INIT_ANDNOT2, 2),
-    "XOR3": (INIT_XOR3, 3),
-    "MAJ3": (INIT_MAJ3, 3),
-    "MUX2": (INIT_MUX2, 3),
-    "AND3": (INIT_AND3, 3),
-    "OR3": (INIT_OR3, 3),
-    "XOR4": (INIT_XOR4, 4),
-    "AND4": (INIT_AND4, 4),
-    "OR4": (INIT_OR4, 4),
-    "VOTER": (INIT_VOTER, 3),
-}
-
-
-def named_init(name: str) -> int:
-    """Look up a canonical INIT by gate name (e.g. ``"XOR2"``)."""
-    try:
-        return _NAMED_INITS[name][0]
-    except KeyError:
-        raise ValueError(f"unknown named INIT {name!r}") from None

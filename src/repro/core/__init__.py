@@ -2,33 +2,32 @@
 
 from .analysis import (DomainIsolationReport, RobustnessEstimate,
                        VoterRegionReport, check_domain_isolation,
-                       compute_voter_regions, cross_domain_signal_pairs,
-                       domain_of_instance, domain_of_net, estimate_robustness)
+                       compute_voter_regions, domain_of_instance,
+                       domain_of_net, estimate_robustness)
 from .optimizer import (CandidateEvaluation, SweepResult, default_candidates,
                         pareto_front, sweep_partitions)
 from .partition import (AllComponents, ByComponentType, EveryKth,
-                        ExplicitPartition, NoPartition, PartitionStrategy,
+                        NoPartition, PartitionStrategy,
                         combinational_components, component_topological_order,
-                        is_register_component, register_components,
-                        strategy_from_name)
-from .tmr import (DEFAULT_CLOCK_PORTS, DOMAIN_SUFFIXES, NUM_DOMAINS,
-                  TMRConfig, TMRResult, apply_tmr, domain_of)
+                        is_register_component, register_components)
+from .tmr import (DOMAIN_SUFFIXES, NUM_DOMAINS, TMRConfig, TMRResult,
+                  apply_tmr)
 from .voters import (DOMAIN_PROPERTY, VOTED_NET_PROPERTY, VOTER_PROPERTY,
-                     build_voted_register, count_voters,
-                     insert_majority_voter, is_voter, voter_instances)
+                     build_voted_register, insert_majority_voter, is_voter,
+                     voter_instances)
 
 __all__ = [
     "DomainIsolationReport", "RobustnessEstimate", "VoterRegionReport",
     "check_domain_isolation", "compute_voter_regions",
-    "cross_domain_signal_pairs", "domain_of_instance", "domain_of_net",
+    "domain_of_instance", "domain_of_net",
     "estimate_robustness", "CandidateEvaluation", "SweepResult",
     "default_candidates", "pareto_front", "sweep_partitions",
-    "AllComponents", "ByComponentType", "EveryKth", "ExplicitPartition",
+    "AllComponents", "ByComponentType", "EveryKth",
     "NoPartition", "PartitionStrategy", "combinational_components",
     "component_topological_order", "is_register_component",
-    "register_components", "strategy_from_name", "DEFAULT_CLOCK_PORTS",
+    "register_components",
     "DOMAIN_SUFFIXES", "NUM_DOMAINS", "TMRConfig", "TMRResult", "apply_tmr",
-    "domain_of", "DOMAIN_PROPERTY", "VOTED_NET_PROPERTY", "VOTER_PROPERTY",
-    "build_voted_register", "count_voters", "insert_majority_voter",
+    "DOMAIN_PROPERTY", "VOTED_NET_PROPERTY", "VOTER_PROPERTY",
+    "build_voted_register", "insert_majority_voter",
     "is_voter", "voter_instances",
 ]

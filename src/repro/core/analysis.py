@@ -279,28 +279,3 @@ def estimate_robustness(definition: Definition,
         voter_count=len(voters),
         nets_per_domain=nets_in_domain,
     )
-
-
-def cross_domain_signal_pairs(definition: Definition) -> int:
-    """Count nets of different domains sharing at least one sink instance.
-
-    After TMR insertion the only legitimate cross-domain sinks are voters;
-    this count therefore measures how much inter-domain wiring the chosen
-    partition introduces (more voters = more cross-domain nets brought close
-    together — the effect the paper identifies as the downside of
-    over-partitioning).
-    """
-    pairs = 0
-    for instance in definition.instances.values():
-        if not is_voter(instance):
-            continue
-        domains_seen: Set[int] = set()
-        for pin in instance.pins():
-            if pin.is_driver or pin.net is None:
-                continue
-            domain = domain_of_net(pin.net)
-            if domain is not None:
-                domains_seen.add(domain)
-        if len(domains_seen) > 1:
-            pairs += len(domains_seen) * (len(domains_seen) - 1) // 2
-    return pairs

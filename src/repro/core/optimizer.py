@@ -12,7 +12,7 @@ candidates (this is the workflow the paper's conclusions recommend).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..netlist.ir import Definition, Netlist
 from ..netlist.traversal import combinational_predecessors
@@ -118,26 +118,18 @@ def _estimate_extra_levels(result: TMRResult) -> int:
 
 def sweep_partitions(netlist: Netlist, top: Definition,
                      strategies: Optional[Sequence[PartitionStrategy]] = None,
-                     vote_registers: bool = True,
-                     voter_cost_weight: float = 0.0,
-                     objective: Optional[Callable[[CandidateEvaluation],
-                                                  float]] = None,
-                     ) -> SweepResult:
+                     voter_cost_weight: float = 0.0) -> SweepResult:
     """Evaluate candidate partitions and pick the best one.
 
-    *objective* maps a candidate to a scalar cost (lower is better); the
-    default is the analytical defeat probability with an optional voter-area
-    penalty, mirroring the paper's "robustness at acceptable cost" criterion.
+    The best candidate has the lowest analytical defeat probability plus
+    *voter_cost_weight* times its voter area, mirroring the paper's
+    "robustness at acceptable cost" criterion.  Every candidate votes its
+    register stages.
     """
     strategies = list(strategies) if strategies is not None \
         else default_candidates(top)
     if not strategies:
         raise ValueError("no partition strategies to sweep")
-
-    def default_objective(candidate: CandidateEvaluation) -> float:
-        return candidate.robustness.score(voter_cost_weight)
-
-    scoring = objective if objective is not None else default_objective
 
     candidates: List[CandidateEvaluation] = []
     tmr_library = netlist.get_library("tmr")
@@ -147,7 +139,7 @@ def sweep_partitions(netlist: Netlist, top: Definition,
         suffix_index = index
         while f"{top.name}_tmr_sweep{suffix_index}" in tmr_library:
             suffix_index += len(strategies)
-        config = TMRConfig(partition=strategy, vote_registers=vote_registers,
+        config = TMRConfig(partition=strategy,
                            name_suffix=f"_tmr_sweep{suffix_index}")
         result = apply_tmr(netlist, top, config)
         robustness = estimate_robustness(result.definition)
@@ -160,7 +152,9 @@ def sweep_partitions(netlist: Netlist, top: Definition,
             extra_logic_levels=_estimate_extra_levels(result),
         ))
 
-    best = min(candidates, key=scoring)
+    best = min(candidates,
+               key=lambda candidate: candidate.robustness.score(
+                   voter_cost_weight))
     return SweepResult(candidates, best)
 
 

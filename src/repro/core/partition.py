@@ -19,7 +19,7 @@ The three partitions evaluated in the paper map onto:
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from ..cells.library import FF_CELLS
 from ..netlist.ir import Definition, Instance
@@ -164,27 +164,6 @@ class ByComponentType(PartitionStrategy):
         return f"ByComponentType({self.component_types!r})"
 
 
-class ExplicitPartition(PartitionStrategy):
-    """Vote the outputs of an explicit list of component instances."""
-
-    name = "explicit"
-
-    def __init__(self, instance_names: Iterable[str]) -> None:
-        self.instance_names = set(instance_names)
-
-    def select(self, definition: Definition) -> Set[str]:
-        missing = self.instance_names - set(definition.instances)
-        if missing:
-            raise KeyError(
-                "explicit partition references unknown instances: "
-                + ", ".join(sorted(missing)[:5]))
-        return {name for name in self.instance_names
-                if not is_register_component(definition.instances[name])}
-
-    def describe(self) -> str:
-        return f"explicit({len(self.instance_names)})"
-
-
 class EveryKth(PartitionStrategy):
     """Vote every *k*-th combinational component along dataflow order.
 
@@ -211,24 +190,3 @@ class EveryKth(PartitionStrategy):
 
     def __repr__(self) -> str:
         return f"EveryKth({self.k})"
-
-
-#: Friendly aliases used by experiment drivers and the CLI.
-NAMED_STRATEGIES = {
-    "max": AllComponents,
-    "min": NoPartition,
-    "all": AllComponents,
-    "none": NoPartition,
-}
-
-
-def strategy_from_name(name: str, **kwargs) -> PartitionStrategy:
-    """Build a strategy from a short name (``max``, ``min``, ``every:k``,
-    ``type:adder,multiplier``)."""
-    if name in NAMED_STRATEGIES:
-        return NAMED_STRATEGIES[name]()
-    if name.startswith("every:"):
-        return EveryKth(int(name.split(":", 1)[1]))
-    if name.startswith("type:"):
-        return ByComponentType(tuple(name.split(":", 1)[1].split(",")))
-    raise ValueError(f"unknown partition strategy {name!r}")

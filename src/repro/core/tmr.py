@@ -22,7 +22,7 @@ of :class:`TMRConfig` over the same FIR netlist (see
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from ..cells.library import Library, shared_cell_library
 from ..netlist.ir import (Definition, Direction, Instance, InstancePin, Net, Netlist, NetlistError)
@@ -35,10 +35,6 @@ NUM_DOMAINS = 3
 #: Suffix applied to per-domain object names, e.g. ``mult_3_tr1``.
 DOMAIN_SUFFIXES = tuple(f"_tr{d}" for d in range(NUM_DOMAINS))
 
-#: Default names treated as clock ports (kept single when
-#: ``triplicate_clock`` is disabled).
-DEFAULT_CLOCK_PORTS = ("CLK", "C", "CLOCK", "CLK_IN")
-
 
 @dataclasses.dataclass
 class TMRConfig:
@@ -48,25 +44,14 @@ class TMRConfig:
     partition: PartitionStrategy = dataclasses.field(default_factory=NoPartition)
     #: turn register stages into voted registers with refresh (Figure 2)
     vote_registers: bool = True
-    #: triplicate intermediate voters (one per domain) — a single shared
-    #: voter would itself be a single point of failure
-    triplicate_voters: bool = True
-    #: give every redundant domain its own copy of each input port
-    triplicate_inputs: bool = True
-    #: triplicate the clock input as well (clk0/clk1/clk2 in Figure 2)
-    triplicate_clock: bool = True
     #: keep three output ports instead of voting down to one signal
     triplicate_outputs: bool = False
-    #: port names regarded as clocks
-    clock_ports: Tuple[str, ...] = DEFAULT_CLOCK_PORTS
     #: suffix of the generated definition name
     name_suffix: str = "_tmr"
 
     def describe(self) -> str:
         parts = [f"partition={self.partition.describe()}"]
         parts.append("voted-regs" if self.vote_registers else "unvoted-regs")
-        if not self.triplicate_voters:
-            parts.append("single-voters")
         if self.triplicate_outputs:
             parts.append("triplicated-outputs")
         return ", ".join(parts)
@@ -124,28 +109,22 @@ def apply_tmr(netlist: Netlist, top: Definition, config: Optional[TMRConfig]
     # ------------------------------------------------------------------
     # 1. Ports and per-domain nets
     # ------------------------------------------------------------------
-    shared_input_nets = _plan_shared_inputs(top, config)
     domain_nets: Dict[str, List[Net]] = {}
     for net in top.nets.values():
-        if net.name in shared_input_nets:
-            shared = tmr.add_net(net.name)
-            shared.properties = dict(net.properties)
-            domain_nets[net.name] = [shared] * NUM_DOMAINS
-        else:
-            copies = []
-            for domain in range(NUM_DOMAINS):
-                copy = tmr.add_net(f"{net.name}{DOMAIN_SUFFIXES[domain]}")
-                copy.properties = dict(net.properties)
-                copy.properties[DOMAIN_PROPERTY] = domain
-                copies.append(copy)
-            domain_nets[net.name] = copies
+        copies = []
+        for domain in range(NUM_DOMAINS):
+            copy = tmr.add_net(f"{net.name}{DOMAIN_SUFFIXES[domain]}")
+            copy.properties = dict(net.properties)
+            copy.properties[DOMAIN_PROPERTY] = domain
+            copies.append(copy)
+        domain_nets[net.name] = copies
 
     input_port_map: Dict[str, List[str]] = {}
     output_port_map: Dict[str, List[str]] = {}
     for port in top.ports.values():
         if port.direction is Direction.INPUT:
             input_port_map[port.name] = _create_input_ports(
-                tmr, top, port, config, domain_nets, shared_input_nets)
+                tmr, top, port, domain_nets)
         # Output ports are created later, after voter barriers, because the
         # final voters must read the post-barrier nets.
 
@@ -183,9 +162,9 @@ def apply_tmr(netlist: Netlist, top: Definition, config: Optional[TMRConfig]
                 continue
             voted_net_names.append(net_name)
             raw = domain_nets[net_name]
-            voters_by_role[role] += _insert_barrier(
-                tmr, cells, net_name, raw, sink_nets, config, role,
-                block=inst_name)
+            _insert_barrier(tmr, cells, net_name, raw, sink_nets, role,
+                            block=inst_name)
+            voters_by_role[role] += NUM_DOMAINS
 
     # ------------------------------------------------------------------
     # 4. Output ports and the final output voters
@@ -215,41 +194,10 @@ def apply_tmr(netlist: Netlist, top: Definition, config: Optional[TMRConfig]
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def _plan_shared_inputs(top: Definition, config: TMRConfig) -> Set[str]:
-    """Names of nets that stay shared across domains (non-triplicated pins)."""
-    shared: Set[str] = set()
-    for port in top.input_ports():
-        is_clock = port.name.upper() in {p.upper() for p in config.clock_ports}
-        triplicate = config.triplicate_clock if is_clock else \
-            config.triplicate_inputs
-        if triplicate:
-            continue
-        for bit in port.bits():
-            pin = top.top_pin(port.name, bit)
-            if pin.net is not None:
-                shared.add(pin.net.name)
-    return shared
-
-
 def _create_input_ports(tmr: Definition, top: Definition, port,
-                        config: TMRConfig, domain_nets: Dict[str, List[Net]],
-                        shared_input_nets: Set[str]) -> List[str]:
-    """Create the (possibly triplicated) copies of one input port."""
-    is_clock = port.name.upper() in {p.upper() for p in config.clock_ports}
-    triplicate = config.triplicate_clock if is_clock else \
-        config.triplicate_inputs
-
+                        domain_nets: Dict[str, List[Net]]) -> List[str]:
+    """Create one copy of an input port per domain."""
     created: List[str] = []
-    if not triplicate:
-        new_port = tmr.add_port(port.name, Direction.INPUT, port.width)
-        created.append(new_port.name)
-        for bit in port.bits():
-            pin = top.top_pin(port.name, bit)
-            if pin.net is None:
-                continue
-            domain_nets[pin.net.name][0].connect(tmr.top_pin(port.name, bit))
-        return created
-
     for domain in range(NUM_DOMAINS):
         port_name = f"{port.name}{DOMAIN_SUFFIXES[domain]}"
         tmr.add_port(port_name, Direction.INPUT, port.width)
@@ -274,49 +222,32 @@ def _output_net_names(instance: Instance) -> List[str]:
 
 def _insert_barrier(tmr: Definition, cells: Library, net_name: str,
                     raw: List[Net], sink_nets: Dict[str, List[Net]],
-                    config: TMRConfig, role: str,
-                    block: Optional[str] = None) -> int:
-    """Insert voters for one original net; returns the number of voters."""
+                    role: str, block: str) -> None:
+    """Insert one voter per domain for one original net."""
     # Collect the sink pins per domain before any voter input is attached.
     pending_sinks: List[List] = []
     for domain in range(NUM_DOMAINS):
         pending_sinks.append([pin for pin in raw[domain].sinks()
                               if isinstance(pin, InstancePin)])
 
-    inserted = 0
-    if config.triplicate_voters:
-        voted: List[Net] = []
-        for domain in range(NUM_DOMAINS):
-            voted_net = tmr.add_net(f"{net_name}_voted{DOMAIN_SUFFIXES[domain]}")
-            voted_net.properties[DOMAIN_PROPERTY] = domain
-            voted_net.properties["voted_copy_of"] = net_name
-            voter = insert_majority_voter(
-                tmr, raw, voted_net, cell_library=cells,
-                name=tmr.make_unique_name(f"voter_{role}"),
-                domain=domain, voted_net=net_name, role=role)
-            if block is not None:
-                # Keep the voter physically close to the component whose
-                # output it votes: the packer clusters by this tag.
-                voter.properties["tmr_block"] = block
-            voted.append(voted_net)
-            inserted += 1
-    else:
-        single = tmr.add_net(f"{net_name}_voted")
-        single.properties["voted_copy_of"] = net_name
+    voted: List[Net] = []
+    for domain in range(NUM_DOMAINS):
+        voted_net = tmr.add_net(f"{net_name}_voted{DOMAIN_SUFFIXES[domain]}")
+        voted_net.properties[DOMAIN_PROPERTY] = domain
+        voted_net.properties["voted_copy_of"] = net_name
         voter = insert_majority_voter(
-            tmr, raw, single, cell_library=cells,
+            tmr, raw, voted_net, cell_library=cells,
             name=tmr.make_unique_name(f"voter_{role}"),
-            domain=None, voted_net=net_name, role=role)
-        if block is not None:
-            voter.properties["tmr_block"] = block
-        voted = [single] * NUM_DOMAINS
-        inserted += 1
+            domain=domain, voted_net=net_name, role=role)
+        # Keep the voter physically close to the component whose output
+        # it votes: the packer clusters by this tag.
+        voter.properties["tmr_block"] = block
+        voted.append(voted_net)
 
     for domain in range(NUM_DOMAINS):
         for pin in pending_sinks[domain]:
             voted[domain].connect(pin)
         sink_nets[net_name][domain] = voted[domain]
-    return inserted
 
 
 def _create_output_ports(tmr: Definition, top: Definition, port,
@@ -366,10 +297,3 @@ def _block_of_net(top: Definition, net_name: str) -> str:
         if isinstance(pin, InstancePin):
             return pin.instance.name
     return net_name
-
-
-def domain_of(instance: Instance) -> Optional[int]:
-    """The TMR domain an instance belongs to (None for shared logic such as
-    the final output voters)."""
-    value = instance.properties.get(DOMAIN_PROPERTY)
-    return int(value) if value is not None else None

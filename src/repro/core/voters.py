@@ -64,10 +64,6 @@ def voter_instances(definition: Definition) -> List[Instance]:
     return [inst for inst in definition.instances.values() if is_voter(inst)]
 
 
-def count_voters(definition: Definition) -> int:
-    return len(voter_instances(definition))
-
-
 def build_voted_register(netlist: Netlist, width: int,
                          name: Optional[str] = None,
                          cell_library: Optional[Library] = None) -> Definition:

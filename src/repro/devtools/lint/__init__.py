@@ -20,12 +20,12 @@ Run it with ``python -m repro.devtools.lint src/``.
 
 from .baseline import BaselineError, Waiver, apply_baseline, load_baseline
 from .cli import main
-from .model import FAMILIES, Finding, LintConfig, RULES, Rule
+from .model import Finding, LintConfig, RULES, Rule
 from .runner import (LintReport, iter_python_files, lint_file,
                      render_json, render_rules, render_text, run_lint)
 
 __all__ = [
-    "BaselineError", "FAMILIES", "Finding", "LintConfig", "LintReport",
+    "BaselineError", "Finding", "LintConfig", "LintReport",
     "RULES", "Rule", "Waiver", "apply_baseline", "iter_python_files",
     "lint_file", "load_baseline", "main", "render_json", "render_rules",
     "render_text", "run_lint",

@@ -11,15 +11,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Tuple
 
-#: Rule families, in report order.
-FAMILIES = {
-    "D": "determinism",
-    "C": "concurrency",
-    "A": "atomicity",
-    "P": "picklability/api",
-    "W": "waiver hygiene",
-}
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class Rule:
@@ -29,10 +20,6 @@ class Rule:
     title: str
     rationale: str
     hint: str
-
-    @property
-    def family(self) -> str:
-        return FAMILIES.get(self.id[0], "other")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

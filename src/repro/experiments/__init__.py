@@ -15,18 +15,16 @@ from .designs import (DESIGN_ORDER, PAPER_TABLE2_FMAX, PAPER_TABLE2_SLICES,
                       Scale, build_design_suite, campaign_config_for,
                       device_for, fir_spec_for, implement_design_suite,
                       scale_by_name, tmr_configs)
-from .figures import (ascii_partition_diagram, figure1_summary,
-                      figure1_upset_demo, figure2_summary, figure3_summary,
-                      figure4_summary, run_figures)
-from .ablations import fault_list_mode_study, partition_sweep
+from .figures import (figure1_summary, figure1_upset_demo, figure2_summary,
+                      figure3_summary, figure4_summary, run_figures)
+from .ablations import partition_sweep
 
 __all__ = [
     "DESIGN_ORDER", "PAPER_TABLE2_FMAX", "PAPER_TABLE2_SLICES",
     "PAPER_TABLE3_PERCENT", "PAPER_TABLE4", "SCALES", "DesignSuite", "Scale",
     "build_design_suite", "campaign_config_for", "device_for",
     "fir_spec_for", "implement_design_suite", "scale_by_name",
-    "tmr_configs", "ascii_partition_diagram", "figure1_summary",
-    "figure1_upset_demo", "figure2_summary", "figure3_summary",
-    "figure4_summary", "run_figures", "fault_list_mode_study",
+    "tmr_configs", "figure1_summary", "figure1_upset_demo",
+    "figure2_summary", "figure3_summary", "figure4_summary", "run_figures",
     "partition_sweep",
 ]

@@ -177,9 +177,6 @@ class DesignSuite:
     flat: Dict[str, Definition]
     #: design name -> TMR transformation record (absent for "standard")
     tmr: Dict[str, TMRResult]
-    #: whether :func:`build_design_suite` ran the netlist optimizer
-    #: (recorded so designs added later are optimized the same way)
-    optimized: bool = True
 
 
 def tmr_configs() -> Dict[str, TMRConfig]:
@@ -195,15 +192,14 @@ def tmr_configs() -> Dict[str, TMRConfig]:
     }
 
 
-def _optimize(flat: Definition, optimize: bool) -> Definition:
-    if optimize:
-        remove_buffer_luts(flat)
-        merge_luts(flat, max_passes=4)
+def _optimize(flat: Definition) -> Definition:
+    """Drop buffer LUTs and merge LUT chains, in place."""
+    remove_buffer_luts(flat)
+    merge_luts(flat, max_passes=4)
     return flat
 
 
-def build_design_suite(scale: str = "fast", optimize: bool = True
-                       ) -> DesignSuite:
+def build_design_suite(scale: str = "fast") -> DesignSuite:
     """Build and flatten the five filter versions at the requested scale."""
     scale_obj = scale_by_name(scale)
     spec = fir_spec_for(scale_obj)
@@ -214,15 +210,14 @@ def build_design_suite(scale: str = "fast", optimize: bool = True
     tmr_results: Dict[str, TMRResult] = {}
 
     flat["standard"] = _optimize(
-        flatten(netlist, source, flat_name=f"standard_{scale_obj.name}"),
-        optimize)
+        flatten(netlist, source, flat_name=f"standard_{scale_obj.name}"))
 
     for name, config in tmr_configs().items():
         result = apply_tmr(netlist, source, config)
         tmr_results[name] = result
         flat[name] = _optimize(
             flatten(netlist, result.definition,
-                    flat_name=f"{name}_{scale_obj.name}"), optimize)
+                    flat_name=f"{name}_{scale_obj.name}"))
 
     return DesignSuite(
         scale=scale_obj,
@@ -232,7 +227,6 @@ def build_design_suite(scale: str = "fast", optimize: bool = True
         components=components,
         flat=flat,
         tmr=tmr_results,
-        optimized=optimize,
     )
 
 

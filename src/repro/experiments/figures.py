@@ -12,10 +12,10 @@ their reproducible content is the *structure* of the generated netlists:
 * **Figure 4** — the three partitioned filter architectures (p1/p2/p3).
 
 ``run_figures`` verifies each of those structural properties on generated
-netlists and returns a machine-checkable summary; the ASCII renderings give a
-quick visual of the partition structure.  ``python -m repro run figures-fir``
-reports the summary, and ``python -m repro run figure1-upsets`` measures
-Figure 1's two example routing upsets with a campaign on TMR_p3.
+netlists and returns a machine-checkable summary.  ``python -m repro run
+figures-fir`` reports the summary, and ``python -m repro run
+figure1-upsets`` measures Figure 1's two example routing upsets with a
+campaign on TMR_p3.
 """
 
 from __future__ import annotations
@@ -152,35 +152,6 @@ def figure1_upset_demo(result: CampaignResult) -> Dict[str, object]:
         "upset_a_masked_in_domain": describe(masked),
         "upset_b_defeats_tmr": describe(defeating),
     }
-
-
-def ascii_partition_diagram(suite: DesignSuite, name: str) -> str:
-    """A small ASCII rendering of one filter version's voter placement."""
-    result = suite.tmr.get(name)
-    if result is None:
-        return f"{name}: unprotected (no voters)"
-    voted_blocks = {net.rsplit("[", 1)[0].split("_voted")[0]
-                    for net in result.voted_nets}
-    lanes = []
-    for tap, mult in enumerate(suite.components.multipliers):
-        cell = "[x]"
-        if any(mult in block or f"p{tap}" in block for block in voted_blocks):
-            cell += "V"
-        lanes.append(cell)
-    chain = []
-    for index, adder in enumerate(suite.components.adders, start=1):
-        cell = "(+)"
-        if any(f"s{index}" in block or "DOUT" in block
-               for block in voted_blocks) or result.voters_by_role.get(
-                   "barrier", 0) and adder in " ".join(voted_blocks):
-            cell += "V"
-        chain.append(cell)
-    registers = "".join(
-        "[R]" + ("V" if result.config.vote_registers else "")
-        for _ in suite.components.registers)
-    return (f"{name}: taps {' '.join(lanes)}\n"
-            f"{' ' * len(name)}  sum  {' '.join(chain)} -> output voter\n"
-            f"{' ' * len(name)}  delay line {registers}")
 
 
 def run_figures(suite: Optional[DesignSuite] = None, scale: str = "fast"

@@ -4,7 +4,7 @@ from . import categories
 from .cache import (CampaignCache, CampaignCacheEntry, cache_stats,
                     clear_cache, get_cache, implementation_fingerprint)
 from .campaign import (CampaignConfig, CampaignResult, CategoryCount,
-                       default_stimulus, run_campaign, run_campaigns)
+                       default_stimulus, run_campaign)
 from .engine import (BACKEND_CHOICES, BACKENDS, CampaignContext,
                      CampaignWorkerError, ExecutionBackend, Injections,
                      NumpyBackend, ProgressCallback, SerialBackend,
@@ -13,8 +13,7 @@ from .engine import (BACKEND_CHOICES, BACKENDS, CampaignContext,
 from .fault_list import FAULT_LIST_MODES, FaultList, FaultListManager
 from .injector import FaultRecords, FaultResult
 from .models import EffectColumns, FaultEffect, FaultModeler
-from .report import (campaign_details, format_table, table3_report,
-                     table4_report)
+from .report import format_table, table3_report, table4_report
 from .seeds import derive_seed, split_shards, substream
 from .upsets import (UPSET_MODEL_CHOICES, UPSET_MODELS, AccumulatedUpset,
                      MultiBitUpset, SingleUpset, UpsetModel, merged_effect,
@@ -22,10 +21,10 @@ from .upsets import (UPSET_MODEL_CHOICES, UPSET_MODELS, AccumulatedUpset,
 
 __all__ = [
     "categories", "CampaignConfig", "CampaignResult", "CategoryCount",
-    "default_stimulus", "run_campaign", "run_campaigns", "FAULT_LIST_MODES",
+    "default_stimulus", "run_campaign", "FAULT_LIST_MODES",
     "FaultList", "FaultListManager", "FaultResult",
     "FaultRecords", "EffectColumns", "FaultEffect", "FaultModeler",
-    "campaign_details", "format_table",
+    "format_table",
     "table3_report", "table4_report",
     # execution engine
     "BACKEND_CHOICES", "BACKENDS", "CampaignContext", "CampaignWorkerError",

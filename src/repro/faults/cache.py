@@ -42,8 +42,8 @@ from .models import EffectColumns
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .fault_list import FaultList
 
-#: Default number of implementations kept in the global cache.
-DEFAULT_MAX_ENTRIES = 8
+#: Number of implementations kept in the global cache.
+MAX_ENTRIES = 8
 
 #: Golden traces retained per implementation (they record every net value
 #: per cycle, by far the heaviest cached artefact; distinct stimuli beyond
@@ -271,8 +271,7 @@ class CampaignCacheEntry:
 class CampaignCache:
     """LRU cache of :class:`CampaignCacheEntry` keyed by fingerprint."""
 
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, CampaignCacheEntry]" = OrderedDict()
         #: the process-wide instance is shared between the service's
@@ -299,7 +298,7 @@ class CampaignCache:
                 # implementation takes over the entry of a collected one.
                 entry._implementation = weakref.ref(implementation)
             self._entries.move_to_end(fingerprint)
-            while len(self._entries) > self.max_entries:
+            while len(self._entries) > MAX_ENTRIES:
                 self._entries.popitem(last=False)
         return entry
 

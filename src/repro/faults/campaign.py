@@ -39,15 +39,18 @@ from .upsets import (SingleBitInjections, UpsetModelLike,
                      resolve_upset_model)
 
 
+#: share of the fault list a campaign samples when it names no count: the
+#: paper injects about 10% of the relevant bits
+SAMPLE_FRACTION = 0.10
+
+
 @dataclasses.dataclass
 class CampaignConfig:
     """Parameters of one fault-injection campaign."""
 
-    #: number of upsets to inject (the paper injects ~10% of the relevant
-    #: bits; ``None`` means "sample_fraction of the fault list")
+    #: number of upsets to inject; ``None`` means ``SAMPLE_FRACTION`` of
+    #: the fault list
     num_faults: Optional[int] = None
-    #: fraction of the fault list to sample when ``num_faults`` is None
-    sample_fraction: float = 0.10
     #: random seed for fault sampling (publication year by default)
     seed: int = 2005
     #: workload length in clock cycles
@@ -221,7 +224,7 @@ def run_campaign(implementation: Implementation,
                                                 context.stats)
     if fault_bits is None:
         count = config.num_faults if config.num_faults is not None else \
-            max(1, int(len(fault_list) * config.sample_fraction))
+            max(1, int(len(fault_list) * SAMPLE_FRACTION))
         groups = model.injections(
             fault_list, count, config.seed,
             total_bits=implementation.layout.total_bits)
@@ -279,16 +282,3 @@ def run_campaign(implementation: Implementation,
         upset_model=model.describe(),
         seed=config.seed,
     )
-
-
-def run_campaigns(implementations: Dict[str, Implementation],
-                  config: Optional[CampaignConfig] = None,
-                  progress: Optional[ProgressCallback] = None,
-                  backend: BackendLike = None) -> Dict[str, CampaignResult]:
-    """Run the same campaign over several designs (the five filter versions)."""
-    engine = resolve_backend(backend)
-    results: Dict[str, CampaignResult] = {}
-    for name, implementation in implementations.items():
-        results[name] = run_campaign(implementation, config,
-                                     progress=progress, backend=engine)
-    return results

@@ -155,8 +155,7 @@ class CampaignContext:
 
     def __init__(self, implementation: Implementation,
                  stimulus: Optional[Sequence[Dict[str, int]]] = None,
-                 skip_cycles: int = 0,
-                 output_ports: Optional[Sequence[str]] = None) -> None:
+                 skip_cycles: int = 0) -> None:
         cache = get_cache()
         self.implementation = implementation
         self.cache_entry: CampaignCacheEntry = cache.entry_for(implementation)
@@ -173,7 +172,6 @@ class CampaignContext:
         self.effects: EffectColumns = self.cache_entry.effects
         self.stimulus = list(stimulus) if stimulus is not None else []
         self.skip_cycles = skip_cycles
-        self.output_ports = list(output_ports) if output_ports else None
         self._modeler: Optional[FaultModeler] = None
         self._golden: Optional[SimulationTrace] = None
         self._base_program: object = None
@@ -299,7 +297,7 @@ class CampaignContext:
                                   cone=cone)
         else:
             trace = simulator.run(self.stimulus)
-        return compare_traces(trace, self.golden, ports=self.output_ports,
+        return compare_traces(trace, self.golden,
                               skip_cycles=self.skip_cycles
                               ).first_mismatch_cycle
 
@@ -533,7 +531,7 @@ class VectorBackend(LaneBackend):
             return simulate_lanes(
                 program, lanes, context.stimulus, context.golden,
                 passes=passes, skip_cycles=context.skip_cycles,
-                ports=context.output_ports, cone=cone, width=width,
+                cone=cone, width=width,
                 reseed=reseed if cone is not None else None, inputs=inputs)
 
         return sweep
@@ -562,8 +560,8 @@ class NumpyBackend(LaneBackend):
                   plan_key: Tuple[object, ...]) -> VectorResult:
             return program.simulate_shard(
                 lanes, context.stimulus, context.golden, passes=passes,
-                skip_cycles=context.skip_cycles,
-                ports=context.output_ports, cone=cone, plan_key=plan_key)
+                skip_cycles=context.skip_cycles, cone=cone,
+                plan_key=plan_key)
 
         return sweep
 
@@ -727,10 +725,12 @@ class ShardedBackend(ExecutionBackend):
 
     #: degradation order after the configured inner backend fails
     DEGRADATION_CHAIN = ("numpy", "vector", "serial")
+    #: shards per worker: a finished worker picks up a second shard while
+    #: a slower one is still busy
+    SHARDS_PER_WORKER = 2
 
     def __init__(self, workers: Optional[int] = None,
                  inner: Optional[str] = None,
-                 shards_per_worker: int = 2,
                  min_tasks: Optional[int] = None,
                  max_shard_retries: Optional[int] = None,
                  retry_backoff_s: float = 0.25) -> None:
@@ -743,7 +743,6 @@ class ShardedBackend(ExecutionBackend):
                                                    "2"))
         self.workers = workers
         self.inner = inner
-        self.shards_per_worker = max(1, shards_per_worker)
         self.min_tasks = min_tasks
         self.max_shard_retries = max(0, max_shard_retries)
         self.retry_backoff_s = max(0.0, retry_backoff_s)
@@ -860,7 +859,7 @@ class ShardedBackend(ExecutionBackend):
         # forked workers inherit it instead of each re-simulating it.
         context.prepare()
 
-        ranges = split_shards(total, workers * self.shards_per_worker)
+        ranges = split_shards(total, workers * self.SHARDS_PER_WORKER)
         descriptors = [(index, start, stop)
                        for index, (start, stop) in enumerate(ranges)
                        if stop > start]

@@ -130,9 +130,9 @@ EFFECT_ROW_INDEX: Dict[Tuple[str, str, bool], int] = {
 EffectKey = Union[int, Tuple[int, ...]]
 
 #: What :meth:`FaultModeler.write_bit` returns next to the rows it
-#: writes: resource, category, detail, description, seed nets and
-#: combinational settle passes.
-Modelled = Tuple[Resource, str, str, str, Tuple[int, ...], int]
+#: writes: resource, category, detail, seed nets and combinational
+#: settle passes.
+Modelled = Tuple[Resource, str, str, Tuple[int, ...], int]
 
 
 class EffectColumns(OverlayColumns):
@@ -142,8 +142,8 @@ class EffectColumns(OverlayColumns):
     effect of one multi-bit injection).  Per slot the columns hold the
     effect's :data:`EFFECT_ROWS` index, its primary bit, its resource
     and its detail string, and, as :class:`~repro.sim.overlay.
-    OverlayColumns`, its override rows, settle passes, seed nets and
-    description: no Python object is kept per effect.  :meth:`effect`
+    OverlayColumns`, its override rows, settle passes and seed nets: no
+    Python object is kept per effect.  :meth:`effect`
     and :meth:`overlay` build :class:`FaultEffect` and
     :class:`FaultOverlay` views on access, for the serial backend and
     the multi-bit merge.
@@ -179,8 +179,7 @@ class EffectColumns(OverlayColumns):
             self.write_rows(overlay)
             return self._close(key, effect.bit, (
                 effect.resource, effect.category, effect.detail,
-                overlay.description, overlay.seed_nets,
-                overlay.comb_passes))
+                overlay.seed_nets, overlay.comb_passes))
 
     def model_bits(self, bits: Iterable[int],
                    modeler: "FaultModeler") -> int:
@@ -213,10 +212,10 @@ class EffectColumns(OverlayColumns):
         return array("i", map(self._slot_of.__getitem__, keys))
 
     def _close(self, key: EffectKey, bit: int, modelled: Modelled) -> int:
-        resource, category, detail, description, seeds, comb = modelled
+        resource, category, detail, seeds, comb = modelled
         has_effect = len(self.overrides) > self.row_start[-1] * \
             OVERRIDE_WIDTH
-        slot = self.close_slot(description, seeds, comb)
+        slot = self.close_slot(seeds, comb)
         self.keys.append(key)
         self.bits.append(bit)
         self.resources.append(resource)
@@ -257,9 +256,9 @@ class FaultModeler:
     def effect_of_bit(self, bit: int) -> FaultEffect:
         """A :class:`FaultEffect` view of *bit*, modelled on its own."""
         columns = OverlayColumns()
-        resource, category, detail, description, seeds, comb = \
+        resource, category, detail, seeds, comb = \
             self.write_bit(columns, bit)
-        slot = columns.close_slot(description, seeds, comb)
+        slot = columns.close_slot(seeds, comb)
         return FaultEffect(bit, resource, category, columns.overlay(slot),
                            detail)
 
@@ -284,33 +283,29 @@ class FaultModeler:
                     resource: Resource) -> Modelled:
         _, x, y, slot, table_bit = resource
         site = self.lut_sites.get((x, y, slot))
-        description = f"LUT bit {table_bit} at ({x},{y}) {slot}"
         if site is None:
-            return (resource, categories.LUT, "unused LUT site",
-                    description, (), 1)
+            return (resource, categories.LUT, "unused LUT site", (), 1)
         if table_bit >= (1 << site.logical_inputs):
             return (resource, categories.LUT,
-                    "upset in unused truth-table region", description, (), 1)
+                    "upset in unused truth-table region", (), 1)
         gate_index = self._gate_index.get(site.cell)
         if gate_index is None:
             return (resource, categories.LUT, "cell not in compiled design",
-                    description, (), 1)
+                    (), 1)
         gate = self.compiled.gates[gate_index]
         columns.overrides.extend(
             (ROW_LUT_INIT, gate_index, gate.init ^ (1 << table_bit))
             + FLOATING)
         return (resource, categories.LUT,
-                f"minterm {table_bit} of {site.cell} flipped", description,
+                f"minterm {table_bit} of {site.cell} flipped",
                 (gate.output_net,), 1)
 
     def _slice_cfg_effect(self, columns: OverlayColumns,
                           resource: Resource) -> Modelled:
         _, x, y, name = resource
-        description = f"slice cfg {name} at ({x},{y})"
         if name == "CLKINV":
             return (resource, categories.MUX,
-                    "clock polarity bit (no functional model)", description,
-                    (), 1)
+                    "clock polarity bit (no functional model)", (), 1)
 
         suffix = "FFX" if name.startswith("FFX") else "FFY"
         site = self.ff_sites.get((x, y, suffix))
@@ -319,12 +314,10 @@ class FaultModeler:
         else:
             category = categories.MUX
         if site is None:
-            return (resource, category, "unused flip-flop site", description,
-                    (), 1)
+            return (resource, category, "unused flip-flop site", (), 1)
         ff_index = self._ff_index.get(site.cell)
         if ff_index is None:
-            return (resource, category, "cell not in compiled design",
-                    description, (), 1)
+            return (resource, category, "cell not in compiled design", (), 1)
         flip_flop = self.compiled.flip_flops[ff_index]
         extend = columns.overrides.extend
         seeds: Tuple[int, ...] = (flip_flop.q_net,)
@@ -358,7 +351,7 @@ class FaultModeler:
         else:  # _SRMODE
             detail = "set/reset mode bit (no functional model)"
             seeds = ()
-        return resource, category, detail, description, seeds, 1
+        return resource, category, detail, seeds, 1
 
     # ------------------------------------------------------------------
     # Routing bits
@@ -373,14 +366,12 @@ class FaultModeler:
 
     def _open_effect(self, columns: OverlayColumns, resource: Resource,
                      pip: Pip, net_name: str) -> Modelled:
-        description = f"open on net {net_name}"
         if net_name not in self.routing.routes:
-            return (resource, categories.OPEN, "route tree missing",
-                    description, (), 1)
+            return (resource, categories.OPEN, "route tree missing", (), 1)
         sinks = self._write_sinks(columns, net_name, pip[1], FLOATING)
         net_id = self._net_id.get(net_name, -1)
         return (resource, categories.OPEN,
-                f"{sinks} sink(s) of {net_name} float", description,
+                f"{sinks} sink(s) of {net_name} float",
                 (net_id,) if net_id >= 0 else (), 1)
 
     def _new_pip_effect(self, columns: OverlayColumns, resource: Resource,
@@ -399,12 +390,10 @@ class FaultModeler:
         if dest_net is not None and source_net is None:
             return (resource, categories.BRIDGE,
                     "used signal bridged to floating wire "
-                    "(no logical effect)",
-                    f"bridge of {dest_net} to an undriven wire", (), 1)
+                    "(no logical effect)", (), 1)
         if source_net is not None and dest_net is None:
             return self._antenna_effect(columns, resource, pip, source_net)
-        return (resource, categories.OTHERS, "both ends unused",
-                "PIP between unused resources", (), 1)
+        return (resource, categories.OTHERS, "both ends unused", (), 1)
 
     def _short_effect(self, columns: OverlayColumns, resource: Resource,
                       pip: Pip, source_net: str, dest_net: str,
@@ -421,9 +410,7 @@ class FaultModeler:
         if not conflict:
             return (resource, categories.BRIDGE,
                     f"{affected} sink(s) of {dest_net} shorted with "
-                    f"{source_net}",
-                    f"bridge of {source_net} onto {dest_net} at {pip[1]}",
-                    seeds, 3)
+                    f"{source_net}", seeds, 3)
         if source_net in self.routing.routes:
             # No sinks when the PIP's source node is off the source tree.
             affected += self._write_sinks(
@@ -431,33 +418,30 @@ class FaultModeler:
                 SourceOverride.blend_of(source_id, dest_id, BLEND_SHORT))
         return (resource, categories.CONFLICT,
                 f"{affected} sink(s) see the short of {source_net} and "
-                f"{dest_net}",
-                f"conflict between {source_net} and {dest_net}", seeds, 3)
+                f"{dest_net}", seeds, 3)
 
     def _antenna_effect(self, columns: OverlayColumns, resource: Resource,
                         pip: Pip, source_net: str) -> Modelled:
         destination = pip[1]
-        description = f"antenna from {source_net} onto {destination}"
         if destination[0] != "ipin":
             return (resource, categories.INPUT_ANTENNA,
-                    "stray drive of an unused wire", description, (), 1)
+                    "stray drive of an unused wire", (), 1)
         _, x, y, pin = destination
         slot_info = _LUT_PIN_TO_SLOT.get(pin)
         if slot_info is None:
             return (resource, categories.INPUT_ANTENNA,
-                    "stray drive of an unused control pin", description,
-                    (), 1)
+                    "stray drive of an unused control pin", (), 1)
         slot, position = slot_info
         site = self.lut_sites.get((x, y, slot))
         if site is None or position < site.logical_inputs:
             return (resource, categories.INPUT_ANTENNA,
-                    "stray drive of an unused LUT input", description, (), 1)
+                    "stray drive of an unused LUT input", (), 1)
         # A used LUT whose physical input `position` is unused: driving it
         # high addresses the all-zero upper half of the physical table.
         gate_index = self._gate_index.get(site.cell)
         if gate_index is None:
             return (resource, categories.INPUT_ANTENNA,
-                    "cell not in compiled design", description, (), 1)
+                    "cell not in compiled design", (), 1)
         out = self.compiled.gates[gate_index].output_net
         columns.overrides.extend(
             (ROW_NET, out, 0)
@@ -465,7 +449,7 @@ class FaultModeler:
                                       BLEND_AND_NOT))
         return (resource, categories.INPUT_ANTENNA,
                 f"unused input of {site.cell} driven by {source_net}",
-                description, (out,), 3)
+                (out,), 3)
 
     # ------------------------------------------------------------------
     def _write_sinks(self, columns: OverlayColumns, net_name: str,

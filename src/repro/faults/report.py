@@ -70,19 +70,3 @@ def table4_report(results: Mapping[str, CampaignResult],
     return format_table(headers, rows,
                         "Table 4 — Effects induced by the injected upsets "
                         "(error-causing upsets only)")
-
-
-def campaign_details(result: CampaignResult) -> str:
-    """Per-category breakdown of one campaign (injected vs wrong)."""
-    rows = []
-    for category in categories.TABLE4_ORDER:
-        counts = result.by_category.get(category)
-        if counts is None or counts.injected == 0:
-            continue
-        share = 100.0 * counts.wrong / counts.injected
-        rows.append([category, counts.injected, counts.wrong,
-                     f"{share:.1f}"])
-    return format_table(
-        ["Effect", "Injected", "Wrong", "Wrong within category [%]"], rows,
-        f"Campaign breakdown — {result.design} "
-        f"({result.wrong_answer_percent:.2f}% wrong answers)")

@@ -236,10 +236,7 @@ def merged_effect(bits: Sequence[int], effects: Sequence[FaultEffect],
     """
     if len(effects) == 1:
         return effects[0]
-    overlay = FaultOverlay(
-        description=" + ".join(effect.overlay.description
-                               for effect in effects
-                               if effect.overlay.description))
+    overlay = FaultOverlay()
     seed_nets = set()
     for effect in effects:
         source = effect.overlay

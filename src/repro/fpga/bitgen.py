@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..cells.evaluate import lut_init_of
+from ..cells.lut import lut_init_of
 from ..cells.library import lut_input_count
 from ..netlist.ir import Definition
 from .config import (LUT_BITS, BitstreamStats, ConfigLayout, ConfigMemory,

@@ -124,19 +124,6 @@ class ConfigLayout:
     def frame_bits(self) -> int:
         return self.device.spec.frame_bits
 
-    @property
-    def num_frames(self) -> int:
-        return (self.total_bits + self.frame_bits - 1) // self.frame_bits
-
-    def frame_of(self, bit: int) -> int:
-        return bit // self.frame_bits
-
-    def tile_bits(self, x: int, y: int) -> int:
-        return TILE_LOGIC_BITS + self._pip_count(x, y)
-
-    def tile_base(self, x: int, y: int) -> int:
-        return self._tile_base[(x, y)]
-
     # ------------------------------------------------------------------
     def _tile_pips(self, x: int, y: int) -> List[Pip]:
         key = (x, y)
@@ -242,10 +229,6 @@ class ConfigLayout:
             table[pip_base + index] = pip_resource(pip)
         return table[bit]
 
-    def routing_bit_count(self) -> int:
-        """Total number of PIP bits in the device."""
-        return self.total_bits - TILE_LOGIC_BITS * self.device.spec.num_tiles
-
 
 #: ConfigLayout per DeviceSpec.  The layout is a pure function of the
 #: device geometry, so one instance (and its lazily filled PIP caches)
@@ -293,39 +276,14 @@ class ConfigMemory:
     def set_bit(self, bit: int, value: int = 1) -> None:
         self.bits[bit] = 1 if value else 0
 
-    def get_bit(self, bit: int) -> int:
-        return self.bits[bit]
-
-    def flip_bit(self, bit: int) -> int:
-        """Flip one bit (the SEU model) and return the new value."""
-        self.bits[bit] ^= 1
-        return self.bits[bit]
-
     def set_resource(self, resource: Resource, value: int = 1) -> None:
         self.set_bit(self.layout.bit_of(resource), value)
-
-    def get_resource(self, resource: Resource) -> int:
-        return self.get_bit(self.layout.bit_of(resource))
 
     def programmed_bits(self) -> List[int]:
         """Addresses of all bits currently set to one."""
         return [index for index, value in enumerate(self.bits) if value]
 
-    def count_programmed(self) -> int:
-        return sum(self.bits)
-
     def copy(self) -> "ConfigMemory":
         duplicate = ConfigMemory(self.layout)
         duplicate.bits = bytearray(self.bits)
         return duplicate
-
-    def frame_view(self, frame: int) -> bytes:
-        start = frame * self.layout.frame_bits
-        end = min(start + self.layout.frame_bits, self.layout.total_bits)
-        return bytes(self.bits[start:end])
-
-    def difference(self, other: "ConfigMemory") -> List[int]:
-        """Bit addresses at which two configuration memories differ."""
-        return [index for index, (a, b) in enumerate(zip(self.bits,
-                                                         other.bits))
-                if a != b]

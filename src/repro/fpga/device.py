@@ -175,8 +175,6 @@ class Device:
         return len(self.pads)
 
     # ------------------------------------------------------------------
-    def manhattan(self, a: Tuple[int, int], b: Tuple[int, int]) -> int:
-        return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
     def __repr__(self) -> str:
         return (f"Device({self.spec.name!r}, {self.columns}x{self.rows} "

@@ -17,8 +17,10 @@ dictionary keys and serialized cheaply:
 A PIP is a directed ``(source_node, sink_node)`` pair controlled by one
 configuration bit.  The connectivity rules below are deterministic functions
 of the device geometry: :class:`RoutingGraph` tabulates every node's
-*downhill* neighbours once per device profile for the router, and the
-configuration-layout code enumerates the PIPs owned by one tile on demand.
+*downhill* neighbours (the nodes one PIP away) once per device profile for
+the router, and the configuration-layout code enumerates the PIPs owned by
+one tile on demand.  The tests check the table against a one-node-at-a-time
+statement of the same rules, ``tests/oracles/routing.py``.
 
 All PIP bits are modelled as independent pass-transistor-style bits.  This is
 the simplification that lets a single flipped bit produce the paper's four
@@ -73,12 +75,6 @@ def node_tile(device: Device, node: Node) -> Tuple[int, int]:
         return (node[1], node[2])
     pad = device.pads[node[1]]
     return (pad.x, pad.y)
-
-
-def wire_far_end(device: Device, node: Node) -> Optional[Tuple[int, int]]:
-    """The tile a wire terminates in (None if it would leave the array)."""
-    _, x, y, direction, _index = node
-    return device.neighbor(x, y, direction)
 
 
 # ----------------------------------------------------------------------
@@ -153,64 +149,6 @@ def incoming_wires(device: Device, x: int, y: int) -> List[Node]:
     return result
 
 
-def downhill(device: Device, node: Node) -> List[Node]:
-    """All nodes reachable from *node* through exactly one PIP."""
-    kind = node[0]
-    width = device.spec.wires_per_direction
-    result: List[Node] = []
-
-    if kind == "opin":
-        _, x, y, pin = node
-        indices = opin_wire_indices(device, pin)
-        for direction in DIRECTIONS:
-            if device.wire_exists(x, y, direction):
-                for index in indices:
-                    result.append(wire(x, y, direction, index))
-        for pin_in in SLICE_INPUT_PINS:
-            if opin_feeds_ipin(pin, pin_in):
-                result.append(ipin(x, y, pin_in))
-        for pad in device.pads_at(x, y):
-            result.append(pad_input(pad.index))
-        return result
-
-    if kind == "pad_o":
-        pad = device.pads[node[1]]
-        indices = pad_wire_indices(device, node[1])
-        for direction in DIRECTIONS:
-            if device.wire_exists(pad.x, pad.y, direction):
-                for index in indices:
-                    result.append(wire(pad.x, pad.y, direction, index))
-        for pin_in in SLICE_INPUT_PINS:
-            if (node[1] + _IPIN_ORDINAL[pin_in]) % 2 == 0:
-                result.append(ipin(pad.x, pad.y, pin_in))
-        return result
-
-    if kind == "wire":
-        _, x, y, direction, index = node
-        target = device.neighbor(x, y, direction)
-        if target is None:
-            return result
-        tx, ty = target
-        comes_from = OPPOSITE[direction]
-        for out_direction in DIRECTIONS:
-            if out_direction == comes_from:
-                continue
-            if device.wire_exists(tx, ty, out_direction):
-                for out_index in spip_out_indices(device, direction,
-                                                  out_direction, index):
-                    result.append(wire(tx, ty, out_direction, out_index))
-        for pin_in in SLICE_INPUT_PINS:
-            if ipin_accepts(device, pin_in, index):
-                result.append(ipin(tx, ty, pin_in))
-        for pad in device.pads_at(tx, ty):
-            if pad_accepts(pad.index, index):
-                result.append(pad_input(pad.index))
-        return result
-
-    # ipin and pad_i nodes are sinks: nothing downhill.
-    return result
-
-
 # ----------------------------------------------------------------------
 # Flat indexed routing-resource graph
 # ----------------------------------------------------------------------
@@ -226,9 +164,9 @@ class RoutingGraph:
     * ``tile_x`` / ``tile_y`` — per-id tile coordinates (a pad maps to its
       perimeter tile),
     * ``is_sink`` / ``is_wire`` / ``is_pad_in`` — per-id kind predicates,
-    * ``adjacency`` — per-id neighbour ids, in exactly the order
-      :func:`downhill` emits them (so heap tie-breaking, and therefore
-      every route tree, is bit-identical to the tuple router).
+    * ``adjacency`` — per-id neighbour ids in rule order: wires, then
+      slice input pins, then pads (heap tie-breaking, and therefore every
+      route tree, depends on that order).
 
     Ids are assigned in sorted node-tuple order, so sorting ids is the
     same as sorting tuples — the property the router's deterministic
@@ -290,10 +228,10 @@ class RoutingGraph:
     def _build_adjacency(self) -> List[Tuple[int, ...]]:
         """The whole adjacency table, in one bulk pass.
 
-        Produces, for every node, the ids of exactly the neighbours
-        :func:`downhill` lists, in the same order (asserted by the
-        equivalence tests), but via integer grid lookups instead of
-        constructing and hashing one node tuple per neighbour.
+        Produces, for every node, the ids of its one-PIP neighbours in
+        rule order (the equivalence tests compare it with the tuple-level
+        rule in ``tests/oracles/routing.py``), via integer grid lookups
+        instead of constructing and hashing one node tuple per neighbour.
         """
         device = self.device
         width = device.spec.wires_per_direction
@@ -573,13 +511,3 @@ def count_tile_pips(device: Device, x: int, y: int) -> int:
 def pip_tile(device: Device, pip: Pip) -> Tuple[int, int]:
     """The tile that owns a PIP's configuration bit (its destination tile)."""
     return node_tile(device, pip[1])
-
-
-def node_name(node: Node) -> str:
-    """Readable name of a routing node (for reports and debugging)."""
-    kind = node[0]
-    if kind == "wire":
-        return f"wire_x{node[1]}y{node[2]}_{node[3]}{node[4]}"
-    if kind in ("opin", "ipin"):
-        return f"{kind}_x{node[1]}y{node[2]}_{node[3]}"
-    return f"{kind}{node[1]}"

@@ -53,16 +53,19 @@ def device_by_name(name: str) -> Device:
             + ", ".join(sorted(PROFILES))) from None
 
 
-def smallest_device_for(num_luts: int, num_ffs: int,
-                        utilization: float = 0.7) -> Device:
+#: share of a device's tiles an automatically sized design may fill, so
+#: the placer and router have slack, as a real flow would
+DEVICE_UTILIZATION = 0.7
+
+
+def smallest_device_for(num_luts: int, num_ffs: int) -> Device:
     """Pick the smallest profile able to hold the given logic.
 
-    Each tile provides two LUTs and two flip-flops; *utilization* caps the
-    fraction of the array the packer may fill so the placer and router have
-    slack, as a real flow would.
+    Each tile provides two LUTs and two flip-flops; the design may fill
+    at most ``DEVICE_UTILIZATION`` of the array.
     """
     needed_tiles = max(
-        (num_luts + 1) // 2, (num_ffs + 1) // 2, 1) / max(utilization, 0.01)
+        (num_luts + 1) // 2, (num_ffs + 1) // 2, 1) / DEVICE_UTILIZATION
     for spec in sorted(PROFILES.values(), key=lambda s: s.num_tiles):
         if spec.name == "TINY":
             continue

@@ -33,14 +33,6 @@ class Direction(enum.Enum):
     OUTPUT = "output"
     INOUT = "inout"
 
-    def flipped(self) -> "Direction":
-        """Return the direction seen from inside the definition."""
-        if self is Direction.INPUT:
-            return Direction.OUTPUT
-        if self is Direction.OUTPUT:
-            return Direction.INPUT
-        return Direction.INOUT
-
 
 class Port:
     """A named, possibly multi-bit port of a :class:`Definition`."""
@@ -309,15 +301,6 @@ class Definition:
         del self.nets[net.name]
         net.definition = None
 
-    def rename_net(self, net: Net, new_name: str) -> None:
-        if self.nets.get(net.name) is not net:
-            raise NetlistError(f"net {net.name!r} is not owned by {self.name!r}")
-        if new_name in self.nets:
-            raise NetlistError(f"definition {self.name!r} already has net {new_name!r}")
-        del self.nets[net.name]
-        net.name = new_name
-        self.nets[new_name] = net
-
     # ------------------------------------------------------------------
     # Instances
     # ------------------------------------------------------------------
@@ -339,17 +322,6 @@ class Definition:
         instance.disconnect_all()
         del self.instances[instance.name]
         instance.parent = None
-
-    def rename_instance(self, instance: Instance, new_name: str) -> None:
-        if self.instances.get(instance.name) is not instance:
-            raise NetlistError(
-                f"instance {instance.name!r} is not owned by {self.name!r}")
-        if new_name in self.instances:
-            raise NetlistError(
-                f"definition {self.name!r} already has instance {new_name!r}")
-        del self.instances[instance.name]
-        instance.name = new_name
-        self.instances[new_name] = instance
 
     # ------------------------------------------------------------------
     # Helpers
@@ -394,15 +366,6 @@ class Library:
         self.definitions[name] = definition
         return definition
 
-    def adopt(self, definition: Definition) -> Definition:
-        """Take ownership of an externally created definition."""
-        if definition.name in self.definitions:
-            raise NetlistError(
-                f"library {self.name!r} already defines {definition.name!r}")
-        definition.library = self
-        self.definitions[definition.name] = definition
-        return definition
-
     def get(self, name: str) -> Optional[Definition]:
         return self.definitions.get(name)
 
@@ -445,10 +408,6 @@ class Netlist:
             if name in library:
                 return library.definitions[name]
         return None
-
-    def all_definitions(self) -> Iterator[Definition]:
-        for library in self.libraries.values():
-            yield from library
 
     def __repr__(self) -> str:
         top = self.top.name if self.top is not None else None

@@ -1,100 +1,13 @@
-"""Netlist transformations: cloning, uniquification and flattening."""
+"""Netlist flattening."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
-from .ir import (Definition, InstancePin, Library, Net, Netlist, NetlistError, TopPin)
+from .ir import Definition, Net, Netlist, NetlistError
 
 #: Separator used when composing hierarchical names during flattening.
 HIER_SEP = "/"
-
-
-def clone_definition(definition: Definition, new_name: str,
-                     library: Optional[Library] = None) -> Definition:
-    """Create a structural copy of *definition* under a new name.
-
-    Child instances keep referencing the *same* child definitions (shallow
-    with respect to hierarchy); ports, nets, instances, connections and
-    properties are copied.
-    """
-    target_library = library if library is not None else definition.library
-    clone = Definition(new_name, library=None, is_primitive=definition.is_primitive)
-    clone.properties = dict(definition.properties)
-
-    for port in definition.ports.values():
-        clone.add_port(port.name, port.direction, port.width)
-
-    for inst in definition.instances.values():
-        new_inst = clone.add_instance(inst.reference, inst.name)
-        new_inst.properties = dict(inst.properties)
-
-    for net in definition.nets.values():
-        new_net = clone.add_net(net.name)
-        new_net.properties = dict(net.properties)
-        for pin in net.pins:
-            if isinstance(pin, InstancePin):
-                new_inst = clone.instances[pin.instance.name]
-                new_net.connect(new_inst.pin(pin.port_name, pin.index))
-            elif isinstance(pin, TopPin):
-                new_net.connect(clone.top_pin(pin.port_name, pin.index))
-            else:  # pragma: no cover - defensive
-                raise NetlistError(f"cannot clone unknown pin type {pin!r}")
-
-    if target_library is not None:
-        target_library.adopt(clone)
-    return clone
-
-
-def uniquify(netlist: Netlist, definition: Optional[Definition] = None,
-             _seen: Optional[Set[int]] = None) -> None:
-    """Ensure every non-primitive definition is instantiated at most once.
-
-    Definitions instantiated multiple times are cloned so each instantiation
-    points at a private copy.  This makes per-instance edits (such as TMR
-    domain tagging) safe.
-    """
-    root = definition if definition is not None else netlist.top
-    if root is None:
-        raise NetlistError("netlist has no top definition to uniquify")
-    if _seen is None:
-        _seen = set()
-
-    use_counts: Dict[int, int] = {}
-
-    def count_uses(current: Definition) -> None:
-        for inst in current.instances.values():
-            ref = inst.reference
-            if ref.is_primitive:
-                continue
-            use_counts[id(ref)] = use_counts.get(id(ref), 0) + 1
-            count_uses(ref)
-
-    count_uses(root)
-
-    def rewrite(current: Definition) -> None:
-        if id(current) in _seen:
-            return
-        _seen.add(id(current))
-        for inst in list(current.instances.values()):
-            ref = inst.reference
-            if ref.is_primitive:
-                continue
-            if use_counts.get(id(ref), 0) > 1:
-                use_counts[id(ref)] -= 1
-                library = ref.library
-                base = ref.name
-                counter = 1
-                new_name = f"{base}_uniq{counter}"
-                while library is not None and new_name in library:
-                    counter += 1
-                    new_name = f"{base}_uniq{counter}"
-                new_ref = clone_definition(ref, new_name, library)
-                inst.reference = new_ref
-                use_counts[id(new_ref)] = 1
-            rewrite(inst.reference)
-
-    rewrite(root)
 
 
 def flatten(netlist: Netlist, top: Optional[Definition] = None,
@@ -229,20 +142,3 @@ def _merge_nets(keep: Net, merge: Net) -> None:
         keep.properties.setdefault(key, value)
     if merge.definition is not None:
         merge.definition.remove_net(merge)
-
-
-def remove_unconnected_instances(definition: Definition) -> int:
-    """Remove primitive instances none of whose pins are connected.
-
-    Returns the number of instances removed.
-    """
-    removed = 0
-    for inst in list(definition.instances.values()):
-        pins = list(inst.pins())
-        if pins and all(p.net is None for p in pins):
-            definition.remove_instance(inst)
-            removed += 1
-        elif not pins:
-            definition.remove_instance(inst)
-            removed += 1
-    return removed

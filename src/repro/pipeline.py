@@ -188,8 +188,7 @@ def get_suite(scale: str, partition_selector: str = "canonical",
             name = f"TMR_shortlist{index}_{slug}"
             flat = _optimize(
                 flatten(suite.netlist, candidate.result.definition,
-                        flat_name=f"{name}_{suite.scale.name}"),
-                suite.optimized)
+                        flat_name=f"{name}_{suite.scale.name}"))
             suite.flat[name] = flat
             suite.tmr[name] = candidate.result
             generated.append(name)

@@ -312,9 +312,12 @@ def flow_fingerprint(definition: Definition, device: Device,
                      floorplan: Optional[Floorplan] = None,
                      anneal_moves_per_slice: int = 4,
                      router_iterations: int = 20,
-                     allow_overuse: bool = False,
                      target_utilization: float = 0.55) -> str:
-    """Content key of one ``implement`` call: netlist + device + knobs."""
+    """Content key of one ``implement`` call: netlist + device + knobs.
+
+    ``:overuse=False`` is a fixed part of the key text: keys stored by
+    earlier releases, which hashed a router option there, keep matching.
+    """
     digest = hashlib.sha256()
     digest.update(netlist_fingerprint(definition).encode())
     spec = device.spec
@@ -330,7 +333,7 @@ def flow_fingerprint(definition: Definition, device: Device,
         f"|flow:{TOOL_VERSION}:seed={seed}"
         f":anneal={anneal_moves_per_slice}"
         f":iters={router_iterations}"
-        f":overuse={allow_overuse}"
+        f":overuse=False"
         f":util={target_utilization!r}".encode())
     return digest.hexdigest()
 

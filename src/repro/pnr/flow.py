@@ -61,9 +61,7 @@ def implement(definition: Definition, device: Optional[Device] = None,
               seed: int = 1, floorplan: Optional[Floorplan] = None,
               anneal_moves_per_slice: int = 4,
               router_iterations: int = 20,
-              allow_overuse: bool = False,
               target_utilization: float = 0.55,
-              layout: Optional[ConfigLayout] = None,
               artifact_store: StoreLike = None) -> Implementation:
     """Implement a flat netlist on a device.
 
@@ -91,7 +89,6 @@ def implement(definition: Definition, device: Optional[Device] = None,
             definition, target_device, seed=seed, floorplan=floorplan,
             anneal_moves_per_slice=anneal_moves_per_slice,
             router_iterations=router_iterations,
-            allow_overuse=allow_overuse,
             target_utilization=target_utilization)
 
     # With an explicit device the cache can answer before packing; the
@@ -110,8 +107,7 @@ def implement(definition: Definition, device: Optional[Device] = None,
             cached = store.load(fingerprint, definition)
             if cached is not None:
                 return cached
-    if layout is None:
-        layout = shared_layout(device)
+    layout = shared_layout(device)
 
     placement = None
     routing = None
@@ -125,8 +121,7 @@ def implement(definition: Definition, device: Optional[Device] = None,
         try:
             routing = route_design(definition, packed, placement, device,
                                    max_iterations=router_iterations
-                                   + 8 * attempt,
-                                   allow_overuse=allow_overuse)
+                                   + 8 * attempt)
             break
         except RoutingError:
             if attempt == attempts - 1 or floorplan is not None:

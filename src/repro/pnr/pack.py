@@ -37,12 +37,6 @@ class SliceAssignment:
     #: FF slots fed directly by their paired LUT (DMUX = LUT path)
     direct_ff_data: List[str] = dataclasses.field(default_factory=list)
 
-    def lut_count(self) -> int:
-        return sum(1 for slot in ("F", "G") if slot in self.cells)
-
-    def ff_count(self) -> int:
-        return sum(1 for slot in ("FFX", "FFY") if slot in self.cells)
-
     def is_empty(self) -> bool:
         return not self.cells
 

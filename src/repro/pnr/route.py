@@ -74,16 +74,6 @@ class RouteTree:
             self._nodes = result
         return result
 
-    def path_to(self, sink: Node) -> List[Node]:
-        """Nodes from the source to *sink* (inclusive)."""
-        path = [sink]
-        current = sink
-        while current in self.parent:
-            current = self.parent[current]
-            path.append(current)
-        path.reverse()
-        return path
-
     def sinks_through(self, node: Node) -> List[SinkSpec]:
         """Sinks whose path from the source passes through *node*.
 
@@ -319,7 +309,7 @@ class Router:
     The search itself is the seed PathFinder recipe, executed on integer
     node ids from the device's memoized :class:`RoutingGraph` instead of
     node tuples: cost, occupancy and history tables hash small ints, the
-    neighbour lists come precomputed in :func:`downhill` order, and tile
+    neighbour lists come precomputed in ``RoutingGraph.adjacency``, and tile
     coordinates are array lookups.  Because ids are assigned in sorted
     tuple order and neighbours keep their emission order, every heap
     tie-break — and therefore every route tree — is bit-identical to the
@@ -327,24 +317,21 @@ class Router:
     reference flow in ``tests/oracles/reference_flow.py``).
     """
 
-    def __init__(self, device: Device, max_iterations: int = 12,
-                 present_factor: float = 0.5,
-                 present_growth: float = 1.8,
-                 history_increment: float = 1.0,
-                 allow_overuse: bool = False,
-                 heuristic_weight: float = 1.3,
-                 bounding_box_margin: int = 3) -> None:
+    #: PathFinder present-congestion factor of the first wave, and its
+    #: growth per negotiation iteration
+    PRESENT_FACTOR = 0.5
+    PRESENT_GROWTH = 1.8
+    #: history cost a wire accrues per iteration it ends overused
+    HISTORY_INCREMENT = 1.0
+    #: weighted-A* factor (>1 trades a little wirelength for speed)
+    HEURISTIC_WEIGHT = 1.3
+    #: exploration is confined to the net's bounding box plus this margin
+    #: (the margin grows on later negotiation iterations)
+    BOUNDING_BOX_MARGIN = 3
+
+    def __init__(self, device: Device, max_iterations: int = 12) -> None:
         self.device = device
         self.max_iterations = max_iterations
-        self.present_factor = present_factor
-        self.present_growth = present_growth
-        self.history_increment = history_increment
-        self.allow_overuse = allow_overuse
-        #: weighted-A* factor (>1 trades a little wirelength for speed)
-        self.heuristic_weight = heuristic_weight
-        #: exploration is confined to the net's bounding box plus this margin
-        #: (the margin grows on later negotiation iterations)
-        self.bounding_box_margin = bounding_box_margin
         self.graph: RoutingGraph = routing_graph(device)
         #: numpy per-id tables for vectorized candidate masks
         self._tables = self.graph.np_tables()
@@ -369,7 +356,7 @@ class Router:
         trees: Dict[str, RouteTree] = {}
         #: per-net id set mirroring ``trees[name].nodes()``
         tree_ids: Dict[str, Set[int]] = {}
-        present_factor = self.present_factor
+        present_factor = self.PRESENT_FACTOR
 
         order = sorted(requests, key=lambda r: (len(r.sinks), r.name))
         to_route = list(order)
@@ -387,22 +374,20 @@ class Router:
                 return trees, iteration
             for node_id in overused:
                 history[node_id] = history.get(node_id, 0.0) + \
-                    self.history_increment
+                    self.HISTORY_INCREMENT
                 base_cost[node_id] = 1.0 + history[node_id]
-            present_factor *= self.present_growth
+            present_factor *= self.PRESENT_GROWTH
             # Rip up and reroute only the nets that touch an overused
             # wire; everybody else keeps their tree and its claims.
             to_route = [request for request in order
                         if tree_ids[request.name] & overused]
 
-        if not self.allow_overuse:
-            overused = {node_id for node_id, count in enumerate(occupancy)
-                        if count > 1 and is_wire[node_id]}
-            raise RoutingError(
-                f"router failed to resolve congestion after "
-                f"{self.max_iterations} iterations; {len(overused)} wires "
-                f"remain overused")
-        return trees, iteration
+        overused = {node_id for node_id, count in enumerate(occupancy)
+                    if count > 1 and is_wire[node_id]}
+        raise RoutingError(
+            f"router failed to resolve congestion after "
+            f"{self.max_iterations} iterations; {len(overused)} wires "
+            f"remain overused")
 
     # --------------------------------------------------------------
     def _route_wave(self, to_route: List[NetRequest],
@@ -527,7 +512,7 @@ class Router:
         terminal_ids.extend(id_of[spec.node] for spec in request.sinks)
         xs = [tile_x[node_id] for node_id in terminal_ids]
         ys = [tile_y[node_id] for node_id in terminal_ids]
-        margin = self.bounding_box_margin + self._extra_margin
+        margin = self.BOUNDING_BOX_MARGIN + self._extra_margin
         device = self.device
         min_x = max(0, min(xs) - margin)
         min_y = max(0, min(ys) - margin)
@@ -553,7 +538,7 @@ class Router:
         is_wire = graph.is_wire
         is_pad_in = graph.is_pad_in
         adjacency = graph.adjacency
-        weight = self.heuristic_weight
+        weight = self.HEURISTIC_WEIGHT
         target_x = tile_x[target]
         target_y = tile_y[target]
 
@@ -624,13 +609,11 @@ class Router:
 
 def route_design(definition: Definition, pack_result: PackResult,
                  placement: Placement, device: Device,
-                 max_iterations: int = 12,
-                 allow_overuse: bool = False) -> RoutingResult:
+                 max_iterations: int = 12) -> RoutingResult:
     """Extract the routing problem and run the negotiated-congestion router."""
     requests, skipped, direct = extract_routing_problem(
         definition, pack_result, placement)
-    router = Router(device, max_iterations=max_iterations,
-                    allow_overuse=allow_overuse)
+    router = Router(device, max_iterations=max_iterations)
     trees, iterations = router.route(requests)
 
     node_owner: Dict[Node, str] = {}

@@ -1,4 +1,4 @@
-"""Structural arithmetic generators: adders, negators, constant multipliers.
+"""Structural arithmetic generators: adders and constant multipliers.
 
 Every generator returns a self-contained :class:`Definition` so that the FIR
 case study is assembled from *components* — exactly the granularity at which
@@ -56,56 +56,6 @@ def ripple_carry_adder(netlist: Netlist, width: int,
     if with_carry_out:
         co = builder.output("CO", 1)
         gates.buf(carry, co[0])
-    return builder.finish()
-
-
-def ripple_carry_subtractor(netlist: Netlist, width: int,
-                            name: Optional[str] = None,
-                            cell_library: Optional[Library] = None,
-                            ) -> Definition:
-    """Build ``D = A - B`` (two's complement, wrap on overflow)."""
-    if width < 1:
-        raise NetlistError("subtractor width must be >= 1")
-    module_name = name if name is not None else f"sub{width}"
-    existing = netlist.find_definition(module_name)
-    if existing is not None:
-        return existing
-    builder = _builder(netlist, module_name, cell_library=cell_library)
-    gates = GateBuilder(builder)
-
-    a = builder.input("A", width)
-    b = builder.input("B", width)
-    d = builder.output("D", width)
-    borrow = builder.ground()
-    for bit in range(width):
-        if bit < width - 1:
-            diff, borrow = gates.full_subtractor(a[bit], b[bit], borrow)
-        else:
-            diff = gates.xor3(a[bit], b[bit], borrow)
-        gates.buf(diff, d[bit])
-    return builder.finish()
-
-
-def negator(netlist: Netlist, width: int, name: Optional[str] = None,
-            cell_library: Optional[Library] = None) -> Definition:
-    """Build a two's-complement negator ``P = -A`` (invert and add one)."""
-    module_name = name if name is not None else f"neg{width}"
-    existing = netlist.find_definition(module_name)
-    if existing is not None:
-        return existing
-    builder = _builder(netlist, module_name, cell_library=cell_library)
-    gates = GateBuilder(builder)
-
-    a = builder.input("A", width)
-    p = builder.output("P", width)
-    carry = builder.power()  # the "+1"
-    for bit in range(width):
-        inverted = gates.inv(a[bit])
-        if bit < width - 1:
-            total, carry = gates.half_adder(inverted, carry)
-        else:
-            total = gates.xor2(inverted, carry)
-        gates.buf(total, p[bit])
     return builder.finish()
 
 

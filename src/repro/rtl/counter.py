@@ -98,24 +98,3 @@ def accumulator(netlist: Netlist, data_width: int, acc_width: int,
         builder.instantiate("FDR", f"ff_{bit}", C=clock, R=reset,
                             D=total[bit], Q=q[bit])
     return builder.finish()
-
-
-def counter_reference(width: int, cycles: int, enable_pattern=None,
-                      reset_pattern=None) -> list:
-    """Behavioural model of :func:`up_counter` for test comparison.
-
-    Returns the Q value visible *during* each cycle (before that cycle's
-    clock edge).
-    """
-    mask = (1 << width) - 1
-    state = 0
-    outputs = []
-    for cycle in range(cycles):
-        outputs.append(state)
-        enable = 1 if enable_pattern is None else enable_pattern[cycle]
-        reset = 0 if reset_pattern is None else reset_pattern[cycle]
-        if reset:
-            state = 0
-        elif enable:
-            state = (state + 1) & mask
-    return outputs

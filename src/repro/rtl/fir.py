@@ -11,7 +11,7 @@ any component boundary (Figure 4 of the paper).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..cells.library import shared_cell_library
 from ..netlist.builder import NetlistBuilder
@@ -55,10 +55,6 @@ class FirSpec:
     @property
     def taps(self) -> int:
         return len(self.coefficients)
-
-    @property
-    def delay_stages(self) -> int:
-        return self.taps - 1
 
     @classmethod
     def paper(cls) -> "FirSpec":
@@ -155,38 +151,3 @@ def build_fir(netlist: Netlist, spec: Optional[FirSpec] = None,
     definition.properties["fir_spec"] = spec
     definition.properties["fir_components"] = components
     return definition, components
-
-
-def fir_reference(spec: FirSpec, samples: Sequence[int]) -> List[int]:
-    """Bit-accurate behavioural model of the generated filter.
-
-    *samples* are signed integers presented one per clock cycle on ``DIN``.
-    The returned list contains, for each cycle, the value visible on ``DOUT``
-    during that cycle (combinational response to the current input and the
-    delay-line state *before* the cycle's clock edge), wrapped to the signed
-    output width exactly like the hardware adders wrap.
-    """
-    mask = (1 << spec.output_width) - 1
-    sign_bit = 1 << (spec.output_width - 1)
-    delays = [0] * spec.delay_stages
-    outputs: List[int] = []
-    for sample in samples:
-        taps = [sample] + delays
-        accumulator = 0
-        for coefficient, value in zip(spec.coefficients, taps):
-            accumulator = (accumulator + coefficient * value) & mask
-        signed = accumulator - (1 << spec.output_width) \
-            if accumulator & sign_bit else accumulator
-        outputs.append(signed)
-        if spec.delay_stages:
-            delays = [sample] + delays[:-1]
-    return outputs
-
-
-def expected_component_counts(spec: FirSpec) -> Dict[str, int]:
-    """The paper's component inventory for a given spec (Table-style check)."""
-    return {
-        "registers": spec.delay_stages,
-        "multipliers": spec.taps,
-        "adders": spec.taps - 1,
-    }

@@ -53,35 +53,3 @@ def register_bank(netlist: Netlist, width: int, name: Optional[str] = None,
             connections["R"] = reset
         builder.instantiate(cell_name, f"ff_{bit}", **connections)
     return builder.finish()
-
-
-def shift_register(netlist: Netlist, width: int, depth: int,
-                   name: Optional[str] = None,
-                   cell_library: Optional[Library] = None) -> Definition:
-    """Build a *depth*-stage, *width*-bit shift register as one component.
-
-    Ports: ``C``, ``D[width]`` and one output bus per stage ``Q1..Qdepth``.
-    The FIR delay line uses individual :func:`register_bank` components so
-    that voter insertion can target each stage; this fused variant exists for
-    designs that do not need per-stage access.
-    """
-    if depth < 1:
-        raise NetlistError("shift register depth must be >= 1")
-    if name is None:
-        name = f"shiftreg{width}x{depth}"
-    existing = netlist.find_definition(name)
-    if existing is not None:
-        return existing
-
-    cells = cell_library if cell_library is not None else shared_cell_library()
-    builder = NetlistBuilder.new_module(netlist, name, "components", cells)
-    clock = builder.input("C", 1)[0]
-    data = builder.input("D", width)
-    stage_inputs = data
-    for stage in range(1, depth + 1):
-        outputs = builder.output(f"Q{stage}", width)
-        for bit in range(width):
-            builder.instantiate("FD", f"ff_s{stage}_{bit}", C=clock,
-                                D=stage_inputs[bit], Q=outputs[bit])
-        stage_inputs = outputs
-    return builder.finish()

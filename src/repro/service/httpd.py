@@ -26,9 +26,10 @@ GET        ``/readyz``             readiness: 200 while accepting jobs,
                                    503 + ``Retry-After`` when draining
 =========  ======================  ==========================================
 
-The matching client helpers (:func:`submit_job`, :func:`fetch_job`,
-:func:`fetch_report`, :func:`fetch_stats`) ride :mod:`urllib` so the
-``repro submit`` CLI needs nothing outside the standard library either.
+The client helpers ``repro submit`` uses (:func:`submit_job`,
+:func:`fetch_job`, :func:`fetch_report`, :func:`wait_for_job`) ride
+:mod:`urllib`, so the CLI needs nothing outside the standard library
+either.
 """
 
 from __future__ import annotations
@@ -225,15 +226,6 @@ def fetch_job(base_url: str, job_id: str,
 
 def fetch_report(base_url: str, job_id: str) -> Dict[str, object]:
     return _request(f"{base_url.rstrip('/')}/jobs/{job_id}/report")
-
-
-def fetch_stats(base_url: str) -> Dict[str, object]:
-    return _request(f"{base_url.rstrip('/')}/stats")
-
-
-def cancel_job(base_url: str, job_id: str) -> Dict[str, object]:
-    return _request(f"{base_url.rstrip('/')}/jobs/{job_id}/cancel",
-                    data=b"{}")
 
 
 def wait_for_job(base_url: str, job_id: str,

@@ -870,7 +870,6 @@ def simulate_lanes(program: VectorProgram,
                    golden: SimulationTrace,
                    passes: Optional[int] = None,
                    skip_cycles: int = 0,
-                   ports: Optional[Sequence[str]] = None,
                    cone: Optional[FaultCone] = None,
                    width: Optional[int] = None,
                    reseed: Optional[List[Tuple[List[int],
@@ -928,11 +927,9 @@ def simulate_lanes(program: VectorProgram,
 
     inputs_per_cycle = inputs if inputs is not None else \
         broadcast_inputs(design, stimulus, all_mask)
-    port_names = list(ports) if ports is not None else \
-        list(design.outputs)
     # (port, bit, net, golden bit per cycle) for the comparison loop
     compare_plan = []
-    for port_name in port_names:
+    for port_name in design.outputs:
         binding = design.outputs[port_name]
         for position, net in enumerate(binding.net_indices):
             compare_plan.append((port_name, position, net))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..cells.evaluate import lut_init_of
+from ..cells.lut import lut_init_of
 from ..cells.library import FF_CELLS, LUT_CELLS, lut_input_count
 from ..netlist.ir import Definition, Direction, Instance, InstancePin, \
     NetlistError

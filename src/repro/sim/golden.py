@@ -2,8 +2,8 @@
 
 The paper's fault-injection system compares the DUT against a golden device
 "every clock cycle"; a fault is classified as a *Wrong Answer* when any
-output differs on any cycle.  These helpers implement that comparison over
-simulation traces, treating an unknown (X) DUT output as wrong whenever the
+output differs on any cycle.  :func:`compare_traces` implements that
+comparison over simulation traces, treating an unknown (X) DUT output as wrong whenever the
 golden output is known — the pessimistic reading of a floating or conflicting
 signal reaching the output pads.
 """
@@ -42,9 +42,8 @@ def _bits_mismatch(dut_bits: Sequence[int], golden_bits: Sequence[int]) -> bool:
 
 
 def compare_traces(dut: SimulationTrace, golden: SimulationTrace,
-                   ports: Optional[Sequence[str]] = None,
                    skip_cycles: int = 0) -> ComparisonResult:
-    """Compare two traces cycle by cycle over the selected output ports.
+    """Compare two traces cycle by cycle over every output port.
 
     *skip_cycles* ignores the first cycles (useful when the golden device and
     the DUT need a warm-up period, e.g. while X values flush out of
@@ -64,9 +63,8 @@ def compare_traces(dut: SimulationTrace, golden: SimulationTrace,
                                                       golden.outputs)):
         if cycle < skip_cycles:
             continue
-        selected = ports if ports is not None else golden_out.keys()
         cycle_mismatch = False
-        for port in selected:
+        for port in golden_out:
             if port in fully_known:
                 mismatch = dut_out[port] != golden_out[port]
             else:
@@ -86,16 +84,3 @@ def compare_traces(dut: SimulationTrace, golden: SimulationTrace,
         mismatching_cycles=mismatching_cycles,
         mismatching_ports=mismatching_ports,
     )
-
-
-def trace_matches_reference(trace: SimulationTrace, port: str,
-                            reference: Sequence[int], signed: bool = True,
-                            skip_cycles: int = 0) -> bool:
-    """Check a simulated output stream against a behavioural reference."""
-    produced = trace.output_ints(port, signed)
-    for cycle, (got, expected) in enumerate(zip(produced, reference)):
-        if cycle < skip_cycles:
-            continue
-        if got != expected:
-            return False
-    return True

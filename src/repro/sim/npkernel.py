@@ -55,7 +55,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as _np
 
@@ -645,11 +645,10 @@ class _ComparePlan:
     __slots__ = ("positions", "cycles")
 
 
-def _compile_compare(design: CompiledDesign, golden: SimulationTrace,
-                     ports: Optional[Sequence[str]]) -> _ComparePlan:
-    port_names = list(ports) if ports is not None else list(design.outputs)
+def _compile_compare(design: CompiledDesign,
+                     golden: SimulationTrace) -> _ComparePlan:
     positions: List[Tuple[str, int, int]] = []
-    for port_name in port_names:
+    for port_name in design.outputs:
         binding = design.outputs[port_name]
         for position, net in enumerate(binding.net_indices):
             positions.append((port_name, position, net))
@@ -1021,12 +1020,11 @@ class NumpyProgram:
                 self._inputs.popitem(last=False)
         return hit[1]
 
-    def compare_for(self, golden: SimulationTrace,
-                    ports: Optional[Sequence[str]]) -> _ComparePlan:
-        key = (id(golden), tuple(ports) if ports is not None else None)
+    def compare_for(self, golden: SimulationTrace) -> _ComparePlan:
+        key = id(golden)
         hit = self._compares.get(key)
         if hit is None:
-            hit = (golden, _compile_compare(self.design, golden, ports))
+            hit = (golden, _compile_compare(self.design, golden))
             self._compares[key] = hit
             while len(self._compares) > self.MAX_AUX:
                 self._compares.popitem(last=False)
@@ -1037,7 +1035,6 @@ class NumpyProgram:
                        golden: SimulationTrace,
                        passes: Optional[int] = None,
                        skip_cycles: int = 0,
-                       ports: Optional[Sequence[str]] = None,
                        cone: Optional[FaultCone] = None,
                        width: Optional[int] = None,
                        plan_key: Optional[Tuple] = None,
@@ -1056,7 +1053,7 @@ class NumpyProgram:
         plan = self.shard_plan(lanes, width, cone, key=plan_key)
         reseed = self.reseed_for(golden) if cone is not None else None
         inputs = self.inputs_for(stimulus)
-        compare = self.compare_for(golden, ports)
+        compare = self.compare_for(golden)
         return _run_shard_plan(plan, golden, compare, passes, skip_cycles,
                                reseed, inputs, record_lane_outputs)
 

@@ -20,8 +20,8 @@ Campaigns keep many overlays at once, so they store them as
 :class:`OverlayColumns`: per override one row of :data:`OVERRIDE_WIDTH`
 plain integers (row kind, target, argument and the
 :class:`SourceOverride`'s kind, net a, net b, value and blend code), and
-per overlay slot its range of rows, its settle passes, its seed nets and
-its description.  No Python object is kept per overlay or per override;
+per overlay slot its range of rows, its settle passes and its seed nets.
+No Python object is kept per overlay or per override;
 :meth:`OverlayColumns.overlay` rebuilds a :class:`FaultOverlay` view of
 one slot on demand.
 """
@@ -120,8 +120,6 @@ FLOATING = SourceOverride.floating()
 class FaultOverlay:
     """The complete behavioural effect of one injected configuration upset."""
 
-    #: human-readable description (resource + effect), for reports
-    description: str = ""
     #: gate index -> replacement INIT
     lut_init_overrides: Dict[int, int] = dataclasses.field(default_factory=dict)
     #: (gate index, input position) -> override
@@ -187,8 +185,8 @@ class OverlayColumns:
     fields of the :class:`SourceOverride`.  Slot *s* owns rows
     ``row_start[s]`` up to ``row_start[s + 1]`` and the seed nets
     ``seed_nets[seed_start[s]:seed_start[s + 1]]``; ``passes[s]`` is
-    its :meth:`FaultOverlay.required_passes`, and ``comb_passes`` and
-    ``descriptions`` complete the :meth:`overlay` view.  Output-pin
+    its :meth:`FaultOverlay.required_passes`, and ``comb_passes``
+    completes the :meth:`overlay` view.  Output-pin
     rows name their port by its index in ``ports``.  Columns only grow:
     a slot's rows never move once the slot is closed.
     """
@@ -200,7 +198,6 @@ class OverlayColumns:
         self.seed_start = array("i", [0])
         self.passes = array("B")
         self.comb_passes = array("B")
-        self.descriptions: List[str] = []
         self.ports: List[str] = []
         self._port_ids: Dict[str, int] = {}
 
@@ -237,8 +234,7 @@ class OverlayColumns:
         for (port, bit), override in overlay.output_pin_overrides.items():
             extend((ROW_OUTPUT_PIN, self.port_id(port), bit) + override)
 
-    def close_slot(self, description: str, seed_nets: Iterable[int],
-                   comb_passes: int) -> int:
+    def close_slot(self, seed_nets: Iterable[int], comb_passes: int) -> int:
         """Make the rows appended since the last slot a new slot.
 
         Its settle passes are *comb_passes*, raised to 3 when a net
@@ -260,22 +256,19 @@ class OverlayColumns:
         self.seed_start.append(len(self.seed_nets))
         self.passes.append(passes)
         self.comb_passes.append(comb_passes)
-        self.descriptions.append(description)
         return len(self.passes) - 1
 
     def add_overlay(self, overlay: FaultOverlay) -> int:
         """Store *overlay* as a new slot; its slot."""
         self.write_rows(overlay)
-        return self.close_slot(overlay.description, overlay.seed_nets,
-                               overlay.comb_passes)
+        return self.close_slot(overlay.seed_nets, overlay.comb_passes)
 
     def seeds(self, slot: int) -> Sequence[int]:
         return self.seed_nets[self.seed_start[slot]:self.seed_start[slot + 1]]
 
     def overlay(self, slot: int) -> FaultOverlay:
         """A :class:`FaultOverlay` view of one slot (built per call)."""
-        overlay = FaultOverlay(description=self.descriptions[slot],
-                               comb_passes=self.comb_passes[slot],
+        overlay = FaultOverlay(comb_passes=self.comb_passes[slot],
                                seed_nets=tuple(self.seeds(slot)))
         table = self.overrides
         for base in range(self.row_start[slot] * OVERRIDE_WIDTH,

@@ -313,12 +313,3 @@ class Simulator:
                 overlay.ff_pin_overrides:
             return logic.mux(enable, current, data)
         return data
-
-
-def simulate(design: CompiledDesign, stimulus: Sequence[Dict[str, int]],
-             overlay: Optional[FaultOverlay] = None,
-             record_nets: bool = False,
-             golden: Optional[SimulationTrace] = None,
-             cone: Optional[FaultCone] = None) -> SimulationTrace:
-    """Convenience wrapper: build a :class:`Simulator` and run it."""
-    return Simulator(design, overlay).run(stimulus, record_nets, golden, cone)

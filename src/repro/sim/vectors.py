@@ -3,12 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
-
-
-def signed_range(width: int) -> range:
-    """The representable signed range of a *width*-bit two's-complement bus."""
-    return range(-(1 << (width - 1)), 1 << (width - 1))
+from typing import Dict, List, Sequence
 
 
 def random_samples(count: int, width: int, seed: int = 2005) -> List[int]:
@@ -23,62 +18,22 @@ def random_samples(count: int, width: int, seed: int = 2005) -> List[int]:
     return [generator.randint(low, high) for _ in range(count)]
 
 
-def impulse(count: int, width: int, amplitude: Optional[int] = None,
-            position: int = 0) -> List[int]:
-    """An impulse stream: zero everywhere except one maximal sample."""
-    if amplitude is None:
-        amplitude = (1 << (width - 1)) - 1
-    samples = [0] * count
-    if 0 <= position < count:
-        samples[position] = amplitude
-    return samples
-
-
-def step(count: int, width: int, amplitude: Optional[int] = None,
-         position: int = 0) -> List[int]:
-    """A step stream: zero before *position*, *amplitude* afterwards."""
-    if amplitude is None:
-        amplitude = (1 << (width - 1)) - 1
-    return [0 if cycle < position else amplitude for cycle in range(count)]
-
-
-def alternating(count: int, width: int) -> List[int]:
-    """Alternate between the maximum and minimum representable values.
-
-    This exercises every data bit and both carry directions of the adders,
-    which is what makes a short fault-injection workload still observant.
-    """
-    high = (1 << (width - 1)) - 1
-    low = -(1 << (width - 1))
-    return [high if cycle % 2 == 0 else low for cycle in range(count)]
-
-
 def stimulus_from_samples(samples: Sequence[int], port: str = "DIN",
-                          extra: Optional[Dict[str, int]] = None,
                           ) -> List[Dict[str, int]]:
     """Wrap a sample stream into per-cycle input dictionaries."""
-    base = dict(extra) if extra else {}
-    return [{**base, port: sample} for sample in samples]
+    return [{port: sample} for sample in samples]
 
 
 def tmr_stimulus_from_samples(samples: Sequence[int], port: str = "DIN",
-                              domains: int = 3,
-                              extra: Optional[Dict[str, int]] = None,
                               ) -> List[Dict[str, int]]:
     """Per-cycle inputs for a TMR design with triplicated input ports.
 
-    The same sample is applied to ``{port}_tr0 .. {port}_tr{domains-1}``,
-    reflecting that the three redundant domains receive copies of the same
-    external signal through their own package pins.
+    The same sample is applied to ``{port}_tr0 .. {port}_tr2``, reflecting
+    that the three redundant domains receive copies of the same external
+    signal through their own package pins.
     """
-    base = dict(extra) if extra else {}
-    cycles = []
-    for sample in samples:
-        entry = dict(base)
-        for domain in range(domains):
-            entry[f"{port}_tr{domain}"] = sample
-        cycles.append(entry)
-    return cycles
+    return [{f"{port}_tr{domain}": sample for domain in range(3)}
+            for sample in samples]
 
 
 def campaign_workload(width: int, cycles: int = 12, seed: int = 2005,

@@ -1,8 +1,6 @@
 """Gate-to-LUT construction and LUT packing optimization."""
 
 from .gates import GateBuilder
-from .mapper import (MapperReport, lut_histogram, merge_luts,
-                     remove_buffer_luts)
+from .mapper import MapperReport, merge_luts, remove_buffer_luts
 
-__all__ = ["GateBuilder", "MapperReport", "lut_histogram", "merge_luts",
-           "remove_buffer_luts"]
+__all__ = ["GateBuilder", "MapperReport", "merge_luts", "remove_buffer_luts"]

@@ -9,7 +9,7 @@ chains of small LUTs into fuller LUT4s).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..cells import lut as lut_inits
 from ..cells.library import lut_cell_for_inputs
@@ -60,35 +60,11 @@ class GateBuilder:
     def and2(self, a: Net, b: Net, output: Optional[Net] = None) -> Net:
         return self.lut(lut_inits.INIT_AND2, [a, b], output, "and")
 
-    def or2(self, a: Net, b: Net, output: Optional[Net] = None) -> Net:
-        return self.lut(lut_inits.INIT_OR2, [a, b], output, "or")
-
     def xor2(self, a: Net, b: Net, output: Optional[Net] = None) -> Net:
         return self.lut(lut_inits.INIT_XOR2, [a, b], output, "xor")
 
-    def xnor2(self, a: Net, b: Net, output: Optional[Net] = None) -> Net:
-        return self.lut(lut_inits.INIT_XNOR2, [a, b], output, "xnor")
-
-    def nand2(self, a: Net, b: Net, output: Optional[Net] = None) -> Net:
-        return self.lut(lut_inits.INIT_NAND2, [a, b], output, "nand")
-
-    def nor2(self, a: Net, b: Net, output: Optional[Net] = None) -> Net:
-        return self.lut(lut_inits.INIT_NOR2, [a, b], output, "nor")
-
-    def and3(self, a: Net, b: Net, c: Net, output: Optional[Net] = None) -> Net:
-        return self.lut(lut_inits.INIT_AND3, [a, b, c], output, "and3")
-
-    def or3(self, a: Net, b: Net, c: Net, output: Optional[Net] = None) -> Net:
-        return self.lut(lut_inits.INIT_OR3, [a, b, c], output, "or3")
-
     def xor3(self, a: Net, b: Net, c: Net, output: Optional[Net] = None) -> Net:
         return self.lut(lut_inits.INIT_XOR3, [a, b, c], output, "xor3")
-
-    def mux2(self, select: Net, if_zero: Net, if_one: Net,
-             output: Optional[Net] = None) -> Net:
-        """2:1 mux; ``if_zero`` selected when *select* = 0."""
-        return self.lut(lut_inits.INIT_MUX2, [if_zero, if_one, select],
-                        output, "mux")
 
     def majority3(self, a: Net, b: Net, c: Net,
                   output: Optional[Net] = None) -> Net:
@@ -108,49 +84,8 @@ class GateBuilder:
         carry = self.majority3(a, b, carry_in)
         return total, carry
 
-    def full_subtractor(self, a: Net, b: Net, borrow_in: Net) -> Tuple[Net, Net]:
-        """Return (difference, borrow_out) for a - b."""
-        diff = self.xor3(a, b, borrow_in)
-        borrow = self.lut(
-            lut_inits.init_from_function(
-                lambda x, y, bin_: ((1 - x) & y) | ((1 - x) & bin_) | (y & bin_),
-                3),
-            [a, b, borrow_in], None, "borrow")
-        return diff, borrow
-
     # ------------------------------------------------------------------
     # Word helpers
     # ------------------------------------------------------------------
-    def invert_word(self, word: Sequence[Net]) -> List[Net]:
-        return [self.inv(bit) for bit in word]
-
     def constant(self, value: int) -> Net:
         return self.builder.power() if value else self.builder.ground()
-
-    def equal_const(self, word: Sequence[Net], value: int) -> Net:
-        """Comparator: 1 when *word* equals the unsigned constant *value*."""
-        matched: List[Net] = []
-        for position, bit in enumerate(word):
-            if (value >> position) & 1:
-                matched.append(bit)
-            else:
-                matched.append(self.inv(bit))
-        # AND-reduce
-        remaining = matched
-        while len(remaining) > 1:
-            next_level: List[Net] = []
-            index = 0
-            while index < len(remaining):
-                chunk = remaining[index:index + 4]
-                index += 4
-                if len(chunk) == 1:
-                    next_level.append(chunk[0])
-                elif len(chunk) == 2:
-                    next_level.append(self.and2(chunk[0], chunk[1]))
-                elif len(chunk) == 3:
-                    next_level.append(self.and3(chunk[0], chunk[1], chunk[2]))
-                else:
-                    next_level.append(self.lut(lut_inits.INIT_AND4, chunk,
-                                               None, "and4"))
-            remaining = next_level
-        return remaining[0] if remaining else self.builder.power()

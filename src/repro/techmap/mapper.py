@@ -11,9 +11,9 @@ mapper does and materially changes the area numbers reported in Table 2.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..cells.evaluate import lut_init_of
+from ..cells.lut import lut_init_of
 from ..cells.library import LUT_CELLS, lut_cell_for_inputs, lut_input_count
 from ..netlist.ir import Definition, Instance, InstancePin, Net, NetlistError
 
@@ -220,8 +220,3 @@ def remove_buffer_luts(definition: Definition) -> int:
             definition.remove_net(out_net)
         removed += 1
     return removed
-
-
-def lut_histogram(definition: Definition) -> Dict[str, int]:
-    """Count primitive instances by cell type (recursing into hierarchy)."""
-    return definition.count_primitives()

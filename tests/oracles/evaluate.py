@@ -1,29 +1,58 @@
-"""Behavioural evaluation of primitive cells for the logic simulator.
+"""Cell-level reference models: one primitive, one vote, one truth table.
 
-The simulator calls :func:`combinational_output` for LUTs, buffers and
-constants, and :func:`sequential_next_state` for flip-flops at the clock
-edge.  All functions operate on three-valued logic from
-:mod:`repro.cells.logic`.
+The compiled simulator evaluates whole netlists as levelized gate programs;
+these per-instance models state what each primitive means, so the tests
+can check the cell library and the voter INIT against them:
+
+* :func:`combinational_output` for LUTs, buffers and constants and
+  :func:`sequential_next_state` for flip-flops at the clock edge, on the
+  three-valued logic of :mod:`repro.cells.logic`;
+* :func:`majority`, the TMR voter function;
+* :func:`init_from_truth_table` and its inverse :func:`truth_table`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import List, Mapping, Optional, Sequence
 
-from ..netlist.ir import Instance
-from . import logic
-from .library import FF_CELLS, LUT_CELLS, lut_input_count
-
-#: Default INIT used if a LUT instance is missing one (a buffer of I0).
-DEFAULT_LUT_INIT = 2  # O = I0 for a LUT1; harmless for larger LUTs
+from repro.cells import logic
+from repro.cells.library import FF_CELLS, LUT_CELLS, lut_input_count
+from repro.cells.lut import lut_init_of
+from repro.netlist.ir import Instance
 
 
-def lut_init_of(instance: Instance) -> int:
-    """Return the INIT property of a LUT instance (0 if unset)."""
-    init = instance.properties.get("INIT", 0)
-    if isinstance(init, str):
-        init = int(init, 0)
-    return int(init)
+def majority(a: int, b: int, c: int) -> int:
+    """Majority of three values; this is the TMR voter function.
+
+    The vote is resolved whenever two inputs agree on a known value, even if
+    the third is unknown — which is exactly why TMR masks a single corrupted
+    domain.
+    """
+    if a == b and a != logic.UNKNOWN:
+        return a
+    if a == c and a != logic.UNKNOWN:
+        return a
+    if b == c and b != logic.UNKNOWN:
+        return b
+    return logic.UNKNOWN
+
+
+def init_from_truth_table(rows: Sequence[int], num_inputs: int) -> int:
+    """Build an INIT from an explicit truth table (entry *i* = output at *i*)."""
+    if len(rows) != (1 << num_inputs):
+        raise ValueError(
+            f"truth table for LUT{num_inputs} needs {1 << num_inputs} rows, "
+            f"got {len(rows)}")
+    init = 0
+    for address, value in enumerate(rows):
+        if value & 1:
+            init |= 1 << address
+    return init
+
+
+def truth_table(init: int, num_inputs: int) -> List[int]:
+    """Inverse of :func:`init_from_truth_table`."""
+    return [(init >> address) & 1 for address in range(1 << num_inputs)]
 
 
 def combinational_output(instance: Instance,

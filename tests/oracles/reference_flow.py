@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.fpga.bitgen import LutSite, FlipFlopSite
 from repro.fpga.config import LUT_BITS, BitstreamStats, ConfigLayout
 from repro.fpga.device import Device
-from repro.fpga.routing import Node, downhill, node_tile, pips_into_tile
+from repro.fpga.routing import Node, node_tile, pips_into_tile
 from repro.netlist.ir import Definition
 from repro.pnr.pack import PackResult
 from repro.pnr.place import (Placement, _assign_pads, _build_net_endpoints,
@@ -33,6 +33,12 @@ from repro.pnr.place import (Placement, _assign_pads, _build_net_endpoints,
 from repro.pnr.route import (NetRequest, RouteTree, RoutingError,
                              RoutingResult, SinkSpec,
                              extract_routing_problem)
+
+from .routing import downhill
+
+
+def _manhattan(a: Tuple[int, int], b: Tuple[int, int]) -> int:
+    return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +137,7 @@ class ReferenceRouter:
         source_tile = node_tile(device, request.source)
         ordered_sinks = sorted(
             request.sinks,
-            key=lambda spec: device.manhattan(
+            key=lambda spec: _manhattan(
                 source_tile, node_tile(device, spec.node)))
 
         bounding_box = self._net_bounding_box(request)
@@ -180,8 +186,7 @@ class ReferenceRouter:
         weight = self.heuristic_weight
 
         def heuristic(node: Node) -> float:
-            return weight * device.manhattan(node_tile(device, node),
-                                             target_tile)
+            return weight * _manhattan(node_tile(device, node), target_tile)
 
         came_from: Dict[Node, Optional[Node]] = {}
         best_cost: Dict[Node, float] = {}

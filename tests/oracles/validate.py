@@ -1,8 +1,9 @@
 """Structural validation of netlists.
 
-The checker reports problems rather than raising, so callers can decide which
-issues are fatal for their flow (a floating LUT output is harmless, an
-undriven flip-flop clock is not).
+The tests check every netlist the builders, the TMR pass and the flattener
+produce against these structural rules.  The checker reports problems
+rather than raising, so a test can decide which issues are fatal (a
+floating LUT output is harmless, an undriven flip-flop clock is not).
 """
 
 from __future__ import annotations
@@ -10,9 +11,8 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from .ir import Definition, Direction
-from .traversal import (floating_nets, multiply_driven_nets, topological_levels, undriven_nets)
-from .ir import NetlistError
+from repro.netlist.ir import Definition, Direction, Net, NetlistError
+from repro.netlist.traversal import topological_levels
 
 
 @dataclasses.dataclass
@@ -60,6 +60,23 @@ class ValidationReport:
         if not self.issues:
             return "validation: clean"
         return "\n".join(str(i) for i in self.issues)
+
+
+def undriven_nets(definition: Definition) -> List[Net]:
+    """Nets with at least one sink but no driver."""
+    return [net for net in definition.nets.values()
+            if net.sinks() and not net.drivers()]
+
+
+def floating_nets(definition: Definition) -> List[Net]:
+    """Nets with a driver but no sinks (dangling outputs)."""
+    return [net for net in definition.nets.values()
+            if net.drivers() and not net.sinks()]
+
+
+def multiply_driven_nets(definition: Definition) -> List[Net]:
+    """Nets with more than one driver (a structural conflict)."""
+    return [net for net in definition.nets.values() if len(net.drivers()) > 1]
 
 
 def validate_definition(definition: Definition,

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.analysis import (area_overhead, best_partition,
-                            domain_crossing_summary, format_resource_table,
+                            format_resource_table,
                             improvement_factor, performance_degradation,
                             resource_row, resource_table,
-                            routing_effect_share, tradeoff_curve)
+                            routing_effect_share)
 from repro.core import EveryKth, NoPartition, pareto_front, sweep_partitions
 from repro.experiments import (DESIGN_ORDER, PAPER_TABLE3_PERCENT, SCALES,
-                               ascii_partition_diagram, build_design_suite,
+                               build_design_suite,
                                figure2_summary, fir_spec_for, run_figures,
                                scale_by_name, tmr_configs)
 from repro.faults import CampaignConfig, run_campaign
@@ -59,22 +59,6 @@ class TestRobustnessAnalysis:
     def test_routing_effect_share(self, campaigns):
         share = routing_effect_share(campaigns["standard"])
         assert 0.0 <= share <= 1.0
-
-    def test_tradeoff_curve(self, tiny_fir_implementation,
-                            tiny_tmr_implementation, campaigns,
-                            tiny_tmr_suite):
-        implementations = {"standard": tiny_fir_implementation,
-                           "TMR_p2": tiny_tmr_implementation}
-        points = tradeoff_curve(implementations, campaigns,
-                                {"TMR_p2": tiny_tmr_suite["p2"]})
-        assert len(points) == 2
-        assert points[0].voters <= points[-1].voters
-
-    def test_domain_crossing_summary(self, tiny_tmr_implementation):
-        summary = domain_crossing_summary(tiny_tmr_implementation)
-        assert summary["routed_nets"] > 0
-        assert summary["nets_domain_0"] > 0
-        assert summary["tiles_with_multiple_domains"] >= 0
 
 
 class TestOptimizer:
@@ -153,8 +137,6 @@ class TestExperimentScaffolding:
         assert summary["figure3"]["regions_increase_with_partitioning"]
         inventory = summary["figure4"]["component_inventory"]
         assert inventory["multipliers"] == suite.spec.taps
-        diagram = ascii_partition_diagram(suite, "TMR_p2")
-        assert "output voter" in diagram
 
     def test_figure2_is_self_contained(self):
         summary = figure2_summary()

@@ -159,24 +159,24 @@ class TestWholeDesignSweeps:
         flip_flop = design.flip_flops[0]
         overlays = []
 
-        flipped = FaultOverlay(description="LUT INIT flip")
+        flipped = FaultOverlay()
         flipped.lut_init_overrides[lut.index] = lut.init ^ 1
         flipped.seed_nets = [lut.output_net]
         overlays.append(flipped)
 
-        floating = FaultOverlay(description="open on a LUT input")
+        floating = FaultOverlay()
         floating.gate_pin_overrides[(lut.index, 0)] = \
             SourceOverride.floating()
         floating.seed_nets = [n for n in lut.input_nets if n >= 0][:1]
         overlays.append(floating)
 
-        stuck = FaultOverlay(description="FF power-up flip")
+        stuck = FaultOverlay()
         stuck.ff_init_overrides[flip_flop.index] = \
             1 - flip_flop.init_value
         stuck.seed_nets = [flip_flop.q_net]
         overlays.append(stuck)
 
-        detached = FaultOverlay(description="FF data detached")
+        detached = FaultOverlay()
         detached.ff_pin_overrides[(flip_flop.index, "D")] = \
             SourceOverride.floating()
         detached.seed_nets = [flip_flop.q_net]
@@ -203,7 +203,7 @@ class TestWholeDesignSweeps:
                 for port, bits in expected.items():
                     got = [_unpack_lane(v, k, lane)
                            for v, k in sampled[port]]
-                    assert got == bits, (overlay.description, cycle, port)
+                    assert got == bits, (lane, cycle, port)
 
     def test_full_mode_matches_scalar_per_lane(self, tiny_fir_compiled):
         design = tiny_fir_compiled
@@ -255,7 +255,7 @@ class TestWholeDesignSweeps:
                    if g.kind == 0 and g.num_inputs >= 2)
         overlays = []
         for table_bit in range(4):
-            overlay = FaultOverlay(description=f"INIT bit {table_bit}")
+            overlay = FaultOverlay()
             overlay.lut_init_overrides[lut.index] = \
                 lut.init ^ (1 << table_bit)
             overlay.seed_nets = [lut.output_net]

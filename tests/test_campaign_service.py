@@ -15,6 +15,7 @@ import os
 import pickle
 import threading
 import time
+import urllib.request
 
 import pytest
 
@@ -28,8 +29,8 @@ from repro.scenarios import run_scenario, scenario_by_name
 from repro.service import (CampaignService, JobQueue, JobSpec, JobState,
                            SharedCacheTier, activate_tier, active_tier,
                            deactivate_tier, job_fingerprint)
-from repro.service.httpd import (fetch_job, fetch_report, fetch_stats,
-                                 make_server, submit_job, wait_for_job)
+from repro.service.httpd import (fetch_job, fetch_report, make_server,
+                                 submit_job, wait_for_job)
 from repro.service.tier import (DEFEAT_MAP_NAMESPACE, TIER_VERSION,
                                 PersistentStore)
 
@@ -332,6 +333,18 @@ class TestJobSpec:
         assert job_fingerprint(base) != job_fingerprint(
             dataclasses.replace(base, designs=("TMR_p2",)))
 
+    def test_fingerprints_pinned_to_recorded_literals(self):
+        # Journals and tier entries are keyed by these digests: a job
+        # journaled by an earlier release must resolve to the same key.
+        # Recorded before the single-value options were folded away.
+        assert job_fingerprint(JobSpec("table3-fir")) == \
+            "7081c6349f5f53670465aa5761539767cf71dde0"
+        assert job_fingerprint(JobSpec(
+            "table3-fir", scale="tiny", backend="vector",
+            upset_model="mbu:2", num_faults=40, seed=3,
+            fault_list_mode="programmed", designs=("standard", "TMR_p2"),
+            timeout_s=30.0)) == "917fc820e7a34f891d96fa5d4c95b9fdf1cbe1a8"
+
     def test_unknown_scenario_raises_at_fingerprint_time(self):
         with pytest.raises(KeyError):
             job_fingerprint(JobSpec("no-such-scenario"))
@@ -583,7 +596,8 @@ class TestHttpApi:
         assert final["state"] == JobState.DONE
         report = fetch_report(url, snapshot["id"])
         assert report == service.queue.get(snapshot["id"]).report
-        stats = fetch_stats(url)
+        with urllib.request.urlopen(f"{url}/stats", timeout=60) as response:
+            stats = json.loads(response.read())
         assert stats["queue"]["jobs"] == 1
         listing = fetch_job(url, snapshot["id"])
         assert listing["id"] == snapshot["id"]

@@ -2,18 +2,19 @@
 
 import pytest
 
-from repro.core import (NUM_DOMAINS, AllComponents, ByComponentType, EveryKth,
-                        ExplicitPartition, NoPartition, TMRConfig, apply_tmr,
-                        build_voted_register, check_domain_isolation,
-                        component_topological_order, compute_voter_regions,
-                        count_voters, cross_domain_signal_pairs, domain_of,
-                        estimate_robustness, insert_majority_voter,
-                        is_register_component, is_voter, register_components,
-                        strategy_from_name, voter_instances)
-from repro.netlist import Netlist, flatten, validate_definition
-from repro.rtl import fir_reference
+from repro.core import (DOMAIN_PROPERTY, NUM_DOMAINS, AllComponents,
+                        ByComponentType, EveryKth, NoPartition, TMRConfig,
+                        apply_tmr, build_voted_register,
+                        check_domain_isolation, component_topological_order,
+                        compute_voter_regions, estimate_robustness,
+                        insert_majority_voter, is_register_component,
+                        is_voter, register_components, voter_instances)
+from repro.netlist import Netlist, flatten
 from repro.sim import (CompiledDesign, Simulator, random_samples,
                        tmr_stimulus_from_samples)
+
+from oracles.behaviour import fir_reference
+from oracles.validate import validate_definition
 
 
 class TestPartitionStrategies:
@@ -32,13 +33,6 @@ class TestPartitionStrategies:
     def test_no_partition_empty(self, tiny_fir):
         _netlist, _spec, top, _components = tiny_fir
         assert NoPartition().select(top) == set()
-
-    def test_explicit_partition_validates_names(self, tiny_fir):
-        _netlist, _spec, top, components = tiny_fir
-        strategy = ExplicitPartition([components.adders[0]])
-        assert strategy.select(top) == {components.adders[0]}
-        with pytest.raises(KeyError):
-            ExplicitPartition(["missing_component"]).select(top)
 
     def test_every_kth_granularity(self, tiny_fir):
         _netlist, _spec, top, _components = tiny_fir
@@ -64,14 +58,6 @@ class TestPartitionStrategies:
             top.instances[components.multipliers[0]])
         assert len(register_components(top)) == len(components.registers)
 
-    def test_strategy_from_name(self):
-        assert isinstance(strategy_from_name("max"), AllComponents)
-        assert isinstance(strategy_from_name("min"), NoPartition)
-        assert strategy_from_name("every:3").k == 3
-        assert strategy_from_name("type:adder").component_types == ("adder",)
-        with pytest.raises(ValueError):
-            strategy_from_name("bogus")
-
 
 class TestVoters:
     def test_insert_majority_voter_structure(self, netlist, cells, builder):
@@ -82,8 +68,8 @@ class TestVoters:
                                       voted_net="sig")
         assert is_voter(voter)
         assert voter.reference.name == "LUT3"
-        assert domain_of(voter) == 1
-        assert count_voters(builder.definition) == 1
+        assert voter.properties[DOMAIN_PROPERTY] == 1
+        assert voter_instances(builder.definition) == [voter]
 
     def test_insert_majority_voter_needs_three_inputs(self, netlist, cells,
                                                       builder):
@@ -148,7 +134,8 @@ class TestApplyTMR:
         barrier_voters = [inst for inst in voter_instances(result.definition)
                           if inst.properties.get("voter") == "barrier"]
         assert len(barrier_voters) % NUM_DOMAINS == 0
-        assert all(domain_of(v) is not None for v in barrier_voters)
+        assert all(v.properties.get(DOMAIN_PROPERTY) is not None
+                   for v in barrier_voters)
 
     def test_output_voter_single_per_bit(self, tiny_fir, tiny_tmr_suite):
         _netlist, spec, _top, _components = tiny_fir
@@ -227,14 +214,6 @@ class TestApplyTMR:
         with pytest.raises(Exception):
             apply_tmr(netlist, top, TMRConfig(name_suffix="_t_p1"))
 
-    def test_non_triplicated_inputs_option(self, tiny_fir):
-        netlist, _spec, top, _components = tiny_fir
-        config = TMRConfig(triplicate_inputs=False, triplicate_clock=False,
-                           name_suffix="_shared_in")
-        result = apply_tmr(netlist, top, config)
-        assert "DIN" in result.definition.ports
-        assert "DIN_tr0" not in result.definition.ports
-
 
 class TestAnalysis:
     def test_voter_regions_increase_with_partitioning(self, tiny_tmr_suite):
@@ -254,11 +233,6 @@ class TestAnalysis:
         # regions (flip-flop outputs seed their own), so the probability is
         # high but no longer the degenerate single-region 1.0.
         assert probabilities["p3_nv"] < 1.0
-
-    def test_cross_domain_pairs_grow_with_voters(self, tiny_tmr_suite):
-        pairs = {name: cross_domain_signal_pairs(result.definition)
-                 for name, result in tiny_tmr_suite.items()}
-        assert pairs["p1"] > pairs["p2"] > pairs["p3_nv"]
 
     def test_isolation_flags_illegal_cross_domain_net(self, tiny_fir,
                                                       tiny_tmr_suite):

@@ -11,13 +11,13 @@ reproduction is unchanged by the optimization.
 import pytest
 
 from repro.fpga import device_by_name
-from repro.fpga.routing import (clear_routing_graph_cache, downhill,
-                                routing_graph)
+from repro.fpga.routing import clear_routing_graph_cache, routing_graph
 from repro.netlist import flatten
 from repro.pnr import netlist_fingerprint, pack, place, route_design
 
 from oracles.reference_flow import (reference_bit_stats, reference_place,
                                     reference_route_design)
+from oracles.routing import downhill
 
 
 @pytest.fixture(scope="module")

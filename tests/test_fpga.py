@@ -3,13 +3,14 @@
 import pytest
 
 from repro.fpga import (LUT_BITS, SLICE_CFG_BITS, ConfigLayout, ConfigMemory,
-                        DeviceSpec, device_by_name, downhill,
+                        DeviceSpec, device_by_name,
                         incoming_wires, ipin, lut_bit, node_tile, opin,
                         pad_input, pad_output, pip_resource, pips_into_tile,
                         slice_cfg, smallest_device_for, wire)
 from repro.fpga.config import TILE_LOGIC_BITS
-from repro.fpga.routing import (node_name, opin_wire_indices, pip_tile,
-                                wire_far_end)
+from repro.fpga.routing import opin_wire_indices, pip_tile
+
+from oracles.routing import downhill
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +55,6 @@ class TestDevice:
         corner_pads = tiny.pads_at(0, 0)
         assert len(corner_pads) == tiny.spec.pads_per_tile
 
-    def test_manhattan(self, tiny):
-        assert tiny.manhattan((0, 0), (3, 4)) == 7
-
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
             DeviceSpec("bad", columns=1, rows=5)
@@ -70,15 +68,12 @@ class TestDevice:
 
 
 class TestRoutingFabric:
-    def test_wire_far_end(self, tiny):
-        assert wire_far_end(tiny, wire(1, 1, "E", 0)) == (2, 1)
-        assert wire_far_end(tiny, wire(0, 0, "W", 0)) is None
-
     def test_incoming_wires_interior_tile(self, tiny):
         arriving = incoming_wires(tiny, 2, 2)
         assert len(arriving) == 4 * tiny.spec.wires_per_direction
         # every arriving wire terminates here
-        assert all(wire_far_end(tiny, node) == (2, 2) for node in arriving)
+        assert all(tiny.neighbor(x, y, direction) == (2, 2)
+                   for _kind, x, y, direction, _index in arriving)
 
     def test_opin_downhill_reaches_wires_and_local_pins(self, tiny):
         neighbors = downhill(tiny, opin(2, 2, "X"))
@@ -128,22 +123,16 @@ class TestRoutingFabric:
             assert all(0 <= i < tiny.spec.wires_per_direction
                        for i in indices)
 
-    def test_node_name_and_pip_tile(self, tiny):
-        assert "wire" in node_name(wire(1, 1, "N", 2))
+    def test_pip_tile(self, tiny):
         assert pip_tile(tiny, (opin(1, 1, "X"), wire(1, 1, "E", 0))) == (1, 1)
 
 
 class TestConfigLayout:
     def test_total_bits_positive_and_routing_dominates(self, tiny, layout):
         assert layout.total_bits > 0
-        routing_bits = layout.routing_bit_count()
+        routing_bits = layout.total_bits \
+            - TILE_LOGIC_BITS * tiny.spec.num_tiles
         assert routing_bits / layout.total_bits > 0.75
-
-    def test_frames(self, layout):
-        assert layout.num_frames == (layout.total_bits +
-                                     layout.frame_bits - 1) \
-            // layout.frame_bits
-        assert layout.frame_of(0) == 0
 
     def test_bit_resource_round_trip_logic(self, tiny, layout):
         resource = lut_bit(1, 1, "G", 7)
@@ -159,9 +148,11 @@ class TestConfigLayout:
             assert layout.resource_of(layout.bit_of(resource)) == resource
 
     def test_every_bit_decodes(self, tiny, layout):
-        # exhaustively decode one tile's bit range
-        base = layout.tile_base(1, 1)
-        for offset in range(layout.tile_bits(1, 1)):
+        # exhaustively decode one tile's bit range: the LUT F bits open
+        # it, its own PIPs close it
+        base = layout.bit_of(lut_bit(1, 1, "F", 0))
+        tile_bits = TILE_LOGIC_BITS + len(pips_into_tile(tiny, 1, 1))
+        for offset in range(tile_bits):
             resource = layout.resource_of(base + offset)
             if resource[0] == "pip":
                 assert node_tile(tiny, resource[2]) == (1, 1)
@@ -180,26 +171,12 @@ class TestConfigLayout:
 
 
 class TestConfigMemory:
-    def test_set_get_flip(self, layout):
-        memory = ConfigMemory(layout)
-        memory.set_bit(5)
-        assert memory.get_bit(5) == 1
-        assert memory.flip_bit(5) == 0
-        assert memory.count_programmed() == 0
-
-    def test_resource_access_and_difference(self, tiny, layout):
+    def test_set_bits_resources_and_copy(self, layout):
         memory = ConfigMemory(layout)
         resource = lut_bit(0, 0, "F", 3)
         memory.set_resource(resource)
-        assert memory.get_resource(resource) == 1
-        copy = memory.copy()
-        copy.flip_bit(layout.bit_of(resource))
-        assert memory.difference(copy) == [layout.bit_of(resource)]
-
-    def test_programmed_bits_and_frame_view(self, layout):
-        memory = ConfigMemory(layout)
-        memory.set_bit(1)
         memory.set_bit(10)
-        assert memory.programmed_bits() == [1, 10]
-        frame = memory.frame_view(0)
-        assert frame[1] == 1 and frame[2] == 0
+        copy = memory.copy()
+        memory.set_bit(10, 0)
+        assert memory.programmed_bits() == [layout.bit_of(resource)]
+        assert copy.programmed_bits() == sorted([layout.bit_of(resource), 10])

@@ -11,10 +11,11 @@ import pytest
 from repro.core import check_domain_isolation
 from repro.faults import CampaignConfig, categories, run_campaign
 from repro.netlist import flatten
-from repro.rtl import fir_reference
 from repro.sim import (BLEND_SHORT, CompiledDesign, FaultOverlay,
                        Simulator, SourceOverride, compare_traces,
                        random_samples, tmr_stimulus_from_samples)
+
+from oracles.behaviour import fir_reference
 
 
 def _compiled_variant(tiny_fir, tiny_tmr_suite, name, flat_name):
@@ -41,7 +42,7 @@ def _nets_of_block_and_domain(compiled, block_keyword, domain):
 
 def _cross_domain_bridge_overlay(compiled, net_a, net_b):
     """Short two nets: both sides read an unknown whenever they disagree."""
-    overlay = FaultOverlay(description="test bridge")
+    overlay = FaultOverlay()
     blend_ab = SourceOverride.blend_of(net_a, net_b, BLEND_SHORT)
     overlay.net_overrides[net_a] = blend_ab
     overlay.net_overrides[net_b] = SourceOverride.blend_of(net_b, net_a,

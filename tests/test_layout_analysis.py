@@ -129,7 +129,7 @@ class TestLayoutAnalyzer:
         must produce wrong_answers == 0 under the serial backend.  Every
         effectful silent bit (the ones whose overlay is not empty) is
         checked, plus a deterministic sample of the no-effect ones."""
-        silent = tmr_defeat_map.silent_bits()
+        silent = frozenset(tmr_defeat_map.bits_of_class(SILENT))
         effectful = [bit for bit in sorted(silent)
                      if tmr_defeat_map.predictions[bit].has_effect][:200]
         sampled = random.Random(7).sample(

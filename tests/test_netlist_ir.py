@@ -7,11 +7,6 @@ from repro.netlist.ir import (Definition, Direction, Library, Netlist,
 
 
 class TestPort:
-    def test_direction_flip(self):
-        assert Direction.INPUT.flipped() is Direction.OUTPUT
-        assert Direction.OUTPUT.flipped() is Direction.INPUT
-        assert Direction.INOUT.flipped() is Direction.INOUT
-
     def test_port_properties(self):
         port = Port("A", Direction.INPUT, 4)
         assert port.is_input and not port.is_output
@@ -56,12 +51,6 @@ class TestDefinition:
         definition.remove_net(net)
         assert pin.net is None
         assert "n" not in definition.nets
-
-    def test_rename_net(self):
-        definition = Definition("mod")
-        net = definition.add_net("old")
-        definition.rename_net(net, "new")
-        assert "new" in definition.nets and "old" not in definition.nets
 
     def test_make_unique_name(self):
         definition = Definition("mod")
@@ -137,12 +126,6 @@ class TestInstanceAndNets:
         assert not net.pins
         assert "u1" not in top.instances
 
-    def test_rename_instance(self, lut2):
-        top = Definition("top")
-        inst = top.add_instance(lut2, "u1")
-        top.rename_instance(inst, "u2")
-        assert "u2" in top.instances and "u1" not in top.instances
-
     def test_count_primitives_recursive(self, lut2):
         inner = Definition("inner")
         inner.add_instance(lut2, "a")
@@ -178,11 +161,3 @@ class TestLibraryAndNetlist:
         definition = netlist.get_library("work").add_definition("m")
         netlist.set_top(definition)
         assert netlist.top is definition
-
-    def test_adopt_definition(self):
-        library = Library("work")
-        definition = Definition("loose")
-        library.adopt(definition)
-        assert definition.library is library
-        with pytest.raises(NetlistError):
-            library.adopt(Definition("loose"))

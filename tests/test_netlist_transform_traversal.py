@@ -1,17 +1,17 @@
-"""Tests for netlist traversal, flattening, cloning and validation."""
+"""Tests for netlist traversal and flattening, and for the
+structural-validation oracle the other tests check netlists with."""
 
 import pytest
 
 from repro.cells import INIT_AND2, INIT_XOR2
 from repro.netlist import (NetlistBuilder, NetlistError,
-                           clone_definition, flatten, logic_depth,
-                           topological_levels, topological_order, uniquify,
-                           validate_definition)
-from repro.netlist.transform import remove_unconnected_instances
-from repro.netlist.traversal import (fanin_cone, fanout_cone,
-                                     multiply_driven_nets, undriven_nets)
+                           flatten,
+                           topological_levels, topological_order)
 from repro.cells.library import shared_cell_library
 from repro.techmap import GateBuilder
+
+from oracles.validate import (multiply_driven_nets, undriven_nets,
+                              validate_definition)
 
 
 def _two_level_module(netlist, name="mod"):
@@ -46,10 +46,6 @@ class TestTraversal:
                     if i.properties.get("INIT") == INIT_XOR2][0]
         assert positions[and_gate.name] < positions[xor_gate.name]
 
-    def test_logic_depth(self, netlist):
-        module = _two_level_module(netlist)
-        assert logic_depth(module) == 2
-
     def test_combinational_loop_detection(self, netlist, cells):
         builder = NetlistBuilder.new_module(netlist, "loop", "work", cells)
         gates = GateBuilder(builder)
@@ -58,15 +54,6 @@ class TestTraversal:
         gates.inv(b, a)  # closes a combinational loop
         with pytest.raises(NetlistError):
             topological_levels(builder.definition)
-
-    def test_fanin_fanout_cones(self, netlist):
-        module = _two_level_module(netlist)
-        xor_gate = [i for i in module.instances.values()
-                    if i.properties.get("INIT") == INIT_XOR2][0]
-        and_gate = [i for i in module.instances.values()
-                    if i.properties.get("INIT") == INIT_AND2][0]
-        assert and_gate in fanin_cone(xor_gate)
-        assert xor_gate in fanout_cone(and_gate)
 
     def test_undriven_and_multiply_driven(self, netlist, cells):
         builder = NetlistBuilder.new_module(netlist, "bad", "work", cells)
@@ -79,40 +66,6 @@ class TestTraversal:
         gates.inv(out, other)
         gates.inv(floating, other)
         assert multiply_driven_nets(builder.definition)
-
-
-class TestCloneAndUniquify:
-    def test_clone_preserves_structure(self, netlist):
-        module = _two_level_module(netlist)
-        clone = clone_definition(module, "mod_copy")
-        assert set(clone.ports) == set(module.ports)
-        assert set(clone.instances) == set(module.instances)
-        assert set(clone.nets) == set(module.nets)
-        # deep copy: editing the clone does not touch the original
-        clone.remove_instance(next(iter(clone.instances.values())))
-        assert len(clone.instances) == len(module.instances) - 1
-
-    def test_uniquify_splits_shared_definitions(self, netlist, cells):
-        child_builder = NetlistBuilder.new_module(netlist, "child", "work",
-                                                  cells)
-        gate = GateBuilder(child_builder)
-        a = child_builder.input("A", 1)[0]
-        y = child_builder.output("Y", 1)[0]
-        gate.inv(a, y)
-        child = child_builder.finish()
-
-        top_builder = NetlistBuilder.new_module(netlist, "parent", "work",
-                                                cells)
-        x = top_builder.input("X", 1)[0]
-        mid = top_builder.wire("mid")
-        out = top_builder.output("OUT", 1)[0]
-        top_builder.submodule(child, "c1", A=x, Y=mid)
-        top_builder.submodule(child, "c2", A=mid, Y=out)
-        top = top_builder.finish(set_top=True)
-
-        uniquify(netlist)
-        references = {inst.reference.name for inst in top.instances.values()}
-        assert len(references) == 2
 
 
 class TestFlatten:
@@ -145,13 +98,6 @@ class TestFlatten:
         netlist, _spec, top, _components = tiny_fir
         with pytest.raises(NetlistError):
             flatten(netlist, top, flat_name="fir_tiny_flat")
-
-    def test_remove_unconnected_instances(self, netlist, cells):
-        builder = NetlistBuilder.new_module(netlist, "dangling", "work",
-                                            cells)
-        builder.definition.add_instance(cells.definitions["LUT1"], "unused")
-        removed = remove_unconnected_instances(builder.definition)
-        assert removed == 1
 
 
 class TestValidation:

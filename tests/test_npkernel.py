@@ -53,22 +53,22 @@ def _heterogeneous_overlays(design):
     flip_flop = design.flip_flops[0]
     overlays = []
 
-    flipped = FaultOverlay(description="LUT INIT flip")
+    flipped = FaultOverlay()
     flipped.lut_init_overrides[lut.index] = lut.init ^ 1
     flipped.seed_nets = [lut.output_net]
     overlays.append(flipped)
 
-    floating = FaultOverlay(description="open on a LUT input")
+    floating = FaultOverlay()
     floating.gate_pin_overrides[(lut.index, 0)] = SourceOverride.floating()
     floating.seed_nets = [n for n in lut.input_nets if n >= 0][:1]
     overlays.append(floating)
 
-    stuck = FaultOverlay(description="FF power-up flip")
+    stuck = FaultOverlay()
     stuck.ff_init_overrides[flip_flop.index] = 1 - flip_flop.init_value
     stuck.seed_nets = [flip_flop.q_net]
     overlays.append(stuck)
 
-    detached = FaultOverlay(description="FF data detached")
+    detached = FaultOverlay()
     detached.ff_pin_overrides[(flip_flop.index, "D")] = \
         SourceOverride.floating()
     detached.seed_nets = [flip_flop.q_net]
@@ -77,7 +77,7 @@ def _heterogeneous_overlays(design):
     # A runtime pin blend (reads live state every settle pass): the
     # compiled sweep must route it through the stacked scatter path.
     other_net = next(n for n in lut.input_nets if n >= 0)
-    shorted = FaultOverlay(description="input bridged to another net")
+    shorted = FaultOverlay()
     shorted.gate_pin_overrides[(lut.index, min(1, lut.num_inputs - 1))] = \
         SourceOverride.blend_of(other_net, lut.output_net, "short")
     shorted.seed_nets = [lut.output_net]
@@ -103,7 +103,7 @@ def _assert_lanes_match_scalar(design, overlays, stimulus, golden,
             sampled = result.lane_outputs[cycle]
             for port, bits in expected.items():
                 got = [_unpack_lane(v, k, lane) for v, k in sampled[port]]
-                assert got == bits, (overlay.description, cycle, port)
+                assert got == bits, (lane, cycle, port)
     return result
 
 
@@ -117,18 +117,18 @@ def _assert_lanes_match_both(design, overlays, stimulus, golden, cone_of):
         record_lane_outputs=True)
     for cycle, sampled in enumerate(bigint.lane_outputs):
         for port, words in sampled.items():
-            for lane, overlay in enumerate(overlays):
+            for lane in range(len(overlays)):
                 assert [_unpack_lane(v, k, lane)
                         for v, k in result.lane_outputs[cycle][port]] == \
                     [_unpack_lane(v, k, lane) for v, k in words], \
-                    (overlay.description, cycle, port)
+                    (lane, cycle, port)
     assert [(o.wrong_answer, o.first_mismatch_cycle)
             for o in result.outcomes] == \
         [(o.wrong_answer, o.first_mismatch_cycle) for o in bigint.outcomes]
 
 
-def _pin_overlay(description, gate, position, override):
-    overlay = FaultOverlay(description=description)
+def _pin_overlay(gate, position, override):
+    overlay = FaultOverlay()
     overlay.gate_pin_overrides[(gate.index, position)] = override
     overlay.seed_nets = [gate.output_net]
     return overlay
@@ -187,10 +187,10 @@ class TestShadowPins:
                    if g.kind == 0 and g.num_inputs >= 2)
         others = [n for n in range(design.num_nets)
                   if n not in lut.input_nets and n != lut.output_net]
-        overlays = [_pin_overlay(f"I0 -> net {net}", lut, 0,
+        overlays = [_pin_overlay(lut, 0,
                                  SourceOverride.net(net))
                     for net in others[:3] + others[-2:]]
-        overlays += [_pin_overlay(f"I0 shorted to {net}", lut, 0,
+        overlays += [_pin_overlay(lut, 0,
                                   SourceOverride.blend_of(lut.input_nets[1],
                                                           net))
                      for net in others[3:5]]
@@ -212,12 +212,12 @@ class TestShadowPins:
         other = next(n for n in range(design.num_nets)
                      if n not in lut.input_nets and n != lut.output_net)
         overlays = [
-            _pin_overlay("I1 stuck at 1", lut, 1, SourceOverride.constant(1)),
-            _pin_overlay("I1 stuck at 0", lut, 1, SourceOverride.constant(0)),
-            _pin_overlay("I1 open", lut, 1, SourceOverride.floating()),
-            _pin_overlay("I1 -> other net", lut, 1,
+            _pin_overlay(lut, 1, SourceOverride.constant(1)),
+            _pin_overlay(lut, 1, SourceOverride.constant(0)),
+            _pin_overlay(lut, 1, SourceOverride.floating()),
+            _pin_overlay(lut, 1,
                          SourceOverride.net(other)),
-            _pin_overlay("I1 wired-or", lut, 1, SourceOverride.blend_of(
+            _pin_overlay(lut, 1, SourceOverride.blend_of(
                 lut.input_nets[1], other, BLEND_WIRED_OR)),
         ]
         groups, folds = _pin_groups(_plan(design, overlays))
@@ -241,18 +241,18 @@ class TestShadowPins:
             design.inputs["C"].net_indices[0]
         net_a = design.inputs["A"].net_indices[0]
         overlays = [
-            _pin_overlay("IBUF -> B", ibuf, 0, SourceOverride.net(net_b)),
-            _pin_overlay("IBUF stuck at 1", ibuf, 0,
+            _pin_overlay(ibuf, 0, SourceOverride.net(net_b)),
+            _pin_overlay(ibuf, 0,
                          SourceOverride.constant(1)),
-            _pin_overlay("IBUF shorted to C", ibuf, 0,
+            _pin_overlay(ibuf, 0,
                          SourceOverride.blend_of(net_a, net_c)),
-            _pin_overlay("open I2 -> C", lut, 2, SourceOverride.net(net_c)),
-            _pin_overlay("open I2 stuck at 1", lut, 2,
+            _pin_overlay(lut, 2, SourceOverride.net(net_c)),
+            _pin_overlay(lut, 2,
                          SourceOverride.constant(1)),
-            _pin_overlay("I1 open", lut, 1, SourceOverride.floating()),
-            _pin_overlay("OBUF wired-or Q", obuf, 0, SourceOverride.blend_of(
+            _pin_overlay(lut, 1, SourceOverride.floating()),
+            _pin_overlay(obuf, 0, SourceOverride.blend_of(
                 lut.output_net, lut_z.input_nets[0], BLEND_WIRED_OR)),
-            _pin_overlay("Q and-not C", lut_z, 0, SourceOverride.blend_of(
+            _pin_overlay(lut_z, 0, SourceOverride.blend_of(
                 lut_z.input_nets[0], net_c, BLEND_AND_NOT)),
         ]
         stimulus = _stimulus(design, 8, seed=43)
@@ -264,7 +264,7 @@ class TestShadowPins:
         design = tiny_fir_compiled
         luts = [g for g in design.gates if g.kind == 0 and g.num_inputs >= 2]
         lut = luts[len(luts) // 2]
-        overlays = [_pin_overlay(f"I0 shorted to net {net}", lut, 0,
+        overlays = [_pin_overlay(lut, 0,
                                  SourceOverride.blend_of(lut.input_nets[0],
                                                          net))
                     for net in (luts[-1].output_net, luts[0].output_net)]
@@ -290,30 +290,30 @@ class TestShadowPins:
             design.inputs["C"].net_indices[0]
         mixed = gate["lut_open"].output_net
 
-        def ff_overlay(description, port, override):
-            overlay = FaultOverlay(description=description)
+        def ff_overlay(port, override):
+            overlay = FaultOverlay()
             overlay.ff_pin_overrides[(flip_flop.index, port)] = override
             overlay.seed_nets = [flip_flop.q_net]
             return overlay
 
-        def out_overlay(description, port, override):
-            overlay = FaultOverlay(description=description)
+        def out_overlay(port, override):
+            overlay = FaultOverlay()
             overlay.output_pin_overrides[(port, 0)] = override
             return overlay
 
         overlays = [
-            ff_overlay("D -> C", "D", SourceOverride.net(net_c)),
-            ff_overlay("D shorted to B", "D",
+            ff_overlay("D", SourceOverride.net(net_c)),
+            ff_overlay("D",
                        SourceOverride.blend_of(mixed, net_b)),
-            ff_overlay("D open", "D", SourceOverride.floating()),
-            ff_overlay("CE -> B", "CE", SourceOverride.net(net_b)),
-            ff_overlay("reset -> C", "R", SourceOverride.net(net_c)),
-            ff_overlay("reset stuck at 1", "R", SourceOverride.constant(1)),
-            out_overlay("Y -> C", "Y", SourceOverride.net(net_c)),
-            out_overlay("Y wired-or B", "Y",
+            ff_overlay("D", SourceOverride.floating()),
+            ff_overlay("CE", SourceOverride.net(net_b)),
+            ff_overlay("R", SourceOverride.net(net_c)),
+            ff_overlay("R", SourceOverride.constant(1)),
+            out_overlay("Y", SourceOverride.net(net_c)),
+            out_overlay("Y",
                         SourceOverride.blend_of(mixed, net_b,
                                                 BLEND_WIRED_OR)),
-            out_overlay("Z stuck at 0", "Z", SourceOverride.constant(0)),
+            out_overlay("Z", SourceOverride.constant(0)),
         ]
         plan = _plan(design, overlays)
         edge_rows = range(plan.edge[2], plan.edge[3])
@@ -330,9 +330,9 @@ class TestShadowPins:
         lut, lut_z = gate["lut_open"], gate["lut_z"]
         other = design.inputs["C"].net_indices[0]
         overlays = [
-            _pin_overlay("I0 shorted to C", lut, 0,
+            _pin_overlay(lut, 0,
                          SourceOverride.blend_of(lut.input_nets[0], other)),
-            _pin_overlay("Q -> C", lut_z, 0, SourceOverride.net(other)),
+            _pin_overlay(lut_z, 0, SourceOverride.net(other)),
         ]
         cone = design.fault_cone([lut.output_net])
         plan = _plan(design, overlays, cone)
@@ -358,7 +358,7 @@ class TestInitSweeps:
                    if g.kind == 0 and g.num_inputs == 2)
         overlays = []
         for init in range(16):
-            overlay = FaultOverlay(description=f"INIT={init:04b}")
+            overlay = FaultOverlay()
             overlay.lut_init_overrides[lut.index] = init
             overlay.seed_nets = [lut.output_net]
             overlays.append(overlay)
@@ -375,7 +375,7 @@ class TestInitSweeps:
         overlays = []
         for _ in range(40):
             init = rng.getrandbits(1 << lut.num_inputs)
-            overlay = FaultOverlay(description=f"INIT={init:#x}")
+            overlay = FaultOverlay()
             overlay.lut_init_overrides[lut.index] = init
             overlay.seed_nets = [lut.output_net]
             overlays.append(overlay)
@@ -447,7 +447,7 @@ class TestWholeDesignSweeps:
                    if g.kind == 0 and g.num_inputs >= 2)
         overlays = []
         for table_bit in range(4):
-            overlay = FaultOverlay(description=f"INIT bit {table_bit}")
+            overlay = FaultOverlay()
             overlay.lut_init_overrides[lut.index] = \
                 lut.init ^ (1 << table_bit)
             overlay.seed_nets = [lut.output_net]

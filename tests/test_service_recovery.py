@@ -32,8 +32,8 @@ from repro.service import (CampaignService, ChaosConfig, ChaosCrash,
                            JobJournal, JobSpec, JobState, ServiceDraining,
                            SharedCacheTier, activate_tier, deactivate_tier)
 from repro.service import chaos
-from repro.service.httpd import (MAX_WAIT_SECONDS, cancel_job, fetch_job,
-                                 make_server, submit_job, wait_for_job)
+from repro.service.httpd import (MAX_WAIT_SECONDS, fetch_job, make_server,
+                                 submit_job, wait_for_job)
 from repro.service.journal import JOURNAL_VERSION
 
 
@@ -581,7 +581,11 @@ class TestHttpOperations:
         service, _server, url = served
         blocker = submit_job(url, tiny_spec(seed=7).as_dict())
         victim = submit_job(url, tiny_spec().as_dict())
-        cancelled = cancel_job(url, victim["id"])
+        request = urllib.request.Request(
+            f"{url}/jobs/{victim['id']}/cancel", data=b"{}",
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=60) as response:
+            cancelled = json.loads(response.read())
         assert cancelled["id"] == victim["id"]
         final = wait_for_job(url, victim["id"], timeout=60)
         assert final["state"] == JobState.CANCELLED
